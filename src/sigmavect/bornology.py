@@ -24,7 +24,6 @@ from .sets import (
     SetError,
     described_intersection,
 )
-from .gridsolve import nonneg_solutions
 from .universe import PairUniverse, UniverseError
 
 
@@ -224,14 +223,12 @@ def _atom_subset_of(atom, other):
             u = atom.universe
             if not other.contains(atom.start):
                 return False
-            step = tuple(u.vectorize(atom.step))
-            return bool(nonneg_solutions([u.vectorize(g) for g in other.generators], step))
+            return other.lattice.contains(u.vectorize(atom.step))
     if isinstance(atom, GridAtom) and isinstance(other, GridAtom):
         u = atom.universe
         if not other.contains(atom.base):
             return False
-        gen_vecs = [u.vectorize(g) for g in other.generators]
-        return all(bool(nonneg_solutions(gen_vecs, u.vectorize(g))) for g in atom.generators)
+        return all(other.lattice.contains(u.vectorize(g)) for g in atom.generators)
     if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
         return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
     return False

@@ -10,9 +10,14 @@ import click
 from .expr import Diagnostic, Env, EvalError, Evaluator, parse, render, _type_of
 from .scalars import field_from_spec
 from .series import PairingUndecided, SeriesError
+from .sets import SetError
 from .suites import SuiteError, run_suite
 
 SCHEMA = "sigma.v1"
+
+# library errors an expression can raise; each ends in a one-line diagnostic
+_EXPR_ERRORS = (Diagnostic, EvalError, SeriesError, PairingUndecided, SetError,
+                ZeroDivisionError)
 
 
 def _value_record(value, window):
@@ -36,8 +41,16 @@ class _Jsonable(json.JSONEncoder):
         return str(o)
 
 
+def _echo(text, err=False):
+    """click.echo to the current sys.stdout (or sys.stderr).  Naming the
+    stream keeps it out of click's default-stream cache, whose entries hold
+    their own weak keys alive: every stream a caller swaps in around an
+    in-process invocation would otherwise stay in memory with its text."""
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _emit_json(payload):
-    click.echo(json.dumps(payload, cls=_Jsonable, sort_keys=True))
+    _echo(json.dumps(payload, cls=_Jsonable, sort_keys=True))
 
 
 def _diag_message(exc):
@@ -46,6 +59,8 @@ def _diag_message(exc):
         if exc.expected:
             msg += " (expected %s)" % ", ".join(exc.expected)
         return msg
+    if isinstance(exc, ZeroDivisionError):
+        return "error: division by zero: %s" % exc
     return "error: %s" % exc
 
 
@@ -75,7 +90,7 @@ def _eval_one(text, env, window, fmt):
         _emit_json({"schema": SCHEMA, "kind": "eval", "input": text,
                     "result": _value_record(value, window)})
     else:
-        click.echo(render(value, window))
+        _echo(render(value, window))
 
 
 @main.command("eval")
@@ -99,12 +114,12 @@ def eval_cmd(ctx, exprs, path):
     for text in texts:
         try:
             _eval_one(text, env, obj["window"], obj["fmt"])
-        except (Diagnostic, EvalError, SeriesError, PairingUndecided) as exc:
+        except _EXPR_ERRORS as exc:
             if obj["fmt"] == "json":
                 _emit_json({"schema": SCHEMA, "kind": "error", "input": text,
                             "message": _diag_message(exc)})
             else:
-                click.echo(_diag_message(exc), err=True)
+                _echo(_diag_message(exc), err=True)
             ctx.exit(1)
 
 
@@ -121,11 +136,11 @@ def check_cmd(ctx, suite):
     if obj["fmt"] == "json":
         _emit_json({"schema": SCHEMA, "kind": "check", "report": report})
     else:
-        click.echo("suite %s: %s (%d cases, %d failures)"
-                   % (report["suite"], report["verdict"], report["cases"],
-                      len(report["failures"])))
+        _echo("suite %s: %s (%d cases, %d failures)"
+              % (report["suite"], report["verdict"], report["cases"],
+                 len(report["failures"])))
         for f in report["failures"]:
-            click.echo("  failure: %r" % (f,))
+            _echo("  failure: %r" % (f,))
     if report["verdict"] != "PASS":
         ctx.exit(1)
 
@@ -140,7 +155,7 @@ def repl_cmd(ctx):
         try:
             line = input("sigma> ")
         except EOFError:
-            click.echo("")
+            _echo("")
             break
         line = line.strip()
         if not line:
@@ -149,8 +164,8 @@ def repl_cmd(ctx):
             break
         try:
             _eval_one(line, env, obj["window"], obj["fmt"])
-        except (Diagnostic, EvalError, SeriesError, PairingUndecided) as exc:
-            click.echo(_diag_message(exc), err=True)
+        except _EXPR_ERRORS as exc:
+            _echo(_diag_message(exc), err=True)
 
 
 if __name__ == "__main__":

@@ -387,12 +387,6 @@ class Evaluator:
     def __init__(self, env=None):
         self.env = env or Env()
 
-    # -- annotation (fills node.ty, reporting type errors before evaluation)
-    def annotate(self, node, locals_=None):
-        val = self.eval(node, locals_)
-        node.ty = _type_of(val)
-        return node.ty
-
     def eval(self, node, locals_=None):
         locals_ = locals_ or {}
         val = self._eval(node, locals_)

@@ -1,14 +1,21 @@
-"""Bounded lattice-point enumeration for grid sets.
+"""Lattice-point bookkeeping for grid sets.
 
 A grid is {base + k1*g1 + ... + km*gm : ki in N} written additively in the
 exponent embedding Q^n.  All generators are lexicographically positive, so
 no nontrivial nonnegative combination vanishes; a positive linear weight
 functional therefore exists and bounds every exponent search exactly.
+
+A `Lattice` scales its generators once by the lcm of their coordinate
+denominators, so the search runs on machine ints (Puiseux exponents
+included).  A target whose scaled coordinates are not integers has no
+representation: integer combinations of integer vectors are integer.
+Membership stops at the first representation; `nonneg_solutions` lists
+them all.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 
 def leading_index(vec):
@@ -24,17 +31,14 @@ def is_lex_positive(vec):
     return i is not None and vec[i] > 0
 
 
-def positive_weights(vectors, extra=()):
-    """Weights (M^(n-1), ..., M, 1) giving every vector in `vectors` a
-    strictly positive weight.  All of `vectors` must be lex-positive; the
-    `extra` vectors merely contribute to the magnitude estimate so that the
-    same functional can be evaluated on them too."""
+def positive_weights(vectors):
+    """Integer weights (M^(n-1), ..., M, 1) giving every vector in `vectors`
+    a strictly positive weight.  All of `vectors` must be lex-positive."""
     vecs = list(vectors)
     if not vecs:
-        return (Fraction(1),)
+        return (1,)
     n = len(vecs[0])
-    entries = [abs(c) for v in list(vecs) + list(extra) for c in v]
-    maxabs = max(entries) if entries else Fraction(0)
+    maxabs = max(abs(c) for v in vecs for c in v)
     min_lead = None
     for v in vecs:
         i = leading_index(v)
@@ -42,8 +46,7 @@ def positive_weights(vectors, extra=()):
             raise ValueError("vector %r is not lex-positive" % (v,))
         if min_lead is None or v[i] < min_lead:
             min_lead = v[i]
-    m = max(Fraction(2), 2 * maxabs / min_lead + 1)
-    m = Fraction(m.__ceil__())
+    m = max(2, -(-(2 * maxabs + min_lead) // min_lead))
     return tuple(m ** (n - 1 - i) for i in range(n))
 
 
@@ -51,49 +54,80 @@ def weight(wts, vec):
     return sum(w * c for w, c in zip(wts, vec))
 
 
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+class Lattice:
+    """The nonnegative integer combinations of lex-positive generators."""
 
+    __slots__ = ("gens", "scale", "wts", "gw", "lead")
 
-def _vscale(k, a):
-    return tuple(k * x for x in a)
+    def __init__(self, generators):
+        gens = [tuple(g) for g in generators]
+        scale = 1
+        for g in gens:
+            for c in g:
+                scale = lcm(scale, c.denominator)
+        self.scale = scale
+        self.gens = [tuple(int(c * scale) for c in g) for g in gens]
+        self.wts = positive_weights(self.gens)
+        self.gw = [weight(self.wts, g) for g in self.gens]
+        self.lead = leading_index(self.gens[-1]) if gens else None
+
+    def _scaled(self, target):
+        """target * scale as ints, or None when it leaves the integers."""
+        out = []
+        for c in target:
+            q, r = divmod(c.numerator * self.scale, c.denominator)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
+
+    def solutions(self, target):
+        """Yield every (k1, ..., km) in N^m with sum ki*gi == target, in lex
+        order; the weight functional bounds the depth-first search and the
+        last coefficient is solved by division."""
+        t = self._scaled(target)
+        if t is None:
+            return
+        gens, gw = self.gens, self.gw
+        m = len(gens)
+        if not m:
+            if not any(t):
+                yield ()
+            return
+        last = gens[-1]
+        lead = self.lead
+        lead_c = last[lead]
+        ks = [0] * m
+
+        def rec(i, rest, rest_w):
+            if i == m - 1:
+                k, r = divmod(rest[lead], lead_c)
+                if not r and k >= 0 and rest == tuple(k * c for c in last):
+                    ks[i] = k
+                    yield tuple(ks)
+                return
+            g, w = gens[i], gw[i]
+            k = 0
+            while rest_w >= 0:
+                ks[i] = k
+                yield from rec(i + 1, rest, rest_w)
+                k += 1
+                rest = tuple(a - b for a, b in zip(rest, g))
+                rest_w -= w
+
+        yield from rec(0, t, weight(self.wts, t))
+
+    def contains(self, target):
+        """True when target is a nonnegative combination of the generators."""
+        return next(self.solutions(target), None) is not None
 
 
 def nonneg_solutions(generators, target):
     """All (k1, ..., km) in N^m with sum ki*gi == target.
 
-    Finite because the generators are lex-positive (Neumann's condition);
-    the weight functional bounds the depth-first search.
+    Finite because the generators are lex-positive (Neumann's condition).
     """
-    gens = [tuple(g) for g in generators]
-    target = tuple(target)
-    if not gens:
-        return [()] if all(c == 0 for c in target) else []
-    wts = positive_weights(gens, extra=[target])
-    gw = [weight(wts, g) for g in gens]
-    out = []
-    ks = [0] * len(gens)
-
-    def rec(i, rest, rest_w):
-        if rest_w < 0:
-            return
-        if i == len(gens):
-            if all(c == 0 for c in rest):
-                out.append(tuple(ks))
-            return
-        g, w = gens[i], gw[i]
-        k = 0
-        cur, cur_w = rest, rest_w
-        while cur_w >= 0:
-            ks[i] = k
-            rec(i + 1, cur, cur_w)
-            k += 1
-            cur = _vsub(cur, g)
-            cur_w -= w
-        ks[i] = 0
-
-    rec(0, target, weight(wts, target))
-    return out
+    return list(Lattice(generators).solutions(target))
 
 
 def grid_points(generators, base, count=None):

@@ -6,15 +6,18 @@ makes the convolution decomposition sets finite and computable (bounded
 lattice-point enumeration) and gives the summability bound behind Neumann
 summation: any element has only finitely many representations as a sum of n
 support elements, with n bounded by a positive weight functional.
+
+Every coefficient lookup first asks whether a monomial lies in a grid
+certificate.  Each grid atom scales its generators to integer vectors once
+(`gridsolve.Lattice`) and answers membership at the first representation
+found; only the grid-by-grid decompositions of a product list them all.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .gridsolve import nonneg_solutions, positive_weights, weight
-from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom, SetError
-from .series import FiniteSeries, LazySeries, SeriesError, delta, zero_series
+from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom
+from .series import FiniteSeries, LazySeries, SeriesError, delta
 from .universe import UniverseError
 
 

@@ -201,10 +201,6 @@ class LazySeries(Series):
         return self._cert
 
 
-def zero_series(field, universe, bornology):
-    return FiniteSeries(field, universe, bornology, {})
-
-
 def delta(field, universe, bornology, gamma, scale=1):
     return FiniteSeries(field, universe, bornology, {gamma: scale})
 

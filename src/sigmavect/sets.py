@@ -12,15 +12,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import cached_property
+from math import floor, gcd, lcm
 
 from .gridsolve import (
+    Lattice,
     grid_points,
     grid_points_upto,
-    is_lex_positive,
-    nonneg_solutions,
     shares_leading_index,
 )
-from .universe import PairUniverse, Universe, UniverseError
+from .universe import PairUniverse
 
 # direction / order-type classes of an infinite atom
 FINITE = "finite"
@@ -362,6 +363,11 @@ class GridAtom(Atom):
     def _gen_vecs(self):
         return [self.universe.vectorize(g) for g in self.generators]
 
+    @cached_property
+    def lattice(self):
+        """The generators' Lattice, built on first use."""
+        return Lattice(self._gen_vecs())
+
     def contains(self, el):
         if not self.universe.contains(el):
             return False
@@ -369,7 +375,7 @@ class GridAtom(Atom):
             a - b
             for a, b in zip(self.universe.vectorize(el), self.universe.vectorize(self.base))
         )
-        return bool(nonneg_solutions(self._gen_vecs(), t))
+        return self.lattice.contains(t)
 
     def is_finite(self):
         return not self.generators
@@ -740,45 +746,23 @@ def _prog_prog_intersection(p1, p2):
     t = Fraction(base_diff[i]) / d1[i]
     if any(base_diff[j] != t * d1[j] for j in range(len(d1))):
         return (True, [])  # different parallel lines
-    # s1 + k d1 = s2 + l d2  =>  k - l*r = t
-    if (r > 0) == (Fraction(1) > 0) and r > 0:
-        same_dir = True
-    else:
-        same_dir = False
-    if same_dir:
-        # infinitely many common points iff k = t + l*r has infinitely many
-        # integer solutions with k,l >= 0
-        sols = _congruence_solutions(t, r, limit=3)
-        if len(sols) >= 2:
-            return (False, None)
-        return (True, [_prog_el(p1, k) for k, _ in sols])
-    # opposite directions: p2 runs downward along d1; common points bounded
-    out = []
-    l = 0
-    while True:
-        k = t + l * r
-        if k < 0:
-            break
-        if k.denominator == 1:
-            out.append(_prog_el(p1, k))
-        l += 1
-        if l > 10 ** 6:
-            raise SetError("progression intersection runaway")
-    return (True, out)
-
-
-def _congruence_solutions(t, r, limit):
-    """Nonnegative integer pairs (k, l) with k = t + l*r, first `limit` of them."""
-    out = []
-    l = 0
-    guard = 0
-    while len(out) < limit and guard < 10 ** 5:
-        k = t + l * r
-        if k >= 0 and k.denominator == 1:
-            out.append((k, l))
-        l += 1
-        guard += 1
-    return out
+    # s1 + k d1 = s2 + l d2  <=>  k = t + l*r; scaled by the common
+    # denominator q this is the linear Diophantine equation a*k - b*l = c
+    q = lcm(t.denominator, r.denominator)
+    a, b, c = q, int(q * r), int(q * t)
+    g = gcd(a, b)
+    if c % g:
+        return (True, [])
+    if r > 0:
+        # same direction: k and l grow together along the solution line
+        return (False, None)
+    # opposite directions: l >= 0 bounds k by t, and k runs down one residue
+    # class modulo |b|/g (l increasing)
+    mod = -b // g
+    k0 = (c // g) * pow(a // g, -1, mod) % mod
+    top = floor(t)
+    top -= (top - k0) % mod
+    return (True, [_prog_el(p1, k) for k in range(top, -1, -mod)])
 
 
 def _prog_el(p, k):

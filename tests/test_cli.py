@@ -1,6 +1,10 @@
 """The `sigma` command: eval, check, repl, flags, output formats."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 from click.testing import CliRunner
 
@@ -67,6 +71,43 @@ def test_eval_parse_error_sets_exit_code():
     r = run("eval", "-e", "1 +")
     assert r.exit_code == 1
     assert "line 1" in r.output
+
+
+def assert_one_line_error(r, text):
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)  # no traceback escaped
+    assert r.output.splitlines() == [r.output.strip()]
+    assert r.output.startswith("error: ") and text in r.output
+
+
+def test_eval_zero_exponent_denominator_is_a_diagnostic():
+    r = run("eval", "-e", "truncate(x^(1/0), x)")
+    assert_one_line_error(r, "division by zero")
+
+
+def test_eval_grid_generator_below_unit_is_a_diagnostic():
+    r = run("eval", "-e", "grid(x; x^-1)")
+    assert_one_line_error(r, "not above the unit")
+
+
+def test_eval_division_by_p_in_fp_is_a_diagnostic():
+    r = run("--field", "fp:7", "eval", "-e", "x/7")
+    assert_one_line_error(r, "inverse of 0 in GF(7)")
+
+
+def test_in_process_invocations_release_their_output_streams():
+    # an embedding caller redirects stdout around each call; the CLI must
+    # not keep those streams (and the text written to them) alive
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=["eval", "-e", "1 + 1"], prog_name="sigma", standalone_mode=False)
+        assert buf.getvalue() == "2\n"
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_check_suite_text():

@@ -1,8 +1,9 @@
 """Lattice bookkeeping for grid sets.
 
-Oracle notes: nonneg_solutions is checked against an independent bounded
-brute-force search over exponent boxes [DERIVED]; grid enumeration against
-a sorted exhaustive generation [DERIVED].
+Oracle notes: nonneg_solutions, Lattice.contains and GridAtom.contains are
+checked against an independent bounded brute-force search over exponent
+boxes [DERIVED]; grid enumeration against a sorted exhaustive generation
+[DERIVED].
 """
 
 import itertools
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmavect.gridsolve import (
+    Lattice,
     grid_points,
     grid_points_upto,
     is_lex_positive,
@@ -21,6 +23,8 @@ from sigmavect.gridsolve import (
     shares_leading_index,
     weight,
 )
+from sigmavect.sets import GridAtom
+from sigmavect.universe import MonomialUniverse
 
 
 def brute_solutions(gens, target, kmax=12):
@@ -119,3 +123,67 @@ def test_grid_points_upto_honest_none():
 def test_grid_points_upto_empty_when_base_above():
     gens = [(Fraction(1),)]
     assert grid_points_upto(gens, (Fraction(5),), (Fraction(3),)) == []
+
+
+# Rational coordinates for the lattice kernel.  The ranges keep every
+# solution inside the oracle's box [0, 12]^m: in one dimension k <= 4 / (1/3);
+# in two, generators with a positive first coordinate (>= 1/3) are used at
+# most 3 times, shifting the second coordinate by at most 3/2, so those with
+# first coordinate 0 (second >= 1/3) are used at most (1 + 3/2) * 3 times.
+POS = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+NEG = [Fraction(-1, 2), Fraction(-2, 5), Fraction(-1, 3)]
+
+
+def thirtieths(lo, hi):
+    return st.integers(lo, hi).map(lambda n: Fraction(n, 30))
+
+
+gens_1d = st.lists(st.sampled_from(POS).map(lambda c: (c,)), min_size=1, max_size=3)
+gens_2d = st.lists(
+    st.tuples(
+        st.sampled_from([Fraction(0)] + POS[:4]), st.sampled_from(NEG + [Fraction(0)] + POS[:4])
+    ).filter(is_lex_positive),
+    min_size=1,
+    max_size=3,
+)
+cases = st.one_of(
+    st.tuples(gens_1d, st.tuples(thirtieths(-30, 120)), st.tuples(thirtieths(0, 30))),
+    st.tuples(
+        gens_2d,
+        st.tuples(thirtieths(-3, 30), thirtieths(-30, 30)),
+        st.tuples(thirtieths(0, 30), thirtieths(-30, 30)),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases)
+def test_lattice_and_grid_membership_match_brute_force(case):
+    gens, target, base = case
+    want = brute_solutions(gens, target)
+    assert sorted(nonneg_solutions(gens, target)) == want
+    assert Lattice(gens).contains(target) == bool(want)
+    u = MonomialUniverse(["x", "y"][: len(target)])
+    atom = GridAtom(u, base, gens)
+    el = tuple(b + t for b, t in zip(base, target))
+    assert atom.contains(el) == bool(want)
+
+
+def test_target_off_the_scaled_lattice():
+    # grid(1; x^(1/2), x^(1/3)) scales by 6; x^(1/5) scales to 6/5
+    gens = [(Fraction(1, 2),), (Fraction(1, 3),)]
+    u = MonomialUniverse(["x"])
+    atom = GridAtom(u, u.unit, gens)
+    assert not atom.contains((Fraction(1, 5),))
+    assert atom.contains((Fraction(5, 6),))
+    assert not atom.contains((Fraction(1, 6),))
+    assert nonneg_solutions(gens, (Fraction(1, 5),)) == []
+    assert nonneg_solutions(gens, (Fraction(2),)) == [(0, 6), (2, 3), (4, 0)]
+
+
+def test_lattice_scales_once_to_integers():
+    lat = Lattice([(Fraction(1, 2), Fraction(-2, 5)), (Fraction(0), Fraction(1, 3))])
+    assert lat.scale == 30
+    assert lat.gens == [(15, -12), (0, 10)]
+    assert all(isinstance(c, int) for g in lat.gens for c in g)
+    assert all(w > 0 for w in lat.gw)

@@ -5,6 +5,8 @@ enumeration over finite boxes [DERIVED]; classifications against the
 construction (a progression with positive step is increasing, etc.).
 """
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from sigmavect.sets import (
     FINITE,
     UP,
     DescribedSet,
+    ProgressionAtom,
     SetError,
     atom_intersection,
     described_intersection,
@@ -164,6 +167,66 @@ def test_opposite_progressions_intersect_finitely():
     fin, els = described_intersection(s1, s2)
     assert fin is True
     assert set(els) == {0, 6}  # evens meeting {...,-3,0,3,6,9} above 0 [DERIVED]
+
+
+def test_parallel_meet_beyond_old_scan_is_infinite():
+    # 100003*k = l has a solution for every k: the meet is prog(0; 100003)
+    p1 = ProgressionAtom(Z, 0, 100003)
+    p2 = ProgressionAtom(Z, 0, 1)
+    assert atom_intersection(p1, p2) == (False, None)
+
+
+def test_opposite_meet_with_a_far_start_is_enumerated():
+    p1 = ProgressionAtom(Z, 0, 10 ** 6)
+    p2 = ProgressionAtom(Z, 10 ** 7, -1)
+    fin, els = atom_intersection(p1, p2)
+    assert fin is True
+    assert sorted(els) == [k * 10 ** 6 for k in range(11)]
+
+
+def test_empty_parallel_meet_is_immediate():
+    # gcd(4, 6) = 2 does not divide 1 - 0
+    t0 = time.perf_counter()
+    got = atom_intersection(ProgressionAtom(Z, 0, 4), ProgressionAtom(Z, 1, 6))
+    assert got == (True, [])
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _oracle_meet(s1, d1, s2, d2):
+    """Arithmetic oracle for prog(s1; d1) meet prog(s2; d2) on Z, |d1| large.
+    Same direction: infinite iff gcd(d1, d2) divides s2 - s1.  Opposite
+    directions: walk p1 across the finite stretch between the two starts."""
+    if (d1 > 0) == (d2 > 0):
+        return "infinite" if (s2 - s1) % math.gcd(d1, d2) == 0 else set()
+    out = set()
+    x = s1
+    while (x <= s2) if d1 > 0 else (x >= s2):
+        if (x - s2) % abs(d2) == 0:
+            out.add(x)
+        x += d1
+    return out
+
+
+signs = st.sampled_from([1, -1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-2 * 10 ** 6, 2 * 10 ** 6), st.integers(10 ** 5 + 1, 10 ** 6), signs,
+    st.integers(-2 * 10 ** 6, 2 * 10 ** 6), st.integers(1, 10 ** 6), signs,
+)
+def test_progression_meet_with_large_steps_matches_arithmetic(s1, d1, e1, s2, d2, e2):
+    d1, d2 = e1 * d1, e2 * d2
+    want = _oracle_meet(s1, d1, s2, d2)
+    for a, b in (
+        (ProgressionAtom(Z, s1, d1), ProgressionAtom(Z, s2, d2)),
+        (ProgressionAtom(Z, s2, d2), ProgressionAtom(Z, s1, d1)),
+    ):
+        fin, els = atom_intersection(a, b)
+        if want == "infinite":
+            assert (fin, els) == (False, None)
+        else:
+            assert fin is True and set(els) == want and len(els) == len(want)
 
 
 def test_finite_intersection():
