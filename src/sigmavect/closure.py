@@ -1,13 +1,18 @@
 """Constructive basis duality and one-step sigma-span closure on k^N.
 
-Everything here is exact rational linear algebra on finite coordinate
-prefixes: reduced row echelon forms, kernel bases, and window-restricted
-membership in the space of certified infinite sums from a generator list.
+Everything here is exact linear algebra on finite coordinate prefixes over
+the field of the entries (GF(p) for FpElements, else the rationals), by one
+elimination routine (`rref`): kernel bases, dual bases, and window-restricted
+membership in the space of certified infinite sums from a generator list,
+whose columns are factored once so that each membership test is one product
+accepted only when multiplying back gives the candidate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
+
+from .scalars import GF, QQ, FpElement
 
 
 class ClosureError(ValueError):
@@ -27,9 +32,17 @@ class IdempotenceFailure(AssertionError):
 # -- exact linear algebra ----------------------------------------------------
 
 
+def _field(rows):
+    """GF(p) when an entry is an FpElement, QQ otherwise."""
+    p = next((x.p for r in rows for x in r if isinstance(x, FpElement)), None)
+    return QQ if p is None else GF(p)
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot cols)."""
-    mat = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form over the field of the entries.  Returns
+    (reduced nonzero rows, pivot cols)."""
+    of = _field(rows).of
+    mat = [[of(x) for x in r] for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -40,8 +53,8 @@ def rref(rows):
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
@@ -55,39 +68,51 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
+def _factor(columns, n):
+    """The field's zero, the pivot columns of the RREF of [A | I] (A: these
+    n-long columns) and the transform rows of those pivots, as their nonzero
+    (index, entry) pairs.  Row i times a target in the span is the
+    coefficient of column pivots[i]; the free columns get zero."""
+    m = len(columns)
+    red, pivots = rref(
+        [[c[i] for c in columns] + [int(i == j) for j in range(n)] for i in range(n)]
+    )
+    r = sum(1 for p in pivots if p < m)
+    transform = [[(j, a) for j, a in enumerate(row[m:]) if a] for row in red[:r]]
+    return _field(columns).zero, pivots[:r], transform
+
+
+def _combination(columns, factored, target):
+    """The combination of the columns equal to target, from their factored
+    form, or None; accepted only when multiplying back gives the target."""
+    zero, pivots, transform = factored
+    coeffs = [zero] * len(columns)
+    for p, t in zip(pivots, transform):
+        coeffs[p] = sum(a * target[j] for j, a in t)
+    for i, b in enumerate(target):
+        if sum(coeffs[p] * columns[p][i] for p in pivots) != b:
+            return None
+    return coeffs
+
+
 def solve_combination(columns, target):
     """Coefficients expressing target as a combination of the columns, or
     None.  Exact; columns and target are equal-length vectors."""
-    if not columns:
-        return [] if all(c == 0 for c in target) else None
-    n = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(len(columns))] + [Fraction(target[i])]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    m = len(columns)
-    coeffs = [Fraction(0)] * m
-    for row, p in zip(red, pivots):
-        if p == m:
-            return None  # inconsistent
-        coeffs[p] = row[m]
-    # verify (free variables were set to zero)
-    for i in range(n):
-        if sum(coeffs[j] * Fraction(columns[j][i]) for j in range(m)) != Fraction(target[i]):
-            return None
-    return coeffs
+    return _combination(columns, _factor(columns, len(target)), target)
 
 
 def kernel_basis(rows, ncols):
     """Basis of the joint kernel of the rows inside k^ncols, each vector
     scaled to leading coefficient 1 and sorted by leading coordinate."""
-    red, pivots = rref([list(r) + [Fraction(0)] * (ncols - len(r)) for r in rows])
+    field = _field(rows)
+    red, pivots = rref([list(r) + [0] * (ncols - len(r)) for r in rows])
     pivot_set = set(pivots)
     out = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = [field.zero] * ncols
+        v[j] = field.one
         for row, p in zip(red, pivots):
             v[p] = -row[j]
         lead = next(i for i in range(ncols) if v[i] != 0)
@@ -115,7 +140,7 @@ class FunctionalFamily:
 
     def as_lists(self, width=None):
         w = width or max(self.width, 1)
-        return [[Fraction(r.get(j, 0)) for j in range(w)] for r in self.rows]
+        return [[r.get(j, 0) for j in range(w)] for r in self.rows]
 
 
 class ConstructedBasis:
@@ -139,26 +164,25 @@ def dual_basis_construction(family, depth):
     untouched standard vectors."""
     width = max(family.width, 1)
     rows = family.as_lists(width)
+    field = _field(rows)
+    zero, one = field.zero, field.one
     red, pivots = rref(rows)
     r = len(pivots)
     vectors = []
     # complement of the joint kernel: the pivot coordinates themselves
     for p in pivots:
-        v = [Fraction(0)] * width
-        v[p] = Fraction(1)
+        v = [zero] * width
+        v[p] = one
         vectors.append(v)
     vectors.extend(kernel_basis(red, width))
     # beyond the materialized prefix the standard basis continues unchanged
     j = width
     while len(vectors) < depth:
-        v = [Fraction(0)] * (j + 1)
-        v[j] = Fraction(1)
+        v = [zero] * (j + 1)
+        v[j] = one
         vectors.append(v)
         j += 1
     vectors = vectors[:depth]
-
-    def pad(v, w):
-        return v + [Fraction(0)] * (w - len(v))
 
     recovery, bounds = [], []
     for row in rows:
@@ -169,9 +193,7 @@ def dual_basis_construction(family, depth):
                 coeffs.append((jj, val))
         recovery.append(coeffs)
         bounds.append(r)
-    return ConstructedBasis(
-        [pad(v, max(width, len(v))) for v in vectors], recovery, bounds, pivots, r
-    )
+    return ConstructedBasis(vectors, recovery, bounds, pivots, r)
 
 
 # -- one-step sigma-span -----------------------------------------------------
@@ -182,7 +204,7 @@ class PatternGenerator:
     each coordinate meets at most |template| members."""
 
     def __init__(self, template, step):
-        self.template = {int(n): Fraction(c) for n, c in dict(template).items()}
+        self.template = {int(n): c for n, c in dict(template).items()}
         if step < 1:
             raise ClosureError("pattern step must be positive")
         self.step = int(step)
@@ -200,7 +222,7 @@ class PatternGenerator:
 
     def full_sum_window(self, window):
         """Window restriction of the certified sum over all k, weights 1."""
-        out = [Fraction(0)] * window
+        out = [0] * window
         for k in range(0, (window // self.step) + 2):
             for n, c in self.member(k).items():
                 if n < window:
@@ -210,10 +232,10 @@ class PatternGenerator:
 
 class VectorGenerator:
     def __init__(self, coords):
-        self.coords = {int(n): Fraction(c) for n, c in dict(coords).items()}
+        self.coords = {int(n): c for n, c in dict(coords).items()}
 
     def window(self, window):
-        return [self.coords.get(i, Fraction(0)) for i in range(window)]
+        return [self.coords.get(i, 0) for i in range(window)]
 
 
 class SigmaSpanOracle:
@@ -230,7 +252,7 @@ class SigmaSpanOracle:
                 self.columns.append((("vector", gi), g.window(window)))
             elif isinstance(g, PatternGenerator):
                 for k in g.members_touching(window):
-                    vec = [Fraction(0)] * window
+                    vec = [0] * window
                     for n, c in g.member(k).items():
                         if n < window:
                             vec[n] += c
@@ -239,17 +261,19 @@ class SigmaSpanOracle:
             else:
                 raise ClosureError("unknown generator %r" % (g,))
 
+    @cached_property
+    def _factored(self):
+        """The columns factored on the first decide, after any trimming of
+        `columns` (see `idempotence_check`)."""
+        return _factor([vec for _, vec in self.columns], self.window)
+
     def decide(self, candidate):
         """candidate: dict or list of window coordinates.  Returns
         ('accepted', certificate) or ('rejected', None)."""
         if isinstance(candidate, dict):
-            target = [Fraction(candidate.get(i, 0)) for i in range(self.window)]
-        else:
-            target = [Fraction(c) for c in candidate] + [Fraction(0)] * (
-                self.window - len(candidate)
-            )
-            target = target[: self.window]
-        coeffs = solve_combination([vec for _, vec in self.columns], target)
+            candidate = [candidate.get(i, 0) for i in range(self.window)]
+        target = (list(candidate) + [0] * self.window)[: self.window]
+        coeffs = _combination([vec for _, vec in self.columns], self._factored, target)
         if coeffs is None:
             return ("rejected", None)
         cert = [
@@ -273,8 +297,8 @@ def default_battery(generators, window):
         for j in range(i + 1, min(i + 3, len(oracle_cols))):
             battery.append([a + 2 * b for a, b in zip(oracle_cols[i][1], oracle_cols[j][1])])
     for probe in range(min(4, window)):
-        v = [Fraction(0)] * window
-        v[probe] = Fraction(1)
+        v = [0] * window
+        v[probe] = 1
         battery.append(v)
     return battery
 
@@ -327,7 +351,7 @@ def dense_sigma_closed_example(prefix_dim, window, phi=None, targets=(), familie
     given first-projection targets and sum-closedness spot checks."""
     n = prefix_dim
     if phi is None:
-        phi = [[Fraction((i + 1) ** (j + 1)) for j in range(n)] for i in range(window)]
+        phi = [[(i + 1) ** (j + 1) for j in range(n)] for i in range(window)]
     if len(phi) != window or any(len(r) != n for r in phi):
         raise ClosureError("phi must be a window x prefix_dim matrix")
     if rank([list(col) for col in zip(*phi)]) < min(n, window):
@@ -341,10 +365,10 @@ def dense_sigma_closed_example(prefix_dim, window, phi=None, targets=(), familie
     for target in targets:
         # target: dict coordinate -> value on the phi-image coordinates
         cols = [[phi[i][j] for i in sorted(target)] for j in range(n)]
-        goal = [Fraction(target[i]) for i in sorted(target)]
+        goal = [target[i] for i in sorted(target)]
         sol = solve_combination(cols, goal)
         density.append(
-            {"target": {str(k): str(Fraction(x)) for k, x in target.items()},
+            {"target": {str(k): str(x) for k, x in target.items()},
              "solved": sol is not None,
              "witness": [str(c) for c in sol] if sol is not None else None}
         )
@@ -352,9 +376,9 @@ def dense_sigma_closed_example(prefix_dim, window, phi=None, targets=(), familie
     for fam in families:
         # fam: list of (weight, v-vector); the sum of f_v's must be f of the
         # weighted v-sum (linearity = sum-closedness at finite scale)
-        total_v = [sum(Fraction(w) * Fraction(v[j]) for w, v in fam) for j in range(n)]
-        lhs = [sum(Fraction(w) * x for (w, v), x in zip(fam, cols))
-               for cols in zip(*[f_of([Fraction(c) for c in v]) for _, v in fam])]
+        total_v = [sum(w * v[j] for w, v in fam) for j in range(n)]
+        lhs = [sum(w * x for (w, v), x in zip(fam, cols))
+               for cols in zip(*[f_of(v) for _, v in fam])]
         closed.append(lhs == f_of(total_v))
     return {
         "label": "finite shadow of an uncountable construction",

@@ -650,17 +650,22 @@ class Evaluator:
         )
         return euler_derivation(alg).apply(f)
 
+    def _integer_argument(self, node, locals_, what):
+        """An integer argument, read exactly (not mod p) in every field."""
+        q = self._rational_exponent(node, locals_)
+        if q.denominator != 1:
+            raise EvalError("%s must be an integer" % what)
+        return q.numerator
+
     def _fn_pattern(self, groups, locals_):
         te, se = self._one_group(groups, "pattern", 2)
         template = self.eval(te, locals_)
-        step = self.eval(se, locals_)
+        step = self._integer_argument(se, locals_, "pattern step")
         if not isinstance(template, FiniteSeries) or template.universe != self.env.nat:
             raise EvalError("pattern template must be a finite sequence vector")
         from .closure import PatternGenerator
 
-        return PatternGenerator(
-            {n: Fraction(c) for n, c in template.terms.items()}, int(step)
-        )
+        return PatternGenerator(template.terms, step)
 
     def _fn_sigmaspan(self, groups, locals_):
         if len(groups) != 2 or len(groups[1]) != 1:
@@ -673,20 +678,20 @@ class Evaluator:
             if isinstance(v, PatternGenerator):
                 gens.append(v)
             elif isinstance(v, FiniteSeries) and v.universe == self.env.nat:
-                gens.append(VectorGenerator({n: Fraction(c) for n, c in v.terms.items()}))
+                gens.append(VectorGenerator(v.terms))
             else:
                 raise EvalError("sigmaspan generators must be vectors or patterns")
         cand = self.eval(groups[1][0], locals_)
         if not isinstance(cand, FiniteSeries) or cand.universe != self.env.nat:
             raise EvalError("sigmaspan candidate must be a finite sequence vector")
         oracle = sigma_span_window(gens, self.env.window)
-        verdict, _ = oracle.decide({n: Fraction(c) for n, c in cand.terms.items()})
+        verdict, _ = oracle.decide(cand.terms)
         return verdict
 
     def _fn_basis(self, groups, locals_):
         he, de = self._one_group(groups, "basis", 2)
         rows_v = self.eval(he, locals_)
-        depth = int(self.eval(de, locals_))
+        depth = self._integer_argument(de, locals_, "basis depth")
         if not isinstance(rows_v, list):
             raise EvalError("basis needs a list of functional rows")
         from .closure import FunctionalFamily, dual_basis_construction
@@ -695,7 +700,7 @@ class Evaluator:
         for r in rows_v:
             if not isinstance(r, FiniteSeries) or r.universe != self.env.nat:
                 raise EvalError("basis rows must be finite sequence vectors")
-            rows.append({n: Fraction(c) for n, c in r.terms.items()})
+            rows.append(r.terms)
         return dual_basis_construction(FunctionalFamily(rows), depth)
 
 

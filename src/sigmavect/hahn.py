@@ -126,6 +126,16 @@ def _dedupe_atoms(atoms):
     return out
 
 
+def _minkowski_product(u, f_atoms, g_atoms):
+    """The described set {a + b : a in f_atoms, b in g_atoms}, for atoms
+    normalized by `_grid_atoms`."""
+    atoms = []
+    for af in f_atoms:
+        for ag in g_atoms:
+            atoms.extend(_minkowski_atoms(u, af, ag))
+    return DescribedSet(u, _dedupe_atoms(atoms))
+
+
 def cauchy_product(f, g, bornology=None):
     """Convolution: coefficient at gamma sums f(alpha) g(beta) over the finite
     set of decompositions gamma = alpha + beta inside the certificates.
@@ -147,11 +157,7 @@ def cauchy_product(f, g, bornology=None):
         return FiniteSeries(field, u, out_b, acc)
     f_atoms = _grid_atoms(u, f.certificate)
     g_atoms = _grid_atoms(u, g.certificate)
-    atoms = []
-    for af in f_atoms:
-        for ag in g_atoms:
-            atoms.extend(_minkowski_atoms(u, af, ag))
-    cert = DescribedSet(u, _dedupe_atoms(atoms))
+    cert = _minkowski_product(u, f_atoms, g_atoms)
 
     def oracle(gamma):
         pairs = set()

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
 
+from .closure import solve_combination
 from .gridsolve import (
     Lattice,
     grid_points,
@@ -728,10 +729,9 @@ def _prog_prog_intersection(p1, p2):
             parallel = False
             break
     if not parallel:
-        # solve k*d1 - l*d2 = s2 - s1: at most one solution
-        c = tuple(x - y for x, y in zip(s2, s1))
-        rows = [(d1[i], -d2[i], c[i]) for i in range(len(d1))]
-        sol = _solve_two_unknowns(rows)
+        # solve k*d1 - l*d2 = s2 - s1: the steps are nonzero and not
+        # parallel, so the two columns are independent and a solution unique
+        sol = solve_combination([d1, [-x for x in d2]], [x - y for x, y in zip(s2, s1)])
         if sol is None:
             return (True, [])
         k, l = sol
@@ -770,32 +770,6 @@ def _prog_el(p, k):
     s = u.vectorize(p.start)
     d = u.vectorize(p.step)
     return u.devectorize(tuple(a + k * b for a, b in zip(s, d)))
-
-
-def _solve_two_unknowns(rows):
-    """Solve rows of (a, b, c) meaning a*k + b*l = c; None if inconsistent,
-    (k, l) if a unique solution exists, raises SetError on underdetermined."""
-    pivot = None
-    for i, (a1, b1, _) in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            a2, b2, _ = rows[j]
-            if a1 * b2 - a2 * b1 != 0:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        raise SetError("underdetermined progression system")
-    i, j = pivot
-    a1, b1, c1 = rows[i]
-    a2, b2, c2 = rows[j]
-    det = a1 * b2 - a2 * b1
-    k = Fraction(c1 * b2 - c2 * b1, 1) / det
-    l = Fraction(a1 * c2 - a2 * c1, 1) / det
-    for a, b, c in rows:
-        if a * k + b * l != c:
-            return None
-    return (k, l)
 
 
 def atom_intersection(a1, a2):

@@ -11,14 +11,12 @@ from __future__ import annotations
 from .bornology import Verdict
 from .hahn import (
     HahnError,
-    _dedupe_atoms,
     _grid_atoms,
-    _minkowski_atoms,
+    _minkowski_product,
     cauchy_product,
     invert_unit,
     unit_series,
 )
-from .sets import DescribedSet
 from .series import (
     FiniteSeries,
     LazySeries,
@@ -46,17 +44,14 @@ class BornologicalMonoid:
         """Verify F0 * F1 stays bounded for bounded battery sets; returns a
         report with any witness pair that fails."""
         report = {"verdict": "accepted", "witnesses": []}
+        u = self.universe
         bounded = [
             s for s in battery if self.bornology.is_bounded(s) is Verdict.BOUNDED
         ]
         for s in bounded:
             for t in bounded:
                 try:
-                    atoms = []
-                    for a in _grid_atoms(self.universe, s):
-                        for b in _grid_atoms(self.universe, t):
-                            atoms.extend(_minkowski_atoms(self.universe, a, b))
-                    prod = DescribedSet(self.universe, _dedupe_atoms(atoms))
+                    prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, t))
                 except Exception as exc:  # non-grid atoms cannot be multiplied
                     report["verdict"] = "undecided"
                     report["witnesses"].append((s.format(), t.format(), str(exc)))
@@ -212,11 +207,7 @@ class ModuleAction:
             for h in carrier_battery:
                 if self.carrier.bornology.is_bounded(h) is not Verdict.BOUNDED:
                     continue
-                atoms = []
-                for a in _grid_atoms(u, s):
-                    for b in _grid_atoms(u, h):
-                        atoms.extend(_minkowski_atoms(u, a, b))
-                prod = DescribedSet(u, _dedupe_atoms(atoms))
+                prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, h))
                 v = self.carrier.bornology.is_bounded(prod)
                 if v is Verdict.UNBOUNDED:
                     report["verdict"] = "rejected"

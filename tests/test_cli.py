@@ -95,6 +95,30 @@ def test_eval_division_by_p_in_fp_is_a_diagnostic():
     assert_one_line_error(r, "inverse of 0 in GF(7)")
 
 
+def test_sigmaspan_under_fp_reduces_coefficients_mod_p():
+    r = run("--field", "fp:7", "eval", "-e", "sigmaspan(e0 + e1; 8*e0 + 8*e1)")
+    assert r.exit_code == 0 and r.output.strip() == "accepted"
+    # 8 = 1 in GF(7), so e0 + 8*e1 is e0 + e1 there but not over Q
+    r = run("--field", "fp:7", "eval", "-e", "sigmaspan(e0 + e1; e0 + 8*e1)")
+    assert r.exit_code == 0 and r.output.strip() == "accepted"
+    r = run("eval", "-e", "sigmaspan(e0 + e1; e0 + 8*e1)")
+    assert r.exit_code == 0 and r.output.strip() == "rejected"
+
+
+def test_basis_under_fp_matches_the_rational_basis_of_the_reduced_row():
+    r = run("--field", "fp:7", "eval", "-e", "basis([e0 + 7*e1], 2)")
+    assert r.exit_code == 0 and r.output.strip() == "(1); (0, 1)"
+    assert run("eval", "-e", "basis([e0], 2)").output.strip() == "(1); (0, 1)"
+
+
+def test_pattern_step_under_fp_is_read_as_an_integer():
+    # a step of 9 mod 7 = 2 would leave e0 outside the span
+    r = run("--field", "fp:7", "eval", "-e", "sigmaspan(pattern(e0 - e9, 9); e0)")
+    assert r.exit_code == 0 and r.output.strip() == "accepted"
+    r = run("--field", "fp:7", "eval", "-e", "pattern(e0, 1/2)")
+    assert_one_line_error(r, "pattern step must be an integer")
+
+
 def test_in_process_invocations_release_their_output_streams():
     # an embedding caller redirects stdout around each call; the CLI must
     # not keep those streams (and the text written to them) alive

@@ -6,6 +6,7 @@ dense checks written in the test (multiplying back, substituting solutions)
 elimination [DERIVED].
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from sigmavect.closure import (
     rref,
     solve_combination,
 )
+from sigmavect.scalars import FpElement
 
 
 def independent_solve(columns, target):
@@ -94,6 +96,45 @@ def test_solve_combination_matches_independent_solver(cols, target):
         for i in range(4):
             assert sum(got[j] * Fraction(cols[j][i]) for j in range(len(cols))) == target[i]
         assert want is not None
+        assert got == want  # the free columns get zero
+
+
+def _gf5_vectors(length):
+    return st.lists(st.integers(0, 4).map(lambda v: FpElement(v, 5)),
+                    min_size=length, max_size=length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(_gf5_vectors(n), max_size=3), _gf5_vectors(n))))
+def test_solve_combination_and_rank_over_gf5_match_enumeration(case):
+    cols, target = case
+    n, m = len(target), len(cols)
+
+    def combine(x):
+        return tuple(sum(x[j] * cols[j][i].value for j in range(m)) % 5 for i in range(n))
+
+    def combinations(k):  # of the first k columns
+        return itertools.product(range(5), repeat=k)
+
+    span = {}
+    for x in combinations(m):
+        span.setdefault(combine(x), []).append(x)
+    # |span| = 5^rank [DERIVED]
+    assert 5 ** rank(cols) == len(span)
+    # a column in the span of the earlier ones is free: it gets zero
+    free = [j for j in range(m)
+            if combine([int(i == j) for i in range(m)])
+            in {combine(x + (0,) * (m - j)) for x in combinations(j)}]
+    got = solve_combination(cols, target)
+    key = tuple(t.value for t in target)
+    if key not in span:
+        assert got is None
+        return
+    want = [x for x in span[key] if all(x[j] == 0 for j in free)]
+    assert len(want) == 1
+    assert all(isinstance(c, FpElement) and c.p == 5 for c in got)
+    assert [c.value for c in got] == list(want[0])
 
 
 def test_kernel_basis_annihilates():
