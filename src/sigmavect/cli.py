@@ -7,6 +7,7 @@ import sys
 
 import click
 
+from .closure import ClosureError
 from .expr import Diagnostic, Env, EvalError, Evaluator, parse, render, _type_of
 from .scalars import field_from_spec
 from .series import PairingUndecided, SeriesError
@@ -17,7 +18,7 @@ SCHEMA = "sigma.v1"
 
 # library errors an expression can raise; each ends in a one-line diagnostic
 _EXPR_ERRORS = (Diagnostic, EvalError, SeriesError, PairingUndecided, SetError,
-                ZeroDivisionError)
+                ClosureError, ZeroDivisionError)
 
 
 def _value_record(value, window):

@@ -27,6 +27,7 @@ from .hahn import cauchy_product, invert_unit, leading_term, monomial_shift, tru
 from .scalars import QQ
 from .series import (
     FiniteSeries,
+    Series,
     SeriesError,
     Space,
     SummableFamily,
@@ -354,7 +355,7 @@ def _type_of(value):
 
     if isinstance(value, (int, Fraction)) or type(value).__name__ == "FpElement":
         return "scalar"
-    if hasattr(value, "coeff") and hasattr(value, "certificate"):
+    if isinstance(value, Series):
         return "series"
     if isinstance(value, DescribedSet):
         return "set"

@@ -10,12 +10,19 @@ support elements, with n bounded by a positive weight functional.
 Every coefficient lookup first asks whether a monomial lies in a grid
 certificate.  Each grid atom scales its generators to integer vectors once
 (`gridsolve.Lattice`) and answers membership at the first representation
-found; only the grid-by-grid decompositions of a product list them all.
+found; only the grid-by-grid decompositions of a product list them all, on
+one `Lattice` per pair of atoms, built with the product.
+
+Inversion writes a unit as c * x^g0 * (1 - eps) with Supp(eps) > 1 and builds
+1/(1 - eps) as the fixed point g = 1 + eps*g: a coefficient of g needs those
+of g strictly below it, which it fills bottom-up from an explicit stack, so
+each costs its decompositions once, on any grid, and a deep lookup uses no
+Python recursion.  `neumann_sum` keeps the literal weighted sum of powers.
 """
 
 from __future__ import annotations
 
-from .gridsolve import nonneg_solutions, positive_weights, weight
+from .gridsolve import Lattice, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom
 from .series import FiniteSeries, LazySeries, SeriesError, delta
 from .universe import UniverseError
@@ -45,11 +52,13 @@ def _grid_atoms(u, cert):
 
 
 def _check_hahn(f):
+    """The atoms of f's certificate normalized by `_grid_atoms`; raises
+    unless f is a series on an ordered monoid with a grid-certified
+    support."""
     u = f.universe
     if not (u.is_ordered and u.has_monoid):
         raise HahnError("Hahn arithmetic needs an ordered monoid universe")
-    _grid_atoms(u, f.certificate)
-    return f
+    return _grid_atoms(u, f.certificate)
 
 
 def unit_series(field, universe, bornology):
@@ -66,35 +75,44 @@ def _try_sub(u, gamma, alpha):
         return None
 
 
-def _decompositions(u, atom_f, atom_g, gamma):
-    """All pairs (alpha, beta) with alpha in atom_f, beta in atom_g and
-    alpha + beta = gamma."""
-    pairs = set()
-    ff, fg = isinstance(atom_f, FiniteAtom), isinstance(atom_g, FiniteAtom)
-    if ff:
-        for a in atom_f.elements():
-            b = _try_sub(u, gamma, a)
-            if b is not None and atom_g.contains(b):
-                pairs.add((a, b))
+def _decompositions(u, atom_f, atom_g):
+    """The function taking gamma to the set of pairs (alpha, beta) with alpha
+    in atom_f, beta in atom_g and alpha + beta = gamma.  A grid x grid pair
+    builds its `Lattice` once, here, not per coefficient."""
+    if isinstance(atom_f, FiniteAtom):
+        els = atom_f.elements()
+
+        def pairs(gamma):
+            out = set()
+            for a in els:
+                b = _try_sub(u, gamma, a)
+                if b is not None and atom_g.contains(b):
+                    out.add((a, b))
+            return out
+
         return pairs
-    if fg:
-        return {(a, b) for b, a in _decompositions(u, atom_g, atom_f, gamma)}
+    if isinstance(atom_g, FiniteAtom):
+        swapped = _decompositions(u, atom_g, atom_f)
+        return lambda gamma: {(a, b) for b, a in swapped(gamma)}
     # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
     gens_f = [u.vectorize(g) for g in atom_f.generators]
-    gens_g = [u.vectorize(g) for g in atom_g.generators]
-    base = tuple(
-        x + y for x, y in zip(u.vectorize(atom_f.base), u.vectorize(atom_g.base))
-    )
-    target = tuple(x - y for x, y in zip(u.vectorize(gamma), base))
+    lattice = Lattice(gens_f + [u.vectorize(g) for g in atom_g.generators])
     bf = u.vectorize(atom_f.base)
-    for sol in nonneg_solutions(gens_f + gens_g, target):
-        avec = list(bf)
-        for k, g in zip(sol[: len(gens_f)], gens_f):
-            avec = [x + k * y for x, y in zip(avec, g)]
-        alpha = u.devectorize(tuple(avec))
-        beta = _try_sub(u, gamma, alpha)
-        if beta is not None:
-            pairs.add((alpha, beta))
+    base = tuple(x + y for x, y in zip(bf, u.vectorize(atom_g.base)))
+
+    def pairs(gamma):
+        out = set()
+        target = tuple(x - y for x, y in zip(u.vectorize(gamma), base))
+        for sol in lattice.solutions(target):
+            avec = list(bf)
+            for k, g in zip(sol, gens_f):
+                avec = [x + k * y for x, y in zip(avec, g)]
+            alpha = u.devectorize(tuple(avec))
+            beta = _try_sub(u, gamma, alpha)
+            if beta is not None:
+                out.add((alpha, beta))
+        return out
+
     return pairs
 
 
@@ -142,8 +160,8 @@ def cauchy_product(f, g, bornology=None):
 
     The optional bornology overrides the output's support ideal (used by
     module actions, where the two factors live in different spaces)."""
-    _check_hahn(f)
-    _check_hahn(g)
+    f_atoms = _check_hahn(f)
+    g_atoms = _check_hahn(g)
     if f.universe != g.universe or f.field != g.field:
         raise HahnError("product across different universes or fields")
     u, field = f.universe, f.field
@@ -155,15 +173,13 @@ def cauchy_product(f, g, bornology=None):
                 gam = u.op(a, b)
                 acc[gam] = acc.get(gam, field.zero) + ca * cb
         return FiniteSeries(field, u, out_b, acc)
-    f_atoms = _grid_atoms(u, f.certificate)
-    g_atoms = _grid_atoms(u, g.certificate)
     cert = _minkowski_product(u, f_atoms, g_atoms)
+    splits = [_decompositions(u, af, ag) for af in f_atoms for ag in g_atoms]
 
     def oracle(gamma):
         pairs = set()
-        for af in f_atoms:
-            for ag in g_atoms:
-                pairs |= _decompositions(u, af, ag, gamma)
+        for split in splits:
+            pairs |= split(gamma)
         total = field.zero
         for a, b in pairs:
             total = total + f.coeff(a) * g.coeff(b)
@@ -196,12 +212,18 @@ def leading_term(f, window=32):
     return None
 
 
-def _positive_support_vectors(u, cert):
-    """Generator vectors witnessing that every certificate element is > unit;
-    raises when the certificate does not certify Supp > 1."""
+def _power_grid(u, atoms):
+    """(support vectors, certificate) for the powers of a series eps whose
+    certificate atoms, normalized by `_grid_atoms`, are `atoms`.
+
+    The vectors are the finite elements, grid bases and grid generators of
+    the atoms; the certificate is the grid on the unit that they generate,
+    which holds every eps^n, or None when there are no vectors.  Raises
+    unless every vector lies above the unit, that is, unless Supp(eps) > 1.
+    """
     uk = u.key(u.unit)
     vecs = []
-    for a in _grid_atoms(u, cert):
+    for a in atoms:
         if isinstance(a, FiniteAtom):
             for e in a.elements():
                 if not u.key(e) > uk:
@@ -209,16 +231,21 @@ def _positive_support_vectors(u, cert):
                         "certificate element %s is not above the unit" % u.format(e)
                     )
                 vecs.append(tuple(u.vectorize(e)))
-        elif isinstance(a, GridAtom):
+        else:
             if not u.key(a.base) > uk:
                 raise HahnError(
                     "grid base %s is not above the unit" % u.format(a.base)
                 )
             vecs.append(tuple(u.vectorize(a.base)))
             vecs.extend(tuple(u.vectorize(g)) for g in a.generators)
-        else:
-            raise HahnError("certificate atom %r is not grid-certified" % a)
-    return vecs
+    if not vecs:
+        return vecs, None
+    gens = []
+    for v in vecs:
+        el = u.devectorize(v)
+        if el not in gens:
+            gens.append(el)
+    return vecs, DescribedSet.grid(u, u.unit, gens)
 
 
 def neumann_sum(eps, coeffs=None):
@@ -228,24 +255,16 @@ def neumann_sum(eps, coeffs=None):
     positive weight functional gives every support element weight >= m0 > 0,
     so eps^n cannot reach gamma once n * m0 exceeds the weight of gamma.
     """
-    _check_hahn(eps)
     u, field = eps.universe, eps.field
     if coeffs is None:
         coeffs = lambda n: field.one
-    one = unit_series(field, u, eps.bornology)
-    vecs = _positive_support_vectors(u, eps.certificate)
-    if not vecs:
+    vecs, cert = _power_grid(u, _check_hahn(eps))
+    if cert is None:
         return FiniteSeries(field, u, eps.bornology, {u.unit: coeffs(0)})
     wts = positive_weights(vecs)
     m0 = min(weight(wts, v) for v in vecs)
-    gens = []
-    for v in vecs:
-        el = u.devectorize(v)
-        if el not in gens:
-            gens.append(el)
-    cert = DescribedSet.grid(u, u.unit, gens)
 
-    powers = [one]
+    powers = [unit_series(field, u, eps.bornology)]
 
     def power(n):
         while len(powers) <= n:
@@ -259,6 +278,52 @@ def neumann_sum(eps, coeffs=None):
         for n in range(nmax + 1):
             total = total + field.of(coeffs(n)) * power(n).coeff(gamma)
         return total
+
+    return LazySeries(field, u, eps.bornology, oracle, cert, check_certificate=False)
+
+
+def _geometric(eps):
+    """1/(1 - eps) for Supp(eps) > 1: the fixed point g = 1 + eps*g, on the
+    certificate `neumann_sum(eps)` has.
+
+    g(gamma) = [gamma = 1] + sum of eps(alpha) g(beta) over the pairs with
+    alpha in an atom of eps, beta in g's grid and alpha + beta = gamma.  As
+    alpha > 1, every beta lies strictly below gamma, and a positive weight
+    functional bounds every chain of such steps, so the values a lookup
+    needs are filled bottom-up from an explicit stack: each coefficient
+    costs its decompositions once, and a cold lookup far out uses no Python
+    recursion.
+    """
+    u, field = eps.universe, eps.field
+    atoms = _check_hahn(eps)
+    _, cert = _power_grid(u, atoms)
+    if cert is None:
+        return unit_series(field, u, eps.bornology)
+    splits = [_decompositions(u, a, cert.atoms[0]) for a in atoms]
+    unit, one, zero = u.unit, field.one, field.zero
+    values = {}
+
+    def oracle(gamma):
+        stack = [(gamma, None)]
+        while stack:
+            top, pairs = stack.pop()
+            if top in values:
+                continue
+            if pairs is None:
+                pairs = set()
+                for split in splits:
+                    pairs |= split(top)
+                missing = [b for _, b in pairs if b not in values]
+                if missing:
+                    # revisit top once everything below it is filled
+                    stack.append((top, pairs))
+                    stack.extend((b, None) for b in missing)
+                    continue
+            total = one if top == unit else zero
+            for a, b in pairs:
+                total = total + eps.coeff(a) * values[b]
+            values[top] = total
+        return values[gamma]
 
     return LazySeries(field, u, eps.bornology, oracle, cert, check_certificate=False)
 
@@ -316,7 +381,8 @@ def monomial_shift(f, shift, scalar=1):
 
 def invert_unit(f, window=32):
     """Multiplicative inverse: write f = c * x^g0 * (1 - eps) with
-    Supp(eps) > 1 and return c^-1 * x^-g0 * sum eps^n."""
+    Supp(eps) > 1 and return c^-1 * x^-g0 * g, where g = 1/(1 - eps) =
+    sum eps^n is built as the fixed point g = 1 + eps*g (`_geometric`)."""
     _check_hahn(f)
     u, field = f.universe, f.field
     if not u.is_group:
@@ -344,8 +410,7 @@ def invert_unit(f, window=32):
             return -_norm.coeff(gamma)
 
         eps = LazySeries(field, u, f.bornology, oracle, cert, check_certificate=False)
-    ns = neumann_sum(eps)
-    return monomial_shift(ns, u.inv(g0), cinv)
+    return monomial_shift(_geometric(eps), u.inv(g0), cinv)
 
 
 def truncate(f, bound):

@@ -8,6 +8,8 @@ about lazy values are window-relative and exact on the window.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .bornology import Verdict, perp
 from .sets import DescribedSet, described_intersection
 from .scalars import QQ
@@ -161,8 +163,9 @@ class FiniteSeries(Series):
     def coeff(self, gamma):
         return self.terms.get(gamma, self.field.zero)
 
-    @property
+    @cached_property
     def certificate(self):
+        # terms is never changed after construction
         return DescribedSet.finite(self.universe, list(self.terms))
 
     def support_window(self, n):

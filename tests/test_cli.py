@@ -119,6 +119,12 @@ def test_pattern_step_under_fp_is_read_as_an_integer():
     assert_one_line_error(r, "pattern step must be an integer")
 
 
+def test_closure_error_is_a_diagnostic():
+    for field in ("rational", "fp:7"):
+        r = run("--field", field, "eval", "-e", "sigmaspan(pattern(e0 - e1, 0); e0)")
+        assert_one_line_error(r, "pattern step must be positive")
+
+
 def test_in_process_invocations_release_their_output_streams():
     # an embedding caller redirects stdout around each call; the CLI must
     # not keep those streams (and the text written to them) alive

@@ -26,8 +26,9 @@ from sigmavect.hahn import (
     truncate,
     unit_series,
 )
-from sigmavect.scalars import QQ
+from sigmavect.scalars import GF, QQ
 from sigmavect.series import Space, add, sub
+from sigmavect.sets import DescribedSet, GridAtom
 from sigmavect.universe import MonomialUniverse
 
 X = MonomialUniverse(["x"])
@@ -136,6 +137,87 @@ def test_invert_matches_recurrence_oracle():
         want = invert_oracle(coeffs, 10)
         got = [inv.coeff(m(n)) for n in range(11)]
         assert got == want
+
+
+PUISEUX_GENERATORS = [
+    (Fraction(1, 2),), (Fraction(1, 3),), (Fraction(2, 3),),
+    (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 2), Fraction(2, 3)),
+]
+# every exponent the shifted units and inverses below can reach up to x^3
+PROBES = [m(Fraction(k, 6)) for k in range(-12, 19)]
+
+
+def neumann_inverse(f, eps=None):
+    """The inverse as sum eps^n through `neumann_sum`, for f = c x^g0 (1 - eps);
+    eps is read off a finite f, and given for a lazy one."""
+    g0, c = leading_term(f)
+    if eps is None:
+        normalized = monomial_shift(f, X.inv(g0), f.field.one / c)
+        eps = Space(f.field, X, f.bornology).series(
+            {g: -v for g, v in normalized.terms.items() if g != X.unit})
+    return monomial_shift(neumann_sum(eps), X.inv(g0), f.field.one / c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(5), GF(101)]),
+    st.sampled_from(PUISEUX_GENERATORS),
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2)]),
+    st.integers(1, 4),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    st.integers(-4, 4), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_invert_matches_neumann_construction(field, gens, shift, c0, rest, lazy_eps):
+    """invert_unit against monomial_shift(neumann_sum(eps), ...) on one- and
+    two-generator Puiseux units over QQ and GF(p).  With lazy_eps the unit is
+    itself an inverse, so its eps is lazy, on grids built here by hand."""
+    sp = Space(field, X, well_ordered(X))
+    gvec = gens + (0,) * (2 - len(gens))
+    delta = {}
+    for (k1, k2), c in rest.items():
+        e = k1 * gvec[0] + k2 * gvec[1]
+        if e > 0:
+            delta[m(e)] = delta.get(m(e), 0) + c
+    h = sp.series({m(0): 1, **{g: -c for g, c in delta.items()}})
+    if not lazy_eps:
+        f = monomial_shift(h, m(shift), c0)
+        want = neumann_inverse(f)
+    else:
+        # f = c0 x^shift / h = c0 x^shift (1 - eps) with eps = 1 - 1/h,
+        # which lies in the grids based at each generator
+        g = invert_unit(h)
+        gms = [m(q) for q in gens]
+        cert = DescribedSet(X, [GridAtom(X, q, gms) for q in gms])
+        eps = sp.lazy(lambda gam: field.zero if gam == X.unit else -g.coeff(gam),
+                      cert, check_certificate=False)
+        f = monomial_shift(g, m(shift), c0)
+        want = neumann_inverse(f, eps)
+    got = invert_unit(f)
+    assert [got.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
+    if not lazy_eps:
+        assert got.certificate == want.certificate
+
+
+def test_deep_inverse_coefficient_needs_no_deep_recursion():
+    # x^2000 of 1/(1 - x - x^2) is F(2001), asked cold at the default
+    # recursion limit; the values below it are filled without recursion
+    a, b = 1, 1
+    for _ in range(2000):
+        a, b = b, a + b
+    inv = invert_unit(SP.series({m(0): 1, m(1): -1, m(2): -1}))
+    assert inv.coeff(m(2000)) == a
+
+
+def test_product_of_two_grid_series_matches_convolution_oracle():
+    # both factors are lazy, so every coefficient takes the grid x grid path
+    f = invert_unit(SP.series({m(0): 1, m(Fraction(1, 2)): -1}))
+    g = invert_unit(SP.series({m(0): 2, m(Fraction(1, 3)): 1, m(Fraction(2, 3)): -3}))
+    exps = [Fraction(k, 6) for k in range(19)]
+    want = conv_oracle({q: f.coeff(m(q)) for q in exps}, {q: g.coeff(m(q)) for q in exps})
+    prod = cauchy_product(f, g)
+    assert [prod.coeff(m(q)) for q in exps] == [want.get(q, 0) for q in exps]
 
 
 def test_fibonacci_coefficients():
