@@ -27,7 +27,7 @@ from sigmavect.bornology import (
     well_ordered,
 )
 from sigmavect.sets import DescribedSet
-from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse
+from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse, TupleUniverse
 
 Z = Integers()
 N = Naturals()
@@ -147,7 +147,24 @@ def _pair_cases():
         (row, False, True),
         (diag, False, False),
         (horiz, False, True),
-    ]
+    ] + [(GRIDS[name], lf, rf) for name, (lf, rf, _, _) in GRID_FACTS.items()]
+
+
+GRIDS = {
+    "column": DescribedSet.grid(NN, (0, 0), [(0, 1)]),
+    "row": DescribedSet.grid(NN, (0, 0), [(1, 0)]),
+    "diagonal": DescribedSet.grid(NN, (0, 0), [(1, 1)]),
+    "quadrant": DescribedSet.grid(NN, (0, 0), [(0, 1), (1, 0)]),
+}
+# name -> (left projection finite, right projection finite,
+#          every {gamma : (gamma, delta) in S} finite,
+#          every {delta : (gamma, delta) in S} finite)
+GRID_FACTS = {
+    "column": (True, False, True, False),
+    "row": (False, True, False, True),
+    "diagonal": (False, False, True, True),
+    "quadrant": (False, False, False, False),
+}
 
 
 @pytest.mark.parametrize("fk,gk", [("finite", "finite"), ("finite", "all"),
@@ -192,6 +209,38 @@ def test_hom_bornology_graph_of_identity():
     assert hb.is_bounded(diag) is Verdict.BOUNDED
 
 
+def _hom_truth(name, fk, gk):
+    """S is hom(f, g)-bounded iff for every f-bounded F the fibers
+    {gamma in F : (gamma, delta) in S} are finite and the image of
+    S cap (F x N) is g-bounded; F ranges over finite sets (f = finite) or
+    is all of N (f = all)."""
+    _, rf, fibers, verticals = GRID_FACTS[name]
+    if fk == "finite":
+        return gk == "all" or verticals
+    return fibers and (gk == "all" or rf)
+
+
+# (f, g) -> verdicts on column, row, diagonal, quadrant
+HOM_GRID_VERDICTS = {
+    ("finite", "finite"): "UBBD",
+    ("finite", "all"): "BBBD",
+    ("all", "finite"): "UUUD",
+    ("all", "all"): "BUBD",
+}
+
+
+@pytest.mark.parametrize("fk,gk", sorted(HOM_GRID_VERDICTS))
+def test_hom_bornology_grid_verdicts(fk, gk):
+    kinds = {"finite": finite_subsets(N), "all": all_subsets(N)}
+    hb = hom_bornology(kinds[fk], kinds[gk], NN)
+    letters = {"B": Verdict.BOUNDED, "U": Verdict.UNBOUNDED, "D": Verdict.UNDECIDED}
+    for name, want in zip(GRIDS, HOM_GRID_VERDICTS[fk, gk]):
+        v = hb.is_bounded(GRIDS[name])
+        assert v is letters[want], name
+        truth = _hom_truth(name, fk, gk)
+        assert v is (Verdict.BOUNDED if truth else Verdict.UNBOUNDED) or v is Verdict.UNDECIDED
+
+
 def test_record_roundtrip():
     for b in (finite_subsets(Z), all_subsets(Z), well_ordered(Z),
               reverse_well_ordered(Z), order_type_omega(Z),
@@ -207,3 +256,67 @@ def test_random_progressions_never_misjudged(start, step, up):
     v = well_ordered(Z).is_bounded(s)
     assert not (v is Verdict.BOUNDED and not truth_wo)
     assert not (v is Verdict.UNBOUNDED and truth_wo)
+
+
+# -- containment in one generator ---------------------------------------------
+
+T2 = TupleUniverse(2)
+XY = MonomialUniverse(["x", "y"])
+
+
+def _xy(a, b):
+    return XY.monomial(x=a, y=b)
+
+
+# (universe, generator, set, verdict of generate(u, [generator])); every
+# definite verdict is the truth.  UNDECIDED is a sound abstention: grid(1; 2)
+# and the sets beside a strict half-line are bounded (the generator plus one
+# point), the other three are unbounded (infinitely many points outside)
+CONTAINMENTS = [
+    # progression in grid
+    (Z, DescribedSet.grid(Z, 1, [3]), DescribedSet.progression(Z, 4, 6), Verdict.BOUNDED),
+    (Z, DescribedSet.grid(Z, 1, [3]), DescribedSet.progression(Z, 4, 2), Verdict.UNDECIDED),
+    (T2, DescribedSet.grid(T2, (0, 0), [(0, 1), (1, 0)]),
+     DescribedSet.progression(T2, (1, 2), (1, 1)), Verdict.BOUNDED),
+    (T2, DescribedSet.grid(T2, (0, 0), [(0, 1), (1, 0)]),
+     DescribedSet.progression(T2, (0, 0), (1, -1)), Verdict.UNDECIDED),
+    # grid in grid
+    (Z, DescribedSet.grid(Z, 0, [2, 3]), DescribedSet.grid(Z, 3, [4, 6]), Verdict.BOUNDED),
+    (Z, DescribedSet.grid(Z, 0, [2, 3]), DescribedSet.grid(Z, 1, [2]), Verdict.UNDECIDED),
+    (XY, DescribedSet.grid(XY, XY.unit, [_xy(1, 0), _xy(0, 1)]),
+     DescribedSet.grid(XY, _xy(1, 1), [_xy(2, 0), _xy(1, 1)]), Verdict.BOUNDED),
+    (XY, DescribedSet.grid(XY, XY.unit, [_xy(1, 0), _xy(0, 1)]),
+     DescribedSet.grid(XY, XY.unit, [_xy(1, -1)]), Verdict.UNDECIDED),
+    # progression in a half-line
+    (Z, DescribedSet.interval(Z, lo=0), DescribedSet.progression(Z, 0, 1), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, lo=0, lo_strict=True),
+     DescribedSet.progression(Z, 0, 1), Verdict.UNDECIDED),
+    (Z, DescribedSet.interval(Z, lo=0, lo_strict=True),
+     DescribedSet.progression(Z, 1, 2), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, hi=5), DescribedSet.progression(Z, 5, -1), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, hi=5, hi_strict=True),
+     DescribedSet.progression(Z, 5, -1), Verdict.UNDECIDED),
+    (Z, DescribedSet.interval(Z, hi=5, hi_strict=True),
+     DescribedSet.progression(Z, 4, -2), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, hi=5), DescribedSet.progression(Z, 0, 1), Verdict.UNBOUNDED),
+    (Z, DescribedSet.interval(Z, lo=0), DescribedSet.progression(Z, 9, -1), Verdict.UNBOUNDED),
+    # grid in a half-line
+    (Z, DescribedSet.interval(Z, lo=2), DescribedSet.grid(Z, 2, [3]), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, lo=2, lo_strict=True),
+     DescribedSet.grid(Z, 2, [3]), Verdict.UNDECIDED),
+    (Z, DescribedSet.interval(Z, lo=2, lo_strict=True),
+     DescribedSet.grid(Z, 3, [3]), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, hi=5), DescribedSet.grid(Z, 0, [1]), Verdict.UNBOUNDED),
+    (Z, DescribedSet.interval(Z, hi=5, hi_strict=True),
+     DescribedSet.grid(Z, 0, [1]), Verdict.UNBOUNDED),
+    # interval in a half-line
+    (Z, DescribedSet.interval(Z, lo=0), DescribedSet.interval(Z, lo=1), Verdict.BOUNDED),
+    (Z, DescribedSet.interval(Z, lo=0, lo_strict=True),
+     DescribedSet.interval(Z, lo=0, lo_strict=True), Verdict.BOUNDED),
+]
+
+
+@pytest.mark.parametrize("u,gen,s,want", CONTAINMENTS,
+                         ids=["%s in %s" % (c[2].format(), c[1].format()) for c in CONTAINMENTS])
+def test_generated_containment_verdicts(u, gen, s, want):
+    assert generate(u, [gen]).is_bounded(s) is want

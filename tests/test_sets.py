@@ -24,7 +24,7 @@ from sigmavect.sets import (
     described_intersection,
     set_from_record,
 )
-from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse
+from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse, TupleUniverse
 
 Z = Integers()
 N = Naturals()
@@ -243,3 +243,77 @@ def test_atom_intersection_undecided_is_none():
     c2 = DescribedSet.finite(Z, [2]).complement_within(base)
     fin, els = atom_intersection(c1.atoms[0], c2.atoms[0])
     assert fin is None and els is None
+
+
+# -- two-dimensional progressions ---------------------------------------------
+
+T2 = TupleUniverse(2)
+ZZ = PairUniverse(Z, Z)
+PLANES = [(T2, lambda v: tuple(Fraction(c) for c in v)), (ZZ, tuple)]
+coord = st.integers(-6, 6)
+vec2 = st.tuples(coord, coord)
+
+
+def _nonzero(v):
+    return v != (0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLANES), vec2, vec2.filter(_nonzero), vec2, vec2.filter(_nonzero))
+def test_non_parallel_plane_meet_matches_cramer(plane, s1, d1, s2, d2):
+    u, el = plane
+    det = d1[0] * -d2[1] + d2[0] * d1[1]
+    if det == 0:
+        return
+    # k*d1 - l*d2 = s2 - s1 by Cramer's rule
+    b = (s2[0] - s1[0], s2[1] - s1[1])
+    k = Fraction(b[0] * -d2[1] + d2[0] * b[1], det)
+    l = Fraction(d1[0] * b[1] - d1[1] * b[0], det)
+    want = []
+    if k.denominator == 1 and l.denominator == 1 and k >= 0 and l >= 0:
+        want = [el((s1[0] + k * d1[0], s1[1] + k * d1[1]))]
+    p1 = ProgressionAtom(u, el(s1), el(d1))
+    p2 = ProgressionAtom(u, el(s2), el(d2))
+    assert atom_intersection(p1, p2) == (True, want)
+    assert atom_intersection(p2, p1) == (True, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLANES), vec2, vec2.filter(lambda v: _nonzero(v) and math.gcd(*v) == 1),
+       st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool),
+       st.integers(-8, 8), st.integers(0, 1))
+def test_parallel_plane_meet_matches_enumeration(plane, s1, v, a, b, t, off):
+    # prog(s1; a*v) meets prog(s2; b*v), s2 = s1 + t*v, moved off the line
+    # by one unit across v when off = 1
+    u, el = plane
+    w = (-v[1], v[0])
+    s2 = (s1[0] + t * v[0] + off * w[0], s1[1] + t * v[1] + off * w[1])
+    p1 = ProgressionAtom(u, el(s1), el((a * v[0], a * v[1])))
+    p2 = ProgressionAtom(u, el(s2), el((b * v[0], b * v[1])))
+    # positions along v: s1 + (a*k)*v and s1 + (t + b*l)*v; a common
+    # position recurs with period lcm(a, b) <= 12, so 60 terms show it
+    common = {a * k for k in range(60)} & {t + b * l for l in range(60)}
+    for x, y in ((p1, p2), (p2, p1)):
+        fin, els = atom_intersection(x, y)
+        if off or not common:
+            assert (fin, els) == (True, [])
+        elif (a > 0) == (b > 0):
+            assert (fin, els) == (False, None)
+        else:
+            want = {el((s1[0] + c * v[0], s1[1] + c * v[1])) for c in common}
+            assert fin is True and set(els) == want and len(els) == len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PLANES), vec2, st.sampled_from([(0, 1), (0, -2), (3, 0), (-1, 0), (2, -3)]),
+       st.sampled_from([None, 0, 1, 4]))
+def test_progression_contains_with_zero_step_coordinates(plane, start, step, count):
+    u, el = plane
+    p = ProgressionAtom(u, el(start), el(step), count)
+    # every point of the box [-12, 12]^2 on the progression is one of its
+    # first 30 terms, since each step moves some coordinate by at least 1
+    terms = count if count is not None else 30
+    listed = {el((start[0] + k * step[0], start[1] + k * step[1])) for k in range(terms)}
+    for x in range(-12, 13):
+        for y in range(-12, 13):
+            assert p.contains(el((x, y))) == (el((x, y)) in listed), (x, y)
