@@ -12,19 +12,18 @@ from .sets import (
     DENSE,
     DOWN,
     FINITE,
-    UNKNOWN,
     UP,
     WO,
     DescribedSet,
-    FiniteAtom,
     GridAtom,
     IntervalAtom,
     ProductAtom,
     ProgressionAtom,
     SetError,
     described_intersection,
+    step_ratio,
 )
-from .universe import PairUniverse, UniverseError
+from .universe import PairUniverse, UniverseError, Value
 
 
 class Verdict(enum.Enum):
@@ -53,7 +52,7 @@ class BornologyError(ValueError):
     pass
 
 
-class Bornology:
+class Bornology(Value):
     """Base: an ideal of subsets of a universe containing all singletons."""
 
     kind = None
@@ -78,12 +77,6 @@ class Bornology:
 
     def _extra_record(self):
         return {}
-
-    def __eq__(self, other):
-        return isinstance(other, Bornology) and self.to_record() == other.to_record()
-
-    def __hash__(self):
-        return hash(str(self.to_record()))
 
     def __repr__(self):
         return "Bornology(%s on %r)" % (self.kind, self.universe)
@@ -191,46 +184,40 @@ class Generated(Bornology):
         return D
 
 
+def _origin_steps(atom):
+    """(origin, step vectors) of a progression or grid, the set origin times
+    the monoid its steps span; None for other atoms.  Callers pass infinite
+    atoms only, so a progression has no count."""
+    u = atom.universe
+    if isinstance(atom, ProgressionAtom):
+        return atom.start, [u.vectorize(atom.step)]
+    if isinstance(atom, GridAtom):
+        return atom.base, [u.vectorize(g) for g in atom.generators]
+    return None
+
+
 def _atom_subset_of(atom, other):
     """Sound syntactic subset test between atoms (False = don't know)."""
     if atom.is_finite() is True:
         return all(other.contains(e) for e in atom.elements())
     if isinstance(other, IntervalAtom):
         return _range_inside_interval(atom, other)
-    if isinstance(atom, ProgressionAtom):
-        if isinstance(other, ProgressionAtom):
-            if other.count is not None:
-                return False
-            u = atom.universe
-            if not other.contains(atom.start):
-                return False
-            # atom.step must be a positive integer multiple of other.step
-            sa = u.vectorize(atom.step)
-            sb = u.vectorize(other.step)
-            r = None
-            for a, b in zip(sa, sb):
-                if b == 0:
-                    if a != 0:
-                        return False
-                    continue
-                q = a / b if b else None
-                if r is None:
-                    r = q
-                elif r != q:
-                    return False
-            return r is not None and r.denominator == 1 and r >= 1
-        if isinstance(other, GridAtom):
-            u = atom.universe
-            if not other.contains(atom.start):
-                return False
-            return other.lattice.contains(u.vectorize(atom.step))
-    if isinstance(atom, GridAtom) and isinstance(other, GridAtom):
-        u = atom.universe
-        if not other.contains(atom.base):
-            return False
-        return all(other.lattice.contains(u.vectorize(g)) for g in atom.generators)
     if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
         return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
+    view = _origin_steps(atom)
+    if view is None:
+        return False
+    origin, steps = view
+    if isinstance(other, ProgressionAtom):
+        if not isinstance(atom, ProgressionAtom) or other.count is not None:
+            return False
+        if not other.contains(origin):
+            return False
+        # the step must be a positive integer multiple of other.step
+        r = step_ratio(steps[0], atom.universe.vectorize(other.step))
+        return r is not None and r.denominator == 1 and r >= 1
+    if isinstance(other, GridAtom):
+        return other.contains(origin) and all(other.lattice.contains(s) for s in steps)
     return False
 
 
@@ -239,18 +226,8 @@ def _set_subset_of(s1, s2):
 
 
 def _range_inside_interval(atom, iv):
-    u = atom.universe
-    k = u.key
-    if isinstance(atom, ProgressionAtom) and atom.count is None:
-        if atom.direction_up():
-            lo_ok = iv.lo is None or (k(atom.start) > k(iv.lo) or (not iv.lo_strict and k(atom.start) >= k(iv.lo)))
-            return lo_ok and iv.hi is None
-        hi_ok = iv.hi is None or (k(atom.start) < k(iv.hi) or (not iv.hi_strict and k(atom.start) <= k(iv.hi)))
-        return hi_ok and iv.lo is None
-    if isinstance(atom, GridAtom):
-        lo_ok = iv.lo is None or (k(atom.base) > k(iv.lo) or (not iv.lo_strict and k(atom.base) >= k(iv.lo)))
-        return lo_ok and iv.hi is None
     if isinstance(atom, IntervalAtom):
+        k = atom.universe.key
         lo_ok = iv.lo is None or (
             atom.lo is not None
             and (k(atom.lo) > k(iv.lo) or (k(atom.lo) == k(iv.lo) and (atom.lo_strict or not iv.lo_strict)))
@@ -260,7 +237,13 @@ def _range_inside_interval(atom, iv):
             and (k(atom.hi) < k(iv.hi) or (k(atom.hi) == k(iv.hi) and (atom.hi_strict or not iv.hi_strict)))
         )
         return lo_ok and hi_ok
-    return False
+    view = _origin_steps(atom)
+    if view is None:
+        return False
+    # grid generators lie above the unit, so only a decreasing progression
+    # runs down from its origin; the open side of iv must face its direction
+    up = isinstance(atom, GridAtom) or atom.direction_up()
+    return (iv.hi if up else iv.lo) is None and iv.contains(view[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,42 +251,32 @@ def _range_inside_interval(atom, iv):
 
 
 def _atom_rectangle(atom):
-    """(left DescribedSet, right DescribedSet, exact) over-approximating the
-    atom by a rectangle; exact means the atom *is* the rectangle."""
+    """(left DescribedSet, right DescribedSet, exact) over-approximating an
+    infinite atom by a rectangle; exact means the atom *is* the rectangle."""
     u = atom.universe
     if isinstance(atom, ProductAtom):
         return atom.left, atom.right, True
-    if isinstance(atom, FiniteAtom):
-        els = atom.elements()
-        left = DescribedSet.finite(u.left, [e[0] for e in els])
-        right = DescribedSet.finite(u.right, [e[1] for e in els])
-        return left, right, len(els) <= 1
+    view = _origin_steps(atom)
+    if view is None:
+        return None
+    origin, steps = view
+    ln = u.left.dim
+    o = u.vectorize(origin)
     if isinstance(atom, ProgressionAtom):
-        ln = u.left.dim
-        s = u.vectorize(atom.start)
-        d = u.vectorize(atom.step)
-        left = _component_line(u.left, s[:ln], d[:ln], atom.count)
-        right = _component_line(u.right, s[ln:], d[ln:], atom.count)
-        exact = all(c == 0 for c in d[:ln]) or all(c == 0 for c in d[ln:])
-        return left, right, exact
-    if isinstance(atom, GridAtom):
-        ln = u.left.dim
-        b = u.vectorize(atom.base)
-        gvs = [u.vectorize(g) for g in atom.generators]
-        left = _component_grid(u.left, b[:ln], [g[:ln] for g in gvs])
-        right = _component_grid(u.right, b[ln:], [g[ln:] for g in gvs])
-        exact = all(all(c == 0 for c in g[:ln]) for g in gvs) or all(
-            all(c == 0 for c in g[ln:]) for g in gvs
-        )
-        return left, right, exact
-    return None
+        left = _component_line(u.left, o[:ln], steps[0][:ln])
+        right = _component_line(u.right, o[ln:], steps[0][ln:])
+    else:
+        left = _component_grid(u.left, o[:ln], [g[:ln] for g in steps])
+        right = _component_grid(u.right, o[ln:], [g[ln:] for g in steps])
+    exact = all(not any(g[:ln]) for g in steps) or all(not any(g[ln:]) for g in steps)
+    return left, right, exact
 
 
-def _component_line(u, start, step, count):
+def _component_line(u, start, step):
     start_el = u.devectorize(tuple(start))
-    if all(c == 0 for c in step):
+    if not any(step):
         return DescribedSet.finite(u, [start_el])
-    return DescribedSet.progression(u, start_el, u.devectorize(tuple(step)), count)
+    return DescribedSet.progression(u, start_el, u.devectorize(tuple(step)))
 
 
 def _component_grid(u, base, gens):
@@ -399,7 +372,7 @@ class HomBornology(Bornology):
             return B
         va_perp = self._perp_left.is_bounded(a)   # fibers over each delta finite?
         vb = self.right.is_bounded(b)
-        if exact and _is_rectangle(atom):
+        if exact:
             # S = A x B: need B in g and every fiber A cap F finite
             if va_perp is B and vb is B:
                 return B
@@ -425,15 +398,9 @@ class HomBornology(Bornology):
 
     def _fibers_finite(self, atom):
         """True when every vertical line meets the atom finitely for sure."""
-        u = atom.universe
-        ln = u.left.dim
-        if isinstance(atom, ProgressionAtom):
-            d = u.vectorize(atom.step)
-            return any(c != 0 for c in d[ln:])
-        if isinstance(atom, GridAtom):
-            gvs = [u.vectorize(g) for g in atom.generators]
-            return all(any(c != 0 for c in g[ln:]) for g in gvs)
-        return False
+        view = _origin_steps(atom)
+        ln = atom.universe.left.dim
+        return view is not None and all(any(g[ln:]) for g in view[1])
 
     def _infinite_subsets_unbounded(self, b_set, atom):
         """True when every infinite subset of b_set is g-unbounded."""
@@ -451,22 +418,6 @@ class HomBornology(Bornology):
         if g.kind == "wo_omega" and all(c in (DOWN, WO) for c in cls):
             return True
         return False
-
-
-def _is_rectangle(atom):
-    if isinstance(atom, ProductAtom):
-        return True
-    u = atom.universe
-    ln = u.left.dim
-    if isinstance(atom, ProgressionAtom):
-        d = u.vectorize(atom.step)
-        return all(c == 0 for c in d[:ln]) or all(c == 0 for c in d[ln:])
-    if isinstance(atom, GridAtom):
-        gvs = [u.vectorize(g) for g in atom.generators]
-        return all(all(c == 0 for c in g[:ln]) for g in gvs) or all(
-            all(c == 0 for c in g[ln:]) for g in gvs
-        )
-    return False
 
 
 class Perp(Bornology):

@@ -1,4 +1,4 @@
-"""Expression DSL: lexer, parser, type annotation, printer, evaluator.
+"""Expression DSL: lexer, parser, printer, evaluator.
 
 Grammar (LL(1), precedence low to high: tensor < additive < multiplicative
 < unary minus < power < atom):
@@ -19,7 +19,7 @@ Diagnostics carry line/column and the expected-token set; no recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bornology as bo
@@ -28,7 +28,6 @@ from .scalars import QQ
 from .series import (
     FiniteSeries,
     Series,
-    SeriesError,
     Space,
     SummableFamily,
     add,
@@ -115,9 +114,8 @@ def tokenize(text):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass
 class Node:
-    ty: str = dc_field(default=None, init=False, repr=False, compare=False)
+    """Base of the AST node dataclasses."""
 
 
 @dataclass
@@ -389,10 +387,7 @@ class Evaluator:
         self.env = env or Env()
 
     def eval(self, node, locals_=None):
-        locals_ = locals_ or {}
-        val = self._eval(node, locals_)
-        node.ty = _type_of(val)
-        return val
+        return self._eval(node, locals_ or {})
 
     def _eval(self, node, locals_):
         env = self.env

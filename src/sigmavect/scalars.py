@@ -1,7 +1,9 @@
 """Exact coefficient fields: rationals and small prime fields.
 
 No floating point anywhere; every scalar is a Fraction or a prime-field
-element, and every operation is exact.
+element, and every operation is exact.  A prime field GF(p) (the CLI's
+``--field fp:<p>``) needs a prime p < 2^31; any other modulus is refused,
+and on the command line that is a usage error.
 """
 
 from __future__ import annotations
@@ -147,14 +149,33 @@ class Field:
 QQ = Field("QQ")
 
 
+def _is_prime(n):
+    """Deterministic Miller-Rabin on bases 2, 3, 5 and 7, exact for
+    n < 3 215 031 751 (Jaeschke 1993), so for every modulus below 2^31."""
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def GF(p):
     if p < 2 or p >= 2 ** 31:
         raise ValueError("modulus out of range")
-    for d in range(2, min(p, 1 << 10)):
-        if d * d > p:
-            break
-        if p % d == 0:
-            raise ValueError("%d is not prime" % p)
+    if not _is_prime(p):
+        raise ValueError("%d is not prime" % p)
     return Field("GF(%d)" % p, p)
 
 

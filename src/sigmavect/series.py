@@ -13,13 +13,14 @@ from functools import cached_property
 from .bornology import Verdict, perp
 from .sets import DescribedSet, described_intersection
 from .scalars import QQ
+from .universe import Value
 
 
 class SeriesError(ValueError):
     pass
 
 
-class Space:
+class Space(Value):
     """A based space handle: field + universe + bornology."""
 
     def __init__(self, field, universe, bornology):
@@ -58,12 +59,6 @@ class Space:
             "universe": self.universe.to_record(),
             "bornology": self.bornology.to_record(),
         }
-
-    def __eq__(self, other):
-        return isinstance(other, Space) and self.to_record() == other.to_record()
-
-    def __hash__(self):
-        return hash(str(self.to_record()))
 
     def __repr__(self):
         return "Space(%r, %s on %r)" % (self.field, self.bornology.kind, self.universe)

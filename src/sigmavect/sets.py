@@ -22,7 +22,7 @@ from .gridsolve import (
     grid_points_upto,
     shares_leading_index,
 )
-from .universe import PairUniverse
+from .universe import PairUniverse, Value
 
 # direction / order-type classes of an infinite atom
 FINITE = "finite"
@@ -37,7 +37,22 @@ class SetError(ValueError):
     pass
 
 
-class Atom:
+def step_ratio(d, s):
+    """The rational r with d = r*s for a nonzero vector s, or None when d is
+    not a multiple of s."""
+    r = None
+    for di, si in zip(d, s):
+        if si == 0:
+            if di != 0:
+                return None
+        elif r is None:
+            r = Fraction(di, si)
+        elif di != r * si:
+            return None
+    return r
+
+
+class Atom(Value):
     def __init__(self, universe):
         self.universe = universe
 
@@ -72,15 +87,6 @@ class Atom:
     def elements_downto(self, bound):
         """Sorted list of elements >= bound, or None when infinite/undecided."""
         return None
-
-    def to_record(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.to_record() == other.to_record()
-
-    def __hash__(self):
-        return hash(str(self.to_record()))
 
     def __repr__(self):
         return self.format()
@@ -252,24 +258,11 @@ class ProgressionAtom(Atom):
         return self.universe.key(self.step) > self.universe.key(self.universe.unit)
 
     def contains(self, el):
-        if not self.universe.contains(el):
+        u = self.universe
+        if not u.contains(el):
             return False
-        d = tuple(
-            a - b
-            for a, b in zip(self.universe.vectorize(el), self.universe.vectorize(self.start))
-        )
-        s = self.universe.vectorize(self.step)
-        k = None
-        for di, si in zip(d, s):
-            if si == 0:
-                if di != 0:
-                    return False
-            else:
-                ki = di / si
-                if k is None:
-                    k = ki
-                elif k != ki:
-                    return False
+        d = tuple(a - b for a, b in zip(u.vectorize(el), u.vectorize(self.start)))
+        k = step_ratio(d, u.vectorize(self.step))
         if k is None or k.denominator != 1 or k < 0:
             return False
         return self.count is None or k < self.count
@@ -525,7 +518,7 @@ class ProductAtom(Atom):
         return {"atom": "product", "left": self.left.to_record(), "right": self.right.to_record()}
 
 
-class DescribedSet:
+class DescribedSet(Value):
     """A finite union of atoms over one universe."""
 
     def __init__(self, universe, atoms=()):
@@ -662,12 +655,6 @@ class DescribedSet:
     def to_record(self):
         return {"universe": self.universe.to_record(), "atoms": [a.to_record() for a in self.atoms]}
 
-    def __eq__(self, other):
-        return isinstance(other, DescribedSet) and self.to_record() == other.to_record()
-
-    def __hash__(self):
-        return hash(str(self.to_record()))
-
     def __repr__(self):
         return "DescribedSet(%s)" % self.format()
 
@@ -713,22 +700,8 @@ def _prog_prog_intersection(p1, p2):
     u = p1.universe
     s1, s2 = u.vectorize(p1.start), u.vectorize(p2.start)
     d1, d2 = u.vectorize(p1.step), u.vectorize(p2.step)
-    # parallel test: d2 == r * d1 for a scalar r
-    r = None
-    parallel = True
-    for a, b in zip(d1, d2):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 or b == 0:
-            parallel = False
-            break
-        q = Fraction(b) / Fraction(a)
-        if r is None:
-            r = q
-        elif r != q:
-            parallel = False
-            break
-    if not parallel:
+    r = step_ratio(d2, d1)
+    if r is None:
         # solve k*d1 - l*d2 = s2 - s1: the steps are nonzero and not
         # parallel, so the two columns are independent and a solution unique
         sol = solve_combination([d1, [-x for x in d2]], [x - y for x, y in zip(s2, s1)])
@@ -739,12 +712,10 @@ def _prog_prog_intersection(p1, p2):
             el = u.devectorize(tuple(s + k * d for s, d in zip(s1, d1)))
             return (True, [el])
         return (True, [])
-    # parallel: both progressions run along direction d1
-    i = next((j for j in range(len(d1)) if d1[j] != 0), None)
-    # element s1 + k d1 lies on line of p2 iff offsets match off-direction
-    base_diff = tuple(x - y for x, y in zip(s2, s1))
-    t = Fraction(base_diff[i]) / d1[i]
-    if any(base_diff[j] != t * d1[j] for j in range(len(d1))):
+    # parallel, d2 = r*d1: both lines run along d1, and they are one line
+    # iff s2 = s1 + t*d1
+    t = step_ratio(tuple(x - y for x, y in zip(s2, s1)), d1)
+    if t is None:
         return (True, [])  # different parallel lines
     # s1 + k d1 = s2 + l d2  <=>  k = t + l*r; scaled by the common
     # denominator q this is the linear Diophantine equation a*k - b*l = c
@@ -806,7 +777,6 @@ def atom_intersection(a1, a2):
     if a1 == a2:
         return (False, None)
 
-    c1, c2 = a1.classify(), a2.classify()
     # an UP set meets anything bounded above in finitely many points
     for up, other in ((a1, a2), (a2, a1)):
         if up.classify() != UP or not up.exact_class():
@@ -835,7 +805,6 @@ def atom_intersection(a1, a2):
                 part = other.elements_downto(iv.lo)
                 if part is not None:
                     return (True, [e for e in part if iv.contains(e)])
-    _ = (c1, c2)
     return (None, None)
 
 

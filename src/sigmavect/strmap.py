@@ -9,7 +9,7 @@ directions plus the two support schemas makes taking the dual a retag.
 
 from __future__ import annotations
 
-from .bornology import Verdict, perp, product_bornology
+from .bornology import perp, product_bornology
 from .sets import DescribedSet, FiniteAtom, ProductAtom
 from .series import (
     FiniteSeries,
@@ -212,31 +212,13 @@ def tensor_map(m1, m2):
     tgt_b = product_bornology(m1.target.bornology, m2.target.bornology, tgt_u)
     source = Space(field, src_u, src_b)
     target = Space(field, tgt_u, tgt_b)
-    src_dual = perp(src_b)
-    tgt_bb = tgt_b
-
-    def tensor_series(u, b, f1, f2):
-        cert = DescribedSet(u, [ProductAtom(u, f1.certificate, f2.certificate)])
-
-        def oracle(pair_el):
-            return f1.coeff(pair_el[0]) * f2.coeff(pair_el[1])
-
-        if isinstance(f1, FiniteSeries) and isinstance(f2, FiniteSeries):
-            return FiniteSeries(
-                field, u, b,
-                {
-                    (g1, g2): c1 * c2
-                    for g1, c1 in f1.terms.items()
-                    for g2, c2 in f2.terms.items()
-                },
-            )
-        return LazySeries(field, u, b, oracle, cert, check_certificate=False)
+    rows = source.dual()
 
     def row(delta):
-        return tensor_series(src_u, src_dual, m1.row(delta[0]), m2.row(delta[1]))
+        return pure_tensor(rows, m1.row(delta[0]), m2.row(delta[1]))
 
     def col(gamma):
-        return tensor_series(tgt_u, tgt_bb, m1.col(gamma[0]), m2.col(gamma[1]))
+        return pure_tensor(target, m1.col(gamma[0]), m2.col(gamma[1]))
 
     def lift_schema(s, u_out, sch1, sch2):
         atoms = []

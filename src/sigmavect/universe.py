@@ -16,7 +16,21 @@ class UniverseError(ValueError):
     pass
 
 
-class Universe:
+class Value:
+    """Identity of an immutable object by its canonical record: equal when
+    of one type with equal `to_record()`, hashed by the record's text."""
+
+    def to_record(self):
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.to_record() == other.to_record()
+
+    def __hash__(self):
+        return hash(str(self.to_record()))
+
+
+class Universe(Value):
     kind = "abstract"
     is_ordered = False
     has_monoid = False
@@ -68,17 +82,8 @@ class Universe:
     def parse(self, text):
         raise NotImplementedError
 
-    def to_record(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return self.kind
-
-    def __eq__(self, other):
-        return isinstance(other, Universe) and self.to_record() == other.to_record()
-
-    def __hash__(self):
-        return hash(str(self.to_record()))
 
 
 def _fmt_rational(q):

@@ -95,6 +95,15 @@ def test_eval_division_by_p_in_fp_is_a_diagnostic():
     assert_one_line_error(r, "inverse of 0 in GF(7)")
 
 
+def test_composite_fp_modulus_is_a_usage_error():
+    # 1065023 = 1031 * 1033: there 1/1031 has no inverse to print
+    r = run("--field", "fp:1065023", "eval", "-e", "1/1031")
+    assert r.exit_code == 2
+    assert "1065023 is not prime" in r.output
+    assert "Traceback" not in r.output and isinstance(r.exception, SystemExit)
+    assert "466012" not in r.output
+
+
 def test_sigmaspan_under_fp_reduces_coefficients_mod_p():
     r = run("--field", "fp:7", "eval", "-e", "sigmaspan(e0 + e1; 8*e0 + 8*e1)")
     assert r.exit_code == 0 and r.output.strip() == "accepted"

@@ -55,6 +55,50 @@ def test_gf_rejects_composite_modulus():
         GF(15)
 
 
+def _sieve(n):
+    prime = [False, False] + [True] * (n - 1)
+    for i in range(2, int(n ** 0.5) + 1):
+        if prime[i]:
+            prime[i * i::i] = [False] * len(prime[i * i::i])
+    return prime
+
+
+SIEVE = _sieve(10 ** 6)
+
+
+def _accepted(p):
+    try:
+        return GF(p).p == p
+    except ValueError:
+        return False
+
+
+@given(st.integers(2, 10 ** 6))
+def test_gf_accepts_exactly_the_primes_below_a_million(p):
+    assert _accepted(p) == SIEVE[p]
+
+
+@given(st.integers(2, 46340), st.integers(2, 46340))
+def test_gf_rejects_products_of_two_factors(a, b):
+    # 46340^2 < 2^31; a product of two factors above 2^10 escapes trial
+    # division that stops at 2^10
+    assert not _accepted(a * b)
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 1065023, 46337 * 46327])
+def test_gf_rejects_strong_pseudoprimes_and_large_composites(n):
+    # 2047, 1373653 and 25326001 are the least strong pseudoprimes to the
+    # bases {2}, {2, 3} and {2, 3, 5}; the others have no factor below 2^10
+    with pytest.raises(ValueError, match=str(n)):
+        GF(n)
+
+
+def test_gf_accepts_the_largest_prime_below_2_31():
+    assert GF(2 ** 31 - 1).p == 2147483647
+    for p in (2, 3, 5, 7, 1031, 1033):
+        assert GF(p).p == p
+
+
 def test_fraction_coercion_into_gf():
     # 1/2 = 4 in GF(7) because 2*4 = 8 = 1 [DERIVED]
     assert GF(7).of(Fraction(1, 2)) == 4
