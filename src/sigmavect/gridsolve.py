@@ -135,24 +135,27 @@ def grid_points(generators, base, count=None):
 
     Only valid when lex order on the embedding coincides with the universe
     order (true for all vectorized universes here).  The iteration is a
-    heap walk over the exponent lattice, deduplicated by value.
+    heap walk over the exponent lattice, deduplicated by value: every
+    predecessor of a point lies below it and pops first, so the copies of
+    a point pop one after another and all but the first are skipped.  The
+    heap holds at most one copy per generator of a frontier point, so a
+    one-generator walk runs in constant memory.
     """
     import heapq
 
-    gens = [tuple(g) for g in generators]
-    base = tuple(base)
-    heap = [base]
-    seen = {base}
+    gens = [tuple(g) for g in generators if any(c != 0 for c in g)]
+    heap = [tuple(base)]
+    last = None
     emitted = 0
     while heap and (count is None or emitted < count):
         v = heapq.heappop(heap)
+        if v == last:
+            continue
         yield v
+        last = v
         emitted += 1
         for g in gens:
-            w = tuple(x + y for x, y in zip(v, g))
-            if w not in seen:
-                seen.add(w)
-                heapq.heappush(heap, w)
+            heapq.heappush(heap, tuple(x + y for x, y in zip(v, g)))
 
 
 def shares_leading_index(generators):

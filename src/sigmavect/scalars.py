@@ -72,6 +72,11 @@ class FpElement:
     def __neg__(self):
         return FpElement(-self.value, self.p)
 
+    def __pow__(self, n):
+        # a non-negative int: expr._power turns a negative power into one of
+        # the inverse
+        return FpElement(pow(self.value, n, self.p), self.p)
+
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.p)

@@ -5,6 +5,13 @@ intervals, arithmetic progressions, grids, complements-within, products).
 Membership is always decidable; finiteness, order-type classification and
 pairwise intersection finiteness are decided per atom kind, with an honest
 ``None`` ("undecided") when no rule applies.
+
+Infinite progressions and grids are listed in order by one walk,
+`gridsolve.grid_points`: a progression is the one-generator grid
+start + N*step, negated when it falls so that its step is lex-positive.  A
+walk up to a bound gives ``None`` when the bound lies in another lex block
+of the step (infinitely many terms come before it), and an intersection
+with such a walk abstains.
 """
 
 from __future__ import annotations
@@ -82,11 +89,20 @@ class Atom(Value):
 
     def elements_upto(self, bound):
         """Sorted list of elements <= bound, or None when infinite/undecided."""
-        return None
+        return self._side(bound, True)
 
     def elements_downto(self, bound):
         """Sorted list of elements >= bound, or None when infinite/undecided."""
-        return None
+        return self._side(bound, False)
+
+    def _side(self, bound, up):
+        """elements_upto (up) or elements_downto; a finite atom filters its
+        elements, an infinite kind overrides the side it can walk."""
+        if self.is_finite() is not True:
+            return None
+        k = self.universe.key
+        kb = k(bound)
+        return sorted((e for e in self.elements() if (k(e) <= kb if up else k(e) >= kb)), key=k)
 
     def __repr__(self):
         return self.format()
@@ -112,14 +128,6 @@ class FiniteAtom(Atom):
     def iter_increasing(self):
         return iter(sorted(self.els, key=self.universe.key))
 
-    def elements_upto(self, bound):
-        k = self.universe.key
-        return sorted((e for e in self.els if k(e) <= k(bound)), key=k)
-
-    def elements_downto(self, bound):
-        k = self.universe.key
-        return sorted((e for e in self.els if k(e) >= k(bound)), key=k)
-
     def format(self):
         return "{" + ", ".join(sorted(self.universe.format(e) for e in self.els)) + "}"
 
@@ -136,8 +144,9 @@ class IntervalAtom(Atom):
         super().__init__(universe)
         self.lo = universe.check(lo) if lo is not None else None
         self.hi = universe.check(hi) if hi is not None else None
-        self.lo_strict = lo_strict
-        self.hi_strict = hi_strict
+        # a missing endpoint excludes nothing, so it has no strict flag
+        self.lo_strict = lo_strict and lo is not None
+        self.hi_strict = hi_strict and hi is not None
 
     def contains(self, el):
         k = self.universe.key
@@ -185,7 +194,7 @@ class IntervalAtom(Atom):
             raise SetError("interval is infinite")
         if self.universe.kind == "finite":
             return [e for e in self.universe.labels if self.contains(e)]
-        if self._discrete() or self.universe.kind == "naturals":
+        if self._discrete():
             lo = self.lo if self.lo is not None else 0
             lo = lo + 1 if self.lo_strict else lo
             hi = self.hi - 1 if self.hi_strict else self.hi
@@ -201,28 +210,15 @@ class IntervalAtom(Atom):
             return iter(sorted(self.elements(), key=self.universe.key))
         if self._discrete() and self.lo is not None:
             lo = int(self.lo) + (1 if self.lo_strict else 0)
-            return iter(itertools.count(lo))
+            return ProgressionAtom(self.universe, lo, 1).iter_increasing()
         raise SetError("cannot enumerate interval in increasing order")
 
-    def elements_upto(self, bound):
-        cls = self.classify()
-        if cls == FINITE:
-            k = self.universe.key
-            return sorted((e for e in self.elements() if k(e) <= k(bound)), key=k)
-        if cls == UP:
-            clipped = IntervalAtom(self.universe, self.lo, bound, self.lo_strict, False)
-            return sorted(clipped.elements(), key=self.universe.key)
-        return None
-
-    def elements_downto(self, bound):
-        cls = self.classify()
-        if cls == FINITE:
-            k = self.universe.key
-            return sorted((e for e in self.elements() if k(e) >= k(bound)), key=k)
-        if cls == DOWN:
-            clipped = IntervalAtom(self.universe, bound, self.hi, False, self.hi_strict)
-            return sorted(clipped.elements(), key=self.universe.key)
-        return None
+    def _side(self, bound, up):
+        if self.classify() != (UP if up else DOWN):
+            return super()._side(bound, up)
+        if up:
+            return IntervalAtom(self.universe, self.lo, bound, lo_strict=self.lo_strict).elements()
+        return IntervalAtom(self.universe, bound, self.hi, hi_strict=self.hi_strict).elements()
 
     def format(self):
         lo = self.universe.format(self.lo) if self.lo is not None else "-inf"
@@ -275,55 +271,43 @@ class ProgressionAtom(Atom):
             return FINITE
         return UP if self.direction_up() else DOWN
 
+    def _flip(self, vec):
+        """vec, negated for a falling progression: in these coordinates the
+        progression is the one-generator grid start + N*step, its step
+        lex-positive, and the grid walk lists it in term order."""
+        return vec if self.direction_up() else tuple(-c for c in vec)
+
+    def _walk(self, count=None):
+        """The first `count` terms (all when None), lazily, in term order."""
+        u, flip = self.universe, self._flip
+        pts = grid_points([flip(u.vectorize(self.step))], flip(u.vectorize(self.start)), count)
+        return (u.devectorize(flip(v)) for v in pts)
+
     def elements(self):
         if self.count is None:
             raise SetError("progression is infinite")
-        out, cur = [], self.start
-        for _ in range(self.count):
-            out.append(cur)
-            cur = self.universe.op(cur, self.step)
-        return out
-
-    def _iter_raw(self):
-        cur = self.start
-        n = 0
-        while self.count is None or n < self.count:
-            yield cur
-            cur = self.universe.op(cur, self.step)
-            n += 1
+        return list(self._walk(self.count))
 
     def iter_increasing(self):
         if self.count is not None:
             return iter(sorted(self.elements(), key=self.universe.key))
         if not self.direction_up():
             raise SetError("decreasing progression has no increasing enumeration")
-        return self._iter_raw()
+        return self._walk()
 
-    def elements_upto(self, bound):
-        k = self.universe.key
-        if self.count is not None:
-            return sorted((e for e in self.elements() if k(e) <= k(bound)), key=k)
-        if not self.direction_up():
+    def _side(self, bound, up):
+        if self.count is not None or self.direction_up() != up:
+            return super()._side(bound, up)
+        # the terms on the walk's side of bound, or None when the bound lies
+        # in another lex block of the step (infinitely many terms before it)
+        u, flip = self.universe, self._flip
+        pts = grid_points_upto(
+            [flip(u.vectorize(self.step))], flip(u.vectorize(self.start)), flip(u.vectorize(bound))
+        )
+        if pts is None:
             return None
-        out = []
-        for e in self._iter_raw():
-            if k(e) > k(bound):
-                break
-            out.append(e)
-        return out
-
-    def elements_downto(self, bound):
-        k = self.universe.key
-        if self.count is not None:
-            return sorted((e for e in self.elements() if k(e) >= k(bound)), key=k)
-        if self.direction_up():
-            return None
-        out = []
-        for e in self._iter_raw():
-            if k(e) < k(bound):
-                break
-            out.append(e)
-        return sorted(out, key=k)
+        out = [u.devectorize(flip(v)) for v in pts]
+        return out if up else out[::-1]
 
     def format(self):
         u = self.universe
@@ -390,15 +374,14 @@ class GridAtom(Atom):
         dev = self.universe.devectorize
         return (dev(v) for v in grid_points(self._gen_vecs(), self.universe.vectorize(self.base)))
 
-    def elements_upto(self, bound):
-        pts = grid_points_upto(
-            self._gen_vecs(),
-            self.universe.vectorize(self.base),
-            self.universe.vectorize(bound),
-        )
+    def _side(self, bound, up):
+        if not up:
+            return super()._side(bound, up)
+        u = self.universe
+        pts = grid_points_upto(self._gen_vecs(), u.vectorize(self.base), u.vectorize(bound))
         if pts is None:
             return None
-        return [self.universe.devectorize(v) for v in pts]
+        return [u.devectorize(v) for v in pts]
 
     def format(self):
         u = self.universe
@@ -445,14 +428,8 @@ class ComplementAtom(Atom):
     def iter_increasing(self):
         return (e for e in self.within.iter_increasing() if not self.inner.contains(e))
 
-    def elements_upto(self, bound):
-        base = self.within.elements_upto(bound)
-        if base is None:
-            return None
-        return [e for e in base if not self.inner.contains(e)]
-
-    def elements_downto(self, bound):
-        base = self.within.elements_downto(bound)
+    def _side(self, bound, up):
+        base = self.within._side(bound, up)
         if base is None:
             return None
         return [e for e in base if not self.inner.contains(e)]
@@ -622,15 +599,6 @@ class DescribedSet(Value):
             out.update(part)
         return sorted(out, key=self.universe.key)
 
-    def elements_downto(self, bound):
-        out = set()
-        for a in self.atoms:
-            part = a.elements_downto(bound)
-            if part is None:
-                return None
-            out.update(part)
-        return sorted(out, key=self.universe.key)
-
     def translate(self, el):
         """Image of this set under gamma -> el * gamma (monoid universes)."""
         u = self.universe
@@ -777,35 +745,28 @@ def atom_intersection(a1, a2):
     if a1 == a2:
         return (False, None)
 
-    # an UP set meets anything bounded above in finitely many points
-    for up, other in ((a1, a2), (a2, a1)):
-        if up.classify() != UP or not up.exact_class():
+    # walk an UP atom up to the other's upper bound, or a DOWN atom down to
+    # its lower bound: the walk lists every element on that side exactly (a
+    # complement's too) or gives None, so the meet is those it shares.  An
+    # interval walks last: it lists every point up to the bound, where a
+    # progression or grid lists only its own terms
+    pairs = sorted(((a1, a2), (a2, a1)), key=lambda pair: _is_interval(pair[0]))
+    for walker, other in pairs:
+        cls = walker.classify()
+        if cls not in (UP, DOWN):
             continue
-        bound = _sup_element(other)
-        if bound is not None:
-            part = up.elements_upto(bound)
-            if part is not None:
-                return (True, [e for e in part if other.contains(e)])
-    for down, other in ((a1, a2), (a2, a1)):
-        if down.classify() != DOWN or not down.exact_class():
-            continue
-        bound = _inf_element(other)
-        if bound is not None:
-            part = down.elements_downto(bound)
-            if part is not None:
-                return (True, [e for e in part if other.contains(e)])
-    # interval clipping
-    for iv, other in ((a1, a2), (a2, a1)):
-        if isinstance(iv, IntervalAtom) and other.classify() in (UP, DOWN):
-            if iv.hi is not None and other.classify() == UP:
-                part = other.elements_upto(iv.hi)
-                if part is not None:
-                    return (True, [e for e in part if iv.contains(e)])
-            if iv.lo is not None and other.classify() == DOWN:
-                part = other.elements_downto(iv.lo)
-                if part is not None:
-                    return (True, [e for e in part if iv.contains(e)])
+        up = cls == UP
+        bound = _sup_element(other) if up else _inf_element(other)
+        part = walker._side(bound, up) if bound is not None else None
+        if part is not None:
+            return (True, [e for e in part if other.contains(e)])
     return (None, None)
+
+
+def _is_interval(atom):
+    while isinstance(atom, ComplementAtom):
+        atom = atom.within
+    return isinstance(atom, IntervalAtom)
 
 
 def _sup_element(atom):

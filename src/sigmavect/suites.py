@@ -28,7 +28,9 @@ from .series import (
     check_summable,
     family_sum,
     finite_family,
+    linear_combination,
     pairing,
+    scale,
     sub,
 )
 from .sets import DescribedSet
@@ -282,7 +284,7 @@ def suite_summability(seed=0, window=16, count=100):
         # (d) rescaling keeps summability and scales the sum
         c = QQ.of(rng.randint(1, 5))
         if not family_sum(fam, lambda i: c * w[i], precheck=False).eq_window(
-            _scale(c, total), window
+            scale(c, total), window
         ):
             failures.append(("rescaling", case))
         # (B2)-style regrouping: a column-finite reindexing with injective
@@ -290,32 +292,18 @@ def suite_summability(seed=0, window=16, count=100):
         k = len(fam.index)
         matrix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
         regrouped = finite_family([
-            _combo(sp, [(matrix[i][j], fam.member(j)) for j in range(k)])
+            linear_combination([(matrix[i][j], fam.member(j)) for j in range(k)])
             for i in range(k)
         ])
         wr = [QQ.of(rng.randint(-2, 2)) for _ in range(k)]
         lhs = family_sum(regrouped, lambda i: wr[i], precheck=False)
-        direct2 = _combo(sp, [
+        direct2 = linear_combination([
             (sum(wr[i] * matrix[i][j] for i in range(k)), fam.member(j))
             for j in range(k)
         ])
         if not lhs.eq_window(direct2, window):
             failures.append(("regrouping", case))
     return _report("summability", seed, window, count, failures)
-
-
-def _combo(sp, pairs):
-    out = sp.zero()
-    for c, f in pairs:
-        out = add(out, FiniteSeries(sp.field, sp.universe, sp.bornology,
-                                    {g: sp.field.of(c) * v for g, v in f.terms.items()}))
-    return out
-
-
-def _scale(c, f):
-    from .series import scale
-
-    return scale(c, f)
 
 
 def suite_basis(seed=0, window=12, count=20):
@@ -471,7 +459,7 @@ def suite_derivation(seed=0, window=16, count=100):
         lhs = D.apply(family_sum(fam, lambda i: w[i], precheck=False))
         rhs = sp.zero()
         for i in fam.index:
-            rhs = add(rhs, _scale(w[i], D.apply(fam.member(i))))
+            rhs = add(rhs, scale(w[i], D.apply(fam.member(i))))
         if not lhs.eq_window(rhs, window):
             failures.append(("strong linearity", case))
     return _report("derivation", seed, window, count + 30, failures)

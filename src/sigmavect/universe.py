@@ -35,7 +35,6 @@ class Universe(Value):
     is_ordered = False
     has_monoid = False
     is_group = False
-    archimedean = False
     dim = None  # vector dimension when elements embed in Q^n
 
     def contains(self, el):
@@ -135,7 +134,6 @@ POINT = FiniteUniverse(["*"])  # one-point universe, target of functionals
 class _NumericUniverse(Universe):
     is_ordered = True
     has_monoid = True
-    archimedean = True
     dim = 1
 
     @property
@@ -238,7 +236,6 @@ class TupleUniverse(Universe):
             raise UniverseError("arity must be positive")
         self.arity = arity
         self.dim = arity
-        self.archimedean = arity == 1
 
     def contains(self, el):
         return (
@@ -310,7 +307,6 @@ class MonomialUniverse(Universe):
             raise UniverseError("generator names must be nonempty and distinct")
         self.exponents = exponents
         self.dim = len(self.names)
-        self.archimedean = len(self.names) == 1
         self.is_group = exponents != "natural"
 
     def _exp_ok(self, q):

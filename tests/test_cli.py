@@ -95,6 +95,18 @@ def test_eval_division_by_p_in_fp_is_a_diagnostic():
     assert_one_line_error(r, "inverse of 0 in GF(7)")
 
 
+def test_scalar_powers_under_fp():
+    # 2^-2 = 1/4 = 2 and 3^3 = 27 = 6 in GF(7)
+    assert run("--field", "fp:7", "eval", "-e", "2^-2").output.strip() == "2"
+    assert run("--field", "fp:7", "eval", "-e", "3^3").output.strip() == "6"
+    assert run("eval", "-e", "2^-2").output.strip() == "1/4"
+
+
+def test_negative_power_of_zero_under_fp_is_a_diagnostic():
+    r = run("--field", "fp:7", "eval", "-e", "0^-1")
+    assert_one_line_error(r, "division by zero")
+
+
 def test_composite_fp_modulus_is_a_usage_error():
     # 1065023 = 1031 * 1033: there 1/1031 has no inverse to print
     r = run("--field", "fp:1065023", "eval", "-e", "1/1031")

@@ -7,6 +7,7 @@ boxes [DERIVED]; grid enumeration against a sorted exhaustive generation
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -98,6 +99,22 @@ def test_grid_points_increasing_and_complete():
     # oracle: the 10 lex-smallest points of N^2 all have first coordinate 0
     brute = [(Fraction(0), Fraction(b)) for b in range(10)]
     assert pts == brute
+
+
+def test_grid_points_walk_keeps_no_record_of_past_points():
+    # 10^5 steps of one generator hold a single point, far below the megabytes
+    # a set of every visited point takes; generators whose sums meet again
+    # still list each value once
+    walk = grid_points([(1,)], (0,))
+    tracemalloc.start()
+    try:
+        for _ in range(10 ** 5):
+            last = next(walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == (10 ** 5 - 1,) and peak < 10 ** 5
+    assert list(grid_points([(2,), (3,)], (0,), count=8)) == [(k,) for k in (0, 2, 3, 4, 5, 6, 7, 8)]
 
 
 def test_shares_leading_index():

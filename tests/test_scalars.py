@@ -45,6 +45,13 @@ def test_gf_inverse(a):
     assert x * x.inverse() == 1
 
 
+@given(st.integers(-30, 30), st.integers(0, 12))
+def test_gf_power_matches_modular_pow(a, n):
+    p = 13
+    got = FpElement(a, p) ** n
+    assert isinstance(got, FpElement) and got.value == pow(a, n, p)
+
+
 def test_gf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         FpElement(0, 5).inverse()

@@ -10,24 +10,37 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from sigmavect.sets import (
     DOWN,
     FINITE,
     UP,
+    ComplementAtom,
     DescribedSet,
+    FiniteAtom,
+    GridAtom,
+    IntervalAtom,
     ProgressionAtom,
     SetError,
     atom_intersection,
     described_intersection,
     set_from_record,
 )
-from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse, TupleUniverse
+from sigmavect.universe import (
+    Integers,
+    MonomialUniverse,
+    Naturals,
+    PairUniverse,
+    Rationals,
+    TupleUniverse,
+)
 
 Z = Integers()
 N = Naturals()
+Q = Rationals()
 
 
 def members_in_box(s, lo=-40, hi=40):
@@ -317,3 +330,153 @@ def test_progression_contains_with_zero_step_coordinates(plane, start, step, cou
     for x in range(-12, 13):
         for y in range(-12, 13):
             assert p.contains(el((x, y))) == (el((x, y)) in listed), (x, y)
+
+
+# -- the ordered walk and the intersection rule ------------------------------
+
+
+def test_lex_bound_in_another_block_abstains_at_once():
+    # the step moves only the second coordinate, so every term lies in the
+    # start's first-coordinate block and none passes a bound outside it
+    with time_limit(1):
+        up = atom_intersection(ProgressionAtom(ZZ, (0, 0), (0, 1)), IntervalAtom(ZZ, hi=(1, 0)))
+        down = atom_intersection(ProgressionAtom(ZZ, (1, 3), (0, -3)), IntervalAtom(ZZ, lo=(0, 0)))
+    assert up[0] is not True and down[0] is not True
+
+
+def test_a_progression_walks_before_a_long_interval():
+    # the meet is 1 001 terms, and the interval walked first would list 10^9
+    want = [k * 10**6 for k in range(1001)]
+    with time_limit(1):
+        up = atom_intersection(IntervalAtom(Z, hi=10**9), ProgressionAtom(Z, 0, 10**6))
+        down = atom_intersection(IntervalAtom(Z, lo=0), ProgressionAtom(Z, 10**9, -(10**6)))
+        within = DescribedSet.finite(Z, [5]).complement_within(DescribedSet.interval(Z, hi=10**9))
+        clipped = atom_intersection(within.atoms[0], ProgressionAtom(Z, 0, 10**6))
+    assert up == down == clipped == (True, want)
+
+
+def test_strict_flag_on_a_missing_endpoint_excludes_nothing():
+    strict = IntervalAtom(N, hi=0, lo_strict=True)
+    assert strict.lo_strict is False and strict.elements() == [0]
+    assert atom_intersection(IntervalAtom(N), strict) == (True, [0])
+    assert set_from_record(DescribedSet(N, [strict]).to_record()).atoms[0] == strict
+
+
+ends = st.one_of(st.none(), st.integers(0, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ends, st.integers(0, 8), st.booleans(), st.booleans())
+def test_finite_natural_interval_lists_its_members(lo, hi, lo_strict, hi_strict):
+    iv = IntervalAtom(N, lo, hi, lo_strict, hi_strict)
+    assert iv.elements() == [n for n in range(20) if iv.contains(n)]
+
+
+def test_complement_meets_interval_by_the_walk():
+    c = DescribedSet.finite(Q, [2]).complement_within(DescribedSet.progression(Q, 0, 1)).atoms[0]
+    want = [Fraction(n) for n in (0, 1, 3, 4, 5)]
+    assert atom_intersection(c, IntervalAtom(Q, hi=5)) == (True, want)
+    assert atom_intersection(IntervalAtom(Q, hi=5), c) == (True, want)
+
+
+NN = PairUniverse(N, N)
+XYZ = MonomialUniverse(["x", "y"], "integer")
+LEX_PLANES = PLANES + [(XYZ, lambda v: tuple(Fraction(c) for c in v))]
+step2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(_nonzero)
+bound2 = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEX_PLANES), vec2, step2, st.sampled_from([None, 0, 1, 5]), bound2)
+def test_progression_sides_match_its_first_terms(plane, start, step, count, bound):
+    u, el = plane
+    p = ProgressionAtom(u, el(start), el(step), count)
+    n = 200 if count is None else count
+    terms = [(start[0] + k * step[0], start[1] + k * step[1]) for k in range(n)]
+    rising = step > (0, 0)
+    for up in (True, False):
+        with time_limit(2):
+            got = p.elements_upto(el(bound)) if up else p.elements_downto(el(bound))
+        listed = sorted(t for t in terms if (t <= bound if up else t >= bound))
+        if got is not None:
+            assert got == [el(t) for t in listed]
+            assert count is not None or len(listed) < n
+        else:
+            # a finite progression always answers; on the side the walk heads
+            # to, None means that no term passes the bound
+            assert count is None
+            if up == rising:
+                assert len(listed) == n
+
+
+def _box(u):
+    """The points of a box around the drawn elements."""
+    if u.dim == 1:
+        if u == Q:
+            return [Fraction(n, 2) for n in range(-40, 41)]
+        return [n for n in range(-20, 21) if u.contains(n)]
+    pts = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+    if isinstance(u, PairUniverse):
+        return [p for p in pts if u.contains(p)]
+    return [u.check(p) for p in pts]
+
+
+def _elements(u, span=8):
+    """A strategy for elements of u with coordinates in [-span, span]."""
+    c = st.integers(0 if u in (N, NN) else -span, span)
+    if u.dim == 1:
+        return c.map(Fraction) if u == Q else c
+    # a zero first coordinate keeps a step inside one lex block
+    pair = st.tuples(st.one_of(st.just(0), c), c)
+    return pair if isinstance(u, PairUniverse) else pair.map(u.check)
+
+
+def _above_unit(u):
+    return _elements(u, 3).filter(lambda e: u.key(e) > u.key(u.unit))
+
+
+def _non_unit(u):
+    return _elements(u, 3).filter(lambda e: u.key(e) != u.key(u.unit))
+
+
+def _plain_atoms(u):
+    els = _elements(u)
+    return st.one_of(
+        st.lists(els, max_size=4).map(lambda es: FiniteAtom(u, es)),
+        st.builds(lambda s, d, c: ProgressionAtom(u, s, d, c),
+                  els, _non_unit(u), st.sampled_from([None, None, 0, 3])),
+        st.builds(lambda b, gs: GridAtom(u, b, gs), els, st.lists(_above_unit(u), min_size=1, max_size=2)),
+        st.builds(lambda lo, hi, ls, hs: IntervalAtom(u, lo, hi, ls, hs),
+                  st.one_of(st.none(), els), st.one_of(st.none(), els), st.booleans(), st.booleans()),
+    )
+
+
+@st.composite
+def _atom_pairs(draw):
+    u = draw(st.sampled_from([Z, N, Q, T2, ZZ, NN, XYZ]))
+
+    def atom():
+        a = draw(_plain_atoms(u))
+        if draw(st.integers(0, 3)) == 0:
+            a = ComplementAtom(DescribedSet(u, [draw(_plain_atoms(u))]), a)
+        return a
+
+    return u, atom(), atom()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_pairs())
+@example((ZZ, ProgressionAtom(ZZ, (0, 0), (0, 1)), IntervalAtom(ZZ, hi=(1, 0))))
+@example((N, IntervalAtom(N), IntervalAtom(N, hi=0, lo_strict=True)))
+def test_definite_finite_meets_match_box_enumeration(case):
+    u, a1, a2 = case
+    with time_limit(2):
+        fin, els = atom_intersection(a1, a2)
+    if fin is not True:
+        return
+    assert all(a1.contains(e) and a2.contains(e) for e in els)
+    assert len(set(els)) == len(els)
+    listed = set(els)
+    for e in _box(u):
+        if a1.contains(e) and a2.contains(e):
+            assert e in listed, (e, a1, a2)
