@@ -9,7 +9,7 @@ import click
 
 from .closure import ClosureError
 from .expr import Diagnostic, Env, EvalError, Evaluator, parse, render, _type_of
-from .scalars import field_from_spec
+from .scalars import NumberTooLarge, field_from_spec
 from .series import PairingUndecided, SeriesError
 from .sets import SetError
 from .suites import SuiteError, run_suite
@@ -18,7 +18,7 @@ SCHEMA = "sigma.v1"
 
 # library errors an expression can raise; each ends in a one-line diagnostic
 _EXPR_ERRORS = (Diagnostic, EvalError, SeriesError, PairingUndecided, SetError,
-                ClosureError, ZeroDivisionError)
+                ClosureError, NumberTooLarge, ZeroDivisionError)
 
 
 def _value_record(value, window):

@@ -19,26 +19,22 @@ Diagnostics carry line/column and the expected-token set; no recovery.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bornology as bo
+from .closure import (ConstructedBasis, FunctionalFamily, PatternGenerator, VectorGenerator,
+                      dual_basis_construction, sigma_span_window)
 from .hahn import cauchy_product, invert_unit, leading_term, monomial_shift, truncate
-from .scalars import QQ
-from .series import (
-    FiniteSeries,
-    Series,
-    Space,
-    SummableFamily,
-    add,
-    family_sum,
-    pairing,
-    scale,
-    sub,
-)
+from .scalars import QQ, FpElement, NumberTooLarge, check_size
+from .series import (FiniteSeries, Series, Space, SummableFamily, add, family_sum, pairing,
+                     scale, sub)
 from .sets import DescribedSet
-from .strmap import pure_tensor
-from .universe import Integers, MonomialUniverse, Naturals, PairUniverse
+from .slalg import BornologicalMonoid, euler_derivation, monoid_algebra
+from .strmap import StrongLinearMap, pure_tensor
+from .universe import Integers, MonomialUniverse, Naturals, PairUniverse, UniverseError
 
 
 class Diagnostic(ValueError):
@@ -54,7 +50,9 @@ class Diagnostic(ValueError):
 
 # -- tokens -------------------------------------------------------------------
 
-_PUNCT = ("->", "(x)", "+", "-", "*", "/", "^", "(", ")", "[", "]", ",", ";")
+# punctuation (longest first where one is a prefix of another), a number, a
+# name, or one whitespace character
+_TOKEN = re.compile(r"(->|\(x\)|[-+*/^()\[\],;])|(\d+)|([^\W\d]\w*)|(\s)")
 
 
 @dataclass
@@ -67,47 +65,19 @@ class Token:
 
 def tokenize(text):
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            toks.append(Token(matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise Diagnostic("unexpected character %r" % ch, line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        col = i - line_start + 1
+        if m is None:
+            raise Diagnostic("unexpected character %r" % text[i], line, col)
+        punct, num, _, space = m.groups()
+        if space == "\n":
+            line, line_start = line + 1, m.end()
+        elif space is None:
+            toks.append(Token(punct or ("num" if num else "ident"), m.group(), line, col))
+        i = m.end()
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -186,26 +156,29 @@ class _Parser:
                              expected=["eof"])
         return e
 
-    def expr(self):
-        e = self.additive()
-        while self.peek().kind == "(x)":
-            self.next()
-            e = Binary("(x)", e, self.additive())
+    def _left(self, ops, operand):
+        """operand (op operand)*, associating to the left."""
+        e = operand()
+        while self.peek().kind in ops:
+            e = Binary(self.next().kind, e, operand())
         return e
+
+    def _items(self, item, sep):
+        """item (sep item)*"""
+        out = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            out.append(item())
+        return out
+
+    def expr(self):
+        return self._left(("(x)",), self.additive)
 
     def additive(self):
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Binary(op, e, self.term())
-        return e
+        return self._left(("+", "-"), self.term)
 
     def term(self):
-        e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            e = Binary(op, e, self.unary())
-        return e
+        return self._left(("*", "/"), self.unary)
 
     def unary(self):
         if self.peek().kind == "-":
@@ -224,15 +197,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return Num(int(t.text))
+            return Num(_int(t.text))
         if t.kind == "ident":
             self.next()
             if self.peek().kind == "(":
                 self.next()
-                groups = [self.args()]
-                while self.peek().kind == ";":
-                    self.next()
-                    groups.append(self.args())
+                groups = self._items(lambda: self._items(self.arg, ","), ";")
                 self.expect(")")
                 return Call(t.text, tuple(tuple(g) for g in groups))
             return Name(t.text)
@@ -243,24 +213,12 @@ class _Parser:
             return e
         if t.kind == "[":
             self.next()
-            items = []
-            if self.peek().kind != "]":
-                items.append(self.expr())
-                while self.peek().kind == ",":
-                    self.next()
-                    items.append(self.expr())
+            items = self._items(self.expr, ",") if self.peek().kind != "]" else []
             self.expect("]")
             return ListExpr(tuple(items))
         raise Diagnostic("unexpected %r" % (t.text or "end of input"),
                          t.line, t.col,
                          expected=["number", "identifier", "(", "["])
-
-    def args(self):
-        out = [self.arg()]
-        while self.peek().kind == ",":
-            self.next()
-            out.append(self.arg())
-        return out
 
     def arg(self):
         t = self.peek()
@@ -315,6 +273,25 @@ class EvalError(ValueError):
     pass
 
 
+def _int(digits):
+    """The int a run of decimal digits denotes, if Python converts one so long."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise NumberTooLarge() from None
+
+
+_SEQUENCE_NAME = re.compile(r"e(0|[1-9][0-9]*)")
+
+
+@dataclass
+class Pattern:
+    """pattern(template, step): the step's generator, kept with its template."""
+
+    template: FiniteSeries
+    generator: PatternGenerator
+
+
 class Env:
     """Evaluation context: fixed spaces plus named values."""
 
@@ -327,59 +304,177 @@ class Env:
         self.seq_space = Space(field, self.nat, bo.finite_subsets(self.nat))
         self.seq_dual = Space(field, self.nat, bo.all_subsets(self.nat))
         self.int_universe = Integers()
-        self.names = {}
-        self.names["x"] = self.hahn_space.series({self.X.monomial(x=1): 1})
-        self.names["ones"] = self.seq_dual.lazy(
-            lambda n: 1, DescribedSet.progression(self.nat, 0, 1)
-        )
-        for k in range(32):
-            self.names["e%d" % k] = self.seq_space.delta(k)
-        for kind, ctor in (
-            ("finite", bo.finite_subsets), ("all", bo.all_subsets),
-            ("wo", bo.well_ordered), ("rwo", bo.reverse_well_ordered),
-            ("wo_omega", bo.order_type_omega),
-        ):
+        self.names = {
+            "x": self.hahn_space.series({self.X.monomial(x=1): 1}),
+            "ones": self.seq_dual.lazy(lambda n: 1, DescribedSet.progression(self.nat, 0, 1)),
+        }
+        for kind, ctor in (("finite", bo.finite_subsets), ("all", bo.all_subsets),
+                           ("wo", bo.well_ordered), ("rwo", bo.reverse_well_ordered),
+                           ("wo_omega", bo.order_type_omega)):
             self.names[kind] = ctor(self.int_universe)
 
     def lookup(self, ident):
-        if ident not in self.names:
+        """A named value; e<n> is the n-th unit sequence for every n."""
+        if ident in self.names:
+            return self.names[ident]
+        m = _SEQUENCE_NAME.fullmatch(ident)
+        if m is None:
             raise EvalError("unknown name %r" % ident)
-        return self.names[ident]
+        return self.seq_space.delta(_int(m.group(1)))
+
+
+_TYPES = (((int, Fraction, FpElement), "scalar"), (Series, "series"), (DescribedSet, "set"),
+          (bo.Bornology, "bornology"), (StrongLinearMap, "map"), (ConstructedBasis, "basis"),
+          (Pattern, "pattern"), (list, "list"), (str, "verdict"))
 
 
 def _type_of(value):
-    from .closure import ConstructedBasis
-    from .strmap import StrongLinearMap
-
-    if isinstance(value, (int, Fraction)) or type(value).__name__ == "FpElement":
-        return "scalar"
-    if isinstance(value, Series):
-        return "series"
-    if isinstance(value, DescribedSet):
-        return "set"
-    if isinstance(value, bo.Bornology):
-        return "bornology"
-    if isinstance(value, StrongLinearMap):
-        return "map"
-    if isinstance(value, ConstructedBasis):
-        return "basis"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, str):
-        return "verdict"
-    return "value"
+    """The type of an evaluation result, as messages and JSON name it."""
+    return next((name for cls, name in _TYPES if isinstance(value, cls)), "value")
 
 
-def _as_monomial(s, what="argument"):
-    """A series that is a single monomial with coefficient 1."""
-    if _type_of(s) != "series" or not isinstance(s, FiniteSeries):
-        raise EvalError("%s must be a monomial" % what)
-    if len(s.terms) != 1:
-        raise EvalError("%s must be a single monomial" % what)
-    (g, c), = s.terms.items()
-    if c != s.field.one:
-        raise EvalError("%s must have coefficient 1" % what)
-    return g
+# -- builtin signatures --------------------------------------------------------
+
+# Every builtin's argument groups (";" in a call), each argument "name: kind";
+# a group "name: kind..." takes one or more arguments.  `Evaluator._call` reads
+# each argument by its kind (`_KINDS`); the handler `_fn_<builtin>` gets values.
+BUILTINS = {
+    "pair": "f: series, g: series",
+    "grid": "base: monomial; generator: monomial...",
+    "sum": "family: set, weight: weight",
+    "truncate": "f: series, bound: monomial",
+    "lead": "f: series",
+    "shift": "f: series, monomial: monomial",
+    "perp": "b: bornology",
+    "apply": "map: map, f: series",
+    "derive": "derivation: name, f: series",
+    "pattern": "template: vector, step: integer",
+    "sigmaspan": "generator: vector or pattern...; candidate: vector",
+    "basis": "rows: vector list, depth: integer",
+}
+
+# builtin: [[(argument, kind, takes the rest of its group)]]
+_SIGNATURES = {
+    fn: [[(arg, kind.rstrip("."), kind.endswith("..."))
+          for arg, kind in (a.split(": ") for a in group.split(", "))]
+         for group in text.split("; ")]
+    for fn, text in BUILTINS.items()
+}
+
+
+class _Mismatch(Exception):
+    """An argument not of its kind: its value (None if not evaluated) and the
+    universe the kind asks for (None if any)."""
+
+    def __init__(self, value=None, universe=None):
+        super().__init__(value, universe)
+        self.value, self.universe = value, universe
+
+
+def _read_type(ty):
+    """The reader of a kind that is one type of value."""
+
+    def read(ev, v, u):
+        if _type_of(v) != ty:
+            raise _Mismatch(v)
+        return v
+
+    return read
+
+
+def _read_monomial(ev, v, u):
+    """The element g of u that v is as the series 1*g; the scalar 1 is the unit."""
+    if _type_of(v) == "scalar" and v == ev.env.field.one:
+        return u.unit
+    if isinstance(v, FiniteSeries) and v.universe == u and len(v.terms) == 1:
+        (g, c), = v.terms.items()
+        if c == v.field.one:
+            return g
+    raise _Mismatch(v, u)
+
+
+def _read_vector(ev, v, u):
+    if isinstance(v, FiniteSeries) and v.universe == ev.env.nat:
+        return v
+    raise _Mismatch(v, ev.env.nat)
+
+
+def _read_span_generator(ev, v, u):
+    if isinstance(v, Pattern):
+        return v.generator
+    return VectorGenerator(_read_vector(ev, v, u).terms)
+
+
+def _read_vector_list(ev, v, u):
+    if not isinstance(v, list):
+        raise _Mismatch(v)
+    return [_read_vector(ev, r, u).terms for r in v]
+
+
+def _read_integer(ev, node, locals_):
+    """An integer, read exactly (not mod p) in every field."""
+    q = ev._exact(node, locals_)
+    if q.denominator != 1:
+        raise _Mismatch(q)
+    return q.numerator
+
+
+def _read_weight(ev, node, locals_):
+    """The function n -> scalar that a lambda argument `n -> expr` denotes."""
+    if not isinstance(node, Lambda):
+        raise _Mismatch()
+
+    def weight(n):
+        w = ev.eval(node.body, dict(locals_, **{node.var: ev.env.field.of(n)}))
+        if _type_of(w) != "scalar":
+            raise _kind_error("sum", "weight", "weight", _Mismatch(w))  # sum's alone
+        return w
+
+    return weight
+
+
+def _read_name(ev, node, locals_):
+    if not isinstance(node, Name):
+        raise _Mismatch()
+    return node.ident
+
+
+# kind: (what the argument must be, %(u)r the universe asked for; reader).  A
+# reader gets the evaluator, the value and the call's first series' universe (x
+# before one), or for a kind in _UNEVALUATED the evaluator, the node and the
+# locals; it returns what the handler takes or raises _Mismatch.
+_KINDS = {
+    "series": ("a series", _read_type("series")),
+    "monomial": ("a monomial with coefficient 1 in %(u)r", _read_monomial),
+    "vector": ("a finite series in %(u)r", _read_vector),
+    "vector or pattern": ("a finite series in %(u)r or a pattern", _read_span_generator),
+    "vector list": ("a list of finite series in %(u)r", _read_vector_list),
+    "set": ("a set", _read_type("set")),
+    "bornology": ("a bornology", _read_type("bornology")),
+    "map": ("a map", _read_type("map")),
+    "integer": ("an integer", _read_integer),
+    "weight": ("a function n -> scalar", _read_weight),
+    "name": ("a bare name", _read_name),
+}
+_UNEVALUATED = ("integer", "weight", "name")
+
+
+def _kind_error(fn, arg, kind, mismatch):
+    """The EvalError for argument `arg` of `fn` not of `kind`: what it must be
+    and what it is, with both universes when they differ."""
+    u, v = mismatch.universe, mismatch.value
+    msg = "%s %s must be %s" % (fn, arg, _KINDS[kind][0] % {"u": u})
+    if v is not None:
+        ty = _type_of(v)
+        got = render(v) if ty == "scalar" else "a " + ty
+        vu = getattr(v, "universe", None)
+        if u is not None and vu is not None and vu != u:
+            got += " in %r" % vu
+        msg += ", got " + got
+    return EvalError(msg)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class Evaluator:
@@ -424,34 +519,19 @@ class Evaluator:
         if op == "(x)":
             if ta == tb == "series":
                 u = PairUniverse(a.universe, b.universe)
-                space = Space(
-                    a.field, u, bo.product_bornology(a.bornology, b.bornology, u)
-                )
+                space = Space(a.field, u, bo.product_bornology(a.bornology, b.bornology, u))
                 return pure_tensor(space, a, b)
             raise EvalError("(x) needs two series")
         if ta == tb == "scalar":
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
+            return _ARITH[op](a, b)
+        if ta == "series" and tb == "scalar" and op == "/":
+            return scale(self.env.field.one / b, a)
+        if {ta, tb} == {"scalar", "series"} and op != "/":
             if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-        if ta == "scalar" and tb == "series":
-            if op == "*":
-                return scale(a, b)
-            if op in ("+", "-"):
-                one = _const_series(b, a)
-                return add(one, b) if op == "+" else sub(one, b)
-        if ta == "series" and tb == "scalar":
-            if op == "*":
-                return scale(b, a)
-            if op == "/":
-                return scale(self.env.field.one / b, a)
-            if op in ("+", "-"):
-                c = _const_series(a, b)
-                return add(a, c) if op == "+" else sub(a, c)
+                return scale(a, b) if ta == "scalar" else scale(b, a)
+            # a scalar c added to a series is the constant series c
+            a, b = (_const_series(b, a), b) if ta == "scalar" else (a, _const_series(a, b))
+            ta = tb = "series"
         if ta == tb == "series":
             if op == "+":
                 return add(a, b)
@@ -463,240 +543,148 @@ class Evaluator:
                 return cauchy_product(a, invert_unit(b, self.env.window))
         raise EvalError("operator %r undefined on %s and %s" % (op, ta, tb))
 
-    def _rational_exponent(self, node, locals_):
-        """Exponents are rationals regardless of the coefficient field."""
+    def _exact(self, node, locals_):
+        """The rational that exponents and integer arguments denote, read exactly
+        (not mod p) in every field; _Mismatch on a value that is not one."""
         if isinstance(node, Num):
             return Fraction(node.value)
         if isinstance(node, Unary):
-            return -self._rational_exponent(node.arg, locals_)
+            return -self._exact(node.arg, locals_)
         if isinstance(node, Binary) and node.op in ("+", "-", "*", "/", "^"):
-            a = self._rational_exponent(node.left, locals_)
-            b = self._rational_exponent(node.right, locals_)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
+            a = self._exact(node.left, locals_)
+            b = self._exact(node.right, locals_)
+            if node.op != "^":
+                return _ARITH[node.op](a, b)
             if b.denominator != 1:
                 raise EvalError("fractional power inside an exponent")
-            return a ** b.numerator
-        expo = self.eval(node, locals_)
-        if _type_of(expo) != "scalar" or not isinstance(expo, (int, Fraction)):
-            raise EvalError("exponent must be a rational scalar")
-        return Fraction(expo)
+            return check_size(a, b.numerator) ** b.numerator
+        v = self.eval(node, locals_)
+        if not isinstance(v, (int, Fraction)):
+            raise _Mismatch(v)
+        return Fraction(v)
 
     def _power(self, node, locals_):
         base = self.eval(node.left, locals_)
-        q = self._rational_exponent(node.right, locals_)
-        if _type_of(base) == "scalar":
+        try:
+            q = self._exact(node.right, locals_)
+        except _Mismatch:
+            raise EvalError("exponent must be a rational scalar") from None
+        ty = _type_of(base)
+        if ty == "scalar":
             if q.denominator != 1:
                 raise EvalError("fractional power of a scalar")
-            return base ** q.numerator if q >= 0 else (self.env.field.one / base) ** (-q.numerator)
-        if _type_of(base) != "series":
-            raise EvalError("cannot raise a %s to a power" % _type_of(base))
+            n = q.numerator
+            if isinstance(base, Fraction):
+                check_size(base, n)
+            return base ** n if n >= 0 else (self.env.field.one / base) ** -n
+        if ty != "series":
+            raise EvalError("cannot raise a %s to a power" % ty)
         if isinstance(base, FiniteSeries) and len(base.terms) == 1:
             (g, c), = base.terms.items()
             u = base.universe
-            if q.denominator == 1 and q >= 0:
-                pass
-            elif not u.is_group and q < 0:
+            if not u.is_group and q < 0:
                 raise EvalError("negative power outside a group universe")
-            vec = tuple(x * q for x in u.vectorize(g))
             if c == base.field.one:
-                return FiniteSeries(base.field, u, base.bornology, {u.devectorize(vec): 1})
+                try:
+                    g = u.devectorize(tuple(x * q for x in u.vectorize(g)))
+                except UniverseError as exc:
+                    raise EvalError("power outside %r: %s" % (u, exc)) from None
+                return FiniteSeries(base.field, u, base.bornology, {g: 1})
             if q.denominator != 1:
                 raise EvalError("fractional power of a non-monic monomial")
         if q.denominator != 1:
             raise EvalError("fractional power of a general series")
         n = q.numerator
         if n < 0:
-            base = invert_unit(base, self.env.window)
-            n = -n
-        out = _const_series(base, base.field.one)
-        for _ in range(n):
-            out = cauchy_product(out, base)
-        return out
+            base, n = invert_unit(base, self.env.window), -n
+        return _series_power(base, n)
 
     # -- builtin calls ---------------------------------------------------
     def _call(self, node, locals_):
+        """The one place where builtin arguments are evaluated and checked."""
         fn = node.func
-        handler = getattr(self, "_fn_" + fn, None)
-        if handler is None:
+        if fn not in _SIGNATURES:
             raise EvalError("unknown function %r" % fn)
-        return handler(node.groups, locals_)
+        signature = _SIGNATURES[fn]
+        if len(node.groups) != len(signature) or any(
+            len(args) != len(group) and not group[0][2]
+            for args, group in zip(node.groups, signature)
+        ):
+            raise EvalError("%s takes (%s)" % (fn, BUILTINS[fn]))
+        values, u = [], None
+        for args, group in zip(node.groups, signature):
+            for i, (arg, kind, rest) in enumerate(group):
+                read = [self._argument(fn, arg, kind, a, locals_, u or self.env.X)
+                        for a in (args[i:] if rest else args[i:i + 1])]
+                values.append(read if rest else read[0])
+                if kind == "series" and u is None:
+                    u = read[0].universe
+        return getattr(self, "_fn_" + fn)(*values)
 
-    def _one_group(self, groups, fn, count=None):
-        if len(groups) != 1:
-            raise EvalError("%s takes a single argument group" % fn)
-        args = groups[0]
-        if count is not None and len(args) != count:
-            raise EvalError("%s takes %d arguments" % (fn, count))
-        return args
+    def _argument(self, fn, arg, kind, node, locals_, u):
+        """Argument `arg` of builtin `fn`, read as `kind` from `node`."""
+        read = _KINDS[kind][1]
+        try:
+            if kind in _UNEVALUATED:
+                return read(self, node, locals_)
+            if isinstance(node, Lambda):
+                raise _Mismatch()
+            return read(self, self.eval(node, locals_), u)
+        except _Mismatch as mismatch:
+            raise _kind_error(fn, arg, kind, mismatch) from None
 
-    def _fn_pair(self, groups, locals_):
-        a, b = self._one_group(groups, "pair", 2)
-        f = self.eval(a, locals_)
-        g = self.eval(b, locals_)
+    def _fn_pair(self, f, g):
         return pairing(f, g, declared_dual=True)
 
-    def _fn_grid(self, groups, locals_):
-        if len(groups) != 2:
-            raise EvalError("grid takes base; generators")
-        (base_e,), gens_e = groups[0], groups[1]
-        u = self.env.X
+    def _fn_grid(self, base, generators):
+        return DescribedSet.grid(self.env.X, base, generators)
 
-        def mono(e, what):
-            v = self.eval(e, locals_)
-            if _type_of(v) == "scalar" and v == self.env.field.one:
-                return u.unit  # "1" denotes the unit monomial
-            return _as_monomial(v, what)
-
-        base = mono(base_e, "grid base")
-        gens = [mono(g, "grid generator") for g in gens_e]
-        return DescribedSet.grid(u, base, gens)
-
-    def _fn_sum(self, groups, locals_):
-        fam_e, weight_e = self._one_group(groups, "sum", 2)
-        fam_v = self.eval(fam_e, locals_)
-        if not isinstance(weight_e, Lambda):
-            raise EvalError("sum needs a weight function: sum(family, n -> expr)")
-        if isinstance(fam_v, DescribedSet):
-            fam_v = self._delta_family(fam_v)
-        if not isinstance(fam_v, SummableFamily):
-            raise EvalError("sum needs a described set or a family")
-        positions = {}
-        if not fam_v.is_explicit():
-            for i, el in enumerate(fam_v.index.first_n(4096)):
-                positions[el] = i
-        else:
-            for i, el in enumerate(fam_v.index):
-                positions[el] = i
-
-        def weights(i):
-            n = positions.get(i, i if isinstance(i, int) else 0)
-            return self.eval(
-                weight_e.body, dict(locals_, **{weight_e.var: self.env.field.of(n)})
-            )
-
-        return family_sum(fam_v, weights, precheck=False)
-
-    def _delta_family(self, s):
+    def _fn_sum(self, family, weight):
         sp = self.env.hahn_space
-        if s.universe != sp.universe:
-            raise EvalError("sum over a set needs monomial indices")
+        order, positions = family.iter_increasing(), {}
 
-        def member(g):
-            return sp.delta(g)
+        def position(g):
+            """g's place in the increasing listing of the family."""
+            while g not in positions:
+                positions[next(order)] = len(positions)
+            return positions[g]
 
-        def pointwise(g):
-            return [g] if s.contains(g) else []
+        fam = SummableFamily(sp.field, sp.universe, sp.bornology, family, sp.delta,
+                             lambda g: [g] if family.contains(g) else [], family)
+        return family_sum(fam, lambda g: weight(position(g)), precheck=False)
 
-        return SummableFamily(sp.field, sp.universe, sp.bornology, s, member, pointwise, s)
-
-    def _fn_truncate(self, groups, locals_):
-        fe, be = self._one_group(groups, "truncate", 2)
-        f = self.eval(fe, locals_)
-        bound = _as_monomial(self.eval(be, locals_), "truncation bound")
+    def _fn_truncate(self, f, bound):
         return truncate(f, bound)
 
-    def _fn_lead(self, groups, locals_):
-        (fe,) = self._one_group(groups, "lead", 1)
-        f = self.eval(fe, locals_)
+    def _fn_lead(self, f):
         lt = leading_term(f, self.env.window)
         if lt is None:
             return "zero-to-window"
-        g, c = lt
-        return FiniteSeries(f.field, f.universe, f.bornology, {g: c})
+        return FiniteSeries(f.field, f.universe, f.bornology, dict([lt]))
 
-    def _fn_shift(self, groups, locals_):
-        fe, me = self._one_group(groups, "shift", 2)
-        f = self.eval(fe, locals_)
-        m = _as_monomial(self.eval(me, locals_), "shift monomial")
-        return monomial_shift(f, m)
+    def _fn_shift(self, f, monomial):
+        return monomial_shift(f, monomial)
 
-    def _fn_perp(self, groups, locals_):
-        (be,) = self._one_group(groups, "perp", 1)
-        b = self.eval(be, locals_)
-        if not isinstance(b, bo.Bornology):
-            raise EvalError("perp needs a bornology")
+    def _fn_perp(self, b):
         return bo.perp(b)
 
-    def _fn_apply(self, groups, locals_):
-        me, fe = self._one_group(groups, "apply", 2)
-        m = self.eval(me, locals_)
-        f = self.eval(fe, locals_)
-        if _type_of(m) != "map":
-            raise EvalError("apply needs a map and a series")
+    def _fn_apply(self, m, f):
         return m.apply(f)
 
-    def _fn_derive(self, groups, locals_):
-        de, fe = self._one_group(groups, "derive", 2)
-        dname = de.ident if isinstance(de, Name) else None
-        if dname != "euler":
+    def _fn_derive(self, derivation, f):
+        if derivation != "euler":
             raise EvalError("unknown derivation; only 'euler' is built in")
-        from .slalg import BornologicalMonoid, euler_derivation, monoid_algebra
+        monoid = BornologicalMonoid(self.env.X, self.env.hahn_space.bornology)
+        return euler_derivation(monoid_algebra(monoid, self.env.field)).apply(f)
 
-        f = self.eval(fe, locals_)
-        alg = monoid_algebra(
-            BornologicalMonoid(self.env.X, self.env.hahn_space.bornology),
-            self.env.field,
-        )
-        return euler_derivation(alg).apply(f)
+    def _fn_pattern(self, template, step):
+        return Pattern(template, PatternGenerator(template.terms, step))
 
-    def _integer_argument(self, node, locals_, what):
-        """An integer argument, read exactly (not mod p) in every field."""
-        q = self._rational_exponent(node, locals_)
-        if q.denominator != 1:
-            raise EvalError("%s must be an integer" % what)
-        return q.numerator
-
-    def _fn_pattern(self, groups, locals_):
-        te, se = self._one_group(groups, "pattern", 2)
-        template = self.eval(te, locals_)
-        step = self._integer_argument(se, locals_, "pattern step")
-        if not isinstance(template, FiniteSeries) or template.universe != self.env.nat:
-            raise EvalError("pattern template must be a finite sequence vector")
-        from .closure import PatternGenerator
-
-        return PatternGenerator(template.terms, step)
-
-    def _fn_sigmaspan(self, groups, locals_):
-        if len(groups) != 2 or len(groups[1]) != 1:
-            raise EvalError("sigmaspan takes generators; candidate")
-        gens = []
-        from .closure import PatternGenerator, VectorGenerator, sigma_span_window
-
-        for ge in groups[0]:
-            v = self.eval(ge, locals_)
-            if isinstance(v, PatternGenerator):
-                gens.append(v)
-            elif isinstance(v, FiniteSeries) and v.universe == self.env.nat:
-                gens.append(VectorGenerator(v.terms))
-            else:
-                raise EvalError("sigmaspan generators must be vectors or patterns")
-        cand = self.eval(groups[1][0], locals_)
-        if not isinstance(cand, FiniteSeries) or cand.universe != self.env.nat:
-            raise EvalError("sigmaspan candidate must be a finite sequence vector")
-        oracle = sigma_span_window(gens, self.env.window)
-        verdict, _ = oracle.decide(cand.terms)
+    def _fn_sigmaspan(self, generators, candidate):
+        verdict, _ = sigma_span_window(generators, self.env.window).decide(candidate.terms)
         return verdict
 
-    def _fn_basis(self, groups, locals_):
-        he, de = self._one_group(groups, "basis", 2)
-        rows_v = self.eval(he, locals_)
-        depth = self._integer_argument(de, locals_, "basis depth")
-        if not isinstance(rows_v, list):
-            raise EvalError("basis needs a list of functional rows")
-        from .closure import FunctionalFamily, dual_basis_construction
-
-        rows = []
-        for r in rows_v:
-            if not isinstance(r, FiniteSeries) or r.universe != self.env.nat:
-                raise EvalError("basis rows must be finite sequence vectors")
-            rows.append(r.terms)
+    def _fn_basis(self, rows, depth):
         return dual_basis_construction(FunctionalFamily(rows), depth)
 
 
@@ -707,10 +695,20 @@ def _const_series(like, c):
     return FiniteSeries(like.field, u, like.bornology, {u.unit: c})
 
 
+def _series_power(f, n):
+    """f^n by squaring, in at most 2*n.bit_length() products; f^0 = 1."""
+    out = None
+    while n:
+        if n & 1:
+            out = f if out is None else cauchy_product(out, f)
+        n >>= 1
+        if n:
+            f = cauchy_product(f, f)
+    return _const_series(f, f.field.one) if out is None else out
+
+
 def render(value, window=32):
     """Canonical textual rendering of an evaluation result."""
-    from .closure import ConstructedBasis
-
     ty = _type_of(value)
     if ty == "scalar":
         return QQ.format(value) if isinstance(value, (int, Fraction)) else str(value)
@@ -722,11 +720,11 @@ def render(value, window=32):
         return value.kind
     if ty == "verdict":
         return value
-    if isinstance(value, ConstructedBasis):
-        rows = []
-        for v in value.vectors:
-            rows.append("(" + ", ".join(str(c) for c in v) + ")")
-        return "; ".join(rows)
+    if ty == "pattern":
+        return "pattern(%s, %s)" % (value.template.format(window),
+                                    QQ.format(value.generator.step))
+    if ty == "basis":
+        return "; ".join("(" + ", ".join(render(c) for c in v) + ")" for v in value.vectors)
     if ty == "list":
         return "[" + ", ".join(render(v, window) for v in value) + "]"
     return repr(value)
@@ -736,7 +734,4 @@ def evaluate(text, env=None, window=None):
     env = env or Env()
     if window is not None:
         env.window = window
-    ast = parse(text)
-    ev = Evaluator(env)
-    value = ev.eval(ast)
-    return render(value, env.window)
+    return render(Evaluator(env).eval(parse(text)), env.window)

@@ -8,6 +8,8 @@ and on the command line that is a usage error.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 
@@ -136,7 +138,7 @@ class Field:
         return self.of(int(text))
 
     def format(self, x):
-        return str(x)
+        return str(check_size(x) if self.p is None else x)
 
     def is_zero(self, x):
         return not x
@@ -152,6 +154,34 @@ class Field:
 
 
 QQ = Field("QQ")
+
+
+class NumberTooLarge(ValueError):
+    """An exact number too long for Python to convert to decimal text."""
+
+    def __init__(self):
+        super().__init__("number too large: more than %d decimal digits"
+                         % sys.get_int_max_str_digits())
+
+
+def check_size(q, power=1):
+    """q, once q**power (q rational, power an int) is known to have a
+    numerator and a denominator of at most sys.get_int_max_str_digits()
+    decimal digits (0 means no limit), the longest that Python converts to
+    text; raises NumberTooLarge otherwise.  A power other than 1 is judged
+    from q's bit lengths, before the power is computed."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bits = limit * math.log2(10)  # 2**bits == 10**limit
+        for n in (q.numerator, q.denominator):
+            b = n.bit_length()
+            if power == 1:
+                too_large = b > bits and abs(n) >= 10 ** limit
+            else:
+                too_large = (b - 1) * abs(power) >= bits  # |n|**power >= 2**((b-1)*power)
+            if too_large:
+                raise NumberTooLarge()
+    return q
 
 
 def _is_prime(n):

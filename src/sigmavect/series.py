@@ -13,7 +13,7 @@ from functools import cached_property
 from .bornology import Verdict, perp
 from .sets import DescribedSet, described_intersection
 from .scalars import QQ
-from .universe import Value
+from .universe import MonomialUniverse, Naturals, Value
 
 
 class SeriesError(ValueError):
@@ -123,11 +123,16 @@ class Series:
         }
 
     def format(self, window=32, var=None):
+        """Terms in the expression grammar: a term on the naturals is
+        written c*e<n>, the unit monomial of a monomial universe (and the
+        one point of POINT) is its bare coefficient c."""
+        u = self.universe
+        unit = u.unit if isinstance(u, MonomialUniverse) else None
         parts = []
         for g in self.support_window(window):
             c = self.coeff(g)
-            mono = self.universe.format(g)
-            if mono == "1" or mono == "*":
+            mono = "e" + u.format(g) if isinstance(u, Naturals) else u.format(g)
+            if g == unit or mono == "*":
                 parts.append(self.field.format(c))
             elif c == self.field.one:
                 parts.append(mono)

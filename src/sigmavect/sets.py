@@ -781,10 +781,11 @@ def _sup_element(atom):
 
 
 def _inf_element(atom):
+    """A lower bound for the atom when one is evident."""
     if isinstance(atom, ProgressionAtom) and atom.direction_up():
         return atom.start
     if isinstance(atom, GridAtom):
-        return None  # base is minimal only for nonnegative grids; stay safe
+        return atom.base  # every generator lies above the unit
     if isinstance(atom, IntervalAtom) and atom.lo is not None:
         return atom.lo
     if isinstance(atom, ComplementAtom):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .scalars import check_size
+
 
 class UniverseError(ValueError):
     pass
@@ -86,7 +88,7 @@ class Universe(Value):
 
 
 def _fmt_rational(q):
-    q = Fraction(q)
+    q = check_size(Fraction(q))
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -366,7 +368,7 @@ class MonomialUniverse(Universe):
             if e == 1:
                 parts.append(name)
             elif e.denominator == 1:
-                parts.append("%s^%d" % (name, e.numerator))
+                parts.append("%s^%s" % (name, _fmt_rational(e)))
             else:
                 parts.append("%s^(%s)" % (name, _fmt_rational(e)))
         return "*".join(parts) if parts else "1"

@@ -4,10 +4,15 @@ import contextlib
 import gc
 import io
 import json
+import math
 import weakref
 
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import time_limit
+from sigmavect import expr
 from sigmavect.cli import main
 
 
@@ -194,3 +199,127 @@ def test_repl_recovers_from_errors():
     assert r.exit_code == 0
     assert "6" in r.output
     assert "error" in r.output
+
+
+def test_oversized_numbers_are_diagnostics():
+    for text in ("2^20000", "2^14000 * 2^14000", "x^(2^(2^20))", "9^9^9", "e1" + "0" * 5000):
+        with time_limit(5):
+            r = run("eval", "-e", text)
+        assert_one_line_error(r, "more than 4300 decimal digits")
+    # 2^14000 has 4215 digits; in GF(7) every power is a residue
+    assert len(run("eval", "-e", "2^14000").output.strip()) == 4215
+    assert run("--field", "fp:7", "eval", "-e", "2^20000").output.strip() == str(pow(2, 20000, 7))
+
+
+def test_sequence_vectors_print_in_the_input_grammar():
+    assert run("eval", "-e", "e0 + 7*e1").output.strip() == "e0 + 7*e1"
+    assert run("eval", "-e", "e0 + e7").output.strip() == "e0 + e7"
+    assert run("eval", "-e", "3*e1 + e100").output.strip() == "3*e1 + e100"
+    r = run("--format", "json", "eval", "-e", "e0 + 7*e1")
+    assert json.loads(r.output)["result"]["value"]["terms"] == [["0", "1"], ["1", "7"]]
+
+
+def test_patterns_print_as_their_call():
+    for _ in range(2):  # the same text on every run, no memory address
+        assert run("eval", "-e", "pattern(e0 - e1, 2)").output.strip() == "pattern(e0 + -1*e1, 2)"
+    r = run("--format", "json", "eval", "-e", "pattern(e0 - e1, 2)")
+    assert json.loads(r.output)["result"] == {"type": "pattern", "value": "pattern(e0 + -1*e1, 2)"}
+
+
+def test_wrong_universe_names_both_universes():
+    r = run("eval", "-e", "truncate(e1, x^(2/3))")
+    assert_one_line_error(r, "truncate bound must be a monomial")
+    assert "in naturals" in r.output and "in monomials" in r.output
+
+
+def test_series_powers_take_logarithmically_many_products(monkeypatch):
+    calls, product = [], expr.cauchy_product
+    monkeypatch.setattr(expr, "cauchy_product",
+                        lambda f, g, b=None: calls.append(1) or product(f, g, b))
+    for n in (0, 1, 2, 5, 64, 300):
+        calls.clear()
+        value = expr.Evaluator().eval(expr.parse("(1 + x)^%d" % n))
+        assert len(calls) <= 2 * n.bit_length()
+        coeffs = {g[0]: c for g, c in value.terms.items()}
+        assert coeffs == {k: math.comb(n, k) for k in range(n + 1)}
+    env = expr.Env()
+    env.names["p"] = expr.Evaluator(env).eval(expr.parse("1 + x"))  # f^1 is f itself
+    assert expr.Evaluator(env).eval(expr.parse("p^1")) is env.names["p"]
+
+
+def test_power_of_an_inverse():
+    # ((1 - x)^-1)^3 = sum C(n + 2, 2) x^n
+    out = run("eval", "-e", "truncate(((1 - x)^-1)^3, x^12)").output.strip()
+    assert out == " + ".join(["1", "3*x"] + ["%d*x^%d" % (math.comb(n + 2, 2), n)
+                                             for n in range(2, 13)])
+
+
+# -- grammar fuzzer ---------------------------------------------------------------
+
+LEAVES = [str(d) for d in range(10)] + ["x", "x^(1/2)", "e0", "e1", "e7", "ones",
+                                         "finite", "all", "wo", "rwo", "wo_omega"]
+
+
+def _operand(text):
+    """text as an operand: a number or a name as it is, all else in
+    parentheses (a bare "(x)" would read as the tensor operator)."""
+    return text if text.isidentifier() or text.isdigit() else "(%s)" % text
+
+
+@st.composite
+def _calls(draw, sub):
+    """A builtin call in the group shape of its signature."""
+    name = draw(st.sampled_from(sorted(expr.BUILTINS)))
+    groups = []
+    for group in expr.BUILTINS[name].split("; "):
+        args = []
+        for spec in group.split(", "):
+            kind = spec.split(": ")[1]
+            if kind == "name":
+                args.append("euler")
+            elif kind == "weight":
+                args.append("n -> " + draw(st.one_of(st.just("n"), sub)))
+            else:
+                count = draw(st.integers(1, 2)) if kind.endswith("...") else 1
+                args.extend(draw(sub) for _ in range(count))
+        groups.append(", ".join(args))
+    return "%s(%s)" % (name, "; ".join(groups))
+
+
+def _exprs(depth):
+    """Expressions of depth <= depth: leaves, every operator, unary minus,
+    lists and every builtin in its group shape."""
+    leaf = st.sampled_from(LEAVES)
+    if depth == 0:
+        return leaf
+    sub = _exprs(depth - 1)
+    operand = sub.map(_operand)
+    return st.one_of(
+        leaf,
+        st.tuples(operand, st.sampled_from(["+", "-", "*", "/", "(x)"]), operand).map(" ".join),
+        operand.map("-".__add__),
+        st.tuples(operand, st.sampled_from(["-1", "0", "(1/2)", "2", "3"])).map("^".join),
+        st.lists(sub, min_size=1, max_size=2).map(lambda items: "[%s]" % ", ".join(items)),
+        _calls(sub),
+    )
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_exprs(3))
+@example("truncate(2, x)")
+@example("lead(finite)")
+@example("pair(2, e1)")
+@example("derive(euler, 2)")
+@example("shift(2, x)")
+@example("grid(x^(1/2); e0)")
+@example("shift(e0, x^-1)")
+@example("truncate(e1, x^(2/3))")
+@example("e1^(1/2)")
+@example("sum(grid(1; x), n -> x)")
+@example("9^9^9")
+def test_every_expression_ends_in_a_value_or_one_error_line(text):
+    for field in ("rational", "fp:7"):
+        with time_limit(10):
+            r = run("--field", field, "eval", "-e", text)
+        if r.exit_code != 0:
+            assert_one_line_error(r, "")

@@ -25,8 +25,10 @@ from sigmavect.expr import (
     evaluate,
     parse,
     print_expr,
+    render,
 )
-from sigmavect.scalars import GF
+from sigmavect.scalars import GF, QQ
+from sigmavect.series import FiniteSeries
 
 
 def test_tokenizer_reports_position():
@@ -178,3 +180,39 @@ def test_diagnostic_expected_set():
     with pytest.raises(Diagnostic) as exc:
         parse("pair(e0,")
     assert exc.value.expected
+
+
+# a nonzero finite series on x or on the naturals; the zero series prints as
+# the scalar 0, and a constant series c on x as the scalar c, which the
+# language reads as c times the unit monomial
+exponents = st.fractions(-3, 3, max_denominator=3)
+coefficients = st.fractions(-5, 5, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.booleans(),
+       st.dictionaries(exponents, coefficients, min_size=1, max_size=5),
+       st.dictionaries(st.integers(0, 40), coefficients, min_size=1, max_size=5))
+def test_rendering_of_a_finite_series_evaluates_to_it(field, on_x, x_terms, nat_terms):
+    env = Env(field=field)
+    if on_x:
+        terms = {env.X.monomial(x=e): c for e, c in x_terms.items()}
+        space = env.hahn_space
+    else:
+        terms, space = nat_terms, env.seq_space
+    terms = {g: field.of(c) for g, c in terms.items() if field.of(c)}
+    if not terms:
+        return
+    value = space.series(terms)
+    back = Evaluator(env).eval(parse(render(value)))
+    if list(terms) == [env.X.unit]:
+        back = space.series({env.X.unit: back})
+    assert isinstance(back, FiniteSeries) and back.universe == value.universe
+    assert back.terms == value.terms
+
+
+def test_sum_weights_follow_the_position_past_4096_elements():
+    env = Env()
+    value = Evaluator(env).eval(parse("truncate(sum(grid(1; x), n -> n), x^4100)"))
+    for n in (5, 4096, 4097, 4100):
+        assert value.terms[env.X.monomial(x=n)] == n

@@ -12,9 +12,11 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from sigmavect.cli import main
+from sigmavect.expr import BUILTINS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLE = re.compile(r'^sigma eval -e "(?P<expr>[^"]+)"\s*(?:#\s*(?P<value>.+))?$')
+BUILTIN = re.compile(r"^- `(?P<name>\w+)\((?P<signature>.*)\)`:")
 
 
 def readme_examples():
@@ -42,3 +44,9 @@ def test_readme_examples_print_their_values():
         r = CliRunner().invoke(main, ["eval", "-e", expr])
         assert r.exit_code == 0, (expr, r.output)
         assert r.output.strip() == value, expr
+
+
+def test_readme_lists_every_builtin_with_its_signature():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    listed = dict(m.group("name", "signature") for m in map(BUILTIN.match, lines) if m)
+    assert listed == BUILTINS

@@ -468,6 +468,7 @@ def _atom_pairs(draw):
 @given(_atom_pairs())
 @example((ZZ, ProgressionAtom(ZZ, (0, 0), (0, 1)), IntervalAtom(ZZ, hi=(1, 0))))
 @example((N, IntervalAtom(N), IntervalAtom(N, hi=0, lo_strict=True)))
+@example((T2, ProgressionAtom(T2, (0, 5), (0, -1)), GridAtom(T2, (0, 0), [(1, 0), (0, 2)])))
 def test_definite_finite_meets_match_box_enumeration(case):
     u, a1, a2 = case
     with time_limit(2):
@@ -480,3 +481,10 @@ def test_definite_finite_meets_match_box_enumeration(case):
     for e in _box(u):
         if a1.contains(e) and a2.contains(e):
             assert e in listed, (e, a1, a2)
+
+
+def test_falling_progression_walks_down_to_a_grid_base():
+    # every grid generator lies above the unit, so the base bounds the grid below
+    fin, els = atom_intersection(ProgressionAtom(T2, (0, 5), (0, -1)),
+                                 GridAtom(T2, (0, 0), [(1, 0), (0, 2)]))
+    assert fin is True and els == [T2.check(p) for p in [(0, 0), (0, 2), (0, 4)]]
