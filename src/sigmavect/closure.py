@@ -3,9 +3,12 @@
 Everything here is exact linear algebra on finite coordinate prefixes over
 the field of the entries (GF(p) for FpElements, else the rationals), by one
 elimination routine (`rref`): kernel bases, dual bases, and window-restricted
-membership in the space of certified infinite sums from a generator list,
-whose columns are factored once so that each membership test is one product
-accepted only when multiplying back gives the candidate.
+membership in the one-step sigma-span of a generator list.  On a window of
+N coordinates a pattern's full sum is the sum of the members that meet the
+window, so the columns are the generators' members there; they are factored
+once, and each membership test is one product accepted only when
+multiplying back gives the candidate.  Coordinates are natural numbers;
+anything else is a `ClosureError`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ class IdempotenceFailure(AssertionError):
 
 
 # -- exact linear algebra ----------------------------------------------------
+
+
+def _naturals(coords, what):
+    """coords as a dict, or ClosureError unless every coordinate is a natural
+    number (a negative one would index the window from its end)."""
+    coords = dict(coords)
+    if any(not isinstance(n, int) or n < 0 for n in coords):
+        raise ClosureError("%s coordinates must be naturals" % what)
+    return coords
 
 
 def _field(rows):
@@ -131,11 +143,7 @@ class FunctionalFamily:
     tracks their recovery coefficients through the pivot structure."""
 
     def __init__(self, rows):
-        self.rows = [dict(r) for r in rows]
-        for r in self.rows:
-            for n, c in r.items():
-                if not isinstance(n, int) or n < 0:
-                    raise ClosureError("row coordinates must be naturals")
+        self.rows = [_naturals(r, "row") for r in rows]
         self.width = 1 + max((n for r in self.rows for n in r), default=-1)
 
     def as_lists(self, width=None):
@@ -204,7 +212,7 @@ class PatternGenerator:
     each coordinate meets at most |template| members."""
 
     def __init__(self, template, step):
-        self.template = {int(n): c for n, c in dict(template).items()}
+        self.template = _naturals(template, "template")
         if step < 1:
             raise ClosureError("pattern step must be positive")
         self.step = int(step)
@@ -220,19 +228,10 @@ class PatternGenerator:
         kmax = max(0, (window - 1 - lo) // self.step)
         return list(range(kmax + 1))
 
-    def full_sum_window(self, window):
-        """Window restriction of the certified sum over all k, weights 1."""
-        out = [0] * window
-        for k in range(0, (window // self.step) + 2):
-            for n, c in self.member(k).items():
-                if n < window:
-                    out[n] += c
-        return out
-
 
 class VectorGenerator:
     def __init__(self, coords):
-        self.coords = {int(n): c for n, c in dict(coords).items()}
+        self.coords = _naturals(coords, "vector")
 
     def window(self, window):
         return [self.coords.get(i, 0) for i in range(window)]
@@ -240,8 +239,8 @@ class VectorGenerator:
 
 class SigmaSpanOracle:
     """Window-restricted membership in the one-step sigma-span of the
-    generators: a candidate is accepted only with a verified certificate
-    (a finite combination of family members and certified full pattern sums)."""
+    generators: a candidate is accepted only with a verified certificate, a
+    finite combination of vectors and pattern members."""
 
     def __init__(self, generators, window):
         self.generators = list(generators)
@@ -257,7 +256,6 @@ class SigmaSpanOracle:
                         if n < window:
                             vec[n] += c
                     self.columns.append((("member", gi, k), vec))
-                self.columns.append((("pattern-sum", gi), g.full_sum_window(window)))
             else:
                 raise ClosureError("unknown generator %r" % (g,))
 
@@ -287,8 +285,8 @@ def sigma_span_window(generators, window):
 
 
 def default_battery(generators, window):
-    """Candidate vectors derived from the generators: members, partial and
-    full pattern sums, pairwise combinations, and a few off-span probes."""
+    """Candidate vectors derived from the generators: their columns,
+    pairwise combinations of nearby columns, and a few off-span probes."""
     battery = []
     oracle_cols = SigmaSpanOracle(generators, window).columns
     for _, vec in oracle_cols:

@@ -589,7 +589,7 @@ class Evaluator:
                     g = u.devectorize(tuple(x * q for x in u.vectorize(g)))
                 except UniverseError as exc:
                     raise EvalError("power outside %r: %s" % (u, exc)) from None
-                return FiniteSeries(base.field, u, base.bornology, {g: 1})
+                return base.space.delta(g)
             if q.denominator != 1:
                 raise EvalError("fractional power of a non-monic monomial")
         if q.denominator != 1:
@@ -649,8 +649,8 @@ class Evaluator:
                 positions[next(order)] = len(positions)
             return positions[g]
 
-        fam = SummableFamily(sp.field, sp.universe, sp.bornology, family, sp.delta,
-                             lambda g: [g] if family.contains(g) else [], family)
+        fam = SummableFamily(sp, family, sp.delta, lambda g: [g] if family.contains(g) else [],
+                             family)
         return family_sum(fam, lambda g: weight(position(g)), precheck=False)
 
     def _fn_truncate(self, f, bound):
@@ -660,7 +660,7 @@ class Evaluator:
         lt = leading_term(f, self.env.window)
         if lt is None:
             return "zero-to-window"
-        return FiniteSeries(f.field, f.universe, f.bornology, dict([lt]))
+        return f.space.delta(*lt)
 
     def _fn_shift(self, f, monomial):
         return monomial_shift(f, monomial)
@@ -692,7 +692,7 @@ def _const_series(like, c):
     u = like.universe
     if not u.has_monoid:
         raise EvalError("scalar +/- series needs a monoid universe")
-    return FiniteSeries(like.field, u, like.bornology, {u.unit: c})
+    return like.space.delta(u.unit, c)
 
 
 def _series_power(f, n):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .gridsolve import Lattice, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom
-from .series import FiniteSeries, LazySeries, SeriesError, delta
+from .series import FiniteSeries, LazySeries, SeriesError, Space
 from .universe import UniverseError
 
 
@@ -62,7 +62,7 @@ def _check_hahn(f):
 
 
 def unit_series(field, universe, bornology):
-    return delta(field, universe, bornology, universe.unit)
+    return Space(field, universe, bornology).delta(universe.unit)
 
 
 def _try_sub(u, gamma, alpha):
@@ -134,16 +134,6 @@ def _minkowski_atoms(u, atom_f, atom_g):
     return [GridAtom(u, u.op(atom_f.base, atom_g.base), gens)]
 
 
-def _dedupe_atoms(atoms):
-    seen, out = set(), []
-    for a in atoms:
-        r = str(a.to_record())
-        if r not in seen:
-            seen.add(r)
-            out.append(a)
-    return out
-
-
 def _minkowski_product(u, f_atoms, g_atoms):
     """The described set {a + b : a in f_atoms, b in g_atoms}, for atoms
     normalized by `_grid_atoms`."""
@@ -151,28 +141,28 @@ def _minkowski_product(u, f_atoms, g_atoms):
     for af in f_atoms:
         for ag in g_atoms:
             atoms.extend(_minkowski_atoms(u, af, ag))
-    return DescribedSet(u, _dedupe_atoms(atoms))
+    return DescribedSet(u, list(dict.fromkeys(atoms)))
 
 
-def cauchy_product(f, g, bornology=None):
+def cauchy_product(f, g, space=None):
     """Convolution: coefficient at gamma sums f(alpha) g(beta) over the finite
     set of decompositions gamma = alpha + beta inside the certificates.
 
-    The optional bornology overrides the output's support ideal (used by
-    module actions, where the two factors live in different spaces)."""
+    The optional space overrides the output's (used by module actions, where
+    the two factors live in different spaces)."""
     f_atoms = _check_hahn(f)
     g_atoms = _check_hahn(g)
     if f.universe != g.universe or f.field != g.field:
         raise HahnError("product across different universes or fields")
     u, field = f.universe, f.field
-    out_b = bornology if bornology is not None else f.bornology
+    out = space if space is not None else f.space
     if isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries):
         acc = {}
         for a, ca in f.terms.items():
             for b, cb in g.terms.items():
                 gam = u.op(a, b)
                 acc[gam] = acc.get(gam, field.zero) + ca * cb
-        return FiniteSeries(field, u, out_b, acc)
+        return FiniteSeries(out, acc)
     cert = _minkowski_product(u, f_atoms, g_atoms)
     splits = [_decompositions(u, af, ag) for af in f_atoms for ag in g_atoms]
 
@@ -185,7 +175,7 @@ def cauchy_product(f, g, bornology=None):
             total = total + f.coeff(a) * g.coeff(b)
         return total
 
-    return LazySeries(field, u, out_b, oracle, cert, check_certificate=False)
+    return LazySeries(out, oracle, cert)
 
 
 def product_many(series):
@@ -201,15 +191,7 @@ def leading_term(f, window=32):
     """(least support monomial, coefficient), or None when the first `window`
     certificate elements all carry zero (the 'zero-to-window' verdict)."""
     _check_hahn(f)
-    probed = 0
-    for gamma in f.certificate.iter_increasing():
-        if probed == window:
-            return None
-        probed += 1
-        c = f.coeff(gamma)
-        if not f.field.is_zero(c):
-            return (gamma, c)
-    return None
+    return next(f.window_terms(window), None)
 
 
 def _power_grid(u, atoms):
@@ -260,11 +242,11 @@ def neumann_sum(eps, coeffs=None):
         coeffs = lambda n: field.one
     vecs, cert = _power_grid(u, _check_hahn(eps))
     if cert is None:
-        return FiniteSeries(field, u, eps.bornology, {u.unit: coeffs(0)})
+        return eps.space.delta(u.unit, coeffs(0))
     wts = positive_weights(vecs)
     m0 = min(weight(wts, v) for v in vecs)
 
-    powers = [unit_series(field, u, eps.bornology)]
+    powers = [eps.space.delta(u.unit)]
 
     def power(n):
         while len(powers) <= n:
@@ -279,7 +261,7 @@ def neumann_sum(eps, coeffs=None):
             total = total + field.of(coeffs(n)) * power(n).coeff(gamma)
         return total
 
-    return LazySeries(field, u, eps.bornology, oracle, cert, check_certificate=False)
+    return LazySeries(eps.space, oracle, cert)
 
 
 def _geometric(eps):
@@ -298,7 +280,7 @@ def _geometric(eps):
     atoms = _check_hahn(eps)
     _, cert = _power_grid(u, atoms)
     if cert is None:
-        return unit_series(field, u, eps.bornology)
+        return eps.space.delta(u.unit)
     splits = [_decompositions(u, a, cert.atoms[0]) for a in atoms]
     unit, one, zero = u.unit, field.one, field.zero
     values = {}
@@ -325,7 +307,7 @@ def _geometric(eps):
             values[top] = total
         return values[gamma]
 
-    return LazySeries(field, u, eps.bornology, oracle, cert, check_certificate=False)
+    return LazySeries(eps.space, oracle, cert)
 
 
 def _positive_part_atoms(u, cert):
@@ -356,7 +338,7 @@ def _positive_part_atoms(u, cert):
                         out.append(GridAtom(u, q, a.generators))
         else:
             raise HahnError("certificate atom %r is not grid-certified" % a)
-    return _dedupe_atoms(out)
+    return list(dict.fromkeys(out))
 
 
 def monomial_shift(f, shift, scalar=1):
@@ -365,9 +347,7 @@ def monomial_shift(f, shift, scalar=1):
     shift = u.check(shift)
     c = field.of(scalar)
     if isinstance(f, FiniteSeries):
-        return FiniteSeries(
-            field, u, f.bornology, {u.op(shift, g): c * v for g, v in f.terms.items()}
-        )
+        return FiniteSeries(f.space, {u.op(shift, g): c * v for g, v in f.terms.items()})
     cert = f.certificate.translate(shift)
 
     def oracle(gamma):
@@ -376,7 +356,7 @@ def monomial_shift(f, shift, scalar=1):
             return field.zero
         return c * f.coeff(a)
 
-    return LazySeries(field, u, f.bornology, oracle, cert, check_certificate=False)
+    return LazySeries(f.space, oracle, cert)
 
 
 def invert_unit(f, window=32):
@@ -401,7 +381,7 @@ def invert_unit(f, window=32):
         for g in terms:
             if not u.key(g) > uk:
                 raise HahnError("support element %s below the leading term" % u.format(g))
-        eps = FiniteSeries(field, u, f.bornology, {g: -v for g, v in terms.items()})
+        eps = FiniteSeries(f.space, {g: -v for g, v in terms.items()})
     else:
         atoms = _positive_part_atoms(u, normalized.certificate)
         cert = DescribedSet(u, atoms)
@@ -409,7 +389,7 @@ def invert_unit(f, window=32):
         def oracle(gamma, _norm=normalized):
             return -_norm.coeff(gamma)
 
-        eps = LazySeries(field, u, f.bornology, oracle, cert, check_certificate=False)
+        eps = LazySeries(f.space, oracle, cert)
     return monomial_shift(_geometric(eps), u.inv(g0), cinv)
 
 
@@ -423,4 +403,4 @@ def truncate(f, bound):
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), u.format(bound))
         )
-    return FiniteSeries(f.field, u, f.bornology, {g: f.coeff(g) for g in els})
+    return FiniteSeries(f.space, {g: f.coeff(g) for g in els})

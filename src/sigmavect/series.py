@@ -1,14 +1,20 @@
 """Series with bounded support, the duality pairing, and summable families.
 
 A series is a coefficient function on a universe whose support is bounded in
-a chosen bornology.  Finite series store their terms; lazy series carry a
-coefficient oracle plus a described support certificate.  All assertions
-about lazy values are window-relative and exact on the window.
+a chosen bornology; the field, universe and bornology together are its
+`Space`, which every series and every summable family holds as one value.
+Finite series store their terms; lazy series carry a coefficient oracle plus
+a described support certificate.  `Space.lazy`, the entry for a caller's
+oracle, is the one place a certificate is checked against the bornology;
+the operations here and in `hahn`, `strmap` and `slalg` build their lazy
+results on certificates they derive.  All assertions about lazy values are
+window-relative and exact on the window.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 
 from .bornology import Verdict, perp
 from .sets import DescribedSet, described_intersection
@@ -34,24 +40,24 @@ class Space(Value):
         return Space(self.field, self.universe, perp(self.bornology))
 
     def zero(self):
-        return FiniteSeries(self.field, self.universe, self.bornology, {})
+        return FiniteSeries(self, {})
 
     def delta(self, gamma, scale=1):
-        return FiniteSeries(self.field, self.universe, self.bornology, {gamma: scale})
+        return FiniteSeries(self, {gamma: scale})
 
     def series(self, terms):
-        return FiniteSeries(self.field, self.universe, self.bornology, terms)
+        return FiniteSeries(self, terms)
 
-    def lazy(self, oracle, certificate, check_certificate=True):
-        return LazySeries(self.field, self.universe, self.bornology, oracle,
-                          certificate, check_certificate)
+    def lazy(self, oracle, certificate):
+        """A caller's oracle on a caller's certificate, which must not be
+        unbounded in the bornology."""
+        f = LazySeries(self, oracle, certificate)
+        if self.bornology.is_bounded(certificate) is Verdict.UNBOUNDED:
+            raise SeriesError("support certificate is unbounded in the bornology")
+        return f
 
     def contains(self, f):
-        return (
-            f.field == self.field
-            and f.universe == self.universe
-            and f.bornology == self.bornology
-        )
+        return f.space == self
 
     def to_record(self):
         return {
@@ -70,19 +76,11 @@ class PairingUndecided(SeriesError):
 
 
 class Series:
-    def __init__(self, field, universe, bornology):
-        if bornology.universe != universe:
-            raise SeriesError("bornology universe mismatch")
-        self.field = field
-        self.universe = universe
-        self.bornology = bornology
-
-    def same_space(self, other):
-        return (
-            self.field == other.field
-            and self.universe == other.universe
-            and self.bornology == other.bornology
-        )
+    def __init__(self, space):
+        self.space = space
+        self.field = space.field
+        self.universe = space.universe
+        self.bornology = space.bornology
 
     def coeff(self, gamma):
         raise NotImplementedError
@@ -91,19 +89,18 @@ class Series:
     def certificate(self):
         raise NotImplementedError
 
+    def window_terms(self, n):
+        """(gamma, coefficient) for the nonzero coefficients among the first
+        n certificate positions, in increasing order.  Window-relative by
+        design: a lazy series may have coefficients beyond the scanned
+        prefix."""
+        for gamma in islice(self.certificate.iter_increasing(), n):
+            c = self.coeff(gamma)
+            if not self.field.is_zero(c):
+                yield gamma, c
+
     def support_window(self, n):
-        """Nonzero-coefficient elements among the first n certificate
-        positions, in increasing order.  Window-relative by design: a lazy
-        series may have coefficients beyond the scanned prefix."""
-        out = []
-        scanned = 0
-        for gamma in self.certificate.iter_increasing():
-            if scanned == n:
-                break
-            scanned += 1
-            if not self.field.is_zero(self.coeff(gamma)):
-                out.append(gamma)
-        return out
+        return [g for g, _ in self.window_terms(n)]
 
     def eq_window(self, other, window=32):
         """Exact coefficient equality on the union of both support windows."""
@@ -113,12 +110,12 @@ class Series:
         return all(self.coeff(g) == other.coeff(g) for g in probes)
 
     def to_record(self, window=32):
-        sup = self.support_window(window)
+        terms = list(self.window_terms(window))
         return {
             "universe": self.universe.to_record(),
             "bornology": self.bornology.to_record(),
             "kind": "finite" if isinstance(self, FiniteSeries) else "lazy",
-            "terms": [[self.universe.format(g), self.field.format(self.coeff(g))] for g in sup],
+            "terms": [[self.universe.format(g), self.field.format(c)] for g, c in terms],
             "certificate": self.certificate.to_record(),
         }
 
@@ -129,8 +126,9 @@ class Series:
         u = self.universe
         unit = u.unit if isinstance(u, MonomialUniverse) else None
         parts = []
-        for g in self.support_window(window):
-            c = self.coeff(g)
+        # every coefficient is computed before any is printed, so an oracle's
+        # error comes before a printing one
+        for g, c in list(self.window_terms(window)):
             mono = "e" + u.format(g) if isinstance(u, Naturals) else u.format(g)
             if g == unit or mono == "*":
                 parts.append(self.field.format(c))
@@ -150,8 +148,9 @@ class Series:
 
 
 class FiniteSeries(Series):
-    def __init__(self, field, universe, bornology, terms):
-        super().__init__(field, universe, bornology)
+    def __init__(self, space, terms):
+        super().__init__(space)
+        universe, field = self.universe, self.field
         clean = {}
         for g, c in dict(terms).items():
             g = universe.check(g)
@@ -168,22 +167,25 @@ class FiniteSeries(Series):
         # terms is never changed after construction
         return DescribedSet.finite(self.universe, list(self.terms))
 
-    def support_window(self, n):
+    def window_terms(self, n):
+        gammas = self.terms
         if self.universe.is_ordered:
-            return sorted(self.terms, key=self.universe.key)[:n]
-        return list(self.terms)[:n]
+            gammas = sorted(gammas, key=self.universe.key)
+        for g in islice(gammas, n):
+            yield g, self.terms[g]
 
     def is_zero(self):
         return not self.terms
 
 
 class LazySeries(Series):
-    def __init__(self, field, universe, bornology, oracle, certificate, check_certificate=True):
-        super().__init__(field, universe, bornology)
-        if certificate.universe != universe:
+    """A coefficient oracle on a support certificate, taken as given: a
+    caller's certificate enters through `Space.lazy`, which checks it."""
+
+    def __init__(self, space, oracle, certificate):
+        super().__init__(space)
+        if certificate.universe != self.universe:
             raise SeriesError("certificate universe mismatch")
-        if check_certificate and bornology.is_bounded(certificate) is Verdict.UNBOUNDED:
-            raise SeriesError("support certificate is unbounded in the bornology")
         self._oracle = oracle
         self._cert = certificate
         self._memo = {}
@@ -204,10 +206,6 @@ class LazySeries(Series):
         return self._cert
 
 
-def delta(field, universe, bornology, gamma, scale=1):
-    return FiniteSeries(field, universe, bornology, {gamma: scale})
-
-
 def series_from_record(rec, field=QQ):
     from .bornology import bornology_from_record
     from .universe import universe_from_record
@@ -217,7 +215,7 @@ def series_from_record(rec, field=QQ):
     if rec["kind"] != "finite":
         raise SeriesError("only finite series can be rebuilt from a record")
     terms = {u.parse(m): field.parse(c) for m, c in rec["terms"]}
-    return FiniteSeries(field, u, b, terms)
+    return FiniteSeries(Space(field, u, b), terms)
 
 
 def linear_combination(terms):
@@ -225,25 +223,23 @@ def linear_combination(terms):
     terms = [(c, f) for c, f in terms]
     if not terms:
         raise SeriesError("empty linear combination needs an explicit space")
-    _, first = terms[0]
-    for _, f in terms[1:]:
-        if not first.same_space(f):
-            raise SeriesError("linear combination across different spaces")
-    field = first.field
+    space = terms[0][1].space
+    if any(f.space != space for _, f in terms[1:]):
+        raise SeriesError("linear combination across different spaces")
+    field = space.field
     coeffs = [field.of(c) for c, _ in terms]
     if all(isinstance(f, FiniteSeries) for _, f in terms):
         acc = {}
         for c, (_, f) in zip(coeffs, terms):
             for g, v in f.terms.items():
                 acc[g] = acc.get(g, field.zero) + c * v
-        return FiniteSeries(field, first.universe, first.bornology, acc)
-    cert = DescribedSet(first.universe, sum((f.certificate.atoms for _, f in terms), ()))
+        return FiniteSeries(space, acc)
+    cert = DescribedSet(space.universe, sum((f.certificate.atoms for _, f in terms), ()))
 
     def oracle(gamma, _terms=tuple(zip(coeffs, [f for _, f in terms]))):
         return sum((c * f.coeff(gamma) for c, f in _terms), field.zero)
 
-    return LazySeries(field, first.universe, first.bornology, oracle, cert,
-                      check_certificate=False)
+    return LazySeries(space, oracle, cert)
 
 
 def scale(c, f):
@@ -296,10 +292,8 @@ class SummableFamily:
     supported at gamma; `union_cert` bounds the union of all supports.
     """
 
-    def __init__(self, field, universe, bornology, index, member, pointwise, union_cert):
-        self.field = field
-        self.universe = universe
-        self.bornology = bornology
+    def __init__(self, space, index, member, pointwise, union_cert):
+        self.space = space
         self.index = index
         self.member = member
         self.pointwise = pointwise
@@ -319,27 +313,24 @@ def finite_family(members, field=None):
     members = list(members)
     if not members:
         raise SeriesError("empty family needs an explicit space; use SummableFamily")
-    first = members[0]
-    for f in members[1:]:
-        if not first.same_space(f):
-            raise SeriesError("family members live in different spaces")
-    cert = DescribedSet(first.universe, sum((f.certificate.atoms for f in members), ()))
+    space = members[0].space
+    if any(f.space != space for f in members[1:]):
+        raise SeriesError("family members live in different spaces")
+    cert = DescribedSet(space.universe, sum((f.certificate.atoms for f in members), ()))
     index = list(range(len(members)))
 
     def pointwise(gamma):
         return [i for i in index if members[i].certificate.contains(gamma)]
 
-    return SummableFamily(
-        first.field, first.universe, first.bornology, index,
-        lambda i: members[i], pointwise, cert,
-    )
+    return SummableFamily(space, index, lambda i: members[i], pointwise, cert)
 
 
 def check_summable(fam, window=32):
     """Verify the certificates; returns a report dict with a verdict in
     {'accepted', 'rejected', 'undecided'} and the reasons."""
     report = {"verdict": "accepted", "failures": [], "checked": 0}
-    v = fam.bornology.is_bounded(fam.union_cert)
+    field, u = fam.space.field, fam.space.universe
+    v = fam.space.bornology.is_bounded(fam.union_cert)
     if v is Verdict.UNBOUNDED:
         report["verdict"] = "rejected"
         report["failures"].append("union support certificate is unbounded")
@@ -354,23 +345,23 @@ def check_summable(fam, window=32):
         if contributing is None:
             report["verdict"] = "undecided"
             report["failures"].append(
-                "pointwise certificate missing at %s" % fam.universe.format(gamma)
+                "pointwise certificate missing at %s" % u.format(gamma)
             )
             continue
         report["checked"] += 1
         allowed = set(contributing)
         for i in idx_window:
             f = fam.member(i)
-            if not fam.field.is_zero(f.coeff(gamma)) and i not in allowed:
+            if not field.is_zero(f.coeff(gamma)) and i not in allowed:
                 report["verdict"] = "rejected"
                 report["failures"].append(
                     "index %r contributes at %s outside the pointwise certificate"
-                    % (i, fam.universe.format(gamma))
+                    % (i, u.format(gamma))
                 )
                 return report
         for i in allowed:
             f = fam.member(i)
-            if not f.certificate.contains(gamma) and not fam.field.is_zero(f.coeff(gamma)):
+            if not f.certificate.contains(gamma) and not field.is_zero(f.coeff(gamma)):
                 report["verdict"] = "rejected"
                 report["failures"].append("member %r support escapes its certificate" % (i,))
                 return report
@@ -383,7 +374,7 @@ def check_summable(fam, window=32):
                 report["verdict"] = "rejected"
                 report["failures"].append(
                     "member %r supported at %s outside the union certificate"
-                    % (i, fam.universe.format(g))
+                    % (i, u.format(g))
                 )
                 return report
     return report
@@ -396,7 +387,7 @@ def family_sum(fam, weights=None, precheck=True, window=32):
         report = check_summable(fam, window)
         if report["verdict"] == "rejected":
             raise SeriesError("family rejected: %s" % "; ".join(report["failures"]))
-    field = fam.field
+    field = fam.space.field
     if weights is None:
         weights = lambda i: field.one
 
@@ -404,15 +395,14 @@ def family_sum(fam, weights=None, precheck=True, window=32):
         idx = fam.pointwise(gamma)
         if idx is None:
             raise SeriesError(
-                "no pointwise certificate at %s" % fam.universe.format(gamma)
+                "no pointwise certificate at %s" % fam.space.universe.format(gamma)
             )
         total = field.zero
         for i in idx:
             total = total + field.of(weights(i)) * fam.member(i).coeff(gamma)
         return total
 
-    return LazySeries(field, fam.universe, fam.bornology, oracle, fam.union_cert,
-                      check_certificate=False)
+    return LazySeries(fam.space, oracle, fam.union_cert)
 
 
 def monomial_expansion(f, depth=32):
@@ -423,15 +413,10 @@ def monomial_expansion(f, depth=32):
     else:
         index = f.certificate
 
-    def member(gamma):
-        return delta(f.field, f.universe, f.bornology, gamma)
-
     def pointwise(gamma):
         if isinstance(index, DescribedSet):
             return [gamma] if index.contains(gamma) else []
         return [gamma] if gamma in index else []
 
-    fam = SummableFamily(
-        f.field, f.universe, f.bornology, index, member, pointwise, f.certificate
-    )
+    fam = SummableFamily(f.space, index, f.space.delta, pointwise, f.certificate)
     return fam, f.coeff

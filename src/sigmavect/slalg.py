@@ -9,14 +9,7 @@ the sum-preserving map f -> sum of f(gamma) * d(gamma)."""
 from __future__ import annotations
 
 from .bornology import Verdict
-from .hahn import (
-    HahnError,
-    _grid_atoms,
-    _minkowski_product,
-    cauchy_product,
-    invert_unit,
-    unit_series,
-)
+from .hahn import _grid_atoms, _minkowski_product, cauchy_product, invert_unit
 from .series import (
     FiniteSeries,
     LazySeries,
@@ -81,7 +74,7 @@ class AlgebraHandle:
                 )
 
     def unit(self):
-        return unit_series(self.space.field, self.space.universe, self.space.bornology)
+        return self.space.delta(self.space.universe.unit)
 
     def product(self, f, g):
         return cauchy_product(f, g)
@@ -107,33 +100,24 @@ class Derivation:
 
     def image_family(self, support):
         """The family (d gamma)_{gamma in support} with its certificates."""
-        sp = self.algebra.space
-        return SummableFamily(
-            sp.field, sp.universe, sp.bornology,
-            support, self.action, self.contributors, self.cert_transform(support),
-        )
+        return SummableFamily(self.algebra.space, support, self.action, self.contributors,
+                              self.cert_transform(support))
 
     def apply(self, f):
         sp = self.algebra.space
         if f.universe != sp.universe or f.field != sp.field:
             raise AlgebraError("argument outside the algebra")
         cert = self.cert_transform(f.certificate)
-        field = sp.field
 
         def oracle(delta):
-            total = field.zero
+            total = sp.field.zero
             for gamma in self.contributors(delta):
                 total = total + f.coeff(gamma) * self.action(gamma).coeff(delta)
             return total
 
         if isinstance(f, FiniteSeries) and cert.is_finite() is True:
-            return FiniteSeries(
-                field, sp.universe, sp.bornology,
-                {d: oracle(d) for d in cert.elements()},
-            )
-        return LazySeries(
-            field, sp.universe, sp.bornology, oracle, cert, check_certificate=False
-        )
+            return FiniteSeries(sp, {d: oracle(d) for d in cert.elements()})
+        return LazySeries(sp, oracle, cert)
 
 
 def extend_derivation(algebra, action, contributors, cert_transform, battery=(), window=32):
@@ -162,11 +146,9 @@ def euler_derivation(algebra):
     u = sp.universe
     if u.dim != 1:
         raise AlgebraError("the Euler operator needs a one-generator universe")
-    field = sp.field
 
     def action(gamma):
-        q = u.vectorize(gamma)[0]
-        return FiniteSeries(field, u, sp.bornology, {gamma: field.of(q)})
+        return sp.delta(gamma, u.vectorize(gamma)[0])
 
     def contributors(delta):
         return [delta]
@@ -195,7 +177,7 @@ class ModuleAction:
     def act(self, r, m):
         if not self.carrier.contains(m):
             raise AlgebraError("module element outside the carrier")
-        return cauchy_product(r, m, bornology=self.carrier.bornology)
+        return cauchy_product(r, m, space=self.carrier)
 
     def check_compatible(self, scalar_battery, carrier_battery):
         """F * H must stay carrier-bounded for bounded F, H on the battery."""

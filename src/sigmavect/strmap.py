@@ -9,7 +9,7 @@ directions plus the two support schemas makes taking the dual a retag.
 
 from __future__ import annotations
 
-from .bornology import perp, product_bornology
+from .bornology import product_bornology
 from .sets import DescribedSet, FiniteAtom, ProductAtom
 from .series import (
     FiniteSeries,
@@ -44,20 +44,13 @@ class StrongLinearMap:
         if f.universe != self.source.universe or f.field != self.source.field:
             raise MapError("argument outside the source space")
         cert = self.fwd_schema(f.certificate)
-        field = self.target.field
 
         def oracle(delta):
             return pairing(f, self.row(delta), declared_dual=True)
 
         if cert.is_finite() is True:
-            return FiniteSeries(
-                field, self.target.universe, self.target.bornology,
-                {d: oracle(d) for d in cert.elements()},
-            )
-        return LazySeries(
-            field, self.target.universe, self.target.bornology, oracle, cert,
-            check_certificate=False,
-        )
+            return FiniteSeries(self.target, {d: oracle(d) for d in cert.elements()})
+        return LazySeries(self.target, oracle, cert)
 
     def dual(self):
         """The transpose (target-dual -> source-dual); an O(1) retag."""
@@ -80,12 +73,7 @@ class StrongLinearMap:
 
 
 def identity_map(space):
-    u = space.universe
-    dual_b = perp(space.bornology)
-
-    def row(delta):
-        return FiniteSeries(space.field, u, dual_b, {delta: 1})
-
+    row = space.dual().delta
     same = lambda s: s
     return StrongLinearMap(space, space, row, row, same, same)
 
@@ -113,9 +101,8 @@ def compose(m2, m1):
 def extend_biperp(m):
     """Reinterpret the same kernel between the double-dual spaces; rows are
     unchanged because F-perp equals its own triple dual."""
-    src = Space(m.source.field, m.source.universe, perp(perp(m.source.bornology)))
-    tgt = Space(m.target.field, m.target.universe, perp(perp(m.target.bornology)))
-    return StrongLinearMap(src, tgt, m.row, m.col, m.fwd_schema, m.bwd_schema)
+    return StrongLinearMap(m.source.dual().dual(), m.target.dual().dual(),
+                           m.row, m.col, m.fwd_schema, m.bwd_schema)
 
 
 def point_space(field):
@@ -127,14 +114,13 @@ def point_space(field):
 
 def series_to_functional(g):
     """The sum-preserving functional f -> <f, g> for g in k(Gamma; F-perp)."""
-    field = g.field
-    target = point_space(field)
+    target = point_space(g.field)
 
     def row(delta):
         return g
 
     def col(gamma):
-        return FiniteSeries(field, POINT, target.bornology, {"*": g.coeff(gamma)})
+        return target.delta("*", g.coeff(gamma))
 
     def fwd(s):
         return DescribedSet.finite(POINT, ["*"])
@@ -145,8 +131,7 @@ def series_to_functional(g):
             return DescribedSet.empty(g.universe)
         return g.certificate
 
-    source = Space(field, g.universe, perp(g.bornology))
-    return StrongLinearMap(source, target, row, col, fwd, bwd)
+    return StrongLinearMap(g.space.dual(), target, row, col, fwd, bwd)
 
 
 def functional_to_series(xi):
@@ -168,15 +153,14 @@ def matrix_map(space, entries, col_support, fwd_schema=None, bwd_schema=None):
     acceptance battery needs)."""
     field = space.field
     u = space.universe
-    dual_b = perp(space.bornology)
+    dual = space.dual()
 
     def row(delta):
-        return FiniteSeries(field, u, dual_b, entries(delta))
+        return dual.series(entries(delta))
 
     def col(gamma):
-        return FiniteSeries(
-            field, u, space.bornology,
-            {d: entries(d).get(gamma, field.zero) for d in col_support(gamma)},
+        return space.series(
+            {d: entries(d).get(gamma, field.zero) for d in col_support(gamma)}
         )
 
     if fwd_schema is None:
@@ -249,21 +233,18 @@ def tensor_map(m1, m2):
 
 def pure_tensor(space, f1, f2):
     """f1 (x) f2 as a series on the pair universe of `space`."""
-    u, field, b = space.universe, space.field, space.bornology
     if isinstance(f1, FiniteSeries) and isinstance(f2, FiniteSeries):
         return FiniteSeries(
-            field, u, b,
+            space,
             {
                 (g1, g2): c1 * c2
                 for g1, c1 in f1.terms.items()
                 for g2, c2 in f2.terms.items()
             },
         )
+    u = space.universe
     cert = DescribedSet(u, [ProductAtom(u, f1.certificate, f2.certificate)])
-    return LazySeries(
-        field, u, b, lambda p: f1.coeff(p[0]) * f2.coeff(p[1]), cert,
-        check_certificate=False,
-    )
+    return LazySeries(space, lambda p: f1.coeff(p[0]) * f2.coeff(p[1]), cert)
 
 
 def map_family(m, fam, window=32):
@@ -276,10 +257,7 @@ def map_family(m, fam, window=32):
     def pointwise(delta):
         return [i for i in fam.index if images[i].certificate.contains(delta)]
 
-    return SummableFamily(
-        fam.field, m.target.universe, m.target.bornology,
-        list(fam.index), lambda i: images[i], pointwise, union,
-    )
+    return SummableFamily(m.target, list(fam.index), lambda i: images[i], pointwise, union)
 
 
 def check_sigma_preserving(m, fam, weights, window=32):

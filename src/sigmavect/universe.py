@@ -26,7 +26,9 @@ class Value:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.to_record() == other.to_record()
+        return self is other or (
+            type(self) is type(other) and self.to_record() == other.to_record()
+        )
 
     def __hash__(self):
         return hash(str(self.to_record()))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import weakref
+from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import time_limit
 from sigmavect import expr
 from sigmavect.cli import main
+from test_acceptance import GOLDEN_EXPRS
 
 
 def run(*args, input=None):
@@ -44,6 +46,19 @@ def test_eval_requires_input():
     r = run("eval")
     assert r.exit_code != 0
     assert "nothing to evaluate" in r.output
+
+
+def test_golden_outputs_are_pinned():
+    # the text and JSON output of the golden expressions, byte for byte
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+    assert sorted(golden) == ["fp:7", "rational"]
+    for field, formats in golden.items():
+        assert sorted(formats) == ["json", "text"]
+        for fmt, outputs in formats.items():
+            assert list(outputs) == GOLDEN_EXPRS
+            for text, want in outputs.items():
+                r = run("--field", field, "--format", fmt, "eval", "-e", text)
+                assert (r.exit_code, r.output) == (0, want), (field, fmt, text)
 
 
 def test_eval_json_format():

@@ -189,8 +189,6 @@ def test_pattern_generator():
     g = PatternGenerator({0: 1, 1: -1}, 1)
     assert g.member(3) == {3: Fraction(1), 4: Fraction(-1)}
     assert g.members_touching(4) == [0, 1, 2, 3]
-    # the certified full sum telescopes to e0 [DERIVED]
-    assert g.full_sum_window(5) == [1, 0, 0, 0, 0]
     with pytest.raises(ClosureError):
         PatternGenerator({0: 1}, 0)
 
@@ -207,6 +205,17 @@ def test_sigma_span_accepts_with_certificate():
         vec = cols[desc]
         total = [t + c * v for t, v in zip(total, vec)]
     assert total == [Fraction(1)] + [Fraction(0)] * 7
+
+
+def test_generator_coordinates_must_be_naturals():
+    # a negative coordinate once wrapped to the end of the window (or was
+    # dropped), so e3 was accepted as the "member" delta_-1
+    with pytest.raises(ClosureError):
+        SigmaSpanOracle([PatternGenerator({-1: 1}, 3)], 4).decide([0, 0, 0, 1])
+    with pytest.raises(ClosureError):
+        VectorGenerator({-1: 1})
+    with pytest.raises(ClosureError):
+        FunctionalFamily([{-2: 1}])
 
 
 def test_sigma_span_rejects_outside():
