@@ -217,7 +217,8 @@ def _atom_subset_of(atom, other):
         r = step_ratio(steps[0], atom.universe.vectorize(other.step))
         return r is not None and r.denominator == 1 and r >= 1
     if isinstance(other, GridAtom):
-        return other.contains(origin) and all(other.lattice.contains(s) for s in steps)
+        lattice = other.frame[0]
+        return other.contains(origin) and all(lattice.contains(lattice.scaled(s)) for s in steps)
     return False
 
 
@@ -389,7 +390,7 @@ class HomBornology(Bornology):
                 return B  # images of A cap F are finite, take G = image
             if vb is B:
                 return B  # G = image subset of B works, ideals are subset-closed
-            if va_perp is U and self._infinite_subsets_unbounded(b, atom):
+            if va_perp is U and self._infinite_subsets_unbounded(b):
                 return U
             return D
         # infinite fiber over a single delta would need a, but projections
@@ -402,7 +403,7 @@ class HomBornology(Bornology):
         ln = atom.universe.left.dim
         return view is not None and all(any(g[ln:]) for g in view[1])
 
-    def _infinite_subsets_unbounded(self, b_set, atom):
+    def _infinite_subsets_unbounded(self, b_set):
         """True when every infinite subset of b_set is g-unbounded."""
         g = self.right
         if g.kind == "finite":

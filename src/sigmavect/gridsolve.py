@@ -1,20 +1,27 @@
-"""Lattice-point bookkeeping for grid sets.
+"""Lattice-point bookkeeping for grid sets, in integer coordinates.
 
 A grid is {base + k1*g1 + ... + km*gm : ki in N} written additively in the
 exponent embedding Q^n.  All generators are lexicographically positive, so
 no nontrivial nonnegative combination vanishes; a positive linear weight
 functional therefore exists and bounds every exponent search exactly.
 
-A `Lattice` scales its generators once by the lcm of their coordinate
-denominators, so the search runs on machine ints (Puiseux exponents
-included).  A target whose scaled coordinates are not integers has no
-representation: integer combinations of integer vectors are integer.
-Membership stops at the first representation; `nonneg_solutions` lists
-them all.
+A `Lattice` fixes one integer frame: it scales by the lcm of the coordinate
+denominators of its generators and of the points given with them (a grid's
+base, a product's finite elements), so every element of the grid has
+integer coordinates and the searches run on machine ints (Puiseux exponents
+included).  `scaled` moves a vector into the frame, or gives None when the
+vector leaves it, which means "not a member": integer combinations of
+integer vectors are integer.  Membership takes the closed form for one
+generator and otherwise stops at the first representation; `solutions`
+lists them all.  The walks `grid_points` and `grid_points_upto` work on
+any coordinates; grid atoms run them on the frame's ints.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from fractions import Fraction
 from math import lcm
 
 
@@ -55,15 +62,16 @@ def weight(wts, vec):
 
 
 class Lattice:
-    """The nonnegative integer combinations of lex-positive generators."""
+    """The nonnegative integer combinations of lex-positive generators, on
+    the integer frame that also holds `points`."""
 
     __slots__ = ("gens", "scale", "wts", "gw", "lead")
 
-    def __init__(self, generators):
+    def __init__(self, generators, points=()):
         gens = [tuple(g) for g in generators]
         scale = 1
-        for g in gens:
-            for c in g:
+        for v in itertools.chain(gens, points):
+            for c in v:
                 scale = lcm(scale, c.denominator)
         self.scale = scale
         self.gens = [tuple(int(c * scale) for c in g) for g in gens]
@@ -71,21 +79,35 @@ class Lattice:
         self.gw = [weight(self.wts, g) for g in self.gens]
         self.lead = leading_index(self.gens[-1]) if gens else None
 
-    def _scaled(self, target):
-        """target * scale as ints, or None when it leaves the integers."""
+    def scaled(self, vec):
+        """vec * scale as ints, or None when it leaves the frame (and so is
+        no point of the lattice or of a grid on it)."""
+        scale = self.scale
         out = []
-        for c in target:
-            q, r = divmod(c.numerator * self.scale, c.denominator)
+        for c in vec:
+            q, r = divmod(c.numerator * scale, c.denominator)
             if r:
                 return None
             out.append(q)
         return tuple(out)
 
-    def solutions(self, target):
-        """Yield every (k1, ..., km) in N^m with sum ki*gi == target, in lex
-        order; the weight functional bounds the depth-first search and the
-        last coefficient is solved by division."""
-        t = self._scaled(target)
+    def unscaled(self, t):
+        """The exponent vector of frame coordinates t."""
+        return tuple(Fraction(c, self.scale) for c in t)
+
+    def _multiple(self, rest):
+        """The k >= 0 with rest == k * (last generator), or None."""
+        last = self.gens[-1]
+        k, r = divmod(rest[self.lead], last[self.lead])
+        if r or k < 0 or any(a != k * c for a, c in zip(rest, last)):
+            return None
+        return k
+
+    def solutions(self, t):
+        """Yield every (k1, ..., km) in N^m with sum ki*gi == t, for t in
+        frame coordinates (None yields nothing), in lex order; the weight
+        functional bounds the depth-first search and the last coefficient
+        is solved by division."""
         if t is None:
             return
         gens, gw = self.gens, self.gw
@@ -94,15 +116,12 @@ class Lattice:
             if not any(t):
                 yield ()
             return
-        last = gens[-1]
-        lead = self.lead
-        lead_c = last[lead]
         ks = [0] * m
 
         def rec(i, rest, rest_w):
             if i == m - 1:
-                k, r = divmod(rest[lead], lead_c)
-                if not r and k >= 0 and rest == tuple(k * c for c in last):
+                k = self._multiple(rest)
+                if k is not None:
                     ks[i] = k
                     yield tuple(ks)
                 return
@@ -117,9 +136,14 @@ class Lattice:
 
         yield from rec(0, t, weight(self.wts, t))
 
-    def contains(self, target):
-        """True when target is a nonnegative combination of the generators."""
-        return next(self.solutions(target), None) is not None
+    def contains(self, t):
+        """True when t, in frame coordinates, is a nonnegative combination
+        of the generators; False for None (off the frame)."""
+        if t is None:
+            return False
+        if len(self.gens) == 1:
+            return self._multiple(t) is not None
+        return next(self.solutions(t), None) is not None
 
 
 def nonneg_solutions(generators, target):
@@ -127,7 +151,8 @@ def nonneg_solutions(generators, target):
 
     Finite because the generators are lex-positive (Neumann's condition).
     """
-    return list(Lattice(generators).solutions(target))
+    lattice = Lattice(generators)
+    return list(lattice.solutions(lattice.scaled(target)))
 
 
 def grid_points(generators, base, count=None):
@@ -141,8 +166,6 @@ def grid_points(generators, base, count=None):
     heap holds at most one copy per generator of a frontier point, so a
     one-generator walk runs in constant memory.
     """
-    import heapq
-
     gens = [tuple(g) for g in generators if any(c != 0 for c in g)]
     heap = [tuple(base)]
     last = None

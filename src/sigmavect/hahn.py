@@ -1,4 +1,4 @@
-"""Hahn-series arithmetic on grid-certified supports.
+"""Hahn-series arithmetic on grid-certified supports, in integer coordinates.
 
 Supports admitted to arithmetic are finite unions of finite sets and grids
 {b + k1*g1 + ... + km*gm} with every generator strictly above the unit.  That
@@ -7,17 +7,24 @@ lattice-point enumeration) and gives the summability bound behind Neumann
 summation: any element has only finitely many representations as a sum of n
 support elements, with n bounded by a positive weight functional.
 
-Every coefficient lookup first asks whether a monomial lies in a grid
-certificate.  Each grid atom scales its generators to integer vectors once
-(`gridsolve.Lattice`) and answers membership at the first representation
-found; only the grid-by-grid decompositions of a product list them all, on
-one `Lattice` per pair of atoms, built with the product.
+A product or an inverse fixes one integer frame (`_Frame`) for every atom it
+decomposes over: the lcm of the denominators of their finite elements, grid
+bases and generators (`gridsolve.Lattice`), so each of those points has int
+coordinates.  A coefficient lookup encodes its monomial once; the
+decompositions gamma = alpha + beta are then int vectors, found by one
+subtraction and one lattice membership per finite element, or by listing
+the lattice points of a grid x grid pair, on `Lattice`s built with the
+product, not per coefficient.  The pairs form a set, as a grid x grid
+target can have several representations and atoms can overlap.  A vector
+becomes a monomial again only when a factor's coefficient is asked for,
+through a decode cache that belongs to the series being built.
 
 Inversion writes a unit as c * x^g0 * (1 - eps) with Supp(eps) > 1 and builds
 1/(1 - eps) as the fixed point g = 1 + eps*g: a coefficient of g needs those
-of g strictly below it, which it fills bottom-up from an explicit stack, so
-each costs its decompositions once, on any grid, and a deep lookup uses no
-Python recursion.  `neumann_sum` keeps the literal weighted sum of powers.
+of g strictly below it, which it fills bottom-up from an explicit stack,
+keyed by frame coordinates, so each costs its decompositions once, on any
+grid, and a deep lookup uses no Python recursion.  `neumann_sum` keeps the
+literal weighted sum of powers.
 """
 
 from __future__ import annotations
@@ -65,52 +72,84 @@ def unit_series(field, universe, bornology):
     return Space(field, universe, bornology).delta(universe.unit)
 
 
-def _try_sub(u, gamma, alpha):
-    """gamma - alpha in the universe, or None when it falls outside."""
-    try:
-        return u.devectorize(
-            tuple(a - b for a, b in zip(u.vectorize(gamma), u.vectorize(alpha)))
-        )
-    except (UniverseError, ValueError):
-        return None
+def _atom_vectors(u, atom):
+    """The vectors of an atom normalized by `_grid_atoms`: a finite atom's
+    elements, or a grid's base and then its generators."""
+    if isinstance(atom, FiniteAtom):
+        return [u.vectorize(e) for e in atom.elements()]
+    return [u.vectorize(atom.base)] + [u.vectorize(g) for g in atom.generators]
 
 
-def _decompositions(u, atom_f, atom_g):
+class _Frame:
+    """The integer coordinates shared by the atoms of one product or
+    inverse: a monomial encodes to an int vector (None off the frame, where
+    no sum of atom points lies), and a vector decodes once, through a cache
+    held by the series being built."""
+
+    def __init__(self, u, atoms):
+        self.u = u
+        self.points = [v for a in atoms for v in _atom_vectors(u, a)]
+        self.lattice = Lattice((), self.points)
+        self._decoded = {}
+
+    def encode(self, el):
+        return self.lattice.scaled(self.u.vectorize(el))
+
+    def decode(self, t):
+        el = self._decoded.get(t)
+        if el is None:
+            el = self._decoded[t] = self.u.devectorize(self.lattice.unscaled(t))
+        return el
+
+    def grid_lattice(self, generators):
+        """The `Lattice` of generators (elements of the frame's atoms), on
+        this frame."""
+        return Lattice([self.u.vectorize(g) for g in generators], self.points)
+
+    def member(self, atom):
+        """Membership in one of the frame's atoms, as a test on frame
+        coordinates."""
+        if isinstance(atom, FiniteAtom):
+            return frozenset(self.encode(e) for e in atom.elements()).__contains__
+        lattice = self.grid_lattice(atom.generators)
+        base = self.encode(atom.base)
+        return lambda t: lattice.contains(tuple(a - b for a, b in zip(t, base)))
+
+
+def _decompositions(frame, atom_f, atom_g):
     """The function taking gamma to the set of pairs (alpha, beta) with alpha
-    in atom_f, beta in atom_g and alpha + beta = gamma.  A grid x grid pair
-    builds its `Lattice` once, here, not per coefficient."""
-    if isinstance(atom_f, FiniteAtom):
-        els = atom_f.elements()
+    in atom_f, beta in atom_g and alpha + beta = gamma, all in frame
+    coordinates.  Lattices are built once, here, not per coefficient."""
+    swap = not isinstance(atom_f, FiniteAtom)
+    if not swap or isinstance(atom_g, FiniteAtom):
+        if swap:
+            atom_f, atom_g = atom_g, atom_f
+        els = [frame.encode(e) for e in atom_f.elements()]
+        member = frame.member(atom_g)
 
         def pairs(gamma):
             out = set()
             for a in els:
-                b = _try_sub(u, gamma, a)
-                if b is not None and atom_g.contains(b):
-                    out.add((a, b))
+                b = tuple(x - y for x, y in zip(gamma, a))
+                if member(b):
+                    out.add((b, a) if swap else (a, b))
             return out
 
         return pairs
-    if isinstance(atom_g, FiniteAtom):
-        swapped = _decompositions(u, atom_g, atom_f)
-        return lambda gamma: {(a, b) for b, a in swapped(gamma)}
     # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
-    gens_f = [u.vectorize(g) for g in atom_f.generators]
-    lattice = Lattice(gens_f + [u.vectorize(g) for g in atom_g.generators])
-    bf = u.vectorize(atom_f.base)
-    base = tuple(x + y for x, y in zip(bf, u.vectorize(atom_g.base)))
+    lattice = frame.grid_lattice(atom_f.generators + atom_g.generators)
+    gens_f = lattice.gens[: len(atom_f.generators)]
+    bf = frame.encode(atom_f.base)
+    base = tuple(x + y for x, y in zip(bf, frame.encode(atom_g.base)))
 
     def pairs(gamma):
         out = set()
-        target = tuple(x - y for x, y in zip(u.vectorize(gamma), base))
-        for sol in lattice.solutions(target):
-            avec = list(bf)
+        for sol in lattice.solutions(tuple(x - y for x, y in zip(gamma, base))):
+            a = bf
             for k, g in zip(sol, gens_f):
-                avec = [x + k * y for x, y in zip(avec, g)]
-            alpha = u.devectorize(tuple(avec))
-            beta = _try_sub(u, gamma, alpha)
-            if beta is not None:
-                out.add((alpha, beta))
+                if k:
+                    a = tuple(x + k * y for x, y in zip(a, g))
+            out.add((a, tuple(x - y for x, y in zip(gamma, a))))
         return out
 
     return pairs
@@ -164,15 +203,19 @@ def cauchy_product(f, g, space=None):
                 acc[gam] = acc.get(gam, field.zero) + ca * cb
         return FiniteSeries(out, acc)
     cert = _minkowski_product(u, f_atoms, g_atoms)
-    splits = [_decompositions(u, af, ag) for af in f_atoms for ag in g_atoms]
+    frame = _Frame(u, f_atoms + g_atoms)
+    splits = [_decompositions(frame, af, ag) for af in f_atoms for ag in g_atoms]
+    decode = frame.decode
 
     def oracle(gamma):
+        # gamma lies in cert, a sum of frame points, so it has frame coordinates
+        t = frame.encode(gamma)
         pairs = set()
         for split in splits:
-            pairs |= split(gamma)
+            pairs |= split(t)
         total = field.zero
         for a, b in pairs:
-            total = total + f.coeff(a) * g.coeff(b)
+            total = total + f.coeff(decode(a)) * g.coeff(decode(b))
         return total
 
     return LazySeries(out, oracle, cert)
@@ -204,22 +247,15 @@ def _power_grid(u, atoms):
     unless every vector lies above the unit, that is, unless Supp(eps) > 1.
     """
     uk = u.key(u.unit)
-    vecs = []
     for a in atoms:
-        if isinstance(a, FiniteAtom):
-            for e in a.elements():
-                if not u.key(e) > uk:
-                    raise HahnError(
-                        "certificate element %s is not above the unit" % u.format(e)
-                    )
-                vecs.append(tuple(u.vectorize(e)))
-        else:
-            if not u.key(a.base) > uk:
+        finite = isinstance(a, FiniteAtom)
+        for e in a.elements() if finite else [a.base]:
+            if not u.key(e) > uk:
                 raise HahnError(
-                    "grid base %s is not above the unit" % u.format(a.base)
+                    "%s %s is not above the unit"
+                    % ("certificate element" if finite else "grid base", u.format(e))
                 )
-            vecs.append(tuple(u.vectorize(a.base)))
-            vecs.extend(tuple(u.vectorize(g)) for g in a.generators)
+    vecs = [tuple(v) for a in atoms for v in _atom_vectors(u, a)]
     if not vecs:
         return vecs, None
     gens = []
@@ -281,12 +317,16 @@ def _geometric(eps):
     _, cert = _power_grid(u, atoms)
     if cert is None:
         return eps.space.delta(u.unit)
-    splits = [_decompositions(u, a, cert.atoms[0]) for a in atoms]
-    unit, one, zero = u.unit, field.one, field.zero
+    grid = cert.atoms[0]
+    frame = _Frame(u, atoms + [grid])
+    splits = [_decompositions(frame, a, grid) for a in atoms]
+    decode = frame.decode
+    unit, one, zero = frame.encode(u.unit), field.one, field.zero
     values = {}
 
     def oracle(gamma):
-        stack = [(gamma, None)]
+        t = frame.encode(gamma)  # gamma lies in cert, on the frame
+        stack = [(t, None)]
         while stack:
             top, pairs = stack.pop()
             if top in values:
@@ -303,9 +343,9 @@ def _geometric(eps):
                     continue
             total = one if top == unit else zero
             for a, b in pairs:
-                total = total + eps.coeff(a) * values[b]
+                total = total + eps.coeff(decode(a)) * values[b]
             values[top] = total
-        return values[gamma]
+        return values[t]
 
     return LazySeries(eps.space, oracle, cert)
 
@@ -351,9 +391,12 @@ def monomial_shift(f, shift, scalar=1):
     cert = f.certificate.translate(shift)
 
     def oracle(gamma):
-        a = _try_sub(u, gamma, shift)
-        if a is None:
-            return field.zero
+        try:
+            a = u.devectorize(
+                tuple(x - y for x, y in zip(u.vectorize(gamma), u.vectorize(shift)))
+            )
+        except (UniverseError, ValueError):
+            return field.zero  # gamma - shift falls outside the universe
         return c * f.coeff(a)
 
     return LazySeries(f.space, oracle, cert)

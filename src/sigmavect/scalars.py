@@ -105,18 +105,14 @@ class Field:
     def __init__(self, name, p=None):
         self.name = name
         self.p = p
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     def of(self, x):
         """Coerce an int, Fraction or textual 'p/q' into the field."""
         if self.p is None:
+            if type(x) is Fraction:  # exact test: isinstance on an int runs the ABC check
+                return x
             if isinstance(x, FpElement):
                 raise TypeError("prime-field element in rational context")
             return Fraction(x)

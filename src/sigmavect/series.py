@@ -119,7 +119,7 @@ class Series:
             "certificate": self.certificate.to_record(),
         }
 
-    def format(self, window=32, var=None):
+    def format(self, window=32):
         """Terms in the expression grammar: a term on the naturals is
         written c*e<n>, the unit monomial of a monomial universe (and the
         one point of POINT) is its bare coefficient c."""
@@ -191,14 +191,15 @@ class LazySeries(Series):
         self._memo = {}
 
     def coeff(self, gamma):
+        # the check comes first, so a bad key raises even after a memo hit
         gamma = self.universe.check(gamma)
-        if gamma in self._memo:
-            return self._memo[gamma]
-        if not self._cert.contains(gamma):
-            val = self.field.zero
-        else:
-            val = self.field.of(self._oracle(gamma))
-        self._memo[gamma] = val
+        val = self._memo.get(gamma)
+        if val is None:
+            if self._cert.contains(gamma):
+                val = self.field.of(self._oracle(gamma))
+            else:
+                val = self.field.zero
+            self._memo[gamma] = val
         return val
 
     @property
@@ -308,7 +309,7 @@ class SummableFamily:
         return not isinstance(self.index, DescribedSet)
 
 
-def finite_family(members, field=None):
+def finite_family(members):
     """Wrap an explicit finite list of series as a summable family."""
     members = list(members)
     if not members:
@@ -405,7 +406,7 @@ def family_sum(fam, weights=None, precheck=True, window=32):
     return LazySeries(fam.space, oracle, fam.union_cert)
 
 
-def monomial_expansion(f, depth=32):
+def monomial_expansion(f):
     """f = sum over its support of f(gamma) * delta_gamma, as a family plus
     weights keyed by the support element itself."""
     if isinstance(f, FiniteSeries):

@@ -11,7 +11,8 @@ Infinite progressions and grids are listed in order by one walk,
 start + N*step, negated when it falls so that its step is lex-positive.  A
 walk up to a bound gives ``None`` when the bound lies in another lex block
 of the step (infinitely many terms come before it), and an intersection
-with such a walk abstains.
+with such a walk abstains.  A grid tests membership and walks on the ints
+of its frame (`GridAtom.frame`), converting each point it emits once.
 """
 
 from __future__ import annotations
@@ -342,18 +343,20 @@ class GridAtom(Atom):
         return [self.universe.vectorize(g) for g in self.generators]
 
     @cached_property
-    def lattice(self):
-        """The generators' Lattice, built on first use."""
-        return Lattice(self._gen_vecs())
+    def frame(self):
+        """(lattice, base): the generators' `Lattice` on the integer frame
+        that holds the base too, and the base in it; built on first use."""
+        base = self.universe.vectorize(self.base)
+        lattice = Lattice(self._gen_vecs(), [base])
+        return lattice, lattice.scaled(base)
 
     def contains(self, el):
-        if not self.universe.contains(el):
+        u = self.universe
+        if not u.contains(el):
             return False
-        t = tuple(
-            a - b
-            for a, b in zip(self.universe.vectorize(el), self.universe.vectorize(self.base))
-        )
-        return self.lattice.contains(t)
+        lattice, base = self.frame
+        t = lattice.scaled(u.vectorize(el))
+        return t is not None and lattice.contains(tuple(a - b for a, b in zip(t, base)))
 
     def is_finite(self):
         return not self.generators
@@ -370,18 +373,26 @@ class GridAtom(Atom):
             raise SetError("grid is infinite")
         return [self.base]
 
-    def iter_increasing(self):
+    def _points(self, vecs):
+        """The elements at frame coordinates `vecs`."""
+        lattice = self.frame[0]
         dev = self.universe.devectorize
-        return (dev(v) for v in grid_points(self._gen_vecs(), self.universe.vectorize(self.base)))
+        return (dev(lattice.unscaled(v)) for v in vecs)
+
+    def iter_increasing(self):
+        lattice, base = self.frame
+        return self._points(grid_points(lattice.gens, base))
 
     def _side(self, bound, up):
         if not up:
             return super()._side(bound, up)
-        u = self.universe
-        pts = grid_points_upto(self._gen_vecs(), u.vectorize(self.base), u.vectorize(bound))
+        lattice, base = self.frame
+        # the bound need not lie on the frame; lex order compares it exactly
+        bound = tuple(c * lattice.scale for c in self.universe.vectorize(bound))
+        pts = grid_points_upto(lattice.gens, base, bound)
         if pts is None:
             return None
-        return [u.devectorize(v) for v in pts]
+        return list(self._points(pts))
 
     def format(self):
         u = self.universe
@@ -426,7 +437,14 @@ class ComplementAtom(Atom):
         return [e for e in self.within.elements() if not self.inner.contains(e)]
 
     def iter_increasing(self):
-        return (e for e in self.within.iter_increasing() if not self.inner.contains(e))
+        # an inner interval with no upper end that holds one element of the
+        # walk holds every later one too, so the walk stops there
+        tails = [a for a in self.inner.atoms if isinstance(a, IntervalAtom) and a.hi is None]
+        for e in self.within.iter_increasing():
+            if any(a.contains(e) for a in tails):
+                return
+            if not self.inner.contains(e):
+                yield e
 
     def _side(self, bound, up):
         base = self.within._side(bound, up)

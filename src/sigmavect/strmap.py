@@ -247,7 +247,7 @@ def pure_tensor(space, f1, f2):
     return LazySeries(space, lambda p: f1.coeff(p[0]) * f2.coeff(p[1]), cert)
 
 
-def map_family(m, fam, window=32):
+def map_family(m, fam):
     """Image of an explicit summable family under m, with certificates."""
     if not fam.is_explicit():
         raise MapError("only explicit families are mapped eagerly")

@@ -96,6 +96,18 @@ def _fmt_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def _fraction_coordinates(el):
+    """el itself when every coordinate is a Fraction, else the tuple of
+    their Fraction forms; el unchanged (to be refused by `contains`) when a
+    coordinate is not a rational number."""
+    if all(isinstance(c, Fraction) for c in el):
+        return el
+    try:
+        return tuple(Fraction(c) for c in el)
+    except (TypeError, ValueError):
+        return el
+
+
 def _parse_rational(text):
     text = text.strip()
     if "/" in text:
@@ -250,7 +262,7 @@ class TupleUniverse(Universe):
 
     def check(self, el):
         if isinstance(el, tuple) and len(el) == self.arity:
-            el = tuple(Fraction(c) for c in el)
+            el = _fraction_coordinates(el)
         return super().check(el)
 
     @property
@@ -314,8 +326,6 @@ class MonomialUniverse(Universe):
         self.is_group = exponents != "natural"
 
     def _exp_ok(self, q):
-        if self.exponents == "rational":
-            return True
         if q.denominator != 1:
             return False
         return self.exponents == "integer" or q >= 0
@@ -324,12 +334,13 @@ class MonomialUniverse(Universe):
         return (
             isinstance(el, tuple)
             and len(el) == self.dim
-            and all(isinstance(c, Fraction) and self._exp_ok(c) for c in el)
+            and all(isinstance(c, Fraction) for c in el)
+            and (self.exponents == "rational" or all(self._exp_ok(c) for c in el))
         )
 
     def check(self, el):
         if isinstance(el, tuple) and len(el) == self.dim:
-            el = tuple(Fraction(c) for c in el)
+            el = _fraction_coordinates(el)
         return super().check(el)
 
     @property

@@ -179,7 +179,8 @@ def test_lattice_and_grid_membership_match_brute_force(case):
     gens, target, base = case
     want = brute_solutions(gens, target)
     assert sorted(nonneg_solutions(gens, target)) == want
-    assert Lattice(gens).contains(target) == bool(want)
+    lattice = Lattice(gens)
+    assert lattice.contains(lattice.scaled(target)) == bool(want)
     u = MonomialUniverse(["x", "y"][: len(target)])
     atom = GridAtom(u, base, gens)
     el = tuple(b + t for b, t in zip(base, target))

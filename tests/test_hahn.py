@@ -7,16 +7,19 @@ classical power-series recurrence b_0 = 1/c_0, b_n = -(1/c_0)sum c_k b_{n-k}
 textbook fact [PAPER].
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmavect.bornology import well_ordered
 from sigmavect.hahn import (
     HahnError,
+    _decompositions,
+    _Frame,
     cauchy_product,
     invert_unit,
     leading_term,
@@ -28,7 +31,7 @@ from sigmavect.hahn import (
 )
 from sigmavect.scalars import GF, QQ
 from sigmavect.series import Space, add, sub
-from sigmavect.sets import DescribedSet, GridAtom
+from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom
 from sigmavect.universe import MonomialUniverse
 
 X = MonomialUniverse(["x"])
@@ -197,6 +200,76 @@ def test_invert_matches_neumann_construction(field, gens, shift, c0, rest, lazy_
     assert [got.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
     if not lazy_eps:
         assert got.certificate == want.certificate
+
+
+# Exponents for the integer-frame oracle: generators and bases with
+# denominators 1, 2, 3, 5 (dependent pairs such as 1/2 and 1 included, bases
+# off the generators' lattice such as 1/2 under the generator 1), and
+# targets in sevenths too, which leave every frame.
+FRAME_GENS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2),
+              Fraction(2, 5)]
+FRAME_BASES = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1)]
+FRAME_BOUND = Fraction(3)
+
+
+def brute_points(base, gens, bound=FRAME_BOUND):
+    """Independent oracle: the exponents base + sum ki*gi <= bound, by
+    enumerating every ki up to (bound - base) / gi over Fractions."""
+    ranges = [range(int((bound - base) / g) + 1) for g in gens]
+    out = set()
+    for ks in itertools.product(*ranges):
+        e = base + sum(k * g for k, g in zip(ks, gens))
+        if e <= bound:
+            out.add(e)
+    return out
+
+
+frame_atoms = st.one_of(
+    st.tuples(st.just("grid"), st.sampled_from(FRAME_BASES),
+              st.lists(st.sampled_from(FRAME_GENS), min_size=1, max_size=2, unique=True)),
+    st.tuples(st.just("finite"),
+              st.lists(st.sampled_from(FRAME_BASES + FRAME_GENS), min_size=1, max_size=3,
+                       unique=True)),
+)
+frame_targets = st.one_of(
+    st.integers(0, 90).map(lambda n: Fraction(n, 30)),
+    st.integers(0, 21).map(lambda n: Fraction(n, 7)),
+)
+
+
+def frame_atom(spec):
+    """(atom, its exponents up to FRAME_BOUND) for a drawn atom spec."""
+    if spec[0] == "grid":
+        _, base, gens = spec
+        return GridAtom(X, m(base), [m(g) for g in gens]), brute_points(base, gens)
+    return FiniteAtom(X, [m(e) for e in spec[1]]), set(spec[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_atoms, frame_atoms, frame_targets)
+# grid(x^(1/2); x) times grid(1; x^(1/2), x), at x^(1/3) off the frame and
+# at x^2, which has several representations in the grid x grid pair
+@example(("grid", Fraction(1, 2), [Fraction(1)]),
+         ("grid", Fraction(0), [Fraction(1, 2), Fraction(1)]), Fraction(1, 3))
+@example(("grid", Fraction(1, 2), [Fraction(1)]),
+         ("grid", Fraction(0), [Fraction(1, 2), Fraction(1)]), Fraction(2))
+def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
+    """Grid membership, enumeration up to a bound and the decompositions of
+    a product, all run in integer frame coordinates, against enumeration
+    over Fraction exponents."""
+    atom_f, pts_f = frame_atom(spec_f)
+    atom_g, pts_g = frame_atom(spec_g)
+    for atom, pts in ((atom_f, pts_f), (atom_g, pts_g)):
+        assert atom.contains(m(gamma)) == (gamma in pts)
+        assert atom.elements_upto(m(FRAME_BOUND)) == [m(e) for e in sorted(pts)]
+    frame = _Frame(X, [atom_f, atom_g])
+    t = frame.encode(m(gamma))
+    got = set()
+    if t is not None:
+        got = {(frame.decode(a), frame.decode(b))
+               for a, b in _decompositions(frame, atom_f, atom_g)(t)}
+    want = {(m(a), m(gamma - a)) for a in pts_f if gamma - a in pts_g}
+    assert got == want
 
 
 def test_deep_inverse_coefficient_needs_no_deep_recursion():

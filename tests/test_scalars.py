@@ -19,6 +19,11 @@ def test_rational_of_and_parse():
     assert QQ.parse("7/3") == Fraction(7, 3)
     assert QQ.parse("-4") == Fraction(-4)
     assert QQ.format(Fraction(-1, 2)) == "-1/2"
+    half = Fraction(1, 2)
+    assert QQ.of(half) is half  # a Fraction passes through unchanged
+    F7 = GF(7)
+    assert F7.of(half) == FpElement(4, 7) and F7.of(Fraction(-3, 2)) == FpElement(2, 7)
+    assert F7.of(FpElement(3, 7)) == FpElement(3, 7) and F7.of(-1) == FpElement(6, 7)
 
 
 def test_field_identity_elements():

@@ -30,11 +30,28 @@ from sigmavect.series import (
     sub,
 )
 from sigmavect.sets import DescribedSet
-from sigmavect.universe import MonomialUniverse, Naturals
+from sigmavect.universe import MonomialUniverse, Naturals, UniverseError
 
 N = Naturals()
 SEQ = Space(QQ, N, finite_subsets(N))
 DUAL = Space(QQ, N, all_subsets(N))
+
+
+def test_coefficient_keys_are_checked_before_and_after_a_memo_hit():
+    X = MonomialUniverse(["x"])
+    f = Space(QQ, X, well_ordered(X)).lazy(
+        lambda g: 1 + X.vectorize(g)[0], DescribedSet.grid(X, X.unit, [X.monomial(x=1)])
+    )
+    for _ in range(2):  # the second pass finds (1,) in the memo
+        for bad in ([1], (Fraction(1), Fraction(2)), (None,)):
+            with pytest.raises(UniverseError):
+                f.coeff(bad)
+        # an int coordinate is the same key as its Fraction form
+        assert f.coeff((1,)) == f.coeff((Fraction(1),)) == 2
+    seq = DUAL.lazy(lambda n: n, DescribedSet.progression(N, 0, 1))
+    assert seq.coeff(1) == 1
+    with pytest.raises(UniverseError):
+        seq.coeff(True)
 
 
 def test_space_dual_and_contains():

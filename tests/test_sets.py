@@ -71,6 +71,21 @@ def test_decreasing_progression():
         s.first_n(3)  # no increasing enumeration of a decreasing set
 
 
+def test_complement_walk_stops_inside_an_unbounded_inner_interval():
+    # 3, 6, 9, ... minus [6, +inf) is {3}: once the walk reaches 6, every
+    # later term lies in the interval, so first_n returns instead of
+    # filtering the rest of the progression forever
+    s = DescribedSet(N, [ComplementAtom(DescribedSet.interval(N, lo=6), ProgressionAtom(N, 3, 3))])
+    with time_limit(5):
+        assert s.first_n(8) == [3]
+        # an open lower end keeps its endpoint out of the interval
+        open_tail = DescribedSet.interval(N, lo=6, lo_strict=True)
+        assert DescribedSet(N, [ComplementAtom(open_tail, ProgressionAtom(N, 3, 3))]).first_n(8) == [3, 6]
+        # only the interval ends the walk: 6 is removed, 9 is not
+        inner = DescribedSet(N, [FiniteAtom(N, [6]), IntervalAtom(N, lo=12)])
+        assert DescribedSet(N, [ComplementAtom(inner, ProgressionAtom(N, 3, 3))]).first_n(8) == [3, 9]
+
+
 def test_bounded_progression_is_finite():
     s = DescribedSet.progression(Z, 0, 4, count=3)
     assert s.elements() == {0, 4, 8}
