@@ -11,7 +11,7 @@ The package is organized bottom-up:
 - hahn: convolution, geometric summation, inversion, truncation
 - strmap: sum-preserving linear maps, duals, tensor products
 - closure: constructive dual bases and one-step span closure
-- slalg: strong algebras, derivations, module actions
+- slalg: monoid algebras as their series spaces, derivations, module actions
 - expr/cli: the expression language and the `sigma` command
 """
 
@@ -103,16 +103,13 @@ from .closure import (
     kernel_basis,
     rank,
     rref,
-    sigma_span_window,
     solve_combination,
 )
 from .slalg import (
     AlgebraError,
-    AlgebraHandle,
     BornologicalMonoid,
     Derivation,
     ModuleAction,
-    apply_derivation,
     euler_derivation,
     extend_derivation,
     module_action,

@@ -280,10 +280,6 @@ class SigmaSpanOracle:
         return ("accepted", cert)
 
 
-def sigma_span_window(generators, window):
-    return SigmaSpanOracle(generators, window)
-
-
 def default_battery(generators, window):
     """Candidate vectors derived from the generators: their columns,
     pairwise combinations of nearby columns, and a few off-span probes."""
@@ -309,7 +305,7 @@ def idempotence_check(generators, window, battery=None, weaken_first=0):
     oracle; it is a fault-injection knob that exercises the abort path."""
     if battery is None:
         battery = default_battery(generators, window)
-    first = sigma_span_window(generators, window)
+    first = SigmaSpanOracle(generators, window)
     if weaken_first:
         first.columns = first.columns[:-weaken_first]
     round1 = [first.decide(v) for v in battery]
@@ -319,7 +315,7 @@ def idempotence_check(generators, window, battery=None, weaken_first=0):
     second_gens = list(generators) + [
         VectorGenerator({i: c for i, c in enumerate(v) if c != 0}) for v in accepted
     ]
-    second = sigma_span_window(second_gens, window)
+    second = SigmaSpanOracle(second_gens, window)
     new = []
     for v, (verdict, _) in zip(battery, round1):
         v2, _ = second.decide(v)

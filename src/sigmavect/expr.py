@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bornology as bo
-from .closure import (ConstructedBasis, FunctionalFamily, PatternGenerator, VectorGenerator,
-                      dual_basis_construction, sigma_span_window)
+from .closure import (ConstructedBasis, FunctionalFamily, PatternGenerator, SigmaSpanOracle,
+                      VectorGenerator, dual_basis_construction)
 from .hahn import cauchy_product, invert_unit, leading_term, monomial_shift, truncate
 from .scalars import QQ, FpElement, NumberTooLarge, check_size
 from .series import (FiniteSeries, Series, Space, SummableFamily, add, family_sum, pairing,
                      scale, sub)
 from .sets import DescribedSet
-from .slalg import BornologicalMonoid, euler_derivation, monoid_algebra
+from .slalg import euler_derivation
 from .strmap import StrongLinearMap, pure_tensor
 from .universe import Integers, MonomialUniverse, Naturals, PairUniverse, UniverseError
 
@@ -352,6 +352,9 @@ BUILTINS = {
     "sigmaspan": "generator: vector or pattern...; candidate: vector",
     "basis": "rows: vector list, depth: integer",
 }
+
+# a basis of depth d prints about d^2/2 dense cells
+BASIS_DEPTH_LIMIT = 1024
 
 # builtin: [[(argument, kind, takes the rest of its group)]]
 _SIGNATURES = {
@@ -674,17 +677,18 @@ class Evaluator:
     def _fn_derive(self, derivation, f):
         if derivation != "euler":
             raise EvalError("unknown derivation; only 'euler' is built in")
-        monoid = BornologicalMonoid(self.env.X, self.env.hahn_space.bornology)
-        return euler_derivation(monoid_algebra(monoid, self.env.field)).apply(f)
+        return euler_derivation(self.env.hahn_space).apply(f)
 
     def _fn_pattern(self, template, step):
         return Pattern(template, PatternGenerator(template.terms, step))
 
     def _fn_sigmaspan(self, generators, candidate):
-        verdict, _ = sigma_span_window(generators, self.env.window).decide(candidate.terms)
+        verdict, _ = SigmaSpanOracle(generators, self.env.window).decide(candidate.terms)
         return verdict
 
     def _fn_basis(self, rows, depth):
+        if depth > BASIS_DEPTH_LIMIT:
+            raise EvalError("basis depth %d is above the limit %d" % (depth, BASIS_DEPTH_LIMIT))
         return dual_basis_construction(FunctionalFamily(rows), depth)
 
 

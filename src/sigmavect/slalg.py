@@ -1,7 +1,8 @@
 """Strong algebras on bornological monoids, modules, and derivations.
 
 A bornological monoid is an ordered monoid whose bornology is closed under
-set products; its series space then carries the convolution product.  A
+set products; its series algebra is its `Space`, with unit
+`space.delta(u.unit)`, product `cauchy_product` and inverse `invert_unit`.  A
 derivation is specified by its values on monomials plus a summability schema
 (a contributor oracle and a support transform) and extended to all series as
 the sum-preserving map f -> sum of f(gamma) * d(gamma)."""
@@ -9,7 +10,7 @@ the sum-preserving map f -> sum of f(gamma) * d(gamma)."""
 from __future__ import annotations
 
 from .bornology import Verdict
-from .hahn import _grid_atoms, _minkowski_product, cauchy_product, invert_unit
+from .hahn import HahnError, _grid_atoms, _minkowski_product, cauchy_product
 from .series import (
     FiniteSeries,
     LazySeries,
@@ -24,67 +25,60 @@ class AlgebraError(SeriesError):
     pass
 
 
+def _products_bounded(u, left, right, out):
+    """Is s * t bounded in `out` for every s bounded in `left` and t bounded
+    in `right`?  `left` and `right` are (bornology, battery) pairs.  The
+    report's verdict is `rejected` on an unbounded product, else `undecided`
+    when `out` abstains or a set has no grid product, else `accepted`; each
+    product that is not bounded leaves a witness."""
+    report = {"verdict": "accepted", "witnesses": []}
+    ss, ts = ([s for s in battery if b.is_bounded(s) is Verdict.BOUNDED]
+              for b, battery in (left, right))
+    for s in ss:
+        for t in ts:
+            try:
+                prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, t))
+            except HahnError as exc:  # a non-grid atom has no product here
+                v, why = Verdict.UNDECIDED, str(exc)
+            else:
+                v, why = out.is_bounded(prod), prod.format()
+            if v is Verdict.BOUNDED:
+                continue
+            if v is Verdict.UNBOUNDED:
+                report["verdict"] = "rejected"
+            elif report["verdict"] == "accepted":
+                report["verdict"] = "undecided"
+            report["witnesses"].append((s.format(), t.format(), why))
+    return report
+
+
+def _refuse_rejected(report, what, detail):
+    if report["verdict"] == "rejected":
+        raise AlgebraError("%s: %s" % (what, detail))
+
+
 class BornologicalMonoid:
     def __init__(self, universe, bornology):
         if not (universe.is_ordered and universe.has_monoid):
             raise AlgebraError("a bornological monoid needs an ordered monoid universe")
-        if bornology.universe != universe:
-            raise AlgebraError("bornology universe mismatch")
         self.universe = universe
         self.bornology = bornology
 
     def check_product_closed(self, battery):
         """Verify F0 * F1 stays bounded for bounded battery sets; returns a
         report with any witness pair that fails."""
-        report = {"verdict": "accepted", "witnesses": []}
-        u = self.universe
-        bounded = [
-            s for s in battery if self.bornology.is_bounded(s) is Verdict.BOUNDED
-        ]
-        for s in bounded:
-            for t in bounded:
-                try:
-                    prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, t))
-                except Exception as exc:  # non-grid atoms cannot be multiplied
-                    report["verdict"] = "undecided"
-                    report["witnesses"].append((s.format(), t.format(), str(exc)))
-                    continue
-                v = self.bornology.is_bounded(prod)
-                if v is Verdict.UNBOUNDED:
-                    report["verdict"] = "rejected"
-                    report["witnesses"].append((s.format(), t.format(), prod.format()))
-                elif v is Verdict.UNDECIDED and report["verdict"] == "accepted":
-                    report["verdict"] = "undecided"
-                    report["witnesses"].append((s.format(), t.format(), prod.format()))
-        return report
-
-
-class AlgebraHandle:
-    """The series algebra of a bornological monoid: convolution, unit,
-    inversion, bound to one space."""
-
-    def __init__(self, monoid, field, battery=None):
-        self.monoid = monoid
-        self.space = Space(field, monoid.universe, monoid.bornology)
-        if battery:
-            report = monoid.check_product_closed(battery)
-            if report["verdict"] == "rejected":
-                raise AlgebraError(
-                    "bornology is not product-closed: %r" % report["witnesses"]
-                )
-
-    def unit(self):
-        return self.space.delta(self.space.universe.unit)
-
-    def product(self, f, g):
-        return cauchy_product(f, g)
-
-    def invert(self, f, window=32):
-        return invert_unit(f, window)
+        b = (self.bornology, battery)
+        return _products_bounded(self.universe, b, b, self.bornology)
 
 
 def monoid_algebra(monoid, field, battery=None):
-    return AlgebraHandle(monoid, field, battery)
+    """The series algebra of `monoid` over `field`: its space, refused when
+    the battery shows the bornology is not product-closed."""
+    space = Space(field, monoid.universe, monoid.bornology)
+    if battery:
+        report = monoid.check_product_closed(battery)
+        _refuse_rejected(report, "bornology is not product-closed", report["witnesses"])
+    return space
 
 
 class Derivation:
@@ -92,20 +86,20 @@ class Derivation:
     contributors(delta) -> finite list of gammas whose value may be supported
     at delta; cert_transform(S) -> bounded cover of the image supports."""
 
-    def __init__(self, algebra, action, contributors, cert_transform):
-        self.algebra = algebra
+    def __init__(self, space, action, contributors, cert_transform):
+        self.space = space
         self.action = action
         self.contributors = contributors
         self.cert_transform = cert_transform
 
     def image_family(self, support):
         """The family (d gamma)_{gamma in support} with its certificates."""
-        return SummableFamily(self.algebra.space, support, self.action, self.contributors,
+        return SummableFamily(self.space, support, self.action, self.contributors,
                               self.cert_transform(support))
 
     def apply(self, f):
-        sp = self.algebra.space
-        if f.universe != sp.universe or f.field != sp.field:
+        sp = self.space
+        if not sp.contains(f):
             raise AlgebraError("argument outside the algebra")
         cert = self.cert_transform(f.certificate)
 
@@ -120,43 +114,29 @@ class Derivation:
         return LazySeries(sp, oracle, cert)
 
 
-def extend_derivation(algebra, action, contributors, cert_transform, battery=(), window=32):
+def extend_derivation(space, action, contributors, cert_transform, battery=(), window=32):
     """Build the derivation, verifying the summability schema on the battery
     of bounded supports: every image family must pass check_summable."""
-    d = Derivation(algebra, action, contributors, cert_transform)
+    d = Derivation(space, action, contributors, cert_transform)
     for support in battery:
-        fam = d.image_family(support)
-        report = check_summable(fam, window)
-        if report["verdict"] == "rejected":
-            raise AlgebraError(
-                "image family over %s rejected: %s"
-                % (support.format(), "; ".join(report["failures"]))
-            )
+        report = check_summable(d.image_family(support), window)
+        _refuse_rejected(report, "image family over %s rejected" % support.format(),
+                         "; ".join(report["failures"]))
     return d
 
 
-def apply_derivation(d, f):
-    return d.apply(f)
-
-
-def euler_derivation(algebra):
+def euler_derivation(space):
     """x * d/dx on a one-generator monomial algebra: the monomial x^q is an
     eigenvector with eigenvalue q."""
-    sp = algebra.space
-    u = sp.universe
+    u = space.universe
     if u.dim != 1:
         raise AlgebraError("the Euler operator needs a one-generator universe")
 
     def action(gamma):
-        return sp.delta(gamma, u.vectorize(gamma)[0])
+        return space.delta(gamma, u.vectorize(gamma)[0])
 
-    def contributors(delta):
-        return [delta]
-
-    def cert_transform(s):
-        return s
-
-    return Derivation(algebra, action, contributors, cert_transform)
+    # x^q is the only monomial whose image meets x^q, and supports stay put
+    return Derivation(space, action, lambda delta: [delta], lambda s: s)
 
 
 class ModuleAction:
@@ -164,14 +144,14 @@ class ModuleAction:
     indices by the shared monoid operation, so the action is convolution with
     the carrier's bornology on the output."""
 
-    def __init__(self, algebra, carrier):
-        if algebra.space.universe != carrier.universe:
+    def __init__(self, space, carrier):
+        if space.universe != carrier.universe:
             raise AlgebraError(
                 "translation module needs the carrier indexed by the acting monoid"
             )
-        if algebra.space.field != carrier.field:
+        if space.field != carrier.field:
             raise AlgebraError("field mismatch")
-        self.algebra = algebra
+        self.space = space
         self.carrier = carrier
 
     def act(self, r, m):
@@ -181,26 +161,14 @@ class ModuleAction:
 
     def check_compatible(self, scalar_battery, carrier_battery):
         """F * H must stay carrier-bounded for bounded F, H on the battery."""
-        report = {"verdict": "accepted", "witnesses": []}
-        u = self.carrier.universe
-        for s in scalar_battery:
-            if self.algebra.space.bornology.is_bounded(s) is not Verdict.BOUNDED:
-                continue
-            for h in carrier_battery:
-                if self.carrier.bornology.is_bounded(h) is not Verdict.BOUNDED:
-                    continue
-                prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, h))
-                v = self.carrier.bornology.is_bounded(prod)
-                if v is Verdict.UNBOUNDED:
-                    report["verdict"] = "rejected"
-                    report["witnesses"].append((s.format(), h.format()))
-        return report
+        cb = self.carrier.bornology
+        return _products_bounded(self.carrier.universe, (self.space.bornology, scalar_battery),
+                                 (cb, carrier_battery), cb)
 
 
-def module_action(algebra, carrier, scalar_battery=(), carrier_battery=()):
-    act = ModuleAction(algebra, carrier)
+def module_action(space, carrier, scalar_battery=(), carrier_battery=()):
+    act = ModuleAction(space, carrier)
     if scalar_battery and carrier_battery:
         report = act.check_compatible(scalar_battery, carrier_battery)
-        if report["verdict"] == "rejected":
-            raise AlgebraError("incompatible action: %r" % report["witnesses"])
+        _refuse_rejected(report, "incompatible action", report["witnesses"])
     return act

@@ -152,6 +152,18 @@ def test_basis_under_fp_matches_the_rational_basis_of_the_reduced_row():
     assert run("eval", "-e", "basis([e0], 2)").output.strip() == "(1); (0, 1)"
 
 
+def test_basis_depth_is_limited():
+    # a basis of depth d prints about d^2/2 entries
+    limit = expr.BASIS_DEPTH_LIMIT
+    r = run("eval", "-e", "basis([e0], %d)" % limit)
+    assert r.exit_code == 0 and r.output.count(";") == limit - 1
+    for field in ("rational", "fp:7"):
+        for depth in (str(limit + 1), "5000", "(9^3)^2"):
+            with time_limit(5):
+                r = run("--field", field, "eval", "-e", "basis([e0], %s)" % depth)
+            assert_one_line_error(r, "above the limit %d" % limit)
+
+
 def test_pattern_step_under_fp_is_read_as_an_integer():
     # a step of 9 mod 7 = 2 would leave e0 outside the span
     r = run("--field", "fp:7", "eval", "-e", "sigmaspan(pattern(e0 - e9, 9); e0)")
@@ -325,6 +337,8 @@ def _exprs(depth):
 @example("lead(finite)")
 @example("pair(2, e1)")
 @example("derive(euler, 2)")
+@example("derive(euler, e0)")
+@example("basis([e0], 5000)")
 @example("shift(2, x)")
 @example("grid(x^(1/2); e0)")
 @example("shift(e0, x^-1)")

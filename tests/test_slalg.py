@@ -11,25 +11,25 @@ from fractions import Fraction
 
 import pytest
 
-from sigmavect.bornology import Verdict, all_subsets, well_ordered
-from sigmavect.hahn import cauchy_product, unit_series
+from sigmavect.bornology import Verdict, all_subsets, finite_subsets, generate, well_ordered
+from sigmavect.hahn import cauchy_product, invert_unit, unit_series
 from sigmavect.scalars import QQ
-from sigmavect.series import Space, add, family_sum, finite_family, scale
+from sigmavect.series import SeriesError, Space, add, family_sum, finite_family, scale
 from sigmavect.sets import DescribedSet
 from sigmavect.slalg import (
     AlgebraError,
     BornologicalMonoid,
+    ModuleAction,
     euler_derivation,
     extend_derivation,
     module_action,
     monoid_algebra,
 )
-from sigmavect.universe import MonomialUniverse, Naturals, PairUniverse
+from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse
 
 X = MonomialUniverse(["x"])
 MONO = BornologicalMonoid(X, well_ordered(X))
-ALG = monoid_algebra(MONO, QQ)
-SP = ALG.space
+SP = monoid_algebra(MONO, QQ)
 
 
 def m(q):
@@ -52,18 +52,35 @@ def test_product_closed_battery():
     ]
     report = MONO.check_product_closed(battery)
     assert report["verdict"] == "accepted"
+    # an interval has no grid product: the check abstains, which does not
+    # refuse the algebra
+    mono = BornologicalMonoid(X, all_subsets(X))
+    interval = DescribedSet.interval(X, m(0), m(1))
+    assert mono.check_product_closed(battery + [interval])["verdict"] == "undecided"
+    assert monoid_algebra(mono, QQ, [interval]) == Space(QQ, X, all_subsets(X))
+
+
+def test_monoid_algebra_is_its_space():
+    assert SP == Space(QQ, X, well_ordered(X))
+
+
+def test_monoid_bornology_on_another_universe_is_refused_once():
+    # the monoid takes the pair as given; the space checks the universes
+    mono = BornologicalMonoid(X, well_ordered(Integers()))
+    with pytest.raises(SeriesError, match="bornology universe mismatch"):
+        monoid_algebra(mono, QQ)
 
 
 def test_algebra_unit_product_invert():
-    one = ALG.unit()
+    one = SP.delta(X.unit)
     f = SP.series({m(0): 1, m(1): -1})
-    assert ALG.product(one, f).eq_window(f)
-    inv = ALG.invert(f)
-    assert ALG.product(f, inv).eq_window(one, 24)
+    assert cauchy_product(one, f).eq_window(f)
+    inv = invert_unit(f)
+    assert cauchy_product(f, inv).eq_window(one, 24)
 
 
 def test_euler_on_monomials():
-    D = euler_derivation(ALG)
+    D = euler_derivation(SP)
     f = SP.series({m(2): 3, m(Fraction(1, 2)): 4})
     img = D.apply(f)
     # oracle: coefficient at x^q is multiplied by q [DERIVED]
@@ -74,7 +91,7 @@ def test_euler_on_monomials():
 
 def test_euler_leibniz():
     rng = random.Random(13)
-    D = euler_derivation(ALG)
+    D = euler_derivation(SP)
     for _ in range(20):
         f = SP.series({m(rng.randint(0, 5)): rng.randint(-4, 4) for _ in range(3)})
         g = SP.series({m(rng.randint(0, 5)): rng.randint(-4, 4) for _ in range(3)})
@@ -84,7 +101,7 @@ def test_euler_leibniz():
 
 
 def test_euler_strong_linearity_on_families():
-    D = euler_derivation(ALG)
+    D = euler_derivation(SP)
     fam = finite_family([SP.series({m(i): 1, m(i + 1): 1}) for i in range(4)])
     w = [Fraction(k - 2) for k in range(4)]
     lhs = D.apply(family_sum(fam, lambda i: w[i], precheck=False))
@@ -92,6 +109,15 @@ def test_euler_strong_linearity_on_families():
     for i in fam.index:
         rhs = add(rhs, scale(w[i], D.apply(fam.member(i))))
     assert lhs.eq_window(rhs)
+
+
+def test_euler_refuses_a_series_of_another_bornology():
+    # prog(1; x^-1) is unbounded in the algebra's well-ordered bornology, so
+    # its image would carry a certificate the algebra does not bound
+    down = DescribedSet.progression(X, X.unit, m(-1))
+    f = Space(QQ, X, all_subsets(X)).lazy(lambda g: 1, down)
+    with pytest.raises(AlgebraError, match="outside the algebra"):
+        euler_derivation(SP).apply(f)
 
 
 def test_euler_requires_one_generator():
@@ -107,7 +133,7 @@ def test_extend_derivation_verifies_battery():
         return SP.series({gamma: q})
 
     battery = [DescribedSet.finite(X, [m(0), m(1), m(2)])]
-    d = extend_derivation(ALG, action, lambda delta: [delta], lambda s: s,
+    d = extend_derivation(SP, action, lambda delta: [delta], lambda s: s,
                           battery=battery)
     assert d.apply(SP.series({m(2): 1})).coeff(m(2)) == 2
 
@@ -119,13 +145,13 @@ def test_extend_derivation_rejects_lying_schema():
     # the claimed transform says supports stay put, which is false
     battery = [DescribedSet.finite(X, [m(0)])]
     with pytest.raises(AlgebraError):
-        extend_derivation(ALG, action, lambda delta: [delta], lambda s: s,
+        extend_derivation(SP, action, lambda delta: [delta], lambda s: s,
                           battery=battery)
 
 
 def test_module_action_is_convolution_with_carrier_bornology():
     carrier = Space(QQ, X, well_ordered(X))
-    act = module_action(ALG, carrier)
+    act = module_action(SP, carrier)
     r = SP.series({m(1): 2})
     v = carrier.series({m(0): 1, m(3): 1})
     out = act.act(r, v)
@@ -138,4 +164,40 @@ def test_module_action_field_mismatch():
 
     carrier = Space(GF(5), X, well_ordered(X))
     with pytest.raises(AlgebraError):
-        module_action(ALG, carrier)
+        module_action(SP, carrier)
+
+
+def _grid(base, *generators):
+    return DescribedSet.grid(X, m(base), [m(g) for g in generators])
+
+
+def test_compatibility_abstains_when_the_carrier_abstains():
+    # grid(1; x^(1/3), x) is not known to be bounded in the carrier, so the
+    # check must not accept
+    act = module_action(monoid_algebra(BornologicalMonoid(X, all_subsets(X)), QQ),
+                        Space(QQ, X, generate(X, [_grid(0, 1)])))
+    report = act.check_compatible([_grid(0, Fraction(1, 3))], [_grid(0, 1)])
+    assert report["verdict"] == "undecided"
+    assert report["witnesses"] == [("grid(1; x^(1/3))", "grid(1; x)", "grid(1; x^(1/3), x)")]
+
+
+def test_compatibility_abstains_on_a_set_with_no_grid_product():
+    act = module_action(monoid_algebra(BornologicalMonoid(X, all_subsets(X)), QQ),
+                        Space(QQ, X, well_ordered(X)))
+    interval = DescribedSet.interval(X, m(0), m(1))
+    report = act.check_compatible([interval], [_grid(0, 1)])
+    assert report["verdict"] == "undecided"
+    assert "not grid-certified" in report["witnesses"][0][2]
+
+
+def test_compatibility_rejection_is_not_downgraded_by_a_later_abstention():
+    # every grid times {1} is infinite, so unbounded in a finite-sets carrier
+    alg = monoid_algebra(BornologicalMonoid(X, all_subsets(X)), QQ)
+    carrier = Space(QQ, X, finite_subsets(X))
+    scalars = [_grid(0, 1), DescribedSet.interval(X, m(0), m(1))]
+    units = [DescribedSet.finite(X, [m(0)])]
+    report = ModuleAction(alg, carrier).check_compatible(scalars, units)
+    assert report["verdict"] == "rejected"
+    assert len(report["witnesses"]) == 2
+    with pytest.raises(AlgebraError, match="incompatible action"):
+        module_action(alg, carrier, scalars, units)
