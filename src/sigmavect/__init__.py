@@ -73,7 +73,6 @@ from .hahn import (
     neumann_sum,
     product_many,
     truncate,
-    unit_series,
 )
 from .strmap import (
     MapError,

@@ -19,19 +19,20 @@ target can have several representations and atoms can overlap.  A vector
 becomes a monomial again only when a factor's coefficient is asked for,
 through a decode cache that belongs to the series being built.
 
-Inversion writes a unit as c * x^g0 * (1 - eps) with Supp(eps) > 1 and builds
-1/(1 - eps) as the fixed point g = 1 + eps*g: a coefficient of g needs those
-of g strictly below it, which it fills bottom-up from an explicit stack,
-keyed by frame coordinates, so each costs its decompositions once, on any
-grid, and a deep lookup uses no Python recursion.  `neumann_sum` keeps the
-literal weighted sum of powers.
+Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
+with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
+times ([delta = x^-g0] minus the other terms f(alpha) h(beta)), each beta
+strictly below delta.  The coefficients are filled bottom-up from an
+explicit stack, keyed by frame coordinates, so each costs its
+decompositions once, on any grid, and a deep lookup uses no Python
+recursion.  `neumann_sum` keeps the literal weighted sum of powers.
 """
 
 from __future__ import annotations
 
 from .gridsolve import Lattice, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom
-from .series import FiniteSeries, LazySeries, SeriesError, Space
+from .series import FiniteSeries, LazySeries, SeriesError
 from .universe import UniverseError
 
 
@@ -66,10 +67,6 @@ def _check_hahn(f):
     if not (u.is_ordered and u.has_monoid):
         raise HahnError("Hahn arithmetic needs an ordered monoid universe")
     return _grid_atoms(u, f.certificate)
-
-
-def unit_series(field, universe, bornology):
-    return Space(field, universe, bornology).delta(universe.unit)
 
 
 def _atom_vectors(u, atom):
@@ -300,61 +297,11 @@ def neumann_sum(eps, coeffs=None):
     return LazySeries(eps.space, oracle, cert)
 
 
-def _geometric(eps):
-    """1/(1 - eps) for Supp(eps) > 1: the fixed point g = 1 + eps*g, on the
-    certificate `neumann_sum(eps)` has.
-
-    g(gamma) = [gamma = 1] + sum of eps(alpha) g(beta) over the pairs with
-    alpha in an atom of eps, beta in g's grid and alpha + beta = gamma.  As
-    alpha > 1, every beta lies strictly below gamma, and a positive weight
-    functional bounds every chain of such steps, so the values a lookup
-    needs are filled bottom-up from an explicit stack: each coefficient
-    costs its decompositions once, and a cold lookup far out uses no Python
-    recursion.
-    """
-    u, field = eps.universe, eps.field
-    atoms = _check_hahn(eps)
-    _, cert = _power_grid(u, atoms)
-    if cert is None:
-        return eps.space.delta(u.unit)
-    grid = cert.atoms[0]
-    frame = _Frame(u, atoms + [grid])
-    splits = [_decompositions(frame, a, grid) for a in atoms]
-    decode = frame.decode
-    unit, one, zero = frame.encode(u.unit), field.one, field.zero
-    values = {}
-
-    def oracle(gamma):
-        t = frame.encode(gamma)  # gamma lies in cert, on the frame
-        stack = [(t, None)]
-        while stack:
-            top, pairs = stack.pop()
-            if top in values:
-                continue
-            if pairs is None:
-                pairs = set()
-                for split in splits:
-                    pairs |= split(top)
-                missing = [b for _, b in pairs if b not in values]
-                if missing:
-                    # revisit top once everything below it is filled
-                    stack.append((top, pairs))
-                    stack.extend((b, None) for b in missing)
-                    continue
-            total = one if top == unit else zero
-            for a, b in pairs:
-                total = total + eps.coeff(decode(a)) * values[b]
-            values[top] = total
-        return values[t]
-
-    return LazySeries(eps.space, oracle, cert)
-
-
 def _positive_part_atoms(u, cert):
     """Atoms covering cert's elements that are strictly above the unit, each
     certifying positivity on its own.  Elements <= unit are dropped; they are
     only sound to drop when the caller has verified their coefficients are
-    zero (leading-term normalization does)."""
+    zero (`invert_unit` has, through `leading_term`)."""
     uk = u.key(u.unit)
     out = []
     for a in _grid_atoms(u, cert):
@@ -403,10 +350,18 @@ def monomial_shift(f, shift, scalar=1):
 
 
 def invert_unit(f, window=32):
-    """Multiplicative inverse: write f = c * x^g0 * (1 - eps) with
-    Supp(eps) > 1 and return c^-1 * x^-g0 * g, where g = 1/(1 - eps) =
-    sum eps^n is built as the fixed point g = 1 + eps*g (`_geometric`)."""
-    _check_hahn(f)
+    """Multiplicative inverse of f, whose leading term c * x^g0 lies in the
+    first `window` certificate positions: the fixed point h of f*h = 1, on
+    the grid on x^-g0 that x^-g0 * Supp(f) minus the unit generates, where
+
+        h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
+
+    over alpha + beta = x^g0 * delta, alpha != x^g0 in f's atoms, beta in
+    the grid.  A point alpha below x^g0 carries zero (`leading_term` has
+    checked) and is skipped before its beta, which lies above delta, is
+    pushed; every other beta lies below delta.
+    """
+    atoms = _check_hahn(f)
     u, field = f.universe, f.field
     if not u.is_group:
         raise HahnError("inversion needs a group universe")
@@ -414,26 +369,54 @@ def invert_unit(f, window=32):
     if lt is None:
         raise HahnError("zero to window %d; cannot invert" % window)
     g0, c = lt
-    cinv = field.one / c
-    # normalized = c^-1 x^-g0 f has leading term 1 at the unit
-    normalized = monomial_shift(f, u.inv(g0), cinv)
-    if isinstance(normalized, FiniteSeries):
-        terms = dict(normalized.terms)
-        terms.pop(u.unit, None)
-        uk = u.key(u.unit)
-        for g in terms:
-            if not u.key(g) > uk:
-                raise HahnError("support element %s below the leading term" % u.format(g))
-        eps = FiniteSeries(f.space, {g: -v for g, v in terms.items()})
+    cinv, ginv = field.one / c, u.inv(g0)
+    if isinstance(f, FiniteSeries):
+        # listed in the order of f.terms, which fixes the grid generators' order
+        above = [FiniteAtom(u, [u.op(ginv, g) for g in f.terms if g != g0])]
     else:
-        atoms = _positive_part_atoms(u, normalized.certificate)
-        cert = DescribedSet(u, atoms)
+        above = _positive_part_atoms(u, f.certificate.translate(ginv))
+    _, cert = _power_grid(u, above)
+    if cert is None:
+        return f.space.delta(ginv, cinv)
+    cert = cert.translate(ginv)
+    grid = cert.atoms[0]
+    frame = _Frame(u, atoms + [grid])
+    splits = [_decompositions(frame, a, grid) for a in atoms]
+    decode = frame.decode
+    lead, start = frame.encode(g0), frame.encode(ginv)
+    values = {}
 
-        def oracle(gamma, _norm=normalized):
-            return -_norm.coeff(gamma)
+    def oracle(delta):
+        t = frame.encode(delta)  # delta lies in cert, on the frame
+        stack = [(t, None)]
+        while stack:
+            top, terms = stack.pop()
+            if top in values:
+                continue
+            if terms is None:
+                gamma = tuple(x + y for x, y in zip(top, lead))
+                pairs = set()
+                for split in splits:
+                    pairs |= split(gamma)
+                terms = []
+                for a, b in pairs:
+                    if a != lead:
+                        ca = f.coeff(decode(a))
+                        if not field.is_zero(ca):
+                            terms.append((ca, b))
+                missing = [b for _, b in terms if b not in values]
+                if missing:
+                    # revisit top once everything below it is filled
+                    stack.append((top, terms))
+                    stack.extend((b, None) for b in missing)
+                    continue
+            total = field.one if top == start else field.zero
+            for ca, b in terms:
+                total = total - ca * values[b]
+            values[top] = cinv * total
+        return values[t]
 
-        eps = LazySeries(f.space, oracle, cert)
-    return monomial_shift(_geometric(eps), u.inv(g0), cinv)
+    return LazySeries(f.space, oracle, cert)
 
 
 def truncate(f, bound):

@@ -12,7 +12,9 @@ start + N*step, negated when it falls so that its step is lex-positive.  A
 walk up to a bound gives ``None`` when the bound lies in another lex block
 of the step (infinitely many terms come before it), and an intersection
 with such a walk abstains.  A grid tests membership and walks on the ints
-of its frame (`GridAtom.frame`), converting each point it emits once.
+of its frame (`GridAtom.frame`), converting each point it emits once.  The
+other way round, a one-generator grid meets as its progression, so its meet
+with another such grid or a progression is exact (`_prog_prog_intersection`).
 """
 
 from __future__ import annotations
@@ -757,8 +759,9 @@ def atom_intersection(a1, a2):
             return (False, None)
         return (None, None)
 
-    if isinstance(a1, ProgressionAtom) and isinstance(a2, ProgressionAtom):
-        return _prog_prog_intersection(a1, a2)
+    p1, p2 = _as_progression(a1), _as_progression(a2)
+    if isinstance(p1, ProgressionAtom) and isinstance(p2, ProgressionAtom):
+        return _prog_prog_intersection(p1, p2)
 
     if a1 == a2:
         return (False, None)
@@ -779,6 +782,14 @@ def atom_intersection(a1, a2):
         if part is not None:
             return (True, [e for e in part if other.contains(e)])
     return (None, None)
+
+
+def _as_progression(atom):
+    """A one-generator grid as the progression base, base + g, ...; any
+    other atom as it is."""
+    if isinstance(atom, GridAtom) and len(atom.generators) == 1:
+        return ProgressionAtom(atom.universe, atom.base, atom.generators[0])
+    return atom
 
 
 def _is_interval(atom):

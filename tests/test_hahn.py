@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from sigmavect.bornology import well_ordered
 from sigmavect.hahn import (
     HahnError,
@@ -27,7 +28,6 @@ from sigmavect.hahn import (
     neumann_sum,
     product_many,
     truncate,
-    unit_series,
 )
 from sigmavect.scalars import GF, QQ
 from sigmavect.series import Space, add, sub
@@ -36,7 +36,7 @@ from sigmavect.universe import MonomialUniverse
 
 X = MonomialUniverse(["x"])
 SP = Space(QQ, X, well_ordered(X))
-ONE = unit_series(QQ, X, well_ordered(X))
+ONE = SP.delta(X.unit)
 
 
 def m(q):
@@ -200,6 +200,21 @@ def test_invert_matches_neumann_construction(field, gens, shift, c0, rest, lazy_
     assert [got.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
     if not lazy_eps:
         assert got.certificate == want.certificate
+
+
+def test_invert_skips_certificate_points_below_the_leading_term():
+    """A lazy unit whose certificate starts below its leading term: f is zero
+    at x^-1 and x^(-1/2) and 1 + 2e at x^e for e >= 0.  A pair through a
+    point below x^0 would ask for a coefficient of the inverse above the one
+    being filled, so the fill must skip it, or it walks upward forever."""
+    half = m(Fraction(1, 2))
+    f = SP.lazy(lambda g: max(0, 1 + 2 * X.vectorize(g)[0]), DescribedSet.grid(X, m(-1), [half]))
+    eps = SP.lazy(lambda g: -f.coeff(g), DescribedSet.grid(X, half, [half]))
+    with time_limit(10):
+        h = invert_unit(f)
+        want = neumann_inverse(f, eps)
+        assert [h.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
+        assert cauchy_product(f, h).eq_window(ONE, 24)
 
 
 # Exponents for the integer-frame oracle: generators and bases with

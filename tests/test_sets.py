@@ -454,6 +454,11 @@ def _non_unit(u):
     return _elements(u, 3).filter(lambda e: u.key(e) != u.key(u.unit))
 
 
+def _one_generator_grids(u):
+    """Grids that meet as the progressions they are."""
+    return st.builds(lambda b, g: GridAtom(u, b, [g]), _elements(u), _above_unit(u))
+
+
 def _plain_atoms(u):
     els = _elements(u)
     return st.one_of(
@@ -461,6 +466,7 @@ def _plain_atoms(u):
         st.builds(lambda s, d, c: ProgressionAtom(u, s, d, c),
                   els, _non_unit(u), st.sampled_from([None, None, 0, 3])),
         st.builds(lambda b, gs: GridAtom(u, b, gs), els, st.lists(_above_unit(u), min_size=1, max_size=2)),
+        _one_generator_grids(u),
         st.builds(lambda lo, hi, ls, hs: IntervalAtom(u, lo, hi, ls, hs),
                   st.one_of(st.none(), els), st.one_of(st.none(), els), st.booleans(), st.booleans()),
     )
@@ -484,6 +490,8 @@ def _atom_pairs(draw):
 @example((ZZ, ProgressionAtom(ZZ, (0, 0), (0, 1)), IntervalAtom(ZZ, hi=(1, 0))))
 @example((N, IntervalAtom(N), IntervalAtom(N, hi=0, lo_strict=True)))
 @example((T2, ProgressionAtom(T2, (0, 5), (0, -1)), GridAtom(T2, (0, 0), [(1, 0), (0, 2)])))
+@example((N, GridAtom(N, 2, [2]), GridAtom(N, 1, [2])))
+@example((Z, GridAtom(Z, -3, [3]), ProgressionAtom(Z, 7, -2)))
 def test_definite_finite_meets_match_box_enumeration(case):
     u, a1, a2 = case
     with time_limit(2):
@@ -503,3 +511,34 @@ def test_falling_progression_walks_down_to_a_grid_base():
     fin, els = atom_intersection(ProgressionAtom(T2, (0, 5), (0, -1)),
                                  GridAtom(T2, (0, 0), [(1, 0), (0, 2)]))
     assert fin is True and els == [T2.check(p) for p in [(0, 0), (0, 2), (0, 4)]]
+
+
+@st.composite
+def _line_grid_meets(draw):
+    """A one-generator grid and a one-generator grid or an infinite
+    progression, on a line."""
+    u = draw(st.sampled_from([Z, N, Q]))
+    grid = _one_generator_grids(u)
+    prog = st.builds(lambda s, d: ProgressionAtom(u, s, d), _elements(u), _non_unit(u))
+    return u, draw(grid), draw(st.one_of(grid, prog))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_grid_meets())
+@example((N, GridAtom(N, 2, [2]), GridAtom(N, 1, [2])))
+def test_one_generator_grid_meets_are_decided(case):
+    """Such a meet is always decided, and agrees with enumeration over a
+    box: every point of a finite meet lies within [-8, 8] (a grid's base
+    bounds it below, a falling progression's start above), and an infinite
+    one repeats with a period of at most 6 there."""
+    u, a1, a2 = case
+    with time_limit(2):
+        fin, els = atom_intersection(a1, a2)
+    box = [e for e in map(Fraction if u == Q else int, range(-40, 121)) if u.contains(e)]
+    meet = {e for e in box if a1.contains(e) and a2.contains(e)}
+    assert fin is not None
+    if fin:
+        assert len(els) == len(meet) and set(els) == meet
+    else:
+        assert len(meet) >= 10
+    assert described_intersection(DescribedSet(u, [a1]), DescribedSet(u, [a2]))[0] is fin

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sigmavect.bornology import Verdict, all_subsets, finite_subsets, generate, well_ordered
-from sigmavect.hahn import cauchy_product, invert_unit, unit_series
+from sigmavect.hahn import cauchy_product, invert_unit
 from sigmavect.scalars import QQ
 from sigmavect.series import SeriesError, Space, add, family_sum, finite_family, scale
 from sigmavect.sets import DescribedSet
@@ -201,3 +201,15 @@ def test_compatibility_rejection_is_not_downgraded_by_a_later_abstention():
     assert len(report["witnesses"]) == 2
     with pytest.raises(AlgebraError, match="incompatible action"):
         module_action(alg, carrier, scalars, units)
+
+
+def test_product_closure_rejects_a_grid_product_off_its_generator():
+    # grid(x^(1/2); x) squared is grid(x; x), which meets the one generator
+    # grid(x^(1/2); x) nowhere, so it is unbounded in the bornology it generates
+    half = _grid(Fraction(1, 2), 1)
+    mono = BornologicalMonoid(X, generate(X, [half]))
+    report = mono.check_product_closed([half])
+    assert report["verdict"] == "rejected"
+    assert report["witnesses"] == [("grid(x^(1/2); x)", "grid(x^(1/2); x)", "grid(x; x)")]
+    with pytest.raises(AlgebraError, match="not product-closed"):
+        monoid_algebra(mono, QQ, [half])
