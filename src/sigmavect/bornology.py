@@ -15,13 +15,12 @@ from .sets import (
     UP,
     WO,
     DescribedSet,
-    GridAtom,
-    IntervalAtom,
     ProductAtom,
     ProgressionAtom,
     SetError,
+    _atom_subset_of,
+    _origin_steps,
     described_intersection,
-    step_ratio,
 )
 from .universe import PairUniverse, UniverseError, Value
 
@@ -182,69 +181,6 @@ class Generated(Bornology):
             if all(f is True for f in meets):
                 return U
         return D
-
-
-def _origin_steps(atom):
-    """(origin, step vectors) of a progression or grid, the set origin times
-    the monoid its steps span; None for other atoms.  Callers pass infinite
-    atoms only, so a progression has no count."""
-    u = atom.universe
-    if isinstance(atom, ProgressionAtom):
-        return atom.start, [u.vectorize(atom.step)]
-    if isinstance(atom, GridAtom):
-        return atom.base, [u.vectorize(g) for g in atom.generators]
-    return None
-
-
-def _atom_subset_of(atom, other):
-    """Sound syntactic subset test between atoms (False = don't know)."""
-    if atom.is_finite() is True:
-        return all(other.contains(e) for e in atom.elements())
-    if isinstance(other, IntervalAtom):
-        return _range_inside_interval(atom, other)
-    if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
-        return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
-    view = _origin_steps(atom)
-    if view is None:
-        return False
-    origin, steps = view
-    if isinstance(other, ProgressionAtom):
-        if not isinstance(atom, ProgressionAtom) or other.count is not None:
-            return False
-        if not other.contains(origin):
-            return False
-        # the step must be a positive integer multiple of other.step
-        r = step_ratio(steps[0], atom.universe.vectorize(other.step))
-        return r is not None and r.denominator == 1 and r >= 1
-    if isinstance(other, GridAtom):
-        lattice = other.frame[0]
-        return other.contains(origin) and all(lattice.contains(lattice.scaled(s)) for s in steps)
-    return False
-
-
-def _set_subset_of(s1, s2):
-    return all(any(_atom_subset_of(a, b) for b in s2.atoms) for a in s1.atoms)
-
-
-def _range_inside_interval(atom, iv):
-    if isinstance(atom, IntervalAtom):
-        k = atom.universe.key
-        lo_ok = iv.lo is None or (
-            atom.lo is not None
-            and (k(atom.lo) > k(iv.lo) or (k(atom.lo) == k(iv.lo) and (atom.lo_strict or not iv.lo_strict)))
-        )
-        hi_ok = iv.hi is None or (
-            atom.hi is not None
-            and (k(atom.hi) < k(iv.hi) or (k(atom.hi) == k(iv.hi) and (atom.hi_strict or not iv.hi_strict)))
-        )
-        return lo_ok and hi_ok
-    view = _origin_steps(atom)
-    if view is None:
-        return False
-    # grid generators lie above the unit, so only a decreasing progression
-    # runs down from its origin; the open side of iv must face its direction
-    up = isinstance(atom, GridAtom) or atom.direction_up()
-    return (iv.hi if up else iv.lo) is None and iv.contains(view[0])
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,10 @@ def _grid_atoms(u, cert):
 
 def _check_hahn(f):
     """The atoms of f's certificate normalized by `_grid_atoms`; raises
-    unless f is a series on an ordered monoid with a grid-certified
-    support."""
+    unless f is a series on a monoid with a grid-certified support."""
     u = f.universe
-    if not (u.is_ordered and u.has_monoid):
-        raise HahnError("Hahn arithmetic needs an ordered monoid universe")
+    if not u.has_monoid:
+        raise HahnError("Hahn arithmetic needs a monoid universe")
     return _grid_atoms(u, f.certificate)
 
 

@@ -139,11 +139,9 @@ class FiniteAtom(Atom):
 
 
 class IntervalAtom(Atom):
-    """Order interval with optional endpoints; numeric ordered universes."""
+    """Order interval with optional endpoints."""
 
     def __init__(self, universe, lo=None, hi=None, lo_strict=False, hi_strict=False):
-        if not universe.is_ordered:
-            raise SetError("interval atom needs an ordered universe")
         super().__init__(universe)
         self.lo = universe.check(lo) if lo is not None else None
         self.hi = universe.check(hi) if hi is not None else None
@@ -244,8 +242,8 @@ class ProgressionAtom(Atom):
     """Arithmetic progression start, start+step, ... (count terms or infinite)."""
 
     def __init__(self, universe, start, step, count=None):
-        if not universe.has_monoid or not universe.is_ordered:
-            raise SetError("progression atom needs an ordered monoid universe")
+        if not universe.has_monoid:
+            raise SetError("progression atom needs a monoid universe")
         super().__init__(universe)
         self.start = universe.check(start)
         self.step = universe.check(step)
@@ -331,8 +329,8 @@ class GridAtom(Atom):
     """{base * g1^k1 * ... * gm^km : ki in N}; every generator above the unit."""
 
     def __init__(self, universe, base, generators):
-        if not universe.has_monoid or not universe.is_ordered:
-            raise SetError("grid atom needs an ordered monoid universe")
+        if not universe.has_monoid:
+            raise SetError("grid atom needs a monoid universe")
         super().__init__(universe)
         self.base = universe.check(base)
         self.generators = tuple(universe.check(g) for g in generators)
@@ -439,12 +437,18 @@ class ComplementAtom(Atom):
         return [e for e in self.within.elements() if not self.inner.contains(e)]
 
     def iter_increasing(self):
-        # an inner interval with no upper end that holds one element of the
-        # walk holds every later one too, so the walk stops there
-        tails = [a for a in self.inner.atoms if isinstance(a, IntervalAtom) and a.hi is None]
-        for e in self.within.iter_increasing():
-            if any(a.contains(e) for a in tails):
-                return
+        # the walk stops once the rest of `within` from its current element
+        # e lies inside one atom of `inner`: that rest is prog(e; step) for
+        # an infinite increasing progression, and lies in the ray [e, +inf)
+        # otherwise.  A rest that only a union of inner atoms covers is not
+        # seen, and the walk goes on
+        w, u = self.within, self.universe
+        infinite = w.is_finite() is not True
+        for e in w.iter_increasing():
+            if infinite:
+                rest = ProgressionAtom(u, e, w.step) if isinstance(w, ProgressionAtom) else IntervalAtom(u, lo=e)
+                if any(_atom_subset_of(rest, a) for a in self.inner.atoms):
+                    return
             if not self.inner.contains(e):
                 yield e
 
@@ -596,7 +600,7 @@ class DescribedSet(Value):
         return out
 
     def iter_increasing(self):
-        """Increasing enumeration without repetitions (ordered universes)."""
+        """Increasing enumeration without repetitions."""
         key = self.universe.key
         merged = heapq.merge(*[a.iter_increasing() for a in self.atoms], key=key)
         sentinel = object()
@@ -677,6 +681,73 @@ def _atom_from_record(rec, u):
         right = set_from_record(rec["right"], u.right)
         return ProductAtom(u, left, right)
     raise SetError("unknown atom record %r" % kind)
+
+
+# ---------------------------------------------------------------------------
+# inclusion between atoms
+
+
+def _origin_steps(atom):
+    """(origin, step vectors) of a progression or grid, the set origin times
+    the monoid its steps span; None for other atoms.  Callers pass infinite
+    atoms only, so a progression has no count."""
+    u = atom.universe
+    if isinstance(atom, ProgressionAtom):
+        return atom.start, [u.vectorize(atom.step)]
+    if isinstance(atom, GridAtom):
+        return atom.base, [u.vectorize(g) for g in atom.generators]
+    return None
+
+
+def _atom_subset_of(atom, other):
+    """Sound syntactic subset test between atoms (False = don't know)."""
+    if atom.is_finite() is True:
+        return all(other.contains(e) for e in atom.elements())
+    if isinstance(other, IntervalAtom):
+        return _range_inside_interval(atom, other)
+    if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
+        return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
+    view = _origin_steps(atom)
+    if view is None:
+        return False
+    origin, steps = view
+    if isinstance(other, ProgressionAtom):
+        if not isinstance(atom, ProgressionAtom) or other.count is not None:
+            return False
+        if not other.contains(origin):
+            return False
+        # the step must be a positive integer multiple of other.step
+        r = step_ratio(steps[0], atom.universe.vectorize(other.step))
+        return r is not None and r.denominator == 1 and r >= 1
+    if isinstance(other, GridAtom):
+        lattice = other.frame[0]
+        return other.contains(origin) and all(lattice.contains(lattice.scaled(s)) for s in steps)
+    return False
+
+
+def _set_subset_of(s1, s2):
+    return all(any(_atom_subset_of(a, b) for b in s2.atoms) for a in s1.atoms)
+
+
+def _range_inside_interval(atom, iv):
+    if isinstance(atom, IntervalAtom):
+        k = atom.universe.key
+        lo_ok = iv.lo is None or (
+            atom.lo is not None
+            and (k(atom.lo) > k(iv.lo) or (k(atom.lo) == k(iv.lo) and (atom.lo_strict or not iv.lo_strict)))
+        )
+        hi_ok = iv.hi is None or (
+            atom.hi is not None
+            and (k(atom.hi) < k(iv.hi) or (k(atom.hi) == k(iv.hi) and (atom.hi_strict or not iv.hi_strict)))
+        )
+        return lo_ok and hi_ok
+    view = _origin_steps(atom)
+    if view is None:
+        return False
+    # grid generators lie above the unit, so only a decreasing progression
+    # runs down from its origin; the open side of iv must face its direction
+    up = isinstance(atom, GridAtom) or atom.direction_up()
+    return (iv.hi if up else iv.lo) is None and iv.contains(view[0])
 
 
 # ---------------------------------------------------------------------------
@@ -835,4 +906,4 @@ def described_intersection(s1, s2):
             if fin is None:
                 return (None, None)
             total.update(els)
-    return (True, sorted(total, key=s1.universe.key) if s1.universe.is_ordered else list(total))
+    return (True, sorted(total, key=s1.universe.key))

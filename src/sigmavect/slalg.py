@@ -59,8 +59,8 @@ def _refuse_rejected(report, what, detail):
 
 class BornologicalMonoid:
     def __init__(self, universe, bornology):
-        if not (universe.is_ordered and universe.has_monoid):
-            raise AlgebraError("a bornological monoid needs an ordered monoid universe")
+        if not universe.has_monoid:
+            raise AlgebraError("a bornological monoid needs a monoid universe")
         self.universe = universe
         self.bornology = bornology
 

@@ -60,17 +60,6 @@ class StrongLinearMap:
             fwd_schema=self.bwd_schema, bwd_schema=self.fwd_schema,
         )
 
-    def to_record(self, deltas=(), window=32):
-        return {
-            "source": self.source.to_record(),
-            "target": self.target.to_record(),
-            "rows": [
-                [self.target.universe.format(d), self.row(d).to_record(window)]
-                for d in deltas
-            ],
-            "schema": "oracle",
-        }
-
 
 def identity_map(space):
     row = space.dual().delta
@@ -148,9 +137,9 @@ def matrix_map(space, entries, col_support, fwd_schema=None, bwd_schema=None):
 
     `entries(delta)` returns the finite dict {gamma: scalar} of row delta;
     `col_support(gamma)` returns the finite list of deltas whose row touches
-    gamma.  Defaults treat the matrix as banded: schemas map a set to itself
-    union the touched indices (sound for finite sets, which is all the
-    acceptance battery needs)."""
+    gamma.  The default schemas map a finite set to the indices it touches
+    and refuse a set not known to be finite with a `MapError`; pass
+    `fwd_schema` and `bwd_schema` to map infinite supports."""
     field = space.field
     u = space.universe
     dual = space.dual()
@@ -164,24 +153,22 @@ def matrix_map(space, entries, col_support, fwd_schema=None, bwd_schema=None):
         )
 
     if fwd_schema is None:
-        def fwd_schema(s):
-            if s.is_finite() is not True:
-                return s  # sound only when the map's support schema says so
-            out = set()
-            for gamma in s.elements():
-                out.update(col_support(gamma))
-            return DescribedSet.finite(u, out)
-
+        fwd_schema = lambda s: _touched(u, s, col_support)
     if bwd_schema is None:
-        def bwd_schema(t):
-            if t.is_finite() is not True:
-                return t
-            out = set()
-            for delta in t.elements():
-                out.update(entries(delta))
-            return DescribedSet.finite(u, out)
+        bwd_schema = lambda t: _touched(u, t, entries)
 
     return StrongLinearMap(space, space, row, col, fwd_schema, bwd_schema)
+
+
+def _touched(u, s, indices):
+    """The finite set of the indices that `indices(i)` names for the
+    elements i of s; a set not known to be finite has no such cover here."""
+    if s.is_finite() is not True:
+        raise MapError("default support schema needs a finite support, got %s" % s.format())
+    out = set()
+    for i in s.elements():
+        out.update(indices(i))
+    return DescribedSet.finite(u, out)
 
 
 def tensor_map(m1, m2):

@@ -1,7 +1,8 @@
 """Index universes: the sets of monomials that series are supported on.
 
-A universe knows its elements (via a canonical textual codec), an optional
-total order and an optional (ordered) monoid operation.  Elements of the
+A universe knows its elements (via a canonical textual codec), its total
+order and an optional (ordered) monoid operation.  Numeric coordinates are
+exact: ints (not bools) and Fractions, never floats.  Elements of the
 numeric and monomial universes also embed into Q^n ("vectorize"), which is
 what the grid bookkeeping in :mod:`sigmavect.gridsolve` works on.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import check_size
 
@@ -20,23 +22,25 @@ class UniverseError(ValueError):
 
 class Value:
     """Identity of an immutable object by its canonical record: equal when
-    of one type with equal `to_record()`, hashed by the record's text."""
+    of one type with equal `to_record()`, hashed by the record's text.  The
+    record is built once per object, on first comparison or hash."""
 
     def to_record(self):
         raise NotImplementedError
 
+    @cached_property
+    def _record(self):
+        return self.to_record()
+
     def __eq__(self, other):
-        return self is other or (
-            type(self) is type(other) and self.to_record() == other.to_record()
-        )
+        return self is other or (type(self) is type(other) and self._record == other._record)
 
     def __hash__(self):
-        return hash(str(self.to_record()))
+        return hash(str(self._record))
 
 
 class Universe(Value):
     kind = "abstract"
-    is_ordered = False
     has_monoid = False
     is_group = False
     dim = None  # vector dimension when elements embed in Q^n
@@ -51,8 +55,8 @@ class Universe(Value):
 
     # order -------------------------------------------------------------
     def key(self, el):
-        """Sortable key realizing the total order (ordered universes only)."""
-        raise UniverseError("universe %s is not ordered" % self)
+        """Sortable key realizing the total order."""
+        raise NotImplementedError
 
     def lt(self, a, b):
         return self.key(a) < self.key(b)
@@ -96,18 +100,6 @@ def _fmt_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _fraction_coordinates(el):
-    """el itself when every coordinate is a Fraction, else the tuple of
-    their Fraction forms; el unchanged (to be refused by `contains`) when a
-    coordinate is not a rational number."""
-    if all(isinstance(c, Fraction) for c in el):
-        return el
-    try:
-        return tuple(Fraction(c) for c in el)
-    except (TypeError, ValueError):
-        return el
-
-
 def _parse_rational(text):
     text = text.strip()
     if "/" in text:
@@ -116,11 +108,16 @@ def _parse_rational(text):
     return Fraction(int(text))
 
 
+def _exact(c):
+    """True for an exact rational coordinate: an int (not a bool) or a
+    Fraction."""
+    return isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool))
+
+
 class FiniteUniverse(Universe):
     """An explicit finite set of labels, ordered by listing order."""
 
     kind = "finite"
-    is_ordered = True
 
     def __init__(self, labels):
         self.labels = tuple(labels)
@@ -148,7 +145,6 @@ POINT = FiniteUniverse(["*"])  # one-point universe, target of functionals
 
 
 class _NumericUniverse(Universe):
-    is_ordered = True
     has_monoid = True
     dim = 1
 
@@ -219,7 +215,7 @@ class Rationals(_NumericUniverse):
     _zero = Fraction(0)
 
     def contains(self, el):
-        return isinstance(el, Fraction)
+        return _exact(el)
 
     def check(self, el):
         if isinstance(el, int) and not isinstance(el, bool):
@@ -239,40 +235,42 @@ class Rationals(_NumericUniverse):
         return {"kind": "rationals"}
 
 
-class TupleUniverse(Universe):
-    """Lex-ordered tuples of rationals of a fixed arity; a group under +."""
+class _ExponentGroup(Universe):
+    """Lex-ordered exponent vectors of rationals of length `dim`, a monoid
+    under +; subclasses set `dim`, `is_group` and, to restrict the
+    coordinates, `exponents` and `_exp_ok`."""
 
-    kind = "tuples"
-    is_ordered = True
     has_monoid = True
     is_group = True
-
-    def __init__(self, arity):
-        if arity < 1:
-            raise UniverseError("arity must be positive")
-        self.arity = arity
-        self.dim = arity
+    exponents = "rational"
 
     def contains(self, el):
-        return (
-            isinstance(el, tuple)
-            and len(el) == self.arity
-            and all(isinstance(c, Fraction) for c in el)
-        )
+        if not isinstance(el, tuple) or len(el) != self.dim:
+            return False
+        for c in el:
+            if not _exact(c):
+                return False
+        return self.exponents == "rational" or all(self._exp_ok(c) for c in el)
 
     def check(self, el):
-        if isinstance(el, tuple) and len(el) == self.arity:
-            el = _fraction_coordinates(el)
+        # an element with all-Fraction coordinates is returned as it is
+        if isinstance(el, tuple):
+            for c in el:
+                if not isinstance(c, Fraction):
+                    el = tuple(Fraction(c) if _exact(c) else c for c in el)
+                    break
         return super().check(el)
 
     @property
     def unit(self):
-        return (Fraction(0),) * self.arity
+        return (Fraction(0),) * self.dim
 
     def op(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def inv(self, a):
+        if not self.is_group:
+            raise UniverseError("universe %s has no inverses" % self)
         return tuple(-x for x in a)
 
     def key(self, el):
@@ -282,7 +280,19 @@ class TupleUniverse(Universe):
         return el
 
     def devectorize(self, vec):
-        return tuple(vec)
+        return self.check(tuple(vec))
+
+
+class TupleUniverse(_ExponentGroup):
+    """Lex-ordered tuples of rationals of a fixed arity; a group under +."""
+
+    kind = "tuples"
+
+    def __init__(self, arity):
+        if arity < 1:
+            raise UniverseError("arity must be positive")
+        self.arity = arity
+        self.dim = arity
 
     def format(self, el):
         return "(" + ", ".join(_fmt_rational(c) for c in el) + ")"
@@ -303,7 +313,7 @@ _MONO_FACTOR = re.compile(
 )
 
 
-class MonomialUniverse(Universe):
+class MonomialUniverse(_ExponentGroup):
     """Free commutative monomial group on named generators.
 
     Elements are exponent tuples over the listed generator names, written
@@ -312,8 +322,6 @@ class MonomialUniverse(Universe):
     """
 
     kind = "monomials"
-    is_ordered = True
-    has_monoid = True
 
     def __init__(self, names, exponents="rational"):
         if exponents not in ("rational", "integer", "natural"):
@@ -329,40 +337,6 @@ class MonomialUniverse(Universe):
         if q.denominator != 1:
             return False
         return self.exponents == "integer" or q >= 0
-
-    def contains(self, el):
-        return (
-            isinstance(el, tuple)
-            and len(el) == self.dim
-            and all(isinstance(c, Fraction) for c in el)
-            and (self.exponents == "rational" or all(self._exp_ok(c) for c in el))
-        )
-
-    def check(self, el):
-        if isinstance(el, tuple) and len(el) == self.dim:
-            el = _fraction_coordinates(el)
-        return super().check(el)
-
-    @property
-    def unit(self):
-        return (Fraction(0),) * self.dim
-
-    def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        if not self.is_group:
-            raise UniverseError("natural-exponent monomials have no inverses")
-        return tuple(-x for x in a)
-
-    def key(self, el):
-        return el
-
-    def vectorize(self, el):
-        return el
-
-    def devectorize(self, vec):
-        return self.check(tuple(vec))
 
     def monomial(self, **exps):
         """Build an element from keyword exponents, e.g. monomial(x=1, y=-2)."""
@@ -407,14 +381,13 @@ class MonomialUniverse(Universe):
 
 
 class PairUniverse(Universe):
-    """Product of two universes; ordered lexicographically when both are."""
+    """Product of two universes, ordered lexicographically."""
 
     kind = "pair"
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.is_ordered = left.is_ordered and right.is_ordered
         self.has_monoid = left.has_monoid and right.has_monoid
         self.is_group = left.is_group and right.is_group
         if left.dim is not None and right.dim is not None:

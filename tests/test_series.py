@@ -144,7 +144,9 @@ def test_record_roundtrip():
 def test_finite_family_sum_matches_manual():
     members = [SEQ.series({i: 1, i + 1: -1}) for i in range(4)]
     fam = finite_family(members)
-    assert check_summable(fam)["verdict"] == "accepted"
+    report = check_summable(fam)
+    assert report["verdict"] == "accepted"
+    assert report["window"] == 32
     s = family_sum(fam)
     # oracle: telescoping, 1 at 0 and -1 at 4 [DERIVED]
     for n in range(6):

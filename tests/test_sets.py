@@ -86,6 +86,20 @@ def test_complement_walk_stops_inside_an_unbounded_inner_interval():
         assert DescribedSet(N, [ComplementAtom(inner, ProgressionAtom(N, 3, 3))]).first_n(8) == [3, 9]
 
 
+def test_complement_walk_stops_inside_one_inner_atom():
+    # 3, 6, 9, ... minus 6, 9, ... is {3}: from 6 on, the rest of the walk,
+    # prog(6; 3), lies inside the inner progression
+    s = DescribedSet(N, [ComplementAtom(DescribedSet.progression(N, 6, 3), ProgressionAtom(N, 3, 3))])
+    with time_limit(5):
+        assert s.first_n(8) == [3]
+        # a grid inner atom ends the walk the same way
+        inner = DescribedSet.grid(N, 6, [3])
+        assert DescribedSet(N, [ComplementAtom(inner, ProgressionAtom(N, 3, 3))]).first_n(8) == [3]
+        # no single inner atom holds a tail of N minus the evens: it goes on
+        odds = DescribedSet.progression(N, 0, 2).complement_within(DescribedSet.interval(N, lo=0))
+        assert odds.first_n(8) == [1, 3, 5, 7, 9, 11, 13, 15]
+
+
 def test_bounded_progression_is_finite():
     s = DescribedSet.progression(Z, 0, 4, count=3)
     assert s.elements() == {0, 4, 8}

@@ -192,3 +192,23 @@ def test_map_family_and_sigma_preservation():
     # each mapped member agrees with applying the map directly
     for i in fam.index:
         assert img.member(i).eq_window(m.apply(fam.member(i)))
+
+
+def test_default_schemas_refuse_a_support_not_known_finite():
+    # f = 1 on 5, 6, ...; the image at 4 is f(4) + f(5) = 1, and a default
+    # schema that passed the support through unchanged missed 4
+    entries = lambda d: {d: 1, d + 1: 1}
+    touching = lambda g: [d for d in (g - 1, g) if d >= 0]
+    f = DUAL.lazy(lambda n: 1, DescribedSet.progression(N, 5, 1))
+    with pytest.raises(MapError, match="prog"):
+        matrix_map(DUAL, entries, touching).apply(f)
+    row = SEQ.dual().lazy(lambda n: 1, DescribedSet.progression(N, 5, 1))
+    with pytest.raises(MapError, match="prog"):
+        matrix_map(SEQ, entries, touching).dual().apply(row)
+    # finite supports keep the default schemas
+    g = DUAL.series({5: 1})
+    image = matrix_map(DUAL, entries, touching).apply(g)
+    assert [image.coeff(d) for d in range(7)] == [0, 0, 0, 0, 1, 1, 0]
+    # a caller's schema covers the infinite support and gives the true value
+    cover = lambda s: DescribedSet.interval(N, lo=4)
+    assert matrix_map(DUAL, entries, touching, cover, cover).apply(f).coeff(4) == 1

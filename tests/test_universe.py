@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sigmavect.sets import DescribedSet
 from sigmavect.universe import (
     POINT,
     FiniteUniverse,
@@ -139,3 +140,62 @@ def test_vectorize_devectorize_guards():
         N.devectorize((Fraction(-1),))
     with pytest.raises(UniverseError):
         N.devectorize((Fraction(1, 2),))
+
+
+EXACT_UNIVERSES = [
+    Naturals(),
+    Integers(),
+    Rationals(),
+    TupleUniverse(2),
+    MonomialUniverse(["x"], "rational"),
+    MonomialUniverse(["x", "y"], "integer"),
+    MonomialUniverse(["t"], "natural"),
+    PairUniverse(Naturals(), Rationals()),
+    FiniteUniverse(["a", 0, Fraction(1, 2)]),
+]
+scalar_values = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(-3, 3, allow_nan=False),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+candidate_values = st.recursive(
+    scalar_values, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+
+
+@given(st.sampled_from(EXACT_UNIVERSES), candidate_values)
+def test_contains_agrees_with_check(u, v):
+    # contains(v) holds exactly when check(v) returns, and check then gives
+    # back an equal element (ints become Fractions where coordinates are
+    # rational); floats and bools are never exact rational coordinates
+    try:
+        checked = u.check(v)
+    except UniverseError:
+        assert not u.contains(v)
+    else:
+        assert u.contains(v)
+        assert checked == v
+
+
+def test_inexact_coordinates_are_refused():
+    X = MonomialUniverse(["x"])
+    for bad in ((0.5,), (True,)):
+        assert not X.contains(bad)
+        with pytest.raises(UniverseError):
+            X.check(bad)
+    Q = Rationals()
+    assert Q.contains(2) and Q.check(2) == Fraction(2)
+    assert not Q.contains(0.5) and not Q.contains(True)
+    assert X.check((1,)) == (Fraction(1),)
+
+
+def test_described_sets_take_int_coordinates():
+    # membership reads an int as the rational it is, as `check` does
+    Q = Rationals()
+    assert DescribedSet.grid(Q, 0, [1]).contains(2)
+    assert DescribedSet.progression(Q, 0, 1).contains(2)
+    assert DescribedSet.interval(Q, lo=0).contains(2)
+    X = MonomialUniverse(["x"])
+    assert DescribedSet.grid(X, (0,), [(1,)]).contains((2,))
+    assert not DescribedSet.grid(X, (0,), [(1,)]).contains((2.0,))
