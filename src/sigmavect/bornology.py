@@ -7,11 +7,12 @@ sound; UNDECIDED is returned whenever no sound rule applies, never a guess.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
+from typing import NamedTuple
 
 from .sets import (
     DENSE,
     DOWN,
-    FINITE,
     UP,
     WO,
     DescribedSet,
@@ -62,11 +63,11 @@ class Bornology(Value):
     def is_bounded(self, s):
         if s.universe != self.universe:
             raise BornologyError("described set lives on a different universe")
-        if not s.atoms:
-            return B
-        return _meet(self._atom_bounded(a) for a in s.atoms)
+        # an ideal that holds the singletons holds every finite set
+        return _meet(B if a.is_finite() is True else self._atom_bounded(a) for a in s.atoms)
 
     def _atom_bounded(self, atom):
+        """The verdict on an atom not known to be finite."""
         raise NotImplementedError
 
     def to_record(self):
@@ -85,12 +86,7 @@ class FiniteSubsets(Bornology):
     kind = "finite"
 
     def _atom_bounded(self, atom):
-        fin = atom.is_finite()
-        if fin is True:
-            return B
-        if fin is False:
-            return U
-        return D
+        return U if atom.is_finite() is False else D
 
 
 class AllSubsets(Bornology):
@@ -100,47 +96,52 @@ class AllSubsets(Bornology):
         return B
 
 
-class WellOrdered(Bornology):
-    """Well-ordered subsets (order type any ordinal)."""
+class _Order(NamedTuple):
+    bounds: tuple      # atom classes it bounds
+    unbounded: tuple   # classes it does not bound when the atom is exactly that class
+    thin: tuple        # classes every infinite subset of which it does not bound
+    dual: str          # the kind of its dual
 
-    kind = "wo"
+
+# the order bornologies: well-ordered subsets (order type any ordinal),
+# reverse-well-ordered ones, and those of order type <= omega (finite initial
+# segments).  Subsets of an exact DOWN or DENSE atom may still be well
+# ordered, hence "exactly"; WO under wo_omega means well ordered of type above
+# omega (a grid whose generators have distinct leading coordinates)
+_ORDERS = {
+    "wo": _Order((UP, WO), (DOWN, DENSE), (DOWN,), "rwo"),
+    "rwo": _Order((DOWN,), (UP, WO, DENSE), (UP,), "wo"),
+    "wo_omega": _Order((UP,), (DOWN, DENSE, WO), (DOWN, WO), "rwo"),
+}
+
+
+class OrderBornology(Bornology):
+    """The subsets of one order type, by the `_ORDERS` row of its kind."""
+
+    def __init__(self, universe, kind):
+        if kind not in _ORDERS:
+            raise BornologyError("unknown order bornology %r" % kind)
+        super().__init__(universe)
+        self.kind = kind
 
     def _atom_bounded(self, atom):
+        row = _ORDERS[self.kind]
         cls = atom.classify()
-        if cls in (FINITE, UP, WO):
+        if cls in row.bounds:
             return B
-        if cls in (DOWN, DENSE):
-            # subsets of an exact DOWN/DENSE atom may still be well ordered
-            return U if atom.exact_class() else D
+        if cls in row.unbounded and atom.exact_class():
+            return U
         return D
 
 
-class ReverseWellOrdered(Bornology):
-    kind = "rwo"
-
-    def _atom_bounded(self, atom):
-        cls = atom.classify()
-        if cls in (FINITE, DOWN):
-            return B
-        if cls in (UP, WO, DENSE):
-            return U if atom.exact_class() else D
-        return D
-
-
-class OrderTypeOmega(Bornology):
-    """Subsets of order type <= omega (finite initial segments)."""
-
-    kind = "wo_omega"
-
-    def _atom_bounded(self, atom):
-        cls = atom.classify()
-        if cls in (FINITE, UP):
-            return B
-        if cls in (DOWN, DENSE, WO):
-            # WO here means well ordered of type strictly above omega
-            # (a grid whose generators have distinct leading coordinates)
-            return U if atom.exact_class() else D
-        return D
+def _meets_finitely(atom, generators):
+    """True when the atom meets every generator finitely, False when it meets
+    one infinitely, None when undecided."""
+    single = DescribedSet(atom.universe, [atom])
+    fins = [described_intersection(single, g)[0] for g in generators]
+    if all(f is True for f in fins):
+        return True
+    return False if any(f is False for f in fins) else None
 
 
 class Generated(Bornology):
@@ -159,27 +160,13 @@ class Generated(Bornology):
         return {"generators": [g.to_record() for g in self.generators]}
 
     def _atom_bounded(self, atom):
-        fin = atom.is_finite()
-        if fin is True:
-            return B
-        covered = any(
-            _atom_subset_of(atom, gen_atom)
-            for g in self.generators
-            for gen_atom in g.atoms
-        )
-        if covered:
+        if any(_atom_subset_of(atom, ga) for g in self.generators for ga in g.atoms):
             return B
         # not covered by one generator atom: it may still be covered by a
         # finite union, but if the atom meets every generator finitely it
         # certainly is not (an infinite set cannot hide in a finite leftover)
-        if fin is False:
-            single = DescribedSet(self.universe, [atom])
-            meets = []
-            for g in self.generators:
-                f, _ = described_intersection(single, g)
-                meets.append(f)
-            if all(f is True for f in meets):
-                return U
+        if atom.is_finite() is False and _meets_finitely(atom, self.generators) is True:
+            return U
         return D
 
 
@@ -189,22 +176,26 @@ class Generated(Bornology):
 
 def _atom_rectangle(atom):
     """(left DescribedSet, right DescribedSet, exact) over-approximating an
-    infinite atom by a rectangle; exact means the atom *is* the rectangle."""
-    u = atom.universe
+    infinite atom by a rectangle, exact when the atom *is* the rectangle;
+    None when no rectangle is found."""
     if isinstance(atom, ProductAtom):
         return atom.left, atom.right, True
-    view = _origin_steps(atom)
-    if view is None:
+    try:
+        view = _origin_steps(atom)
+        if view is None:
+            return None
+        origin, steps = view
+        u = atom.universe
+        ln = u.left.dim
+        o = u.vectorize(origin)
+        if isinstance(atom, ProgressionAtom):
+            left = _component_line(u.left, o[:ln], steps[0][:ln])
+            right = _component_line(u.right, o[ln:], steps[0][ln:])
+        else:
+            left = _component_grid(u.left, o[:ln], [g[:ln] for g in steps])
+            right = _component_grid(u.right, o[ln:], [g[ln:] for g in steps])
+    except (SetError, UniverseError):
         return None
-    origin, steps = view
-    ln = u.left.dim
-    o = u.vectorize(origin)
-    if isinstance(atom, ProgressionAtom):
-        left = _component_line(u.left, o[:ln], steps[0][:ln])
-        right = _component_line(u.right, o[ln:], steps[0][ln:])
-    else:
-        left = _component_grid(u.left, o[:ln], [g[:ln] for g in steps])
-        right = _component_grid(u.right, o[ln:], [g[ln:] for g in steps])
     exact = all(not any(g[:ln]) for g in steps) or all(not any(g[ln:]) for g in steps)
     return left, right, exact
 
@@ -235,10 +226,8 @@ def _component_grid(u, base, gens):
     return DescribedSet.grid(u, base_el, nz)
 
 
-class ProductBornology(Bornology):
-    """Bounded = contained in F x G modulo a finite set."""
-
-    kind = "product"
+class _PairBornology(Bornology):
+    """A bornology on a pair universe built from one on each factor."""
 
     def __init__(self, left, right, universe=None):
         if universe is None:
@@ -252,13 +241,14 @@ class ProductBornology(Bornology):
     def _extra_record(self):
         return {"left": self.left.to_record(), "right": self.right.to_record()}
 
+
+class ProductBornology(_PairBornology):
+    """Bounded = contained in F x G modulo a finite set."""
+
+    kind = "product"
+
     def _atom_bounded(self, atom):
-        if atom.is_finite() is True:
-            return B
-        try:
-            rect = _atom_rectangle(atom)
-        except (SetError, UniverseError):
-            rect = None
+        rect = _atom_rectangle(atom)
         if rect is None:
             return D
         a, b, _ = rect
@@ -276,32 +266,18 @@ class ProductBornology(Bornology):
         return D
 
 
-class HomBornology(Bornology):
+class HomBornology(_PairBornology):
     """S bounded iff for every f-bounded F there is a g-bounded G with
     S cap (F x Delta) inside F x G having finite fibers over G."""
 
     kind = "hom"
 
-    def __init__(self, left, right, universe=None):
-        if universe is None:
-            universe = PairUniverse(left.universe, right.universe)
-        super().__init__(universe)
-        if universe.left != left.universe or universe.right != right.universe:
-            raise BornologyError("factor universes do not match the pair universe")
-        self.left = left
-        self.right = right
-        self._perp_left = perp(left)
-
-    def _extra_record(self):
-        return {"left": self.left.to_record(), "right": self.right.to_record()}
+    @cached_property
+    def _perp_left(self):
+        return perp(self.left)
 
     def _atom_bounded(self, atom):
-        if atom.is_finite() is True:
-            return B
-        try:
-            rect = _atom_rectangle(atom)
-        except (SetError, UniverseError):
-            return D
+        rect = _atom_rectangle(atom)
         if rect is None:
             return D
         a, b, exact = rect
@@ -341,20 +317,10 @@ class HomBornology(Bornology):
 
     def _infinite_subsets_unbounded(self, b_set):
         """True when every infinite subset of b_set is g-unbounded."""
-        g = self.right
-        if g.kind == "finite":
+        if self.right.kind == "finite":
             return True
-        cls = [a.classify() for a in b_set.atoms]
-        exact = all(a.exact_class() for a in b_set.atoms)
-        if not exact:
-            return False
-        if g.kind == "rwo" and all(c == UP for c in cls):
-            return True
-        if g.kind in ("wo", "wo_omega") and all(c == DOWN for c in cls):
-            return True
-        if g.kind == "wo_omega" and all(c in (DOWN, WO) for c in cls):
-            return True
-        return False
+        row = _ORDERS.get(self.right.kind)
+        return row is not None and all(a.exact_class() and a.classify() in row.thin for a in b_set.atoms)
 
 
 class Perp(Bornology):
@@ -370,40 +336,23 @@ class Perp(Bornology):
         return {"inner": self.inner.to_record()}
 
     def _atom_bounded(self, atom):
-        if atom.is_finite() is True:
-            return B
-        single = DescribedSet(self.universe, [atom])
         if self.inner.kind == "generated":
-            verdicts = []
-            for g in self.inner.generators:
-                fin, _ = described_intersection(single, g)
-                verdicts.append(fin)
-            if all(f is True for f in verdicts):
-                return B
-            if any(f is False for f in verdicts):
-                return U
-            return D
+            return {True: B, False: U}.get(_meets_finitely(atom, self.inner.generators), D)
         if self.inner.kind == "perp":
             # biperp: the base bornology embeds into its double dual
-            base = self.inner.inner
-            v = base.is_bounded(single)
-            if v is B:
-                return B
-            return D
+            single = DescribedSet(self.universe, [atom])
+            return B if self.inner.inner.is_bounded(single) is B else D
         return D
 
 
 def perp(b):
     """The dual bornology, with the standard identities as rewrites."""
-    table = {
-        "finite": AllSubsets,
-        "all": FiniteSubsets,
-        "wo_omega": ReverseWellOrdered,
-        "wo": ReverseWellOrdered,
-        "rwo": WellOrdered,
-    }
-    if b.kind in table:
-        return table[b.kind](b.universe)
+    if b.kind == "finite":
+        return AllSubsets(b.universe)
+    if b.kind == "all":
+        return FiniteSubsets(b.universe)
+    if b.kind in _ORDERS:
+        return OrderBornology(b.universe, _ORDERS[b.kind].dual)
     if b.kind == "perp" and b.inner.kind == "perp":
         # triple dual collapses: (F^perp)^perp^perp = F^perp
         return Perp(b.inner.inner)
@@ -434,24 +383,15 @@ def all_subsets(u):
 
 
 def well_ordered(u):
-    return WellOrdered(u)
+    return OrderBornology(u, "wo")
 
 
 def reverse_well_ordered(u):
-    return ReverseWellOrdered(u)
+    return OrderBornology(u, "rwo")
 
 
 def order_type_omega(u):
-    return OrderTypeOmega(u)
-
-
-_KINDS = {
-    "finite": FiniteSubsets,
-    "all": AllSubsets,
-    "wo": WellOrdered,
-    "rwo": ReverseWellOrdered,
-    "wo_omega": OrderTypeOmega,
-}
+    return OrderBornology(u, "wo_omega")
 
 
 def bornology_from_record(rec, universe=None):
@@ -461,21 +401,20 @@ def bornology_from_record(rec, universe=None):
     if universe is None:
         universe = universe_from_record(rec["universe"])
     kind = rec["kind"]
-    if kind in _KINDS:
-        return _KINDS[kind](universe)
+    if kind == "finite":
+        return FiniteSubsets(universe)
+    if kind == "all":
+        return AllSubsets(universe)
+    if kind in _ORDERS:
+        return OrderBornology(universe, kind)
     if kind == "generated":
         gens = [set_from_record(g, universe) for g in rec["generators"]]
         return Generated(universe, gens)
     if kind == "perp":
         return Perp(bornology_from_record(rec["inner"]))
-    if kind == "product":
-        return ProductBornology(
-            bornology_from_record(rec["left"]), bornology_from_record(rec["right"]), universe
-        )
-    if kind == "hom":
-        return HomBornology(
-            bornology_from_record(rec["left"]), bornology_from_record(rec["right"]), universe
-        )
+    for cls in (ProductBornology, HomBornology):
+        if kind == cls.kind:
+            return cls(bornology_from_record(rec["left"]), bornology_from_record(rec["right"]), universe)
     raise BornologyError("unknown bornology kind %r" % kind)
 
 

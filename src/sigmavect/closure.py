@@ -192,16 +192,13 @@ def dual_basis_construction(family, depth):
         j += 1
     vectors = vectors[:depth]
 
-    recovery, bounds = [], []
-    for row in rows:
-        coeffs = []
-        for jj in range(min(r, len(vectors))):
-            val = sum(row[i] * vectors[jj][i] for i in range(min(width, len(vectors[jj]))))
-            if val != 0:
-                coeffs.append((jj, val))
-        recovery.append(coeffs)
-        bounds.append(r)
-    return ConstructedBasis(vectors, recovery, bounds, pivots, r)
+    # the first r vectors are delta_{pivots[j]}, so a row's j-th coordinate
+    # is its entry at pivots[j]
+    recovery = [
+        [(j, c) for j, c in enumerate(field.of(row[p]) for p in pivots[:len(vectors)]) if c != 0]
+        for row in rows
+    ]
+    return ConstructedBasis(vectors, recovery, [r] * len(rows), pivots, r)
 
 
 # -- one-step sigma-span -----------------------------------------------------

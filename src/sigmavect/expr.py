@@ -337,7 +337,7 @@ def _type_of(value):
 
 # Every builtin's argument groups (";" in a call), each argument "name: kind";
 # a group "name: kind..." takes one or more arguments.  `Evaluator._call` reads
-# each argument by its kind (`_KINDS`); the handler `_fn_<builtin>` gets values.
+# each argument by its kind (`_READERS`); the handler `_fn_<builtin>` gets values.
 BUILTINS = {
     "pair": "f: series, g: series",
     "grid": "base: monomial; generator: monomial...",
@@ -446,7 +446,7 @@ def _read_name(ev, node, locals_):
 # reader gets the evaluator, the value and the call's first series' universe (x
 # before one), or for a kind in _UNEVALUATED the evaluator, the node and the
 # locals; it returns what the handler takes or raises _Mismatch.
-_KINDS = {
+_READERS = {
     "series": ("a series", _read_type("series")),
     "monomial": ("a monomial with coefficient 1 in %(u)r", _read_monomial),
     "vector": ("a finite series in %(u)r", _read_vector),
@@ -466,7 +466,7 @@ def _kind_error(fn, arg, kind, mismatch):
     """The EvalError for argument `arg` of `fn` not of `kind`: what it must be
     and what it is, with both universes when they differ."""
     u, v = mismatch.universe, mismatch.value
-    msg = "%s %s must be %s" % (fn, arg, _KINDS[kind][0] % {"u": u})
+    msg = "%s %s must be %s" % (fn, arg, _READERS[kind][0] % {"u": u})
     if v is not None:
         ty = _type_of(v)
         got = render(v) if ty == "scalar" else "a " + ty
@@ -626,7 +626,7 @@ class Evaluator:
 
     def _argument(self, fn, arg, kind, node, locals_, u):
         """Argument `arg` of builtin `fn`, read as `kind` from `node`."""
-        read = _KINDS[kind][1]
+        read = _READERS[kind][1]
         try:
             if kind in _UNEVALUATED:
                 return read(self, node, locals_)

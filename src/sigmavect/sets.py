@@ -15,6 +15,15 @@ with such a walk abstains.  A grid tests membership and walks on the ints
 of its frame (`GridAtom.frame`), converting each point it emits once.  The
 other way round, a one-generator grid meets as its progression, so its meet
 with another such grid or a progression is exact (`_prog_prog_intersection`).
+
+The increasing walk of a complement `within \\ inner` ends once the rest of
+`within` from its current element e lies inside `inner`.  When `within` is an
+increasing progression of step d (a ray of N or Z: d = 1), that rest is the
+line prog(e; d), covered when each residue class prog(e + c*d; K*d), c < K,
+lies inside one inner atom; K is the lcm of the numerators of the step
+ratios of the inner progressions along d.  Otherwise the ray [e, +inf) must
+lie inside one inner atom.  A rest that only a grid of several generators
+holds, whose monoid misses the step K*d, is not seen: the walk goes on.
 """
 
 from __future__ import annotations
@@ -437,20 +446,48 @@ class ComplementAtom(Atom):
         return [e for e in self.within.elements() if not self.inner.contains(e)]
 
     def iter_increasing(self):
-        # the walk stops once the rest of `within` from its current element
-        # e lies inside one atom of `inner`: that rest is prog(e; step) for
-        # an infinite increasing progression, and lies in the ray [e, +inf)
-        # otherwise.  A rest that only a union of inner atoms covers is not
-        # seen, and the walk goes on
-        w, u = self.within, self.universe
+        # the stop rule of the module docstring, asked at every element
+        w = self.within
         infinite = w.is_finite() is not True
+        line = self._line() if infinite else None
         for e in w.iter_increasing():
-            if infinite:
-                rest = ProgressionAtom(u, e, w.step) if isinstance(w, ProgressionAtom) else IntervalAtom(u, lo=e)
-                if any(_atom_subset_of(rest, a) for a in self.inner.atoms):
-                    return
+            if infinite and self._rest_inside(e, line):
+                return
             if not self.inner.contains(e):
                 yield e
+
+    def _line(self):
+        """(d, K) of the stop rule when `within` is an infinite increasing
+        progression or a ray of N or Z, else None.  An inner progression
+        along d holds one residue class of prog(e; d) modulo the numerator
+        of its step ratio."""
+        w, u = _as_progression(self.within), self.universe
+        if isinstance(w, ProgressionAtom) and w.count is None and w.direction_up():
+            d = u.vectorize(w.step)
+        elif isinstance(w, IntervalAtom) and w.hi is None and w._discrete():
+            d = (Fraction(1),)
+        else:
+            return None
+        k = 1
+        for a in map(_as_progression, self.inner.atoms):
+            if isinstance(a, ProgressionAtom) and a.count is None:
+                r = step_ratio(u.vectorize(a.step), d)
+                if r is not None:
+                    k = lcm(k, abs(r.numerator))
+        return d, k
+
+    def _rest_inside(self, e, line):
+        """True when the rest of `within` from e lies inside `inner`; the
+        residue classes of a line are tried lazily, K can be large."""
+        u, atoms = self.universe, self.inner.atoms
+        if line is None:
+            rests = [IntervalAtom(u, lo=e)]
+        else:
+            (d, k), v = line, u.vectorize(e)
+            step = u.devectorize(tuple(k * x for x in d))
+            rests = (ProgressionAtom(u, u.devectorize(tuple(a + c * x for a, x in zip(v, d))), step)
+                     for c in range(k))
+        return all(any(_atom_subset_of(r, a) for a in atoms) for r in rests)
 
     def _side(self, bound, up):
         base = self.within._side(bound, up)

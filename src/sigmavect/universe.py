@@ -126,7 +126,13 @@ class FiniteUniverse(Universe):
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def contains(self, el):
-        return el in self._index
+        # a label itself, not a value that merely hashes and compares equal
+        # to one (True to 1, 1.0 to 1); an unhashable value is no label
+        try:
+            i = self._index.get(el)
+        except TypeError:
+            return False
+        return i is not None and type(el) is type(self.labels[i])
 
     def key(self, el):
         return self._index[el]

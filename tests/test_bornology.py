@@ -26,8 +26,23 @@ from sigmavect.bornology import (
     reverse_well_ordered,
     well_ordered,
 )
-from sigmavect.sets import DescribedSet
-from sigmavect.universe import Integers, MonomialUniverse, Naturals, PairUniverse, TupleUniverse
+from sigmavect.sets import (
+    ComplementAtom,
+    DescribedSet,
+    FiniteAtom,
+    GridAtom,
+    IntervalAtom,
+    ProductAtom,
+    ProgressionAtom,
+)
+from sigmavect.universe import (
+    Integers,
+    MonomialUniverse,
+    Naturals,
+    PairUniverse,
+    Rationals,
+    TupleUniverse,
+)
 
 Z = Integers()
 N = Naturals()
@@ -320,3 +335,96 @@ CONTAINMENTS = [
                          ids=["%s in %s" % (c[2].format(), c[1].format()) for c in CONTAINMENTS])
 def test_generated_containment_verdicts(u, gen, s, want):
     assert generate(u, [gen]).is_bounded(s) is want
+
+
+# -- every bornology bounds finite sets; the order kinds' table ----------------
+
+ZZ = PairUniverse(Z, Z)
+
+
+def _finite_atoms(u):
+    """A finite atom of each shape on u, which is Z or Z x Z."""
+    a, b = (3, 5) if u is Z else ((1, 2), (0, -1))
+    atoms = [
+        FiniteAtom(u, [a, b]),
+        ProgressionAtom(u, a, b, count=4),
+        GridAtom(u, a, []),
+        ComplementAtom(DescribedSet.finite(u, [a]), FiniteAtom(u, [a, b])),
+    ]
+    if u is Z:
+        return atoms + [IntervalAtom(Z, lo=-2, hi=9)]
+    return atoms + [ProductAtom(ZZ, DescribedSet.finite(Z, [0, 1]), DescribedSet.progression(Z, 0, 1, 3))]
+
+
+def _generated(u):
+    return generate(u, [DescribedSet.progression(u, 0 if u is Z else (0, 0), 2 if u is Z else (1, 1))])
+
+
+# name -> (bornology on a universe, the universes it is built on)
+BORNOLOGY_KINDS = {
+    "finite": (finite_subsets, (Z, ZZ)),
+    "all": (all_subsets, (Z, ZZ)),
+    "wo": (well_ordered, (Z, ZZ)),
+    "rwo": (reverse_well_ordered, (Z, ZZ)),
+    "wo_omega": (order_type_omega, (Z, ZZ)),
+    "generated": (_generated, (Z, ZZ)),
+    "perp": (lambda u: perp(_generated(u)), (Z, ZZ)),
+    "biperp": (lambda u: perp(perp(_generated(u))), (Z, ZZ)),
+    "product": (lambda u: product_bornology(well_ordered(Z), finite_subsets(Z), u), (ZZ,)),
+    "hom": (lambda u: hom_bornology(all_subsets(Z), reverse_well_ordered(Z), u), (ZZ,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BORNOLOGY_KINDS))
+def test_every_bornology_bounds_every_finite_atom(name):
+    make, universes = BORNOLOGY_KINDS[name]
+    for u in universes:
+        b = make(u)
+        for atom in _finite_atoms(u):
+            assert atom.is_finite() is True, atom
+            assert b.is_bounded(DescribedSet(u, [atom])) is Verdict.BOUNDED, (b, atom)
+
+
+Q = Rationals()
+# an atom exactly of each class: UP, DOWN, WO (generators with distinct
+# leading coordinates) and DENSE
+ORDER_ATOMS = [
+    ProgressionAtom(Z, 0, 1),
+    ProgressionAtom(Z, 0, -1),
+    GridAtom(T2, (0, 0), [(0, 1), (1, 0)]),
+    IntervalAtom(Q, lo=0, hi=1),
+]
+# order kind -> its verdicts on ORDER_ATOMS
+ORDER_VERDICTS = {
+    "wo": "BUBU",
+    "rwo": "UBUU",
+    "wo_omega": "BUUU",
+}
+# order kind -> hom(all, kind) verdicts on the lines (n, -n) and (n, n): each
+# fiber is one point and the image is infinite, so the image's class decides
+HOM_LINE_VERDICTS = {
+    "wo": "UB",
+    "rwo": "BU",
+    "wo_omega": "UB",
+}
+LETTERS = {"B": Verdict.BOUNDED, "U": Verdict.UNBOUNDED, "D": Verdict.UNDECIDED}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER_VERDICTS))
+def test_order_kinds_on_exact_atoms_and_their_complements(kind):
+    make = BORNOLOGY_KINDS[kind][0]
+    assert [a.classify() for a in ORDER_ATOMS] == ["up", "down", "wo", "dense"]
+    for atom, letter in zip(ORDER_ATOMS, ORDER_VERDICTS[kind]):
+        u = atom.universe
+        b = make(u)
+        assert b.kind == kind
+        assert b.is_bounded(DescribedSet(u, [atom])) is LETTERS[letter], atom
+        # a complement has its within's class but may be smaller, so an
+        # unbounded class only abstains there
+        point = atom.lo if isinstance(atom, IntervalAtom) else atom.universe.unit
+        rest = ComplementAtom(DescribedSet.finite(u, [point]), atom)
+        want = Verdict.UNDECIDED if letter == "U" else LETTERS[letter]
+        assert b.is_bounded(DescribedSet(u, [rest])) is want, rest
+    hb = hom_bornology(all_subsets(Z), make(Z), ZZ)
+    for step, letter in zip([(1, -1), (1, 1)], HOM_LINE_VERDICTS[kind]):
+        assert hb.is_bounded(DescribedSet.progression(ZZ, (0, 0), step)) is LETTERS[letter], step

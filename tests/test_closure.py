@@ -29,7 +29,7 @@ from sigmavect.closure import (
     rref,
     solve_combination,
 )
-from sigmavect.scalars import FpElement
+from sigmavect.scalars import GF, QQ, FpElement
 
 
 def independent_solve(columns, target):
@@ -158,31 +158,33 @@ def test_functional_family_validation():
 
 def test_dual_basis_construction_properties():
     rng = random.Random(11)
-    for _ in range(10):
+    for trial, field in enumerate([QQ, GF(7)] * 20):
         rows = [
-            {rng.randint(0, 6): Fraction(rng.randint(-3, 3)) for _ in range(3)}
+            {rng.randint(0, 6): field.of(rng.randint(-3, 3)) for _ in range(3)}
             for _ in range(rng.randint(1, 4))
         ]
         fam = FunctionalFamily(rows)
-        depth = 10
+        lists = fam.as_lists()
+        # every other pair of trials cuts the basis below the rank of the rows
+        depth = 10 if trial % 4 < 2 else max(rank(lists) - 1, 0)
         cb = dual_basis_construction(fam, depth)
         assert len(cb.vectors) == depth
-        width = max(len(v) for v in cb.vectors)
-        padded = [list(v) + [Fraction(0)] * (width - len(v)) for v in cb.vectors]
+        width = max((len(v) for v in cb.vectors), default=0)
+        padded = [list(v) + [field.zero] * (width - len(v)) for v in cb.vectors]
         # independence via the independent rank oracle
         assert rank(padded) == depth
-        lists = fam.as_lists()
         for mrow, row in enumerate(lists):
             # annihilation beyond the bound
             for n in range(cb.bounds[mrow], depth):
                 v = cb.vectors[n]
-                assert sum(row[i] * v[i] for i in range(min(len(row), len(v)))) == 0
+                assert sum(row[i] * v[i] for i in range(min(len(row), len(v)))) == field.zero
             # recovery: the row equals its stated combination of coordinate
             # functionals relative to the constructed basis
             cmap = dict(cb.recovery[mrow])
+            assert all(j < depth and type(c) is type(field.zero) and c != field.zero for j, c in cmap.items())
             for j, v in enumerate(cb.vectors):
                 val = sum(row[i] * v[i] for i in range(min(len(row), len(v))))
-                assert val == cmap.get(j, Fraction(0))
+                assert val == cmap.get(j, field.zero)
 
 
 def test_pattern_generator():

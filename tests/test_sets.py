@@ -100,6 +100,82 @@ def test_complement_walk_stops_inside_one_inner_atom():
         assert odds.first_n(8) == [1, 3, 5, 7, 9, 11, 13, 15]
 
 
+def test_complement_walk_stops_when_residue_classes_cover_the_tail():
+    # no single inner atom holds a tail here, but each residue class of the
+    # rest of `within` lies inside one of them
+    evens_and_odds = DescribedSet(N, [ProgressionAtom(N, 0, 2), ProgressionAtom(N, 1, 2)])
+    with time_limit(5):
+        assert evens_and_odds.complement_within(DescribedSet.interval(N, lo=0)).first_n(1) == []
+        # a one-generator grid `within` is read as its progression
+        evens = DescribedSet.progression(Z, 0, 2)
+        assert evens.complement_within(DescribedSet.grid(Z, 0, [2])).first_n(1) == []
+        # steps 3 and 2 along a line of step 1 give six classes
+        inner = DescribedSet(Z, [ProgressionAtom(Z, 0, 3), ProgressionAtom(Z, 1, 3), GridAtom(Z, 5, [3])])
+        assert inner.complement_within(DescribedSet.progression(Z, -4, 1)).first_n(8) == [-4, -3, -2, -1, 2]
+
+
+def _line_atom(u, shape, start, step):
+    if shape == "ray":
+        return IntervalAtom(u, lo=start, lo_strict=step > 3)
+    if shape == "grid":
+        return GridAtom(u, start, [step])
+    return ProgressionAtom(u, start, step)
+
+
+def _inner_atom(u, shape, start, step, count):
+    if u is N:
+        start, step = abs(start), abs(step)
+    if shape == "finite":
+        return FiniteAtom(u, [start, start + abs(step)])
+    if shape == "interval":
+        return IntervalAtom(u, lo=start, hi=start + abs(step))
+    if shape == "up ray":
+        return IntervalAtom(u, lo=start)
+    if shape == "down ray" and u is Z:
+        return IntervalAtom(Z, hi=start)
+    if shape == "grid":
+        return GridAtom(u, start, [abs(step)])
+    return ProgressionAtom(u, start, step, count)
+
+
+inner_atoms = st.tuples(
+    st.sampled_from(["finite", "interval", "up ray", "down ray", "grid", "progression", "progression"]),
+    st.integers(-12, 12),
+    st.integers(-6, 6).filter(bool),
+    st.sampled_from([None, None, 3]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([N, Z]),
+    st.sampled_from(["ray", "progression", "grid"]),
+    st.integers(-12, 12),
+    st.integers(1, 6),
+    st.lists(inner_atoms, min_size=1, max_size=3),
+    st.sampled_from([1, 4, 8]),
+)
+@example(N, "ray", 0, 1, [("progression", 0, 2, None), ("progression", 1, 2, None)], 1)
+@example(Z, "grid", 0, 2, [("progression", 0, 2, None)], 1)
+def test_complement_walk_matches_box_enumeration(u, shape, start, step, inner, n):
+    # on N and Z, with inner progressions, one-generator grids, intervals and
+    # finite sets, the walk ends whenever fewer than n elements remain.
+    # Oracle: along the line of `within` membership is periodic past every
+    # inner parameter (|.| <= 18), with a period dividing lcm(1..6) = 60, so
+    # n + 1 periods past 18 hold n elements unless the complement is finite
+    if u is N:
+        start = abs(start)
+    within = _line_atom(u, shape, start, step)
+    inner_set = DescribedSet(u, [_inner_atom(u, *a) for a in inner])
+    first = start + 1 if shape == "ray" and within.lo_strict else start
+    d = 1 if shape == "ray" else step
+    line = (first + k * d for k in range(18 + 60 * (n + 1)))
+    want = [e for e in line if not inner_set.contains(e)][:n]
+    with time_limit(2):
+        got = DescribedSet(u, [ComplementAtom(inner_set, within)]).first_n(n)
+    assert got == want
+
+
 def test_bounded_progression_is_finite():
     s = DescribedSet.progression(Z, 0, 4, count=3)
     assert s.elements() == {0, 4, 8}

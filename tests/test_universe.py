@@ -7,7 +7,7 @@ underlying numbers/tuples [DERIVED]; the codec is checked by round-trip.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sigmavect.sets import DescribedSet
@@ -165,10 +165,15 @@ candidate_values = st.recursive(
 
 
 @given(st.sampled_from(EXACT_UNIVERSES), candidate_values)
+@example(EXACT_UNIVERSES[-1], False)
+@example(EXACT_UNIVERSES[-1], 0.0)
+@example(FiniteUniverse(["*"]), ["*"])
+@example(FiniteUniverse(["*"]), {})
 def test_contains_agrees_with_check(u, v):
     # contains(v) holds exactly when check(v) returns, and check then gives
     # back an equal element (ints become Fractions where coordinates are
-    # rational); floats and bools are never exact rational coordinates
+    # rational); floats and bools are never exact rational coordinates, and
+    # a finite universe holds its labels themselves (not True for 1)
     try:
         checked = u.check(v)
     except UniverseError:
@@ -176,6 +181,8 @@ def test_contains_agrees_with_check(u, v):
     else:
         assert u.contains(v)
         assert checked == v
+        if isinstance(u, FiniteUniverse):
+            assert type(checked) is type(next(lab for lab in u.labels if lab == v))
 
 
 def test_inexact_coordinates_are_refused():
