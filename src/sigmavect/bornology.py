@@ -17,10 +17,9 @@ from .sets import (
     WO,
     DescribedSet,
     ProductAtom,
-    ProgressionAtom,
     SetError,
+    _ArithmeticAtom,
     _atom_subset_of,
-    _origin_steps,
     described_intersection,
 )
 from .universe import PairUniverse, UniverseError, Value
@@ -180,50 +179,32 @@ def _atom_rectangle(atom):
     None when no rectangle is found."""
     if isinstance(atom, ProductAtom):
         return atom.left, atom.right, True
+    if not isinstance(atom, _ArithmeticAtom):
+        return None
     try:
-        view = _origin_steps(atom)
-        if view is None:
-            return None
-        origin, steps = view
-        u = atom.universe
+        u, steps = atom.universe, atom.vectors
         ln = u.left.dim
-        o = u.vectorize(origin)
-        if isinstance(atom, ProgressionAtom):
-            left = _component_line(u.left, o[:ln], steps[0][:ln])
-            right = _component_line(u.right, o[ln:], steps[0][ln:])
-        else:
-            left = _component_grid(u.left, o[:ln], [g[:ln] for g in steps])
-            right = _component_grid(u.right, o[ln:], [g[ln:] for g in steps])
+        o = u.vectorize(atom.origin)
+        left = _component(u.left, o[:ln], [g[:ln] for g in steps])
+        right = _component(u.right, o[ln:], [g[ln:] for g in steps])
     except (SetError, UniverseError):
         return None
     exact = all(not any(g[:ln]) for g in steps) or all(not any(g[ln:]) for g in steps)
     return left, right, exact
 
 
-def _component_line(u, start, step):
-    start_el = u.devectorize(tuple(start))
-    if not any(step):
-        return DescribedSet.finite(u, [start_el])
-    return DescribedSet.progression(u, start_el, u.devectorize(tuple(step)))
-
-
-def _component_grid(u, base, gens):
-    base_el = u.devectorize(tuple(base))
-    nz, pending = [], []
-    for g in gens:
-        if all(c == 0 for c in g):
-            continue
-        el = u.devectorize(tuple(g))
-        if u.key(el) > u.key(u.unit):
-            nz.append(el)
-        else:
-            pending.append(el)
-    if pending:
-        # a component generator below the unit breaks the grid form; fall
-        # back to the progressions it spans (sound over-approximation is not
-        # available, so give up)
-        raise SetError("grid component projection not grid-shaped")
-    return DescribedSet.grid(u, base_el, nz)
+def _component(u, origin, steps):
+    """The projection of an arithmetic atom onto the factor u, given the
+    parts of its origin and step vectors there: the origin alone when every
+    step projects to zero, the progression on the one nonzero step, or the
+    grid on several (`SetError` when one lies below the unit)."""
+    origin = u.devectorize(tuple(origin))
+    steps = [u.devectorize(tuple(g)) for g in steps if any(g)]
+    if not steps:
+        return DescribedSet.finite(u, [origin])
+    if len(steps) == 1:
+        return DescribedSet.progression(u, origin, steps[0])
+    return DescribedSet.grid(u, origin, steps)
 
 
 class _PairBornology(Bornology):
@@ -311,9 +292,8 @@ class HomBornology(_PairBornology):
 
     def _fibers_finite(self, atom):
         """True when every vertical line meets the atom finitely for sure."""
-        view = _origin_steps(atom)
         ln = atom.universe.left.dim
-        return view is not None and all(any(g[ln:]) for g in view[1])
+        return isinstance(atom, _ArithmeticAtom) and all(any(g[ln:]) for g in atom.vectors)
 
     def _infinite_subsets_unbounded(self, b_set):
         """True when every infinite subset of b_set is g-unbounded."""

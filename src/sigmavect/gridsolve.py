@@ -74,7 +74,7 @@ class Lattice:
             for c in v:
                 scale = lcm(scale, c.denominator)
         self.scale = scale
-        self.gens = [tuple(int(c * scale) for c in g) for g in gens]
+        self.gens = [tuple([c.numerator * (scale // c.denominator) for c in g]) for g in gens]
         self.wts = positive_weights(self.gens)
         self.gw = [weight(self.wts, g) for g in self.gens]
         self.lead = leading_index(self.gens[-1]) if gens else None
@@ -95,11 +95,14 @@ class Lattice:
         """The exponent vector of frame coordinates t."""
         return tuple(Fraction(c, self.scale) for c in t)
 
-    def _multiple(self, rest):
-        """The k >= 0 with rest == k * (last generator), or None."""
+    def multiple(self, t):
+        """The k >= 0 with t == k * (last generator), or None (also for t
+        None, off the frame)."""
+        if t is None:
+            return None
         last = self.gens[-1]
-        k, r = divmod(rest[self.lead], last[self.lead])
-        if r or k < 0 or any(a != k * c for a, c in zip(rest, last)):
+        k, r = divmod(t[self.lead], last[self.lead])
+        if r or k < 0 or any(a != k * c for a, c in zip(t, last)):
             return None
         return k
 
@@ -120,7 +123,7 @@ class Lattice:
 
         def rec(i, rest, rest_w):
             if i == m - 1:
-                k = self._multiple(rest)
+                k = self.multiple(rest)
                 if k is not None:
                     ks[i] = k
                     yield tuple(ks)
@@ -139,10 +142,8 @@ class Lattice:
     def contains(self, t):
         """True when t, in frame coordinates, is a nonnegative combination
         of the generators; False for None (off the frame)."""
-        if t is None:
-            return False
         if len(self.gens) == 1:
-            return self._multiple(t) is not None
+            return self.multiple(t) is not None
         return next(self.solutions(t), None) is not None
 
 

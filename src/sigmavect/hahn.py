@@ -50,8 +50,8 @@ def _grid_atoms(u, cert):
         elif isinstance(a, ProgressionAtom):
             if a.count is not None:
                 out.append(FiniteAtom(u, a.elements()))
-            elif a.direction_up():
-                out.append(GridAtom(u, a.start, [a.step]))
+            elif a.up:
+                out.append(GridAtom(u, a.origin, a.steps))
             else:
                 raise HahnError("decreasing support %r is not grid-certified" % a)
         else:
@@ -70,10 +70,10 @@ def _check_hahn(f):
 
 def _atom_vectors(u, atom):
     """The vectors of an atom normalized by `_grid_atoms`: a finite atom's
-    elements, or a grid's base and then its generators."""
+    elements, or a grid's origin and then its step vectors."""
     if isinstance(atom, FiniteAtom):
         return [u.vectorize(e) for e in atom.elements()]
-    return [u.vectorize(atom.base)] + [u.vectorize(g) for g in atom.generators]
+    return [u.vectorize(atom.origin)] + atom.vectors
 
 
 class _Frame:
@@ -107,8 +107,8 @@ class _Frame:
         coordinates."""
         if isinstance(atom, FiniteAtom):
             return frozenset(self.encode(e) for e in atom.elements()).__contains__
-        lattice = self.grid_lattice(atom.generators)
-        base = self.encode(atom.base)
+        lattice = self.grid_lattice(atom.steps)
+        base = self.encode(atom.origin)
         return lambda t: lattice.contains(tuple(a - b for a, b in zip(t, base)))
 
 
@@ -133,10 +133,10 @@ def _decompositions(frame, atom_f, atom_g):
 
         return pairs
     # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
-    lattice = frame.grid_lattice(atom_f.generators + atom_g.generators)
-    gens_f = lattice.gens[: len(atom_f.generators)]
-    bf = frame.encode(atom_f.base)
-    base = tuple(x + y for x, y in zip(bf, frame.encode(atom_g.base)))
+    lattice = frame.grid_lattice(atom_f.steps + atom_g.steps)
+    gens_f = lattice.gens[: len(atom_f.steps)]
+    bf = frame.encode(atom_f.origin)
+    base = tuple(x + y for x, y in zip(bf, frame.encode(atom_g.origin)))
 
     def pairs(gamma):
         out = set()
@@ -159,14 +159,14 @@ def _minkowski_atoms(u, atom_f, atom_g):
             FiniteAtom(u, {u.op(a, b) for a in atom_f.elements() for b in atom_g.elements()})
         ]
     if ff:
-        return [GridAtom(u, u.op(a, atom_g.base), atom_g.generators) for a in atom_f.elements()]
+        return [GridAtom(u, u.op(a, atom_g.origin), atom_g.steps) for a in atom_f.elements()]
     if fg:
-        return [GridAtom(u, u.op(atom_f.base, b), atom_f.generators) for b in atom_g.elements()]
+        return [GridAtom(u, u.op(atom_f.origin, b), atom_f.steps) for b in atom_g.elements()]
     gens = []
-    for g in atom_f.generators + atom_g.generators:
+    for g in atom_f.steps + atom_g.steps:
         if g not in gens:
             gens.append(g)
-    return [GridAtom(u, u.op(atom_f.base, atom_g.base), gens)]
+    return [GridAtom(u, u.op(atom_f.origin, atom_g.origin), gens)]
 
 
 def _minkowski_product(u, f_atoms, g_atoms):
@@ -245,7 +245,7 @@ def _power_grid(u, atoms):
     uk = u.key(u.unit)
     for a in atoms:
         finite = isinstance(a, FiniteAtom)
-        for e in a.elements() if finite else [a.base]:
+        for e in a.elements() if finite else [a.origin]:
             if not u.key(e) > uk:
                 raise HahnError(
                     "%s %s is not above the unit"
@@ -309,7 +309,7 @@ def _positive_part_atoms(u, cert):
             if keep:
                 out.append(FiniteAtom(u, keep))
         elif isinstance(a, GridAtom):
-            if u.key(a.base) > uk:
+            if u.key(a.origin) > uk:
                 out.append(a)
                 continue
             low = DescribedSet(u, [a]).elements_upto(u.unit)
@@ -318,10 +318,10 @@ def _positive_part_atoms(u, cert):
                     "cannot split certificate atom %s at the unit" % a.format()
                 )
             for p in low:
-                for g in a.generators:
+                for g in a.steps:
                     q = u.op(p, g)
                     if u.key(q) > uk:
-                        out.append(GridAtom(u, q, a.generators))
+                        out.append(GridAtom(u, q, a.steps))
         else:
             raise HahnError("certificate atom %r is not grid-certified" % a)
     return list(dict.fromkeys(out))

@@ -6,24 +6,27 @@ Membership is always decidable; finiteness, order-type classification and
 pairwise intersection finiteness are decided per atom kind, with an honest
 ``None`` ("undecided") when no rule applies.
 
-Infinite progressions and grids are listed in order by one walk,
-`gridsolve.grid_points`: a progression is the one-generator grid
-start + N*step, negated when it falls so that its step is lex-positive.  A
-walk up to a bound gives ``None`` when the bound lies in another lex block
-of the step (infinitely many terms come before it), and an intersection
-with such a walk abstains.  A grid tests membership and walks on the ints
-of its frame (`GridAtom.frame`), converting each point it emits once.  The
-other way round, a one-generator grid meets as its progression, so its meet
-with another such grid or a progression is exact (`_prog_prog_intersection`).
+A progression and a grid are one arithmetic atom, origin + N*steps
+(`_ArithmeticAtom`; a progression has one step and may be counted), with
+one integer `frame`: the `gridsolve.Lattice` of its steps, negated for a
+falling progression so that they are lex-positive.  Membership is one
+lattice test there (k < count by `Lattice.multiple` when counted), and
+`gridsolve.grid_points` lists the atom in order.  A walk up to a bound gives
+``None`` when the bound lies in another lex block of the steps (infinitely
+many terms come before it), and an intersection with such a walk abstains.
+An atom with one step and no count is a line (`_is_line`); two lines meet
+exactly.  One subset rule serves every pair: origin + N*steps lies in an
+arithmetic atom with no count that holds the origin and whose frame's
+monoid holds every step (negated when that atom falls).
 
 The increasing walk of a complement `within \\ inner` ends once the rest of
 `within` from its current element e lies inside `inner`.  When `within` is an
-increasing progression of step d (a ray of N or Z: d = 1), that rest is the
-line prog(e; d), covered when each residue class prog(e + c*d; K*d), c < K,
-lies inside one inner atom; K is the lcm of the numerators of the step
-ratios of the inner progressions along d.  Otherwise the ray [e, +inf) must
-lie inside one inner atom.  A rest that only a grid of several generators
-holds, whose monoid misses the step K*d, is not seen: the walk goes on.
+increasing line of step d, a ray of N or Z (d = 1) or, in dimension 1, a
+grid (d the gcd of its steps), that rest lies on the line prog(e; d), which
+is covered when each residue class prog(e + c*d; K*d), c < K, lies inside
+one inner atom; K is the lcm of the numerators of the step ratios along d
+of the steps of the uncounted inner progressions and grids.  Otherwise the
+ray [e, +inf) must lie inside one inner atom.
 """
 
 from __future__ import annotations
@@ -171,6 +174,10 @@ class IntervalAtom(Atom):
     def _discrete(self):
         return self.universe.kind in ("naturals", "integers", "finite")
 
+    def _low(self):
+        """The lower end, 0 on N when there is none."""
+        return 0 if self.lo is None and self.universe.kind == "naturals" else self.lo
+
     def is_finite(self):
         if self.universe.kind == "finite":
             return True
@@ -192,9 +199,9 @@ class IntervalAtom(Atom):
         if fin:
             return FINITE
         if self._discrete():
-            if self.hi is None and self.lo is not None:
+            if self.hi is None and self._low() is not None:
                 return UP
-            if self.lo is None and self.hi is not None:
+            if self._low() is None and self.hi is not None:
                 return DOWN
             return UNKNOWN  # all of Z: neither
         return DENSE
@@ -218,8 +225,8 @@ class IntervalAtom(Atom):
     def iter_increasing(self):
         if self.is_finite():
             return iter(sorted(self.elements(), key=self.universe.key))
-        if self._discrete() and self.lo is not None:
-            lo = int(self.lo) + (1 if self.lo_strict else 0)
+        if self._discrete() and self._low() is not None:
+            lo = int(self._low()) + (1 if self.lo_strict else 0)
             return ProgressionAtom(self.universe, lo, 1).iter_increasing()
         raise SetError("cannot enumerate interval in increasing order")
 
@@ -247,172 +254,147 @@ class IntervalAtom(Atom):
         }
 
 
-class ProgressionAtom(Atom):
+class _ArithmeticAtom(Atom):
+    """origin * s1^k1 * ... * sm^km, ki in N, or with a count (one step)
+    its first `count` terms.  Every step lies above the unit (`up`) or, for
+    a falling progression, below it."""
+
+    def __init__(self, universe, origin, steps, count=None):
+        super().__init__(universe)
+        self.origin = universe.check(origin)
+        self.steps = tuple(map(universe.check, steps))
+        self.count = count
+        self.up = not self.steps or min(map(universe.key, self.steps)) > universe.key(universe.unit)
+
+    @property
+    def vectors(self):
+        """The step vectors, made at each read (keeping atoms cheap to
+        build)."""
+        return [self.universe.vectorize(s) for s in self.steps]
+
+    @cached_property
+    def frame(self):
+        """(lattice, origin): the `Lattice` of the steps on the integer
+        frame that holds the origin too, and the origin in it, both negated
+        for a falling progression; built on first use."""
+        origin, steps = self.universe.vectorize(self.origin), self.vectors
+        if not self.up:
+            origin, steps = _neg(origin), [_neg(v) for v in steps]
+        lattice = Lattice(steps, [origin])
+        return lattice, lattice.scaled(origin)
+
+    def contains(self, el):
+        u = self.universe
+        if not u.contains(el):
+            return False
+        lattice, origin = self.frame
+        t = lattice.scaled(u.vectorize(el))
+        if t is None:
+            return False
+        if self.up:
+            rest = tuple([a - b for a, b in zip(t, origin)])
+        else:
+            rest = tuple([-a - b for a, b in zip(t, origin)])
+        if self.count is None:
+            return lattice.contains(rest)
+        k = lattice.multiple(rest)
+        return k is not None and k < self.count
+
+    def is_finite(self):
+        return self.count is not None or not self.steps
+
+    def classify(self):
+        if self.is_finite():
+            return FINITE
+        if not self.up:
+            return DOWN
+        return UP if shares_leading_index(self.vectors) else WO
+
+    def _points(self, ts):
+        """The elements at frame coordinates ts."""
+        lattice, dev = self.frame[0], self.universe.devectorize
+        return (dev(lattice.unscaled(t if self.up else _neg(t))) for t in ts)
+
+    def elements(self):
+        if not self.is_finite():
+            raise SetError("%s is infinite" % self.to_record()["atom"])
+        lattice, origin = self.frame
+        return list(self._points(grid_points(lattice.gens, origin, self.count)))
+
+    def iter_increasing(self):
+        if self.count is not None:
+            return iter(sorted(self.elements(), key=self.universe.key))
+        if not self.up:
+            raise SetError("decreasing progression has no increasing enumeration")
+        lattice, origin = self.frame
+        return self._points(grid_points(lattice.gens, origin))
+
+    def _side(self, bound, up):
+        if self.count is not None or self.up != up:
+            return super()._side(bound, up)
+        # the terms up to the bound on the walk's side, or None (see the
+        # module docstring); lex order compares a bound off the frame exactly
+        lattice, origin = self.frame
+        scale = lattice.scale if up else -lattice.scale
+        bound = tuple([c * scale for c in self.universe.vectorize(bound)])
+        pts = grid_points_upto(lattice.gens, origin, bound)
+        if pts is None:
+            return None
+        out = list(self._points(pts))
+        return out if up else out[::-1]
+
+
+def _neg(vec):
+    return tuple([-c for c in vec])
+
+
+class ProgressionAtom(_ArithmeticAtom):
     """Arithmetic progression start, start+step, ... (count terms or infinite)."""
 
     def __init__(self, universe, start, step, count=None):
         if not universe.has_monoid:
             raise SetError("progression atom needs a monoid universe")
-        super().__init__(universe)
-        self.start = universe.check(start)
-        self.step = universe.check(step)
-        self.count = count
-        if universe.key(self.step) == universe.key(universe.unit):
+        super().__init__(universe, start, [step], count)
+        if not self.up and universe.key(self.steps[0]) == universe.key(universe.unit):
             raise SetError("progression step must differ from the unit")
-
-    def direction_up(self):
-        return self.universe.key(self.step) > self.universe.key(self.universe.unit)
-
-    def contains(self, el):
-        u = self.universe
-        if not u.contains(el):
-            return False
-        d = tuple(a - b for a, b in zip(u.vectorize(el), u.vectorize(self.start)))
-        k = step_ratio(d, u.vectorize(self.step))
-        if k is None or k.denominator != 1 or k < 0:
-            return False
-        return self.count is None or k < self.count
-
-    def is_finite(self):
-        return self.count is not None
-
-    def classify(self):
-        if self.count is not None:
-            return FINITE
-        return UP if self.direction_up() else DOWN
-
-    def _flip(self, vec):
-        """vec, negated for a falling progression: in these coordinates the
-        progression is the one-generator grid start + N*step, its step
-        lex-positive, and the grid walk lists it in term order."""
-        return vec if self.direction_up() else tuple(-c for c in vec)
-
-    def _walk(self, count=None):
-        """The first `count` terms (all when None), lazily, in term order."""
-        u, flip = self.universe, self._flip
-        pts = grid_points([flip(u.vectorize(self.step))], flip(u.vectorize(self.start)), count)
-        return (u.devectorize(flip(v)) for v in pts)
-
-    def elements(self):
-        if self.count is None:
-            raise SetError("progression is infinite")
-        return list(self._walk(self.count))
-
-    def iter_increasing(self):
-        if self.count is not None:
-            return iter(sorted(self.elements(), key=self.universe.key))
-        if not self.direction_up():
-            raise SetError("decreasing progression has no increasing enumeration")
-        return self._walk()
-
-    def _side(self, bound, up):
-        if self.count is not None or self.direction_up() != up:
-            return super()._side(bound, up)
-        # the terms on the walk's side of bound, or None when the bound lies
-        # in another lex block of the step (infinitely many terms before it)
-        u, flip = self.universe, self._flip
-        pts = grid_points_upto(
-            [flip(u.vectorize(self.step))], flip(u.vectorize(self.start)), flip(u.vectorize(bound))
-        )
-        if pts is None:
-            return None
-        out = [u.devectorize(flip(v)) for v in pts]
-        return out if up else out[::-1]
 
     def format(self):
         u = self.universe
         tail = "" if self.count is None else "; count=%d" % self.count
-        return "prog(%s; %s%s)" % (u.format(self.start), u.format(self.step), tail)
+        return "prog(%s; %s%s)" % (u.format(self.origin), u.format(self.steps[0]), tail)
 
     def to_record(self):
         u = self.universe
         return {
             "atom": "progression",
-            "start": u.format(self.start),
-            "step": u.format(self.step),
+            "start": u.format(self.origin),
+            "step": u.format(self.steps[0]),
             "count": self.count,
         }
 
 
-class GridAtom(Atom):
+class GridAtom(_ArithmeticAtom):
     """{base * g1^k1 * ... * gm^km : ki in N}; every generator above the unit."""
 
     def __init__(self, universe, base, generators):
         if not universe.has_monoid:
             raise SetError("grid atom needs a monoid universe")
-        super().__init__(universe)
-        self.base = universe.check(base)
-        self.generators = tuple(universe.check(g) for g in generators)
-        uk = universe.key(universe.unit)
-        for g in self.generators:
-            if not universe.key(g) > uk:
-                raise SetError("grid generator %s is not above the unit" % universe.format(g))
-
-    def _gen_vecs(self):
-        return [self.universe.vectorize(g) for g in self.generators]
-
-    @cached_property
-    def frame(self):
-        """(lattice, base): the generators' `Lattice` on the integer frame
-        that holds the base too, and the base in it; built on first use."""
-        base = self.universe.vectorize(self.base)
-        lattice = Lattice(self._gen_vecs(), [base])
-        return lattice, lattice.scaled(base)
-
-    def contains(self, el):
-        u = self.universe
-        if not u.contains(el):
-            return False
-        lattice, base = self.frame
-        t = lattice.scaled(u.vectorize(el))
-        return t is not None and lattice.contains(tuple(a - b for a, b in zip(t, base)))
-
-    def is_finite(self):
-        return not self.generators
-
-    def classify(self):
-        if not self.generators:
-            return FINITE
-        if shares_leading_index(self._gen_vecs()):
-            return UP
-        return WO
-
-    def elements(self):
-        if self.generators:
-            raise SetError("grid is infinite")
-        return [self.base]
-
-    def _points(self, vecs):
-        """The elements at frame coordinates `vecs`."""
-        lattice = self.frame[0]
-        dev = self.universe.devectorize
-        return (dev(lattice.unscaled(v)) for v in vecs)
-
-    def iter_increasing(self):
-        lattice, base = self.frame
-        return self._points(grid_points(lattice.gens, base))
-
-    def _side(self, bound, up):
-        if not up:
-            return super()._side(bound, up)
-        lattice, base = self.frame
-        # the bound need not lie on the frame; lex order compares it exactly
-        bound = tuple(c * lattice.scale for c in self.universe.vectorize(bound))
-        pts = grid_points_upto(lattice.gens, base, bound)
-        if pts is None:
-            return None
-        return list(self._points(pts))
+        super().__init__(universe, base, generators)
+        if not self.up:
+            unit = universe.key(universe.unit)
+            g = next(g for g in self.steps if not universe.key(g) > unit)
+            raise SetError("grid generator %s is not above the unit" % universe.format(g))
 
     def format(self):
         u = self.universe
-        return "grid(%s; %s)" % (u.format(self.base), ", ".join(u.format(g) for g in self.generators))
+        return "grid(%s; %s)" % (u.format(self.origin), ", ".join(u.format(g) for g in self.steps))
 
     def to_record(self):
         u = self.universe
         return {
             "atom": "grid",
-            "base": u.format(self.base),
-            "generators": [u.format(g) for g in self.generators],
+            "base": u.format(self.origin),
+            "generators": [u.format(g) for g in self.steps],
         }
 
 
@@ -457,23 +439,28 @@ class ComplementAtom(Atom):
                 yield e
 
     def _line(self):
-        """(d, K) of the stop rule when `within` is an infinite increasing
-        progression or a ray of N or Z, else None.  An inner progression
-        along d holds one residue class of prog(e; d) modulo the numerator
-        of its step ratio."""
-        w, u = _as_progression(self.within), self.universe
-        if isinstance(w, ProgressionAtom) and w.count is None and w.direction_up():
-            d = u.vectorize(w.step)
+        """(d, K) of the stop rule when `within` is an increasing line, a
+        ray of N or Z, or a grid in dimension 1, else None.  An
+        inner arithmetic atom holds, far enough out, whole residue classes
+        of prog(e; d) modulo the numerator of each step ratio along d."""
+        w, u = self.within, self.universe
+        if _is_line(w) and w.up:
+            d = w.vectors[0]
         elif isinstance(w, IntervalAtom) and w.hi is None and w._discrete():
             d = (Fraction(1),)
+        elif isinstance(w, GridAtom) and u.dim == 1:
+            # the grid lies on the line of the gcd of its steps
+            lattice = w.frame[0]
+            d = (Fraction(gcd(*[g for g, in lattice.gens]), lattice.scale),)
         else:
             return None
         k = 1
-        for a in map(_as_progression, self.inner.atoms):
-            if isinstance(a, ProgressionAtom) and a.count is None:
-                r = step_ratio(u.vectorize(a.step), d)
-                if r is not None:
-                    k = lcm(k, abs(r.numerator))
+        for a in self.inner.atoms:
+            if isinstance(a, _ArithmeticAtom) and a.count is None:
+                for v in a.vectors:
+                    r = step_ratio(v, d)
+                    if r is not None:
+                        k = lcm(k, abs(r.numerator))
         return d, k
 
     def _rest_inside(self, e, line):
@@ -669,9 +656,9 @@ class DescribedSet(Value):
             if isinstance(a, FiniteAtom):
                 out.append(FiniteAtom(u, [u.op(el, e) for e in a.els]))
             elif isinstance(a, ProgressionAtom):
-                out.append(ProgressionAtom(u, u.op(el, a.start), a.step, a.count))
+                out.append(ProgressionAtom(u, u.op(el, a.origin), a.steps[0], a.count))
             elif isinstance(a, GridAtom):
-                out.append(GridAtom(u, u.op(el, a.base), a.generators))
+                out.append(GridAtom(u, u.op(el, a.origin), a.steps))
             else:
                 raise SetError("cannot translate atom %r" % a)
         return DescribedSet(u, out)
@@ -724,16 +711,9 @@ def _atom_from_record(rec, u):
 # inclusion between atoms
 
 
-def _origin_steps(atom):
-    """(origin, step vectors) of a progression or grid, the set origin times
-    the monoid its steps span; None for other atoms.  Callers pass infinite
-    atoms only, so a progression has no count."""
-    u = atom.universe
-    if isinstance(atom, ProgressionAtom):
-        return atom.start, [u.vectorize(atom.step)]
-    if isinstance(atom, GridAtom):
-        return atom.base, [u.vectorize(g) for g in atom.generators]
-    return None
+def _is_line(atom):
+    """True for an arithmetic atom with one step and no count."""
+    return isinstance(atom, _ArithmeticAtom) and atom.count is None and len(atom.steps) == 1
 
 
 def _atom_subset_of(atom, other):
@@ -744,22 +724,14 @@ def _atom_subset_of(atom, other):
         return _range_inside_interval(atom, other)
     if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
         return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
-    view = _origin_steps(atom)
-    if view is None:
+    if not isinstance(atom, _ArithmeticAtom) or not isinstance(other, _ArithmeticAtom):
         return False
-    origin, steps = view
-    if isinstance(other, ProgressionAtom):
-        if not isinstance(atom, ProgressionAtom) or other.count is not None:
-            return False
-        if not other.contains(origin):
-            return False
-        # the step must be a positive integer multiple of other.step
-        r = step_ratio(steps[0], atom.universe.vectorize(other.step))
-        return r is not None and r.denominator == 1 and r >= 1
-    if isinstance(other, GridAtom):
-        lattice = other.frame[0]
-        return other.contains(origin) and all(lattice.contains(lattice.scaled(s)) for s in steps)
-    return False
+    # origin + N*steps lies in other when other holds the origin and its
+    # steps span every step, read in other's frame (negated when it falls)
+    if other.count is not None or not other.contains(atom.origin):
+        return False
+    lattice = other.frame[0]
+    return all(lattice.contains(lattice.scaled(v if other.up else _neg(v))) for v in atom.vectors)
 
 
 def _set_subset_of(s1, s2):
@@ -778,13 +750,11 @@ def _range_inside_interval(atom, iv):
             and (k(atom.hi) < k(iv.hi) or (k(atom.hi) == k(iv.hi) and (atom.hi_strict or not iv.hi_strict)))
         )
         return lo_ok and hi_ok
-    view = _origin_steps(atom)
-    if view is None:
+    # an arithmetic atom runs up or down from its origin; the open side of
+    # iv must face its direction
+    if not isinstance(atom, _ArithmeticAtom):
         return False
-    # grid generators lie above the unit, so only a decreasing progression
-    # runs down from its origin; the open side of iv must face its direction
-    up = isinstance(atom, GridAtom) or atom.direction_up()
-    return (iv.hi if up else iv.lo) is None and iv.contains(view[0])
+    return (iv.hi if atom.up else iv.lo) is None and iv.contains(atom.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +762,11 @@ def _range_inside_interval(atom, iv):
 
 
 def _prog_prog_intersection(p1, p2):
-    """Intersection of two infinite progressions; exact."""
+    """Intersection of two lines (`_is_line`); exact."""
     u = p1.universe
-    s1, s2 = u.vectorize(p1.start), u.vectorize(p2.start)
-    d1, d2 = u.vectorize(p1.step), u.vectorize(p2.step)
+    s1, s2 = u.vectorize(p1.origin), u.vectorize(p2.origin)
+    (d1,), (d2,) = p1.vectors, p2.vectors
+    term = lambda k: u.devectorize(tuple(s + k * d for s, d in zip(s1, d1)))
     r = step_ratio(d2, d1)
     if r is None:
         # solve k*d1 - l*d2 = s2 - s1: the steps are nonzero and not
@@ -805,8 +776,7 @@ def _prog_prog_intersection(p1, p2):
             return (True, [])
         k, l = sol
         if k.denominator == 1 and l.denominator == 1 and k >= 0 and l >= 0:
-            el = u.devectorize(tuple(s + k * d for s, d in zip(s1, d1)))
-            return (True, [el])
+            return (True, [term(k)])
         return (True, [])
     # parallel, d2 = r*d1: both lines run along d1, and they are one line
     # iff s2 = s1 + t*d1
@@ -829,14 +799,7 @@ def _prog_prog_intersection(p1, p2):
     k0 = (c // g) * pow(a // g, -1, mod) % mod
     top = floor(t)
     top -= (top - k0) % mod
-    return (True, [_prog_el(p1, k) for k in range(top, -1, -mod)])
-
-
-def _prog_el(p, k):
-    u = p.universe
-    s = u.vectorize(p.start)
-    d = u.vectorize(p.step)
-    return u.devectorize(tuple(a + k * b for a, b in zip(s, d)))
+    return (True, [term(k) for k in range(top, -1, -mod)])
 
 
 def atom_intersection(a1, a2):
@@ -867,9 +830,8 @@ def atom_intersection(a1, a2):
             return (False, None)
         return (None, None)
 
-    p1, p2 = _as_progression(a1), _as_progression(a2)
-    if isinstance(p1, ProgressionAtom) and isinstance(p2, ProgressionAtom):
-        return _prog_prog_intersection(p1, p2)
+    if _is_line(a1) and _is_line(a2):
+        return _prog_prog_intersection(a1, a2)
 
     if a1 == a2:
         return (False, None)
@@ -885,19 +847,11 @@ def atom_intersection(a1, a2):
         if cls not in (UP, DOWN):
             continue
         up = cls == UP
-        bound = _sup_element(other) if up else _inf_element(other)
+        bound = _bound(other, up)
         part = walker._side(bound, up) if bound is not None else None
         if part is not None:
             return (True, [e for e in part if other.contains(e)])
     return (None, None)
-
-
-def _as_progression(atom):
-    """A one-generator grid as the progression base, base + g, ...; any
-    other atom as it is."""
-    if isinstance(atom, GridAtom) and len(atom.generators) == 1:
-        return ProgressionAtom(atom.universe, atom.base, atom.generators[0])
-    return atom
 
 
 def _is_interval(atom):
@@ -906,27 +860,14 @@ def _is_interval(atom):
     return isinstance(atom, IntervalAtom)
 
 
-def _sup_element(atom):
-    """An upper bound for the atom when one is evident."""
-    if isinstance(atom, ProgressionAtom) and not atom.direction_up():
-        return atom.start
-    if isinstance(atom, IntervalAtom) and atom.hi is not None:
-        return atom.hi
+def _bound(atom, up):
+    """An evident upper (up) or lower bound for the atom, or None."""
     if isinstance(atom, ComplementAtom):
-        return _sup_element(atom.within)
-    return None
-
-
-def _inf_element(atom):
-    """A lower bound for the atom when one is evident."""
-    if isinstance(atom, ProgressionAtom) and atom.direction_up():
-        return atom.start
-    if isinstance(atom, GridAtom):
-        return atom.base  # every generator lies above the unit
-    if isinstance(atom, IntervalAtom) and atom.lo is not None:
-        return atom.lo
-    if isinstance(atom, ComplementAtom):
-        return _inf_element(atom.within)
+        return _bound(atom.within, up)
+    if isinstance(atom, _ArithmeticAtom):
+        return atom.origin if atom.up != up else None
+    if isinstance(atom, IntervalAtom):
+        return atom.hi if up else atom.lo
     return None
 
 

@@ -295,6 +295,12 @@ CONTAINMENTS = [
      DescribedSet.progression(T2, (1, 2), (1, 1)), Verdict.BOUNDED),
     (T2, DescribedSet.grid(T2, (0, 0), [(0, 1), (1, 0)]),
      DescribedSet.progression(T2, (0, 0), (1, -1)), Verdict.UNDECIDED),
+    # grid in progression: the grid's steps in the progression's monoid,
+    # read on its frame (negated when it falls)
+    (Z, DescribedSet.progression(Z, 4, 1), DescribedSet.grid(Z, 5, [2, 3]), Verdict.BOUNDED),
+    (Z, DescribedSet.progression(Z, 4, 2), DescribedSet.grid(Z, 5, [2, 3]), Verdict.UNDECIDED),
+    # progression in progression, both falling
+    (Z, DescribedSet.progression(Z, 2, -1), DescribedSet.progression(Z, 0, -2), Verdict.BOUNDED),
     # grid in grid
     (Z, DescribedSet.grid(Z, 0, [2, 3]), DescribedSet.grid(Z, 3, [4, 6]), Verdict.BOUNDED),
     (Z, DescribedSet.grid(Z, 0, [2, 3]), DescribedSet.grid(Z, 1, [2]), Verdict.UNDECIDED),
@@ -428,3 +434,5 @@ def test_order_kinds_on_exact_atoms_and_their_complements(kind):
     hb = hom_bornology(all_subsets(Z), make(Z), ZZ)
     for step, letter in zip([(1, -1), (1, 1)], HOM_LINE_VERDICTS[kind]):
         assert hb.is_bounded(DescribedSet.progression(ZZ, (0, 0), step)) is LETTERS[letter], step
+        # the same line as a one-generator grid projects to the same factors
+        assert hb.is_bounded(DescribedSet.grid(ZZ, (0, 0), [step])) is LETTERS[letter], step

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
+from sigmavect.bornology import Verdict, order_type_omega, reverse_well_ordered, well_ordered
 from sigmavect.sets import (
     DOWN,
     FINITE,
@@ -25,6 +26,7 @@ from sigmavect.sets import (
     IntervalAtom,
     ProgressionAtom,
     SetError,
+    _atom_subset_of,
     atom_intersection,
     described_intersection,
     set_from_record,
@@ -112,17 +114,29 @@ def test_complement_walk_stops_when_residue_classes_cover_the_tail():
         # steps 3 and 2 along a line of step 1 give six classes
         inner = DescribedSet(Z, [ProgressionAtom(Z, 0, 3), ProgressionAtom(Z, 1, 3), GridAtom(Z, 5, [3])])
         assert inner.complement_within(DescribedSet.progression(Z, -4, 1)).first_n(8) == [-4, -3, -2, -1, 2]
+        # a grid of several generators counts its steps in K: from 2 on,
+        # each class modulo 6 lies in grid(0; 2, 3), whose monoid holds 6
+        grid = DescribedSet.grid(N, 0, [2, 3])
+        assert grid.complement_within(DescribedSet.interval(N, lo=0)).first_n(2) == [1]
+        # a grid `within` in dimension 1 walks on the line of its steps' gcd
+        ray = DescribedSet.progression(N, 0, 1)
+        assert ray.complement_within(grid).first_n(2) == []
+        # N minus <5, 7> lists the 12 gaps of that numerical semigroup
+        gaps = DescribedSet.grid(N, 0, [5, 7]).complement_within(DescribedSet.interval(N, lo=0))
+        assert gaps.first_n(20) == [1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23]
 
 
-def _line_atom(u, shape, start, step):
+def _line_atom(u, shape, start, step, gen):
     if shape == "ray":
         return IntervalAtom(u, lo=start, lo_strict=step > 3)
     if shape == "grid":
         return GridAtom(u, start, [step])
+    if shape == "grid2":
+        return GridAtom(u, start, [step, gen])
     return ProgressionAtom(u, start, step)
 
 
-def _inner_atom(u, shape, start, step, count):
+def _inner_atom(u, shape, start, step, count, gen):
     if u is N:
         start, step = abs(start), abs(step)
     if shape == "finite":
@@ -135,42 +149,52 @@ def _inner_atom(u, shape, start, step, count):
         return IntervalAtom(Z, hi=start)
     if shape == "grid":
         return GridAtom(u, start, [abs(step)])
+    if shape == "grid2":
+        return GridAtom(u, start, [abs(step), gen])
     return ProgressionAtom(u, start, step, count)
 
 
 inner_atoms = st.tuples(
-    st.sampled_from(["finite", "interval", "up ray", "down ray", "grid", "progression", "progression"]),
+    st.sampled_from(["finite", "interval", "up ray", "down ray", "grid", "grid2", "progression",
+                     "progression"]),
     st.integers(-12, 12),
     st.integers(-6, 6).filter(bool),
     st.sampled_from([None, None, 3]),
+    st.integers(1, 6),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([N, Z]),
-    st.sampled_from(["ray", "progression", "grid"]),
+    st.sampled_from(["ray", "progression", "grid", "grid2"]),
     st.integers(-12, 12),
+    st.integers(1, 6),
     st.integers(1, 6),
     st.lists(inner_atoms, min_size=1, max_size=3),
     st.sampled_from([1, 4, 8]),
 )
-@example(N, "ray", 0, 1, [("progression", 0, 2, None), ("progression", 1, 2, None)], 1)
-@example(Z, "grid", 0, 2, [("progression", 0, 2, None)], 1)
-def test_complement_walk_matches_box_enumeration(u, shape, start, step, inner, n):
-    # on N and Z, with inner progressions, one-generator grids, intervals and
-    # finite sets, the walk ends whenever fewer than n elements remain.
-    # Oracle: along the line of `within` membership is periodic past every
-    # inner parameter (|.| <= 18), with a period dividing lcm(1..6) = 60, so
-    # n + 1 periods past 18 hold n elements unless the complement is finite
+@example(N, "ray", 0, 1, 1, [("progression", 0, 2, None, 1), ("progression", 1, 2, None, 1)], 1)
+@example(Z, "grid", 0, 2, 1, [("progression", 0, 2, None, 1)], 1)
+@example(N, "ray", 0, 1, 1, [("grid2", 0, 2, None, 3)], 2)
+@example(N, "grid2", 0, 2, 3, [("progression", 0, 1, None, 1)], 2)
+def test_complement_walk_matches_box_enumeration(u, shape, start, step, gen, inner, n):
+    # on N and Z, with inner progressions, grids of one and two generators,
+    # intervals and finite sets, the walk ends whenever fewer than n
+    # elements remain.  Oracle: `within` lies on the line of step d (1 for
+    # a ray, the gcd of the steps for a grid), along which membership is
+    # periodic past every inner parameter (|.| <= 18) and the conductor of
+    # every two-generator grid (at most 20 for generators up to 6), with a
+    # period dividing lcm(1..6) = 60, so n + 1 periods past 38 hold n
+    # elements unless the complement is finite
     if u is N:
         start = abs(start)
-    within = _line_atom(u, shape, start, step)
+    within = _line_atom(u, shape, start, step, gen)
     inner_set = DescribedSet(u, [_inner_atom(u, *a) for a in inner])
     first = start + 1 if shape == "ray" and within.lo_strict else start
-    d = 1 if shape == "ray" else step
-    line = (first + k * d for k in range(18 + 60 * (n + 1)))
-    want = [e for e in line if not inner_set.contains(e)][:n]
+    d = {"ray": 1, "grid2": math.gcd(step, gen)}.get(shape, step)
+    line = (first + k * d for k in range(38 + 60 * (n + 1)))
+    want = [e for e in line if within.contains(e) and not inner_set.contains(e)][:n]
     with time_limit(2):
         got = DescribedSet(u, [ComplementAtom(inner_set, within)]).first_n(n)
     assert got == want
@@ -467,6 +491,17 @@ def test_strict_flag_on_a_missing_endpoint_excludes_nothing():
     assert set_from_record(DescribedSet(N, [strict]).to_record()).atoms[0] == strict
 
 
+def test_natural_interval_without_a_lower_end_starts_at_zero():
+    iv = DescribedSet.interval(N)
+    assert iv.first_n(3) == [0, 1, 2]
+    assert iv.atoms[0].classify() == UP and iv.elements_upto(3) == [0, 1, 2, 3]
+    assert well_ordered(N).is_bounded(iv) is Verdict.BOUNDED
+    assert order_type_omega(N).is_bounded(iv) is Verdict.BOUNDED
+    assert reverse_well_ordered(N).is_bounded(iv) is Verdict.UNBOUNDED
+    # the record and the text keep the missing end
+    assert iv.format() == "(-inf, +inf)" and iv.to_record()["atoms"][0]["lo"] is None
+
+
 ends = st.one_of(st.none(), st.integers(0, 8))
 
 
@@ -632,3 +667,56 @@ def test_one_generator_grid_meets_are_decided(case):
     else:
         assert len(meet) >= 10
     assert described_intersection(DescribedSet(u, [a1]), DescribedSet(u, [a2]))[0] is fin
+
+
+X1 = MonomialUniverse(["x"])
+
+
+def _arith_elements(u, span=8):
+    if u is X1:
+        return st.integers(-span, span).map(lambda n: X1.monomial(x=Fraction(n, 2)))
+    return _elements(u, span)
+
+
+def _arith_atoms(u):
+    """Progressions (rising, falling, counted) and grids of up to three
+    generators on u."""
+    els, small = _arith_elements(u), _arith_elements(u, 3)
+    unit = u.key(u.unit)
+    return st.one_of(
+        st.builds(lambda s, d, c: ProgressionAtom(u, s, d, c),
+                  els, small.filter(lambda e: u.key(e) != unit), st.sampled_from([None, None, 4])),
+        st.builds(lambda b, gs: GridAtom(u, b, gs),
+                  els, st.lists(small.filter(lambda e: u.key(e) > unit), min_size=1, max_size=3)),
+    )
+
+
+@st.composite
+def _arith_pairs(draw):
+    u = draw(st.sampled_from([Z, T2, X1]))
+    return u, draw(_arith_atoms(u)), draw(_arith_atoms(u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arith_pairs())
+@example((Z, GridAtom(Z, 5, [2, 3]), ProgressionAtom(Z, 4, 1)))
+@example((Z, ProgressionAtom(Z, 0, -2), ProgressionAtom(Z, 2, -1)))
+@example((T2, ProgressionAtom(T2, (1, 2), (1, 1)), GridAtom(T2, (0, 0), [(0, 1), (1, 0)])))
+@example((X1, GridAtom(X1, X1.monomial(x=1), [X1.monomial(x=1), X1.monomial(x=Fraction(3, 2))]),
+          ProgressionAtom(X1, X1.unit, X1.monomial(x=Fraction(1, 2)))))
+def test_subset_rule_holds_on_listed_elements(case):
+    # whenever the rule places a inside b, every element a lists up to a
+    # far bound (down to it when a falls) lies in b
+    u, a, b = case
+    if not _atom_subset_of(a, b):
+        return
+    far = {Z: 40, T2: (9, 9), X1: X1.monomial(x=20)}[u]
+    with time_limit(2):
+        if a.is_finite():
+            listed = a.elements()
+        elif a.classify() == DOWN:
+            listed = a.elements_downto(u.inv(far))
+        else:
+            listed = a.elements_upto(far)
+    for e in listed or []:
+        assert b.contains(e), (e, a, b)
