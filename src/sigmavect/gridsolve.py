@@ -12,9 +12,13 @@ integer coordinates and the searches run on machine ints (Puiseux exponents
 included).  `scaled` moves a vector into the frame, or gives None when the
 vector leaves it, which means "not a member": integer combinations of
 integer vectors are integer.  Membership takes the closed form for one
-generator and otherwise stops at the first representation; `solutions`
-lists them all.  The walks `grid_points` and `grid_points_upto` work on
-any coordinates; grid atoms run them on the frame's ints.
+generator; a 1-D lattice of several generators reads the Apery set w of its
+smallest generator a, t being a point iff t >= w[t mod a] (Ramirez
+Alfonsin, The Diophantine Frobenius Problem, 2005), a table built once
+when a <= APERY_LIMIT; any other lattice stops its search at the first
+representation.  `solutions` lists them all.  The walks `grid_points` and
+`grid_points_upto` work on any coordinates; grid atoms run them on the
+frame's ints.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+APERY_LIMIT = 4096  # largest smallest generator a 1-D lattice tabulates
 
 
 def leading_index(vec):
@@ -65,7 +71,7 @@ class Lattice:
     """The nonnegative integer combinations of lex-positive generators, on
     the integer frame that also holds `points`."""
 
-    __slots__ = ("gens", "scale", "wts", "gw", "lead")
+    __slots__ = ("gens", "scale", "wts", "gw", "lead", "_apery")
 
     def __init__(self, generators, points=()):
         gens = [tuple(g) for g in generators]
@@ -78,6 +84,7 @@ class Lattice:
         self.wts = positive_weights(self.gens)
         self.gw = [weight(self.wts, g) for g in self.gens]
         self.lead = leading_index(self.gens[-1]) if gens else None
+        self._apery = None
 
     def scaled(self, vec):
         """vec * scale as ints, or None when it leaves the frame (and so is
@@ -85,6 +92,9 @@ class Lattice:
         scale = self.scale
         out = []
         for c in vec:
+            if type(c) is int:
+                out.append(c * scale)
+                continue
             q, r = divmod(c.numerator * scale, c.denominator)
             if r:
                 return None
@@ -92,8 +102,10 @@ class Lattice:
         return tuple(out)
 
     def unscaled(self, t):
-        """The exponent vector of frame coordinates t."""
-        return tuple(Fraction(c, self.scale) for c in t)
+        """The exponent vector of frame coordinates t, an integral
+        coordinate as an int."""
+        scale = self.scale
+        return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in t)
 
     def multiple(self, t):
         """The k >= 0 with t == k * (last generator), or None (also for t
@@ -139,12 +151,59 @@ class Lattice:
 
         yield from rec(0, t, weight(self.wts, t))
 
+    def apery(self):
+        """The Apery set of a 1-D lattice of two or more generators whose
+        smallest generator is at most APERY_LIMIT (`apery_set`), built on
+        first use; None for any other lattice."""
+        if self._apery is None:
+            self._apery = False
+            if len(self.gens) > 1 and len(self.gens[0]) == 1:
+                gens = sorted({g for g, in self.gens})
+                if gens[0] <= APERY_LIMIT:
+                    self._apery = apery_set(gens)
+        return self._apery or None
+
     def contains(self, t):
         """True when t, in frame coordinates, is a nonnegative combination
-        of the generators; False for None (off the frame)."""
+        of the generators; False for None (off the frame).  One generator
+        takes the closed form, a 1-D lattice its Apery set (t is a point
+        iff t >= w[t mod a]), any other the search for one solution."""
+        if t is None:
+            return False
         if len(self.gens) == 1:
             return self.multiple(t) is not None
+        w = self.apery()
+        if w is not None:
+            n = w[t[0] % len(w)]
+            return n is not None and t[0] >= n
         return next(self.solutions(t), None) is not None
+
+
+def apery_set(gens):
+    """The Apery set w of the least of the positive ints gens, a, in the
+    monoid they generate: w[r] is the least element congruent to r mod a,
+    or None when no element is, so t is an element iff t >= w[t mod a].
+    Built by the round-robin pass of Bocker and Liptak (Algorithmica 48,
+    2007) in O(m*a) steps."""
+    a = gens[0]
+    w = [None] * a
+    w[0] = 0
+    for b in gens[1:]:
+        d = gcd(a, b)
+        for r in range(d):
+            # run once around the cycle of r + N*b mod a from its least
+            # entry, relaxing each entry by its predecessor plus b
+            known = [w[q] for q in range(r, a, d) if w[q] is not None]
+            if not known:
+                continue
+            n = min(known)
+            for _ in range(a // d - 1):
+                n += b
+                q = n % a
+                if w[q] is not None and w[q] < n:
+                    n = w[q]
+                w[q] = n
+    return w
 
 
 def nonneg_solutions(generators, target):

@@ -10,21 +10,25 @@ support elements, with n bounded by a positive weight functional.
 A product or an inverse fixes one integer frame (`_Frame`) for every atom it
 decomposes over: the lcm of the denominators of their finite elements, grid
 bases and generators (`gridsolve.Lattice`), so each of those points has int
-coordinates.  A coefficient lookup encodes its monomial once; the
-decompositions gamma = alpha + beta are then int vectors, found by one
-subtraction and one lattice membership per finite element, or by listing
-the lattice points of a grid x grid pair, on `Lattice`s built with the
-product, not per coefficient.  The pairs form a set, as a grid x grid
-target can have several representations and atoms can overlap.  A vector
-becomes a monomial again only when a factor's coefficient is asked for,
-through a decode cache that belongs to the series being built.
+coordinates.  The series it builds keeps the frame, and its oracle takes
+frame coordinates and is memoized by int tuple, so a coefficient lookup
+checks and encodes its monomial once.  The decompositions gamma = alpha +
+beta are then int vectors, found by one subtraction and one lattice
+membership per finite element, or by listing the lattice points of a grid
+x grid pair, on `Lattice`s built with the product, not per coefficient.
+The pairs form a set, as a grid x grid target can have several
+representations and atoms can overlap.  A factor is read at alpha by one
+rule (`_Frame.reader`): a finite factor through one table keyed by frame
+coordinates, a product or inverse on its own frame, in ints, and any other
+series (a caller's `Space.lazy` oracle, a Neumann sum, a shift) through its
+monomial.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
 times ([delta = x^-g0] minus the other terms f(alpha) h(beta)), each beta
 strictly below delta.  The coefficients are filled bottom-up from an
-explicit stack, keyed by frame coordinates, so each costs its
-decompositions once, on any grid, and a deep lookup uses no Python
+explicit stack into the inverse's memo, keyed by frame coordinates, so each
+costs its decompositions once, on any grid, and a deep lookup uses no Python
 recursion.  `neumann_sum` keeps the literal weighted sum of powers.
 """
 
@@ -79,23 +83,46 @@ def _atom_vectors(u, atom):
 class _Frame:
     """The integer coordinates shared by the atoms of one product or
     inverse: a monomial encodes to an int vector (None off the frame, where
-    no sum of atom points lies), and a vector decodes once, through a cache
-    held by the series being built."""
+    no sum of atom points lies).  The series built on the frame keeps it,
+    and its oracle takes these coordinates."""
 
     def __init__(self, u, atoms):
         self.u = u
         self.points = [v for a in atoms for v in _atom_vectors(u, a)]
         self.lattice = Lattice((), self.points)
-        self._decoded = {}
 
     def encode(self, el):
         return self.lattice.scaled(self.u.vectorize(el))
 
     def decode(self, t):
-        el = self._decoded.get(t)
-        if el is None:
-            el = self._decoded[t] = self.u.devectorize(self.lattice.unscaled(t))
-        return el
+        return self.u.devectorize(self.lattice.unscaled(t))
+
+    def reader(self, f):
+        """f's coefficient as a function of this frame's coordinates, for a
+        factor f whose support lies on the frame.  A finite f is one table;
+        a series kept on a frame of its own is read there, in ints (off
+        that frame it is zero); any other series through its monomial."""
+        zero = f.field.zero
+        if isinstance(f, FiniteSeries):
+            table = {self.encode(g): c for g, c in f.terms.items()}
+            return lambda t: table.get(t, zero)
+        if f.frame is None:
+            decode = self.decode
+            return lambda t: f.coeff(decode(t))
+        at, own, scale = f.at, f.frame.lattice.scale, self.lattice.scale
+        if own == scale:
+            return at
+
+        def read(t):
+            out = []
+            for c in t:
+                q, r = divmod(c * own, scale)
+                if r:
+                    return zero
+                out.append(q)
+            return at(tuple(out))
+
+        return read
 
     def grid_lattice(self, generators):
         """The `Lattice` of generators (elements of the frame's atoms), on
@@ -201,20 +228,20 @@ def cauchy_product(f, g, space=None):
     cert = _minkowski_product(u, f_atoms, g_atoms)
     frame = _Frame(u, f_atoms + g_atoms)
     splits = [_decompositions(frame, af, ag) for af in f_atoms for ag in g_atoms]
-    decode = frame.decode
+    read_f, read_g = frame.reader(f), frame.reader(g)
+    zero = field.zero
 
-    def oracle(gamma):
-        # gamma lies in cert, a sum of frame points, so it has frame coordinates
-        t = frame.encode(gamma)
+    def oracle(t):
+        # off cert, t has no decompositions and the sum is empty
         pairs = set()
         for split in splits:
             pairs |= split(t)
-        total = field.zero
+        total = zero
         for a, b in pairs:
-            total = total + f.coeff(decode(a)) * g.coeff(decode(b))
+            total = total + read_f(a) * read_g(b)
         return total
 
-    return LazySeries(out, oracle, cert)
+    return LazySeries(out, oracle, cert, frame)
 
 
 def product_many(series):
@@ -287,7 +314,7 @@ def neumann_sum(eps, coeffs=None):
 
     def oracle(gamma):
         w = weight(wts, tuple(u.vectorize(gamma)))
-        nmax = int(w / m0) if w >= 0 else 0
+        nmax = w // m0 if w >= 0 else 0
         total = field.zero
         for n in range(nmax + 1):
             total = total + field.of(coeffs(n)) * power(n).coeff(gamma)
@@ -381,12 +408,12 @@ def invert_unit(f, window=32):
     grid = cert.atoms[0]
     frame = _Frame(u, atoms + [grid])
     splits = [_decompositions(frame, a, grid) for a in atoms]
-    decode = frame.decode
+    read_f, in_grid = frame.reader(f), frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
-    values = {}
 
-    def oracle(delta):
-        t = frame.encode(delta)  # delta lies in cert, on the frame
+    def oracle(t):
+        if not in_grid(t):
+            return field.zero
         stack = [(t, None)]
         while stack:
             top, terms = stack.pop()
@@ -400,7 +427,7 @@ def invert_unit(f, window=32):
                 terms = []
                 for a, b in pairs:
                     if a != lead:
-                        ca = f.coeff(decode(a))
+                        ca = read_f(a)
                         if not field.is_zero(ca):
                             terms.append((ca, b))
                 missing = [b for _, b in terms if b not in values]
@@ -415,7 +442,9 @@ def invert_unit(f, window=32):
             values[top] = cinv * total
         return values[t]
 
-    return LazySeries(f.space, oracle, cert)
+    inverse = LazySeries(f.space, oracle, cert, frame)
+    values = inverse._memo  # the fixed point fills the series' own memo
+    return inverse
 
 
 def truncate(f, bound):
@@ -428,4 +457,7 @@ def truncate(f, bound):
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), u.format(bound))
         )
-    return FiniteSeries(f.space, {g: f.coeff(g) for g in els})
+    if f.frame is None:
+        return FiniteSeries(f.space, {g: f.coeff(g) for g in els})
+    encode = f.frame.encode
+    return FiniteSeries(f.space, {g: f.at(encode(g)) for g in els})

@@ -76,6 +76,8 @@ class PairingUndecided(SeriesError):
 
 
 class Series:
+    frame = None  # the integer coordinates a framed lazy series is kept on
+
     def __init__(self, space):
         self.space = space
         self.field = space.field
@@ -177,19 +179,28 @@ class FiniteSeries(Series):
 
 class LazySeries(Series):
     """A coefficient oracle on a support certificate, taken as given: a
-    caller's certificate enters through `Space.lazy`, which checks it."""
+    caller's certificate enters through `Space.lazy`, which checks it.
 
-    def __init__(self, space, oracle, certificate):
+    A series built on a `frame` (a Hahn product or inverse) has an oracle
+    on the frame's int coordinates (`frame.encode(gamma)`, None off the
+    frame) that is zero off the certificate by construction; it answers
+    `coeff` by one check and one encoding, and `at` on coordinates.
+    """
+
+    def __init__(self, space, oracle, certificate, frame=None):
         super().__init__(space)
         if certificate.universe != self.universe:
             raise SeriesError("certificate universe mismatch")
         self._oracle = oracle
         self._cert = certificate
+        self.frame = frame
         self._memo = {}
 
     def coeff(self, gamma):
         # the check comes first, so a bad key raises even after a memo hit
         gamma = self.universe.check(gamma)
+        if self.frame is not None:
+            return self.at(self.frame.encode(gamma))
         val = self._memo.get(gamma)
         if val is None:
             if self._cert.contains(gamma):
@@ -197,6 +208,16 @@ class LazySeries(Series):
             else:
                 val = self.field.zero
             self._memo[gamma] = val
+        return val
+
+    def at(self, t):
+        """The coefficient at frame coordinates t, memoized by t; zero off
+        the frame (t None)."""
+        if t is None:
+            return self.field.zero
+        val = self._memo.get(t)
+        if val is None:
+            val = self._memo[t] = self._oracle(t)
         return val
 
     @property

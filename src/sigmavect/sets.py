@@ -428,8 +428,12 @@ class ComplementAtom(Atom):
         return [e for e in self.within.elements() if not self.inner.contains(e)]
 
     def iter_increasing(self):
-        # the stop rule of the module docstring, asked at every element
+        # the stop rule of the module docstring, asked first of all of
+        # `within` (an inner atom may be `within` itself) and then at every
+        # element
         w = self.within
+        if any(w == a or _atom_subset_of(w, a) for a in self.inner.atoms):
+            return
         infinite = w.is_finite() is not True
         line = self._line() if infinite else None
         for e in w.iter_increasing():
@@ -724,6 +728,10 @@ def _atom_subset_of(atom, other):
         return _range_inside_interval(atom, other)
     if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
         return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
+    if isinstance(other, ComplementAtom):
+        # inside within, and meeting no inner atom
+        return _atom_subset_of(atom, other.within) and all(
+            atom_intersection(atom, a) == (True, []) for a in other.inner.atoms)
     if not isinstance(atom, _ArithmeticAtom) or not isinstance(other, _ArithmeticAtom):
         return False
     # origin + N*steps lies in other when other holds the origin and its
@@ -741,9 +749,10 @@ def _set_subset_of(s1, s2):
 def _range_inside_interval(atom, iv):
     if isinstance(atom, IntervalAtom):
         k = atom.universe.key
-        lo_ok = iv.lo is None or (
-            atom.lo is not None
-            and (k(atom.lo) > k(iv.lo) or (k(atom.lo) == k(iv.lo) and (atom.lo_strict or not iv.lo_strict)))
+        lo, iv_lo = atom._low(), iv._low()
+        lo_ok = iv_lo is None or (
+            lo is not None
+            and (k(lo) > k(iv_lo) or (k(lo) == k(iv_lo) and (atom.lo_strict or not iv.lo_strict)))
         )
         hi_ok = iv.hi is None or (
             atom.hi is not None
@@ -754,7 +763,7 @@ def _range_inside_interval(atom, iv):
     # iv must face its direction
     if not isinstance(atom, _ArithmeticAtom):
         return False
-    return (iv.hi if atom.up else iv.lo) is None and iv.contains(atom.origin)
+    return (iv.hi if atom.up else iv._low()) is None and iv.contains(atom.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +876,7 @@ def _bound(atom, up):
     if isinstance(atom, _ArithmeticAtom):
         return atom.origin if atom.up != up else None
     if isinstance(atom, IntervalAtom):
-        return atom.hi if up else atom.lo
+        return atom.hi if up else atom._low()
     return None
 
 

@@ -2,9 +2,13 @@
 
 A universe knows its elements (via a canonical textual codec), its total
 order and an optional (ordered) monoid operation.  Numeric coordinates are
-exact: ints (not bools) and Fractions, never floats.  Elements of the
-numeric and monomial universes also embed into Q^n ("vectorize"), which is
-what the grid bookkeeping in :mod:`sigmavect.gridsolve` works on.
+exact: ints (not bools) and Fractions, never floats.  An exponent vector
+holds each coordinate in one normal form, an int when it is integral and a
+Fraction otherwise (`check`, `unit`, `op`), which changes no equality, hash
+or text, as hash(Fraction(n)) == hash(n).  Elements of the numeric and
+monomial universes also embed into Q^n ("vectorize"), in the same normal
+form, which is what the grid bookkeeping in :mod:`sigmavect.gridsolve`
+works on.
 """
 
 from __future__ import annotations
@@ -108,10 +112,14 @@ def _parse_rational(text):
     return Fraction(int(text))
 
 
-def _exact(c):
-    """True for an exact rational coordinate: an int (not a bool) or a
-    Fraction."""
-    return isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool))
+def _coordinate(c):
+    """An exact coordinate in normal form, an int when it is integral and a
+    Fraction otherwise; None when c is not exact."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return int(c)
+    return None
 
 
 class FiniteUniverse(Universe):
@@ -165,7 +173,7 @@ class _NumericUniverse(Universe):
         return el
 
     def vectorize(self, el):
-        return (Fraction(el),)
+        return (_coordinate(el),)
 
     def format(self, el):
         return _fmt_rational(el)
@@ -221,7 +229,7 @@ class Rationals(_NumericUniverse):
     _zero = Fraction(0)
 
     def contains(self, el):
-        return _exact(el)
+        return _coordinate(el) is not None
 
     def check(self, el):
         if isinstance(el, int) and not isinstance(el, bool):
@@ -232,7 +240,7 @@ class Rationals(_NumericUniverse):
         return -a
 
     def devectorize(self, vec):
-        return vec[0]
+        return Fraction(vec[0])
 
     def parse(self, text):
         return _parse_rational(text)
@@ -250,29 +258,37 @@ class _ExponentGroup(Universe):
     is_group = True
     exponents = "rational"
 
-    def contains(self, el):
+    def _normal(self, el):
+        """el with its coordinates in normal form (`_coordinate`), or None
+        when it is no element."""
         if not isinstance(el, tuple) or len(el) != self.dim:
-            return False
+            return None
+        out = []
         for c in el:
-            if not _exact(c):
-                return False
-        return self.exponents == "rational" or all(self._exp_ok(c) for c in el)
+            if type(c) is not int:
+                c = _coordinate(c)
+                if c is None:
+                    return None
+            out.append(c)
+        if self.exponents == "rational" or all(self._exp_ok(c) for c in out):
+            return tuple(out)
+        return None
+
+    def contains(self, el):
+        return self._normal(el) is not None
 
     def check(self, el):
-        # an element with all-Fraction coordinates is returned as it is
-        if isinstance(el, tuple):
-            for c in el:
-                if not isinstance(c, Fraction):
-                    el = tuple(Fraction(c) if _exact(c) else c for c in el)
-                    break
-        return super().check(el)
+        out = self._normal(el)
+        if out is None:
+            raise UniverseError("%r is not an element of %s" % (el, self))
+        return out
 
     @property
     def unit(self):
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def op(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return self._normal(tuple(x + y for x, y in zip(a, b)))
 
     def inv(self, a):
         if not self.is_group:
@@ -340,13 +356,13 @@ class MonomialUniverse(_ExponentGroup):
         self.is_group = exponents != "natural"
 
     def _exp_ok(self, q):
-        if q.denominator != 1:
+        if type(q) is not int:
             return False
         return self.exponents == "integer" or q >= 0
 
     def monomial(self, **exps):
         """Build an element from keyword exponents, e.g. monomial(x=1, y=-2)."""
-        vec = [Fraction(0)] * self.dim
+        vec = [0] * self.dim
         for name, e in exps.items():
             if name not in self.names:
                 raise UniverseError("unknown generator %r" % name)
@@ -370,7 +386,7 @@ class MonomialUniverse(_ExponentGroup):
         text = text.strip()
         if text == "1":
             return self.unit
-        vec = [Fraction(0)] * self.dim
+        vec = [0] * self.dim
         for factor in text.split("*"):
             m = _MONO_FACTOR.match(factor.strip())
             if not m:
@@ -378,7 +394,7 @@ class MonomialUniverse(_ExponentGroup):
             name, exp = m.group(1), m.group(2)
             if name not in self.names:
                 raise UniverseError("unknown generator %r" % name)
-            q = _parse_rational(exp.strip("()")) if exp else Fraction(1)
+            q = _parse_rational(exp.strip("()")) if exp else 1
             vec[self.names.index(name)] += q
         return self.check(tuple(vec))
 

@@ -2,8 +2,9 @@
 
 Oracle notes: nonneg_solutions, Lattice.contains and GridAtom.contains are
 checked against an independent bounded brute-force search over exponent
-boxes [DERIVED]; grid enumeration against a sorted exhaustive generation
-[DERIVED].
+boxes [DERIVED], and the 1-D Apery test of Lattice.contains against an
+upward enumeration of the monoid past its conductor [DERIVED]; grid enumeration
+against a sorted exhaustive generation [DERIVED].
 """
 
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmavect.gridsolve import (
+    APERY_LIMIT,
     Lattice,
     grid_points,
     grid_points_upto,
@@ -205,3 +207,47 @@ def test_lattice_scales_once_to_integers():
     assert lat.gens == [(15, -12), (0, 10)]
     assert all(isinstance(c, int) for g in lat.gens for c in g)
     assert all(w > 0 for w in lat.gw)
+
+
+def monoid_upto(gens, bound):
+    """The sums of nonnegative multiples of gens up to bound, enumerated
+    upward: t is one when t = 0 or t - g is one for some g in gens."""
+    ok = [True] + [False] * bound
+    for t in range(1, bound + 1):
+        ok[t] = any(t >= g and ok[t - g] for g in gens)
+    return {t for t in range(bound + 1) if ok[t]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(1, 13), min_size=2, max_size=4))
+def test_one_dimensional_membership_matches_enumeration(factor, ks):
+    # gcd(gens) >= factor, so for factor > 1 whole residue classes are
+    # missing; the targets run from below 0 to past the conductor
+    gens = [factor * k for k in ks]
+    bound = max(gens) ** 2 + max(gens)
+    points = monoid_upto(gens, bound)
+    lattice = Lattice([(g,) for g in gens])
+    assert lattice.apery() is not None
+    for t in range(-2 * max(gens), bound + 1):
+        assert lattice.contains((t,)) == (t in points), (gens, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=4), st.integers(0, 4),
+       st.integers(-2, 2))
+def test_one_dimensional_membership_above_the_table_bound_searches(offsets, k, shift):
+    # the smallest generator lies above APERY_LIMIT: no table, the search
+    # answers, on the same points
+    gens = [APERY_LIMIT + d for d in offsets]
+    lattice = Lattice([(g,) for g in gens])
+    assert lattice.apery() is None
+    target = k * gens[0] + (k % 2) * gens[-1] + shift
+    assert lattice.contains((target,)) == (target in monoid_upto(gens, max(target, 0)))
+
+
+def test_apery_table_reads_a_scaled_lattice():
+    # grid(1; x^(2/3), x^(1/2)) scales by 6 to <4, 3>: the Apery set of 3
+    # is 0, 4, 8 and the gaps are 1, 2, 5
+    lattice = Lattice([(Fraction(2, 3),), (Fraction(1, 2),)])
+    assert lattice.apery() == [0, 4, 8]
+    assert [t for t in range(12) if not lattice.contains((t,))] == [1, 2, 5]

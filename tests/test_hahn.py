@@ -202,6 +202,88 @@ def test_invert_matches_neumann_construction(field, gens, shift, c0, rest, lazy_
         assert got.certificate == want.certificate
 
 
+NEST_BOUND = Fraction(3)
+NEST_PROBES = [Fraction(k, 6) for k in range(-6, 19)]
+
+
+def dict_mul(field, d1, d2):
+    """Dictionary convolution, cut at NEST_BOUND, of exponent -> coefficient
+    dicts whose exponents are >= 0."""
+    out = {}
+    for a, ca in d1.items():
+        for b, cb in d2.items():
+            if a + b <= NEST_BOUND:
+                out[a + b] = out.get(a + b, field.zero) + ca * cb
+    return out
+
+
+def dict_inverse(field, d):
+    """The inverse of c0 (1 - eps), d's constant term c0 != 0, as
+    c0^-1 * sum eps^n cut at NEST_BOUND, by dictionary convolution."""
+    c0inv = field.one / d[Fraction(0)]
+    eps = {e: -c * c0inv for e, c in d.items() if e != 0}
+    total, power = {Fraction(0): c0inv}, {Fraction(0): c0inv}
+    while power:
+        power = {e: c for e, c in dict_mul(field, power, eps).items()}
+        for e, c in power.items():
+            total[e] = total.get(e, field.zero) + c
+    return total
+
+
+unit_polys = st.tuples(
+    st.integers(1, 4), st.sampled_from([1, 2, 3]),
+    st.dictionaries(st.integers(1, 4), st.integers(-4, 4), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(101)]), st.integers(0, 4), unit_polys, unit_polys)
+def test_nested_expressions_match_dictionary_convolution(field, shape, p1, p2):
+    """Products of inverses, inverses of products (of a lazy factor too),
+    Puiseux inverses times integral-exponent polynomials, factors on the
+    frames of x^(1/2) and x^(1/3) together, and a frameless `Space.lazy`
+    factor, against dictionary convolution and `neumann_sum` on a window."""
+    sp = Space(field, X, well_ordered(X))
+
+    def poly(spec, q=None):
+        c0, q0, rest = spec
+        d = {Fraction(0): field.of(c0)}
+        for k, c in rest.items():
+            if field.of(c) != field.zero:
+                d[Fraction(k, q or q0)] = field.of(c)
+        return d, sp.series({m(e): c for e, c in d.items()})
+
+    d1, f1 = poly(p1)
+    d2, f2 = poly(p2, 1 if shape == 2 else None)
+    if shape == 0:  # a product of inverses
+        got = cauchy_product(invert_unit(f1), invert_unit(f2))
+        want = dict_mul(field, dict_inverse(field, d1), dict_inverse(field, d2))
+    elif shape == 1:  # the inverse of a product, of finite then of lazy factors
+        got = invert_unit(cauchy_product(invert_unit(f1), f2))
+        want = dict_inverse(field, dict_mul(field, dict_inverse(field, d1), d2))
+    elif shape == 2:  # a Puiseux inverse times an integral-exponent polynomial
+        got = cauchy_product(f2, invert_unit(f1))
+        want = dict_mul(field, d2, dict_inverse(field, d1))
+    elif shape == 3:  # frames of x^(1/2) and x^(1/3), read by a third product
+        d1, f1 = poly(p1, 2)
+        d2, f2 = poly(p2, 3)
+        got = cauchy_product(cauchy_product(invert_unit(f1), f1), invert_unit(f2))
+        want = dict_mul(field, dict_mul(field, dict_inverse(field, d1), d1),
+                        dict_inverse(field, d2))
+    else:  # a frameless lazy factor: 1 / (1 - x^(1/q)) as a caller's oracle
+        q = p2[1]
+        geo = sp.lazy(lambda g: field.one, DescribedSet.grid(X, X.unit, [m(Fraction(1, q))]))
+        got = cauchy_product(invert_unit(f1), geo)
+        want = dict_mul(field, dict_inverse(field, d1),
+                        {Fraction(k, q): field.one for k in range(3 * q + 1)})
+        assert [neumann_sum(sp.series({m(Fraction(1, q)): 1})).coeff(m(e))
+                for e in NEST_PROBES] == [geo.coeff(m(e)) for e in NEST_PROBES]
+    assert [got.coeff(m(e)) for e in NEST_PROBES] == [
+        want.get(e, field.zero) for e in NEST_PROBES]
+    # the inverse of f1 as a Neumann sum agrees on the same window
+    assert [invert_unit(f1).coeff(m(e)) for e in NEST_PROBES] == [
+        neumann_inverse(f1).coeff(m(e)) for e in NEST_PROBES]
+
+
 def test_invert_skips_certificate_points_below_the_leading_term():
     """A lazy unit whose certificate starts below its leading term: f is zero
     at x^-1 and x^(-1/2) and 1 + 2e at x^e for e >= 0.  A pair through a

@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
-from sigmavect.bornology import Verdict, order_type_omega, reverse_well_ordered, well_ordered
+from sigmavect.bornology import (
+    Verdict,
+    generate,
+    order_type_omega,
+    reverse_well_ordered,
+    well_ordered,
+)
 from sigmavect.sets import (
     DOWN,
     FINITE,
@@ -27,6 +33,7 @@ from sigmavect.sets import (
     ProgressionAtom,
     SetError,
     _atom_subset_of,
+    _bound,
     atom_intersection,
     described_intersection,
     set_from_record,
@@ -500,6 +507,45 @@ def test_natural_interval_without_a_lower_end_starts_at_zero():
     assert reverse_well_ordered(N).is_bounded(iv) is Verdict.UNBOUNDED
     # the record and the text keep the missing end
     assert iv.format() == "(-inf, +inf)" and iv.to_record()["atoms"][0]["lo"] is None
+
+
+def test_natural_interval_without_a_lower_end_is_the_ray_from_zero():
+    # [0, +inf) and (-inf, +inf) are one set on N, in either direction
+    ray, whole = DescribedSet.interval(N, lo=0), DescribedSet.interval(N)
+    assert _atom_subset_of(whole.atoms[0], ray.atoms[0])
+    assert _atom_subset_of(ray.atoms[0], whole.atoms[0])
+    assert not _atom_subset_of(whole.atoms[0], IntervalAtom(N, lo=1))
+    assert generate(N, [ray]).is_bounded(whole) is Verdict.BOUNDED
+    assert generate(N, [whole]).is_bounded(ray) is Verdict.BOUNDED
+    # a walk down to such an interval stops at 0; on Z there is no end
+    assert _bound(whole.atoms[0], False) == 0
+    assert _bound(IntervalAtom(Z), False) is None
+
+
+def test_complement_walk_stops_inside_an_inner_complement():
+    # A = N minus nothing; A minus A is empty, as the rest of A from any
+    # element lies in A's within and meets A's empty inner set (and A
+    # itself is an inner atom)
+    a = DescribedSet.finite(N, []).complement_within(DescribedSet.interval(N, lo=0))
+    with time_limit(2):
+        assert a.complement_within(a).first_n(1) == []
+    b = DescribedSet.grid(N, 0, [2, 3]).complement_within(DescribedSet.interval(N, lo=0))
+    # a set minus itself is empty at once, also where no ray of the rest
+    # can be placed in a grid or a Z interval cannot be walked upward
+    d = DescribedSet.finite(N, [1, 7]).complement_within(DescribedSet.grid(N, 3, [4, 2, 1]))
+    whole_z = DescribedSet.interval(Z)
+    with time_limit(2):
+        assert b.complement_within(b).first_n(3) == []
+        assert d.complement_within(d).first_n(3) == []
+        assert whole_z.complement_within(whole_z).first_n(1) == []
+        # N minus (N minus evens) lists the evens, without stopping early
+        evens = DescribedSet.progression(N, 0, 2).complement_within(DescribedSet.interval(N))
+        assert evens.complement_within(DescribedSet.interval(N)).first_n(4) == [0, 2, 4, 6]
+    c = a.atoms[0]
+    assert _atom_subset_of(ProgressionAtom(N, 3, 2), c)
+    odd = DescribedSet.progression(N, 1, 2).complement_within(DescribedSet.interval(N)).atoms[0]
+    assert _atom_subset_of(ProgressionAtom(N, 4, 2), odd)
+    assert not _atom_subset_of(ProgressionAtom(N, 4, 1), odd)
 
 
 ends = st.one_of(st.none(), st.integers(0, 8))

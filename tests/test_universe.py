@@ -171,9 +171,10 @@ candidate_values = st.recursive(
 @example(FiniteUniverse(["*"]), {})
 def test_contains_agrees_with_check(u, v):
     # contains(v) holds exactly when check(v) returns, and check then gives
-    # back an equal element (ints become Fractions where coordinates are
-    # rational); floats and bools are never exact rational coordinates, and
-    # a finite universe holds its labels themselves (not True for 1)
+    # back an equal element (a rational number becomes a Fraction, an
+    # integral exponent coordinate an int); floats and bools are never
+    # exact rational coordinates, and a finite universe holds its labels
+    # themselves (not True for 1)
     try:
         checked = u.check(v)
     except UniverseError:
@@ -195,6 +196,30 @@ def test_inexact_coordinates_are_refused():
     assert Q.contains(2) and Q.check(2) == Fraction(2)
     assert not Q.contains(0.5) and not Q.contains(True)
     assert X.check((1,)) == (Fraction(1),)
+
+
+def test_integral_exponent_coordinates_are_ints():
+    X = MonomialUniverse(["x", "y"])
+    for v in ((2, Fraction(1, 2)), (Fraction(4, 2), Fraction(1, 2))):
+        got = X.check(v)
+        assert got == (2, Fraction(1, 2))
+        assert [type(c) for c in got] == [int, Fraction]
+        # one element, whatever form it came in: same key, hash and text
+        assert hash(got) == hash((Fraction(2), Fraction(1, 2)))
+        assert X.format(got) == "x^2*y^(1/2)"
+    for bad in ((2.0, 0), (True, 0), (Fraction(1, 2), 0.5)):
+        assert not X.contains(bad)
+        with pytest.raises(UniverseError):
+            X.check(bad)
+    half = X.monomial(y=Fraction(1, 2))
+    for el in (X.unit, X.op(half, half), X.monomial(x=Fraction(4, 2)),
+               X.parse("x^2*y^(2/2)"), X.devectorize((Fraction(3), Fraction(-1)))):
+        assert all(type(c) is int for c in el), el
+    assert [type(c) for c in X.parse("x^(1/3)*y")] == [Fraction, int]
+    Q = Rationals()
+    assert [type(c) for c in Q.vectorize(Fraction(3)) + Q.vectorize(Fraction(1, 3))] == [
+        int, Fraction]
+    assert type(Q.devectorize((3,))) is Fraction
 
 
 def test_described_sets_take_int_coordinates():
