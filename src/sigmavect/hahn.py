@@ -35,7 +35,7 @@ recursion.  `neumann_sum` keeps the literal weighted sum of powers.
 from __future__ import annotations
 
 from .gridsolve import Lattice, positive_weights, weight
-from .sets import DescribedSet, FiniteAtom, GridAtom, ProgressionAtom
+from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
 from .series import FiniteSeries, LazySeries, SeriesError
 from .universe import UniverseError
 
@@ -44,38 +44,36 @@ class HahnError(SeriesError):
     pass
 
 
-def _grid_atoms(u, cert):
-    """Certificate atoms normalized to finite sets and grids (an increasing
-    progression is the one-generator grid on its step)."""
-    out = []
+def _grid_atoms(cert):
+    """The certificate's atoms, once each is checked to be a finite set or
+    an arithmetic atom that is counted or rises (a grid)."""
     for a in cert.atoms:
-        if isinstance(a, (FiniteAtom, GridAtom)):
-            out.append(a)
-        elif isinstance(a, ProgressionAtom):
-            if a.count is not None:
-                out.append(FiniteAtom(u, a.elements()))
-            elif a.up:
-                out.append(GridAtom(u, a.origin, a.steps))
-            else:
-                raise HahnError("decreasing support %r is not grid-certified" % a)
-        else:
+        if not isinstance(a, (FiniteAtom, _ArithmeticAtom)):
             raise HahnError("certificate atom %r is not grid-certified" % a)
-    return out
+        if not (_listed(a) or a.up):
+            raise HahnError("decreasing support %r is not grid-certified" % a)
+    return cert.atoms
+
+
+def _listed(atom):
+    """True for an atom of `_grid_atoms` read by its elements (a finite
+    atom or a counted progression); any other is read by its origin and
+    steps."""
+    return isinstance(atom, FiniteAtom) or atom.count is not None
 
 
 def _check_hahn(f):
-    """The atoms of f's certificate normalized by `_grid_atoms`; raises
-    unless f is a series on a monoid with a grid-certified support."""
-    u = f.universe
-    if not u.has_monoid:
+    """The atoms of f's certificate checked by `_grid_atoms`; raises unless
+    f is a series on a monoid with a grid-certified support."""
+    if not f.universe.has_monoid:
         raise HahnError("Hahn arithmetic needs a monoid universe")
-    return _grid_atoms(u, f.certificate)
+    return _grid_atoms(f.certificate)
 
 
 def _atom_vectors(u, atom):
-    """The vectors of an atom normalized by `_grid_atoms`: a finite atom's
-    elements, or a grid's origin and then its step vectors."""
-    if isinstance(atom, FiniteAtom):
+    """The vectors of an atom of `_grid_atoms`: its elements when
+    `_listed`, else its origin and then its step vectors."""
+    if _listed(atom):
         return [u.vectorize(e) for e in atom.elements()]
     return [u.vectorize(atom.origin)] + atom.vectors
 
@@ -132,7 +130,7 @@ class _Frame:
     def member(self, atom):
         """Membership in one of the frame's atoms, as a test on frame
         coordinates."""
-        if isinstance(atom, FiniteAtom):
+        if _listed(atom):
             return frozenset(self.encode(e) for e in atom.elements()).__contains__
         lattice = self.grid_lattice(atom.steps)
         base = self.encode(atom.origin)
@@ -143,8 +141,8 @@ def _decompositions(frame, atom_f, atom_g):
     """The function taking gamma to the set of pairs (alpha, beta) with alpha
     in atom_f, beta in atom_g and alpha + beta = gamma, all in frame
     coordinates.  Lattices are built once, here, not per coefficient."""
-    swap = not isinstance(atom_f, FiniteAtom)
-    if not swap or isinstance(atom_g, FiniteAtom):
+    swap = not _listed(atom_f)
+    if not swap or _listed(atom_g):
         if swap:
             atom_f, atom_g = atom_g, atom_f
         els = [frame.encode(e) for e in atom_f.elements()]
@@ -180,7 +178,7 @@ def _decompositions(frame, atom_f, atom_g):
 
 def _minkowski_atoms(u, atom_f, atom_g):
     """Atoms covering {a + b : a in atom_f, b in atom_g}."""
-    ff, fg = isinstance(atom_f, FiniteAtom), isinstance(atom_g, FiniteAtom)
+    ff, fg = _listed(atom_f), _listed(atom_g)
     if ff and fg:
         return [
             FiniteAtom(u, {u.op(a, b) for a in atom_f.elements() for b in atom_g.elements()})
@@ -198,7 +196,7 @@ def _minkowski_atoms(u, atom_f, atom_g):
 
 def _minkowski_product(u, f_atoms, g_atoms):
     """The described set {a + b : a in f_atoms, b in g_atoms}, for atoms
-    normalized by `_grid_atoms`."""
+    of `_grid_atoms`."""
     atoms = []
     for af in f_atoms:
         for ag in g_atoms:
@@ -262,7 +260,7 @@ def leading_term(f, window=32):
 
 def _power_grid(u, atoms):
     """(support vectors, certificate) for the powers of a series eps whose
-    certificate atoms, normalized by `_grid_atoms`, are `atoms`.
+    certificate atoms, checked by `_grid_atoms`, are `atoms`.
 
     The vectors are the finite elements, grid bases and grid generators of
     the atoms; the certificate is the grid on the unit that they generate,
@@ -271,7 +269,7 @@ def _power_grid(u, atoms):
     """
     uk = u.key(u.unit)
     for a in atoms:
-        finite = isinstance(a, FiniteAtom)
+        finite = _listed(a)
         for e in a.elements() if finite else [a.origin]:
             if not u.key(e) > uk:
                 raise HahnError(
@@ -330,15 +328,14 @@ def _positive_part_atoms(u, cert):
     zero (`invert_unit` has, through `leading_term`)."""
     uk = u.key(u.unit)
     out = []
-    for a in _grid_atoms(u, cert):
-        if isinstance(a, FiniteAtom):
+    for a in _grid_atoms(cert):
+        if _listed(a):
             keep = [e for e in a.elements() if u.key(e) > uk]
             if keep:
                 out.append(FiniteAtom(u, keep))
-        elif isinstance(a, GridAtom):
-            if u.key(a.origin) > uk:
-                out.append(a)
-                continue
+        elif u.key(a.origin) > uk:
+            out.append(a)
+        else:
             low = DescribedSet(u, [a]).elements_upto(u.unit)
             if low is None:
                 raise HahnError(
@@ -349,8 +346,6 @@ def _positive_part_atoms(u, cert):
                     q = u.op(p, g)
                     if u.key(q) > uk:
                         out.append(GridAtom(u, q, a.steps))
-        else:
-            raise HahnError("certificate atom %r is not grid-certified" % a)
     return list(dict.fromkeys(out))
 
 
@@ -406,7 +401,7 @@ def invert_unit(f, window=32):
         return f.space.delta(ginv, cinv)
     cert = cert.translate(ginv)
     grid = cert.atoms[0]
-    frame = _Frame(u, atoms + [grid])
+    frame = _Frame(u, [*atoms, grid])
     splits = [_decompositions(frame, a, grid) for a in atoms]
     read_f, in_grid = frame.reader(f), frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)

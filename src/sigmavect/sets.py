@@ -17,16 +17,18 @@ many terms come before it), and an intersection with such a walk abstains.
 An atom with one step and no count is a line (`_is_line`); two lines meet
 exactly.  One subset rule serves every pair: origin + N*steps lies in an
 arithmetic atom with no count that holds the origin and whose frame's
-monoid holds every step (negated when that atom falls).
+monoid holds every step (negated when that atom falls).  An interval of N
+or Z (save all of Z) decides as the line of step 1 or -1 it is (`_arith`);
+where a superset serves, a complement is read as its innermost `within`.
 
 The increasing walk of a complement `within \\ inner` ends once the rest of
-`within` from its current element e lies inside `inner`.  When `within` is an
-increasing line of step d, a ray of N or Z (d = 1) or, in dimension 1, a
-grid (d the gcd of its steps), that rest lies on the line prog(e; d), which
-is covered when each residue class prog(e + c*d; K*d), c < K, lies inside
-one inner atom; K is the lcm of the numerators of the step ratios along d
-of the steps of the uncounted inner progressions and grids.  Otherwise the
-ray [e, +inf) must lie inside one inner atom.
+`within` from its current element e lies inside `inner`.  When the carrier
+of `within` is an increasing line of step d or, in dimension 1, a grid (d
+the gcd of its steps), that rest lies on the line prog(e; d), which is
+covered when each residue class prog(e + c*d; K*d), c < K, lies inside one
+inner atom; K is the lcm of the numerators of the step ratios along d of
+the steps of the uncounted arithmetic carriers of the inner atoms.
+Otherwise the ray [e, +inf) must lie inside one inner atom.
 """
 
 from __future__ import annotations
@@ -171,71 +173,61 @@ class IntervalAtom(Atom):
                 return False
         return self.universe.contains(el)
 
-    def _discrete(self):
-        return self.universe.kind in ("naturals", "integers", "finite")
-
-    def _low(self):
-        """The lower end, 0 on N when there is none."""
-        return 0 if self.lo is None and self.universe.kind == "naturals" else self.lo
+    @cached_property
+    def line(self):
+        """On N or Z the progression this interval is: counted with step 1
+        between two ends, rising with step 1 from a lower end (0 on N when
+        there is none), falling with step -1 from an upper end on Z.  None
+        for all of Z and on every other universe."""
+        u = self.universe
+        if u.kind not in ("naturals", "integers"):
+            return None
+        # a strict end moves one step in
+        hi = None if self.hi is None else self.hi - self.hi_strict
+        if self.lo is None and u.kind == "integers":
+            return None if hi is None else ProgressionAtom(u, hi, -1)
+        lo = 0 if self.lo is None else self.lo + self.lo_strict
+        return ProgressionAtom(u, lo, 1, None if hi is None else max(0, hi - lo + 1))
 
     def is_finite(self):
+        if self.line is not None:
+            return self.line.is_finite()
         if self.universe.kind == "finite":
             return True
         if self.lo is not None and self.hi is not None:
-            if self._discrete():
-                return True
-            lo_k, hi_k = self.universe.key(self.lo), self.universe.key(self.hi)
-            if lo_k > hi_k or (lo_k == hi_k and (self.lo_strict or self.hi_strict)):
-                return True  # empty
-            if lo_k == hi_k:
-                return True  # single point
-            return False  # dense
-        if self.universe.kind == "naturals" and self.hi is not None:
-            return True
+            # dense: empty or a single point unless lo lies below hi
+            return self.universe.key(self.lo) >= self.universe.key(self.hi)
         return False
 
     def classify(self):
-        fin = self.is_finite()
-        if fin:
+        if self.line is not None:
+            return self.line.classify()
+        if self.is_finite():
             return FINITE
-        if self._discrete():
-            if self.hi is None and self._low() is not None:
-                return UP
-            if self._low() is None and self.hi is not None:
-                return DOWN
-            return UNKNOWN  # all of Z: neither
-        return DENSE
+        return UNKNOWN if self.universe.kind == "integers" else DENSE  # all of Z: neither
 
     def elements(self):
         if not self.is_finite():
             raise SetError("interval is infinite")
         if self.universe.kind == "finite":
             return [e for e in self.universe.labels if self.contains(e)]
-        if self._discrete():
-            lo = self.lo if self.lo is not None else 0
-            lo = lo + 1 if self.lo_strict else lo
-            hi = self.hi - 1 if self.hi_strict else self.hi
-            return [n for n in range(int(lo), int(hi) + 1)]
+        if self.line is not None:
+            return list(range(self.line.origin, self.line.origin + self.line.count))
         # dense universe: empty or a single point
-        out = []
-        if self.lo is not None and self.contains(self.lo):
-            out.append(self.lo)
-        return out
+        return [self.lo] if self.lo is not None and self.contains(self.lo) else []
 
     def iter_increasing(self):
         if self.is_finite():
             return iter(sorted(self.elements(), key=self.universe.key))
-        if self._discrete() and self._low() is not None:
-            lo = int(self._low()) + (1 if self.lo_strict else 0)
-            return ProgressionAtom(self.universe, lo, 1).iter_increasing()
+        if self.classify() == UP:
+            return self.line.iter_increasing()
         raise SetError("cannot enumerate interval in increasing order")
 
     def _side(self, bound, up):
         if self.classify() != (UP if up else DOWN):
             return super()._side(bound, up)
-        if up:
-            return IntervalAtom(self.universe, self.lo, bound, lo_strict=self.lo_strict).elements()
-        return IntervalAtom(self.universe, bound, self.hi, hi_strict=self.hi_strict).elements()
+        lo, hi = (self.line.origin, bound) if up else (bound, self.line.origin)
+        return IntervalAtom(self.universe, lo, hi).elements()
 
     def format(self):
         lo = self.universe.format(self.lo) if self.lo is not None else "-inf"
@@ -443,23 +435,22 @@ class ComplementAtom(Atom):
                 yield e
 
     def _line(self):
-        """(d, K) of the stop rule when `within` is an increasing line, a
-        ray of N or Z, or a grid in dimension 1, else None.  An
-        inner arithmetic atom holds, far enough out, whole residue classes
-        of prog(e; d) modulo the numerator of each step ratio along d."""
-        w, u = self.within, self.universe
+        """(d, K) of the stop rule when the `_carrier` of `within` is an
+        increasing line or a grid in dimension 1, else None.  An inner atom
+        whose carrier is arithmetic holds, far enough out, whole residue
+        classes of prog(e; d) modulo the numerator of each step ratio along d
+        (any K is sound: `_atom_subset_of` still places each class)."""
+        w = _carrier(self.within)
         if _is_line(w) and w.up:
             d = w.vectors[0]
-        elif isinstance(w, IntervalAtom) and w.hi is None and w._discrete():
-            d = (Fraction(1),)
-        elif isinstance(w, GridAtom) and u.dim == 1:
+        elif isinstance(w, GridAtom) and self.universe.dim == 1:
             # the grid lies on the line of the gcd of its steps
             lattice = w.frame[0]
             d = (Fraction(gcd(*[g for g, in lattice.gens]), lattice.scale),)
         else:
             return None
         k = 1
-        for a in self.inner.atoms:
+        for a in map(_carrier, self.inner.atoms):
             if isinstance(a, _ArithmeticAtom) and a.count is None:
                 for v in a.vectors:
                     r = step_ratio(v, d)
@@ -720,18 +711,38 @@ def _is_line(atom):
     return isinstance(atom, _ArithmeticAtom) and atom.count is None and len(atom.steps) == 1
 
 
+def _arith(atom):
+    """An interval's line (`IntervalAtom.line`) when it has one, else the atom."""
+    line = atom.line if isinstance(atom, IntervalAtom) else None
+    return atom if line is None else line
+
+
+def _within(atom):
+    """The innermost `within` of a complement, else the atom."""
+    while isinstance(atom, ComplementAtom):
+        atom = atom.within
+    return atom
+
+
+def _carrier(atom):
+    """An atom that holds the given one: `_arith` of its `_within`."""
+    return _arith(_within(atom))
+
+
 def _atom_subset_of(atom, other):
     """Sound syntactic subset test between atoms (False = don't know)."""
     if atom.is_finite() is True:
         return all(other.contains(e) for e in atom.elements())
-    if isinstance(other, IntervalAtom):
-        return _range_inside_interval(atom, other)
     if isinstance(atom, ProductAtom) and isinstance(other, ProductAtom):
         return _set_subset_of(atom.left, other.left) and _set_subset_of(atom.right, other.right)
     if isinstance(other, ComplementAtom):
         # inside within, and meeting no inner atom
         return _atom_subset_of(atom, other.within) and all(
             atom_intersection(atom, a) == (True, []) for a in other.inner.atoms)
+    # an atom lies in its carrier, so the carrier lying in other suffices
+    atom, other = _carrier(atom), _arith(other)
+    if isinstance(other, IntervalAtom):
+        return _range_inside_interval(atom, other)
     if not isinstance(atom, _ArithmeticAtom) or not isinstance(other, _ArithmeticAtom):
         return False
     # origin + N*steps lies in other when other holds the origin and its
@@ -749,10 +760,9 @@ def _set_subset_of(s1, s2):
 def _range_inside_interval(atom, iv):
     if isinstance(atom, IntervalAtom):
         k = atom.universe.key
-        lo, iv_lo = atom._low(), iv._low()
-        lo_ok = iv_lo is None or (
-            lo is not None
-            and (k(lo) > k(iv_lo) or (k(lo) == k(iv_lo) and (atom.lo_strict or not iv.lo_strict)))
+        lo_ok = iv.lo is None or (
+            atom.lo is not None
+            and (k(atom.lo) > k(iv.lo) or (k(atom.lo) == k(iv.lo) and (atom.lo_strict or not iv.lo_strict)))
         )
         hi_ok = iv.hi is None or (
             atom.hi is not None
@@ -763,7 +773,7 @@ def _range_inside_interval(atom, iv):
     # iv must face its direction
     if not isinstance(atom, _ArithmeticAtom):
         return False
-    return (iv.hi if atom.up else iv._low()) is None and iv.contains(atom.origin)
+    return (iv.hi if atom.up else iv.lo) is None and iv.contains(atom.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +812,11 @@ def _prog_prog_intersection(p1, p2):
     if r > 0:
         # same direction: k and l grow together along the solution line
         return (False, None)
-    # opposite directions: l >= 0 bounds k by t, and k runs down one residue
-    # class modulo |b|/g (l increasing)
+    # opposite directions: l >= 0 bounds k by t, and k runs over one residue
+    # class modulo |b|/g, listed so that the terms increase
     mod = -b // g
-    k0 = (c // g) * pow(a // g, -1, mod) % mod
-    top = floor(t)
-    top -= (top - k0) % mod
-    return (True, [term(k) for k in range(top, -1, -mod)])
+    ks = range((c // g) * pow(a // g, -1, mod) % mod, floor(t) + 1, mod)
+    return (True, [term(k) for k in (ks if p1.up else reversed(ks))])
 
 
 def atom_intersection(a1, a2):
@@ -839,8 +847,9 @@ def atom_intersection(a1, a2):
             return (False, None)
         return (None, None)
 
-    if _is_line(a1) and _is_line(a2):
-        return _prog_prog_intersection(a1, a2)
+    l1, l2 = _arith(a1), _arith(a2)
+    if _is_line(l1) and _is_line(l2):
+        return _prog_prog_intersection(l1, l2)
 
     if a1 == a2:
         return (False, None)
@@ -850,7 +859,7 @@ def atom_intersection(a1, a2):
     # complement's too) or gives None, so the meet is those it shares.  An
     # interval walks last: it lists every point up to the bound, where a
     # progression or grid lists only its own terms
-    pairs = sorted(((a1, a2), (a2, a1)), key=lambda pair: _is_interval(pair[0]))
+    pairs = sorted(((a1, a2), (a2, a1)), key=lambda pair: isinstance(_within(pair[0]), IntervalAtom))
     for walker, other in pairs:
         cls = walker.classify()
         if cls not in (UP, DOWN):
@@ -863,20 +872,14 @@ def atom_intersection(a1, a2):
     return (None, None)
 
 
-def _is_interval(atom):
-    while isinstance(atom, ComplementAtom):
-        atom = atom.within
-    return isinstance(atom, IntervalAtom)
-
-
 def _bound(atom, up):
-    """An evident upper (up) or lower bound for the atom, or None."""
-    if isinstance(atom, ComplementAtom):
-        return _bound(atom.within, up)
+    """An evident upper (up) or lower bound for the atom, read on its
+    carrier (`_carrier`), or None."""
+    atom = _carrier(atom)
     if isinstance(atom, _ArithmeticAtom):
         return atom.origin if atom.up != up else None
     if isinstance(atom, IntervalAtom):
-        return atom.hi if up else atom._low()
+        return atom.hi if up else atom.lo
     return None
 
 

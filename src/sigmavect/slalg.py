@@ -37,7 +37,7 @@ def _products_bounded(u, left, right, out):
     for s in ss:
         for t in ts:
             try:
-                prod = _minkowski_product(u, _grid_atoms(u, s), _grid_atoms(u, t))
+                prod = _minkowski_product(u, _grid_atoms(s), _grid_atoms(t))
             except HahnError as exc:  # a non-grid atom has no product here
                 v, why = Verdict.UNDECIDED, str(exc)
             else:

@@ -9,6 +9,7 @@ textbook fact [PAPER].
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from sigmavect.hahn import (
     HahnError,
     _decompositions,
     _Frame,
+    _grid_atoms,
     cauchy_product,
     invert_unit,
     leading_term,
@@ -31,7 +33,7 @@ from sigmavect.hahn import (
 )
 from sigmavect.scalars import GF, QQ
 from sigmavect.series import Space, add, sub
-from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom
+from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom, IntervalAtom, ProgressionAtom
 from sigmavect.universe import MonomialUniverse
 
 X = MonomialUniverse(["x"])
@@ -422,6 +424,32 @@ def test_neumann_sum_requires_positive_support():
     eps = SP.series({m(0): 1})  # support not strictly above the unit
     with pytest.raises(HahnError):
         neumann_sum(eps)
+
+
+def test_progression_certificates_are_read_as_they_are():
+    """A counted progression is read by its elements and a rising one by its
+    origin and step, without a copy into another atom kind: products,
+    Neumann sums and inverses over them agree with the same sets written as
+    finite sets and grids."""
+    counted = DescribedSet.progression(X, m(1), m(1), 2)  # x, x^2
+    rising = DescribedSet.progression(X, m(Fraction(1, 2)), m(Fraction(1, 2)))
+    assert _grid_atoms(counted) is counted.atoms
+
+    def ones(cert):
+        return SP.lazy(lambda g: 1 if cert.contains(g) else 0, cert)
+
+    eps, half = ones(counted), ones(rising)
+    eps_finite = SP.series({m(1): 1, m(2): 1})
+    half_grid = ones(DescribedSet.grid(X, m(Fraction(1, 2)), [m(Fraction(1, 2))]))
+    for got, want in [(cauchy_product(eps, half), cauchy_product(eps_finite, half_grid)),
+                      (neumann_sum(eps), neumann_sum(eps_finite)),
+                      (invert_unit(sub(ONE, half)), invert_unit(sub(ONE, half_grid)))]:
+        assert [got.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
+    # a falling progression and an interval are no grid certificates
+    for atom, text in [(ProgressionAtom(X, m(1), m(-1)), "decreasing support prog(x; x^-1)"),
+                       (IntervalAtom(X, lo=m(1)), "certificate atom [x, +inf)")]:
+        with pytest.raises(HahnError, match=re.escape(text + " is not grid-certified")):
+            _grid_atoms(DescribedSet(X, [atom]))
 
 
 def test_truncate():

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from conftest import time_limit
 from sigmavect.bornology import (
     Verdict,
+    all_subsets,
+    finite_subsets,
     generate,
     order_type_omega,
+    perp,
     reverse_well_ordered,
     well_ordered,
 )
@@ -316,6 +319,10 @@ def test_opposite_progressions_intersect_finitely():
     fin, els = described_intersection(s1, s2)
     assert fin is True
     assert set(els) == {0, 6}  # evens meeting {...,-3,0,3,6,9} above 0 [DERIVED]
+    # the points come in increasing order, whichever line comes first
+    rising, falling = ProgressionAtom(Z, 0, 3), ProgressionAtom(Z, 20, -2)
+    assert atom_intersection(rising, falling) == (True, [0, 6, 12, 18])
+    assert atom_intersection(falling, rising) == (True, [0, 6, 12, 18])
 
 
 def test_parallel_meet_beyond_old_scan_is_infinite():
@@ -541,6 +548,18 @@ def test_complement_walk_stops_inside_an_inner_complement():
         # N minus (N minus evens) lists the evens, without stopping early
         evens = DescribedSet.progression(N, 0, 2).complement_within(DescribedSet.interval(N))
         assert evens.complement_within(DescribedSet.interval(N)).first_n(4) == [0, 2, 4, 6]
+    # K counts the steps of an inner complement's `within`, and d comes
+    # from a `within` that is itself a complement
+    c34 = DescribedSet.finite(N, []).complement_within(DescribedSet.grid(N, 3, [4, 3]))
+    i76 = DescribedSet.finite(N, [5]).complement_within(DescribedSet.grid(N, 1, [7, 6]))
+    w3 = DescribedSet.finite(N, [1, 10]).complement_within(DescribedSet.grid(N, 8, [3]))
+    with time_limit(2):
+        assert c34.complement_within(DescribedSet.grid(N, 6, [6, 4, 1])).first_n(2) == [8]
+        assert i76.complement_within(DescribedSet.grid(N, 7, [5])).first_n(4) == [12, 17]
+        assert DescribedSet.grid(N, 9, [1, 5]).complement_within(w3).first_n(2) == [8]
+        # no ray of the rest lies in prog(11; 3), but the line of step 3 does
+        w8 = DescribedSet.finite(N, [1]).complement_within(DescribedSet.grid(N, 8, [3]))
+        assert DescribedSet.progression(N, 11, 3).complement_within(w8).first_n(2) == [8]
     c = a.atoms[0]
     assert _atom_subset_of(ProgressionAtom(N, 3, 2), c)
     odd = DescribedSet.progression(N, 1, 2).complement_within(DescribedSet.interval(N)).atoms[0]
@@ -556,6 +575,109 @@ ends = st.one_of(st.none(), st.integers(0, 8))
 def test_finite_natural_interval_lists_its_members(lo, hi, lo_strict, hi_strict):
     iv = IntervalAtom(N, lo, hi, lo_strict, hi_strict)
     assert iv.elements() == [n for n in range(20) if iv.contains(n)]
+
+
+def test_intervals_of_z_decide_as_lines():
+    ray, up = DescribedSet.interval(Z, lo=3), DescribedSet.progression(Z, 0, 1)
+    assert generate(Z, [up]).is_bounded(ray) is Verdict.BOUNDED
+    assert perp(generate(Z, [up])).is_bounded(ray) is Verdict.UNBOUNDED
+    assert atom_intersection(IntervalAtom(Z, hi=4), ProgressionAtom(Z, 5, -3)) == (False, None)
+    from_zero = generate(Z, [DescribedSet.interval(Z, lo=0)])
+    assert perp(from_zero).is_bounded(DescribedSet.progression(Z, 3, 2)) is Verdict.UNBOUNDED
+    # a down-ray keeps the interval's own error text
+    with pytest.raises(SetError, match=r"^cannot enumerate interval in increasing order$"):
+        DescribedSet.interval(Z, hi=3).first_n(1)
+
+
+def _interval_line(u, lo, hi, lo_strict, hi_strict):
+    """The progression an interval of N or Z is, built from its ends: a
+    strict end moves one step in, and N starts at 0; None for all of Z."""
+    a = (0 if u == N else None) if lo is None else lo + (1 if lo_strict else 0)
+    b = None if hi is None else hi - (1 if hi_strict else 0)
+    if a is None:
+        return None if b is None else ProgressionAtom(u, b, -1)
+    return ProgressionAtom(u, a, 1, None if b is None else max(0, b - a + 1))
+
+
+@st.composite
+def _intervals_with_partners(draw):
+    """An interval of N or Z with ends in [-8, 8] or missing, a line, grid
+    or finite atom to set it against, and a bound."""
+    u = draw(st.sampled_from([N, Z]))
+    el = st.integers(0 if u == N else -8, 8)
+    end = st.one_of(st.none(), el)
+    ends = (draw(end), draw(end), draw(st.booleans()), draw(st.booleans()))
+    step = st.integers(1, 3) if u == N else st.integers(-3, 3).filter(bool)
+    partner = draw(st.one_of(
+        st.builds(lambda s, d, c: ProgressionAtom(u, s, d, c), el, step, st.sampled_from([None, None, 3])),
+        st.builds(lambda b, gs: GridAtom(u, b, gs), el, st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+        st.lists(el, max_size=4).map(lambda es: FiniteAtom(u, es)),
+    ))
+    return u, ends, partner, draw(el)
+
+
+def _far(points):
+    """True when a point lies beyond 20: every finite set drawn here lies
+    in [-8, 14], and every infinite one repeats with a period of at most 6."""
+    return any(abs(p) > 20 for p in points)
+
+
+def _interval_answers(u, a, partner, bound):
+    s, p = DescribedSet(u, [a]), DescribedSet(u, [partner])
+    try:
+        first = s.first_n(4)
+    except SetError as exc:
+        first = str(exc)
+    bornologies = [well_ordered(u), reverse_well_ordered(u), order_type_omega(u), finite_subsets(u),
+                   all_subsets(u), generate(u, [p]), perp(generate(u, [p]))]
+    return {
+        "finite": a.is_finite(), "class": a.classify(),
+        "upto": a.elements_upto(bound), "downto": a.elements_downto(bound), "first": first,
+        "meets": (atom_intersection(a, partner), atom_intersection(partner, a)),
+        "subsets": (_atom_subset_of(a, partner), _atom_subset_of(partner, a)),
+        "bounded": [b.is_bounded(s) for b in bornologies],
+        "bounds": [generate(u, [s]).is_bounded(p), perp(generate(u, [s])).is_bounded(p)],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals_with_partners())
+@example((Z, (3, None, False, False), ProgressionAtom(Z, 0, 1), 0))
+@example((Z, (None, 4, False, False), ProgressionAtom(Z, 5, -3), 0))
+@example((Z, (0, None, False, False), ProgressionAtom(Z, 3, 2), 0))
+@example((Z, (None, 3, False, False), GridAtom(Z, 0, [2]), 0))
+def test_an_interval_decides_as_its_line(case):
+    """An interval of N or Z answers every query as the progression built
+    from its ends, and each definite answer agrees with a box."""
+    u, ends, partner, bound = case
+    iv = IntervalAtom(u, *ends)
+    line = _interval_line(u, *ends)
+    box = [n for n in range(-40, 41) if u.contains(n)]
+    members = [n for n in box if iv.contains(n)]
+    with time_limit(2):
+        got = _interval_answers(u, iv, partner, bound)
+        if line is not None:
+            assert members == [n for n in box if line.contains(n)]
+            want = _interval_answers(u, line, partner, bound)
+            if got["class"] == DOWN:
+                # the interval keeps its own error text
+                assert got["first"] == "cannot enumerate interval in increasing order"
+                got["first"] = want["first"]
+            assert got == want
+    assert got["finite"] is (not _far(members))
+    if isinstance(got["first"], list):
+        assert got["first"] == members[:4]
+    other = [n for n in box if partner.contains(n)]
+    meet = [n for n in members if n in other]
+    for fin, els in got["meets"]:
+        if fin is not None:
+            assert fin is not _far(meet) and (not fin or sorted(els) == meet)
+    for sub, (x, y) in zip(got["subsets"], [(members, other), (other, members)]):
+        assert not sub or set(x) <= set(y)
+    rests = [[n for n in members if n not in other], meet, [n for n in other if n not in members], meet]
+    for v, rest in zip(got["bounded"][-2:] + got["bounds"], rests):
+        if v is not Verdict.UNDECIDED:
+            assert (v is Verdict.BOUNDED) is not _far(rest)
 
 
 def test_complement_meets_interval_by_the_walk():
