@@ -116,8 +116,12 @@ def solve_combination(columns, target):
 def kernel_basis(rows, ncols):
     """Basis of the joint kernel of the rows inside k^ncols, each vector
     scaled to leading coefficient 1 and sorted by leading coordinate."""
-    field = _field(rows)
     red, pivots = rref([list(r) + [0] * (ncols - len(r)) for r in rows])
+    return _kernel(red, pivots, ncols, _field(rows))
+
+
+def _kernel(red, pivots, ncols, field):
+    """`kernel_basis` of rows already reduced by `rref` to (red, pivots)."""
     pivot_set = set(pivots)
     out = []
     for j in range(ncols):
@@ -182,7 +186,7 @@ def dual_basis_construction(family, depth):
         v = [zero] * width
         v[p] = one
         vectors.append(v)
-    vectors.extend(kernel_basis(red, width))
+    vectors.extend(_kernel(red, pivots, width, field))
     # beyond the materialized prefix the standard basis continues unchanged
     j = width
     while len(vectors) < depth:

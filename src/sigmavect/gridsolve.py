@@ -39,11 +39,6 @@ def leading_index(vec):
     return None
 
 
-def is_lex_positive(vec):
-    i = leading_index(vec)
-    return i is not None and vec[i] > 0
-
-
 def positive_weights(vectors):
     """Integer weights (M^(n-1), ..., M, 1) giving every vector in `vectors`
     a strictly positive weight.  All of `vectors` must be lex-positive."""

@@ -20,8 +20,10 @@ The pairs form a set, as a grid x grid target can have several
 representations and atoms can overlap.  A factor is read at alpha by one
 rule (`_Frame.reader`): a finite factor through one table keyed by frame
 coordinates, a product or inverse on its own frame, in ints, and any other
-series (a caller's `Space.lazy` oracle, a Neumann sum, a shift) through its
-monomial.
+series (a caller's `Space.lazy` oracle, a Neumann sum) through its monomial.
+The product's certificate is the product set of its factors' certificates
+(`DescribedSet.minkowski`), and a shift is a product with a monomial, so a
+shifted series is framed like any other product.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
@@ -37,7 +39,6 @@ from __future__ import annotations
 from .gridsolve import Lattice, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
 from .series import FiniteSeries, LazySeries, SeriesError
-from .universe import UniverseError
 
 
 class HahnError(SeriesError):
@@ -176,34 +177,6 @@ def _decompositions(frame, atom_f, atom_g):
     return pairs
 
 
-def _minkowski_atoms(u, atom_f, atom_g):
-    """Atoms covering {a + b : a in atom_f, b in atom_g}."""
-    ff, fg = _listed(atom_f), _listed(atom_g)
-    if ff and fg:
-        return [
-            FiniteAtom(u, {u.op(a, b) for a in atom_f.elements() for b in atom_g.elements()})
-        ]
-    if ff:
-        return [GridAtom(u, u.op(a, atom_g.origin), atom_g.steps) for a in atom_f.elements()]
-    if fg:
-        return [GridAtom(u, u.op(atom_f.origin, b), atom_f.steps) for b in atom_g.elements()]
-    gens = []
-    for g in atom_f.steps + atom_g.steps:
-        if g not in gens:
-            gens.append(g)
-    return [GridAtom(u, u.op(atom_f.origin, atom_g.origin), gens)]
-
-
-def _minkowski_product(u, f_atoms, g_atoms):
-    """The described set {a + b : a in f_atoms, b in g_atoms}, for atoms
-    of `_grid_atoms`."""
-    atoms = []
-    for af in f_atoms:
-        for ag in g_atoms:
-            atoms.extend(_minkowski_atoms(u, af, ag))
-    return DescribedSet(u, list(dict.fromkeys(atoms)))
-
-
 def cauchy_product(f, g, space=None):
     """Convolution: coefficient at gamma sums f(alpha) g(beta) over the finite
     set of decompositions gamma = alpha + beta inside the certificates.
@@ -223,7 +196,7 @@ def cauchy_product(f, g, space=None):
                 gam = u.op(a, b)
                 acc[gam] = acc.get(gam, field.zero) + ca * cb
         return FiniteSeries(out, acc)
-    cert = _minkowski_product(u, f_atoms, g_atoms)
+    cert = f.certificate.minkowski(g.certificate)
     frame = _Frame(u, f_atoms + g_atoms)
     splits = [_decompositions(frame, af, ag) for af in f_atoms for ag in g_atoms]
     read_f, read_g = frame.reader(f), frame.reader(g)
@@ -350,24 +323,8 @@ def _positive_part_atoms(u, cert):
 
 
 def monomial_shift(f, shift, scalar=1):
-    """scalar * x^shift * f."""
-    u, field = f.universe, f.field
-    shift = u.check(shift)
-    c = field.of(scalar)
-    if isinstance(f, FiniteSeries):
-        return FiniteSeries(f.space, {u.op(shift, g): c * v for g, v in f.terms.items()})
-    cert = f.certificate.translate(shift)
-
-    def oracle(gamma):
-        try:
-            a = u.devectorize(
-                tuple(x - y for x, y in zip(u.vectorize(gamma), u.vectorize(shift)))
-            )
-        except (UniverseError, ValueError):
-            return field.zero  # gamma - shift falls outside the universe
-        return c * f.coeff(a)
-
-    return LazySeries(f.space, oracle, cert)
+    """scalar * x^shift * f, the product with that monomial."""
+    return cauchy_product(f.space.delta(shift, scalar), f)
 
 
 def invert_unit(f, window=32):
@@ -391,15 +348,16 @@ def invert_unit(f, window=32):
         raise HahnError("zero to window %d; cannot invert" % window)
     g0, c = lt
     cinv, ginv = field.one / c, u.inv(g0)
+    point = DescribedSet.finite(u, [ginv])
     if isinstance(f, FiniteSeries):
         # listed in the order of f.terms, which fixes the grid generators' order
         above = [FiniteAtom(u, [u.op(ginv, g) for g in f.terms if g != g0])]
     else:
-        above = _positive_part_atoms(u, f.certificate.translate(ginv))
+        above = _positive_part_atoms(u, f.certificate.minkowski(point))
     _, cert = _power_grid(u, above)
     if cert is None:
         return f.space.delta(ginv, cinv)
-    cert = cert.translate(ginv)
+    cert = cert.minkowski(point)
     grid = cert.atoms[0]
     frame = _Frame(u, [*atoms, grid])
     splits = [_decompositions(frame, a, grid) for a in atoms]

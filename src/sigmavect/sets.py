@@ -26,9 +26,20 @@ The increasing walk of a complement `within \\ inner` ends once the rest of
 of `within` is an increasing line of step d or, in dimension 1, a grid (d
 the gcd of its steps), that rest lies on the line prog(e; d), which is
 covered when each residue class prog(e + c*d; K*d), c < K, lies inside one
-inner atom; K is the lcm of the numerators of the step ratios along d of
-the steps of the uncounted arithmetic carriers of the inner atoms.
-Otherwise the ray [e, +inf) must lie inside one inner atom.
+covering atom: an inner atom, or an atom of the inner set of a nested
+`within` (its points miss `within`).  K is the lcm of the numerators of the
+step ratios along d of the steps of the uncounted arithmetic carriers of
+the covering atoms.  Otherwise the ray [e, +inf) must lie inside one
+covering atom.
+
+The product set of two described sets (`DescribedSet.minkowski`: the
+support of a Hahn product fg lies in Supp(f)*Supp(g), and a shift is a
+product with a monomial) is taken atom by atom, exactly: two finite atoms
+give the finite atom of all their products; a finite atom, or else a
+counted progression, and an arithmetic atom give that arithmetic atom moved
+to each of its points, of its kind and count; two uncounted arithmetic
+atoms give the grid on the product of their origins with both step lists
+(which `GridAtom` refuses when a step falls).  Any other atom has no rule.
 """
 
 from __future__ import annotations
@@ -434,12 +445,23 @@ class ComplementAtom(Atom):
             if not self.inner.contains(e):
                 yield e
 
+    @cached_property
+    def _covers(self):
+        """The atoms that a point of the rest of `within` must lie in to need
+        no listing: the inner atoms, and those of the inner set of each
+        nested `within` (their points miss `within`)."""
+        atoms, w = list(self.inner.atoms), self.within
+        while isinstance(w, ComplementAtom):
+            atoms.extend(w.inner.atoms)
+            w = w.within
+        return atoms
+
     def _line(self):
         """(d, K) of the stop rule when the `_carrier` of `within` is an
-        increasing line or a grid in dimension 1, else None.  An inner atom
-        whose carrier is arithmetic holds, far enough out, whole residue
-        classes of prog(e; d) modulo the numerator of each step ratio along d
-        (any K is sound: `_atom_subset_of` still places each class)."""
+        increasing line or a grid in dimension 1, else None.  An atom of
+        `_covers` whose carrier is arithmetic holds, far enough out, whole
+        residue classes of prog(e; d) modulo the numerator of each step ratio
+        along d (any K is sound: `_atom_subset_of` still places each class)."""
         w = _carrier(self.within)
         if _is_line(w) and w.up:
             d = w.vectors[0]
@@ -450,7 +472,7 @@ class ComplementAtom(Atom):
         else:
             return None
         k = 1
-        for a in map(_carrier, self.inner.atoms):
+        for a in map(_carrier, self._covers):
             if isinstance(a, _ArithmeticAtom) and a.count is None:
                 for v in a.vectors:
                     r = step_ratio(v, d)
@@ -459,9 +481,10 @@ class ComplementAtom(Atom):
         return d, k
 
     def _rest_inside(self, e, line):
-        """True when the rest of `within` from e lies inside `inner`; the
-        residue classes of a line are tried lazily, K can be large."""
-        u, atoms = self.universe, self.inner.atoms
+        """True when the rest of `within` from e lies inside `_covers`, so
+        inside `inner`; the residue classes of a line are tried lazily, K
+        can be large."""
+        u, atoms = self.universe, self._covers
         if line is None:
             rests = [IntervalAtom(u, lo=e)]
         else:
@@ -642,21 +665,14 @@ class DescribedSet(Value):
             out.update(part)
         return sorted(out, key=self.universe.key)
 
-    def translate(self, el):
-        """Image of this set under gamma -> el * gamma (monoid universes)."""
-        u = self.universe
-        el = u.check(el)
-        out = []
-        for a in self.atoms:
-            if isinstance(a, FiniteAtom):
-                out.append(FiniteAtom(u, [u.op(el, e) for e in a.els]))
-            elif isinstance(a, ProgressionAtom):
-                out.append(ProgressionAtom(u, u.op(el, a.origin), a.steps[0], a.count))
-            elif isinstance(a, GridAtom):
-                out.append(GridAtom(u, u.op(el, a.origin), a.steps))
-            else:
-                raise SetError("cannot translate atom %r" % a)
-        return DescribedSet(u, out)
+    def minkowski(self, other):
+        """The product set {a * b : a in self, b in other} on a monoid
+        universe, atom by atom by the rule of the module docstring; an atom
+        that is neither finite nor arithmetic is a `SetError`."""
+        if other.universe != self.universe:
+            raise SetError("universe mismatch in product")
+        atoms = [p for a in self.atoms for b in other.atoms for p in _atom_product(a, b)]
+        return DescribedSet(self.universe, list(dict.fromkeys(atoms)))
 
     def format(self):
         if not self.atoms:
@@ -700,6 +716,26 @@ def _atom_from_record(rec, u):
         right = set_from_record(rec["right"], u.right)
         return ProductAtom(u, left, right)
     raise SetError("unknown atom record %r" % kind)
+
+
+def _atom_product(a, b):
+    """Atoms whose union is {x * y : x in a, y in b} (the rule of the module
+    docstring)."""
+    u = a.universe
+    for atom in (a, b):
+        if not isinstance(atom, (FiniteAtom, _ArithmeticAtom)):
+            raise SetError("no Minkowski product for atom %s" % atom.format())
+    # a finite atom, else a counted progression, goes first
+    if isinstance(b, FiniteAtom) or (b.is_finite() and not isinstance(a, FiniteAtom)):
+        a, b = b, a
+    if isinstance(b, FiniteAtom):
+        return [FiniteAtom(u, [u.op(x, y) for x in a.els for y in b.els])]
+    if a.is_finite():
+        moved = [u.op(p, b.origin) for p in a.elements()]
+        if isinstance(b, ProgressionAtom):
+            return [ProgressionAtom(u, o, b.steps[0], b.count) for o in moved]
+        return [GridAtom(u, o, b.steps) for o in moved]
+    return [GridAtom(u, u.op(a.origin, b.origin), dict.fromkeys(a.steps + b.steps))]
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,11 @@ def test_eval_derive():
 
 def test_eval_shift():
     assert evaluate("shift(1 + x, x^2)") == "x^2 + x^3"
+    # a shift is the product with its monomial, under one certificate
+    ev = Evaluator(Env())
+    product, shifted = (ev.eval(parse(e)) for e in ("e3 * ones", "shift(ones, e3)"))
+    assert product.certificate == shifted.certificate
+    assert shifted.certificate.format() == "prog(3; 1)"
 
 
 def test_eval_sigmaspan():

@@ -19,7 +19,6 @@ from sigmavect.gridsolve import (
     Lattice,
     grid_points,
     grid_points_upto,
-    is_lex_positive,
     leading_index,
     nonneg_solutions,
     positive_weights,
@@ -44,12 +43,10 @@ def brute_solutions(gens, target, kmax=12):
     return sorted(out)
 
 
-def test_leading_index_and_positivity():
+def test_leading_index():
     assert leading_index((0, 0, 3)) == 2
+    assert leading_index((0, -1, 5)) == 1
     assert leading_index((0, 0)) is None
-    assert is_lex_positive((0, 1, -5))
-    assert not is_lex_positive((0, -1, 5))
-    assert not is_lex_positive((0, 0))
 
 
 def test_positive_weights_are_positive_on_inputs():
@@ -77,7 +74,7 @@ frac_small = st.integers(-3, 3).map(Fraction)
 @given(
     st.lists(
         st.tuples(st.integers(0, 3).map(Fraction), frac_small).filter(
-            lambda v: is_lex_positive(v)
+            lambda v: any(v) and v[leading_index(v)] > 0
         ),
         min_size=1,
         max_size=3,
@@ -161,7 +158,7 @@ gens_1d = st.lists(st.sampled_from(POS).map(lambda c: (c,)), min_size=1, max_siz
 gens_2d = st.lists(
     st.tuples(
         st.sampled_from([Fraction(0)] + POS[:4]), st.sampled_from(NEG + [Fraction(0)] + POS[:4])
-    ).filter(is_lex_positive),
+    ).filter(lambda v: any(v) and v[leading_index(v)] > 0),
     min_size=1,
     max_size=3,
 )

@@ -238,12 +238,13 @@ unit_polys = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([QQ, GF(101)]), st.integers(0, 4), unit_polys, unit_polys)
+@given(st.sampled_from([QQ, GF(101)]), st.integers(0, 5), unit_polys, unit_polys)
 def test_nested_expressions_match_dictionary_convolution(field, shape, p1, p2):
     """Products of inverses, inverses of products (of a lazy factor too),
     Puiseux inverses times integral-exponent polynomials, factors on the
-    frames of x^(1/2) and x^(1/3) together, and a frameless `Space.lazy`
-    factor, against dictionary convolution and `neumann_sum` on a window."""
+    frames of x^(1/2) and x^(1/3) together, a frameless `Space.lazy` factor,
+    and shifts of a unit, an inverse and that lazy factor, against dictionary
+    convolution and `neumann_sum` on a window."""
     sp = Space(field, X, well_ordered(X))
 
     def poly(spec, q=None):
@@ -274,9 +275,17 @@ def test_nested_expressions_match_dictionary_convolution(field, shape, p1, p2):
     else:  # a frameless lazy factor: 1 / (1 - x^(1/q)) as a caller's oracle
         q = p2[1]
         geo = sp.lazy(lambda g: field.one, DescribedSet.grid(X, X.unit, [m(Fraction(1, q))]))
-        got = cauchy_product(invert_unit(f1), geo)
-        want = dict_mul(field, dict_inverse(field, d1),
-                        {Fraction(k, q): field.one for k in range(3 * q + 1)})
+        geo_terms = {Fraction(k, q): field.one for k in range(3 * q + 1)}
+        if shape == 4:
+            got = cauchy_product(invert_unit(f1), geo)
+        else:  # shifts cancelling to the same product: c^-1 x^-2s / f1 times
+            # x^s / f2 (a shifted Puiseux inverse) times c x^s geo
+            s, c = m(Fraction(1, q)), p2[0]
+            got = cauchy_product(
+                invert_unit(monomial_shift(f1, m(Fraction(2, q)), c)),
+                cauchy_product(monomial_shift(invert_unit(f2), s), monomial_shift(geo, s, c)))
+            geo_terms = dict_mul(field, dict_inverse(field, d2), geo_terms)
+        want = dict_mul(field, dict_inverse(field, d1), geo_terms)
         assert [neumann_sum(sp.series({m(Fraction(1, q)): 1})).coeff(m(e))
                 for e in NEST_PROBES] == [geo.coeff(m(e)) for e in NEST_PROBES]
     assert [got.coeff(m(e)) for e in NEST_PROBES] == [

@@ -274,9 +274,15 @@ def test_product_membership():
 
 
 def test_translate():
+    """A translate is the product set with one point: each atom moves there,
+    of its kind and count."""
+    point = DescribedSet.finite(Z, [5])
     s = DescribedSet.progression(Z, 0, 2)
-    t = s.translate(5)
+    t = s.minkowski(point)
     assert members_in_box(t, 0, 12) == {5, 7, 9, 11}
+    assert t == point.minkowski(s) == DescribedSet.progression(Z, 5, 2)
+    counted = DescribedSet.progression(Z, 0, -3, 4).union(DescribedSet.grid(Z, 1, [2, 3]))
+    assert counted.minkowski(point).format() == "prog(5; -3; count=4) | grid(6; 2, 3)"
 
 
 def test_record_roundtrip():
@@ -289,6 +295,85 @@ def test_record_roundtrip():
     ]
     for s in sets:
         assert set_from_record(s.to_record()) == s
+
+
+# -- product sets --------------------------------------------------------
+
+X1 = MonomialUniverse(["x"])
+# a universe, its element of exponent q, and the denominators of exponents
+PRODUCT_UNIVERSES = [(N, int, [1]), (Z, int, [1]), (Q, lambda q: q, [1, 2, 3]),
+                     (X1, lambda q: X1.monomial(x=q), [1, 2, 3])]
+
+
+@st.composite
+def _product_factor(draw, universe):
+    """A set of one or two atoms: finite, counted or uncounted progressions
+    (falling ones too, off N) and grids of one or two generators, with
+    origins and points in [-4, 4] and steps of size at most 3."""
+    u, el, dens = universe
+    lo = 0 if u is N else -4
+
+    def point():
+        d = draw(st.sampled_from(dens))
+        return el(Fraction(draw(st.integers(lo * d, 4 * d)), d))
+
+    def size():
+        return el(Fraction(draw(st.integers(1, 3)), draw(st.sampled_from(dens))))
+
+    def step():
+        up = u is N or draw(st.booleans())
+        return size() if up else u.inv(size())
+
+    atoms = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["finite", "counted", "line", "grid"]))
+        if kind == "finite":
+            atoms.append(FiniteAtom(u, [point() for _ in range(draw(st.integers(0, 3)))]))
+        elif kind == "grid":
+            atoms.append(GridAtom(u, point(), [size() for _ in range(draw(st.integers(1, 2)))]))
+        else:
+            count = draw(st.integers(0, 4)) if kind == "counted" else None
+            atoms.append(ProgressionAtom(u, point(), step(), count))
+    return DescribedSet(u, atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minkowski_matches_box_enumeration(data):
+    """minkowski is {a * b} exactly: on a box of exponents it holds the sums
+    of the factors' points found on a wider box (wide enough: a factor that
+    is not finite rises from an origin at least -4, or meets a finite one).
+    Two uncounted arithmetic atoms with a falling step have no rule."""
+    universe = data.draw(st.sampled_from(PRODUCT_UNIVERSES))
+    u, el, dens = universe
+    s, t = data.draw(_product_factor(universe)), data.draw(_product_factor(universe))
+    uncounted = lambda a: not isinstance(a, FiniteAtom) and a.count is None
+    if any(uncounted(a) and uncounted(b) and not (a.up and b.up)
+           for a in s.atoms for b in t.atoms):
+        with pytest.raises(SetError):
+            s.minkowski(t)
+        return
+    prod = s.minkowski(t)
+    scale = math.lcm(*dens)
+
+    def box(r):
+        return [Fraction(k, scale) for k in range(-r * scale, r * scale + 1)]
+
+    s_points = [q for q in box(40) if s.contains(el(q))]
+    t_points = {q for q in box(40) if t.contains(el(q))}
+    for p in box(12):
+        assert prod.contains(el(p)) == any(p - a in t_points for a in s_points), p
+
+
+def test_minkowski_refuses_other_atoms():
+    line = DescribedSet.grid(Z, 0, [2])
+    for other in [DescribedSet.interval(Z, lo=0),
+                  DescribedSet.finite(Z, [1]).complement_within(line),
+                  DescribedSet.progression(Z, 0, -1)]:
+        with pytest.raises(SetError):
+            line.minkowski(other)
+    with pytest.raises(SetError, match="no Minkowski product for atom"):
+        DescribedSet.finite(Z, [1]).minkowski(DescribedSet.interval(Z, lo=0))
 
 
 # -- intersections -------------------------------------------------------
@@ -560,6 +645,19 @@ def test_complement_walk_stops_inside_an_inner_complement():
         # no ray of the rest lies in prog(11; 3), but the line of step 3 does
         w8 = DescribedSet.finite(N, [1]).complement_within(DescribedSet.grid(N, 8, [3]))
         assert DescribedSet.progression(N, 11, 3).complement_within(w8).first_n(2) == [8]
+    # a residue class in an inner atom of a `within` that is a complement
+    # misses `within`, so it counts as covered, and K counts that atom's
+    # steps: the evens from 8 minus the evens from 4, and N minus the
+    # multiples of 3 and the point 5, minus N minus the multiples of 3 (K = 3 comes
+    # from the inner set of `within` alone)
+    evens8 = DescribedSet.progression(N, 5, 2).complement_within(DescribedSet.progression(N, 7, 1))
+    inner = DescribedSet(N, [GridAtom(N, 4, [2]), FiniteAtom(N, [0, 1, 3])])
+    not3 = DescribedSet.progression(N, 0, 3).union(DescribedSet.finite(N, [5]))
+    not3 = not3.complement_within(DescribedSet.interval(N))
+    no3 = DescribedSet.progression(N, 0, 3).complement_within(DescribedSet.interval(N))
+    with time_limit(2):
+        assert inner.complement_within(evens8).first_n(1) == []
+        assert no3.complement_within(not3).first_n(1) == []
     c = a.atoms[0]
     assert _atom_subset_of(ProgressionAtom(N, 3, 2), c)
     odd = DescribedSet.progression(N, 1, 2).complement_within(DescribedSet.interval(N)).atoms[0]
@@ -835,9 +933,6 @@ def test_one_generator_grid_meets_are_decided(case):
     else:
         assert len(meet) >= 10
     assert described_intersection(DescribedSet(u, [a1]), DescribedSet(u, [a2]))[0] is fin
-
-
-X1 = MonomialUniverse(["x"])
 
 
 def _arith_elements(u, span=8):
