@@ -2,18 +2,21 @@
 
 Everything here is exact linear algebra on finite coordinate prefixes over
 the field of the entries (GF(p) for FpElements, else the rationals), by one
-elimination routine (`rref`): kernel bases, dual bases, and window-restricted
-membership in the one-step sigma-span of a generator list.  On a window of
-N coordinates a pattern's full sum is the sum of the members that meet the
-window, so the columns are the generators' members there; they are factored
-once, and each membership test is one product accepted only when
-multiplying back gives the candidate.  Coordinates are natural numbers;
-anything else is a `ClosureError`.
+elimination routine (`rref`), which runs on plain ints and makes field
+elements only of its final rows: kernel bases, dual bases, and
+window-restricted membership in the one-step sigma-span of a generator
+list.  On a window of N coordinates a pattern's full sum is the sum of the
+members that meet the window, so the columns are the generators' members
+there; they are factored once, and each membership test is one product
+accepted only when multiplying back gives the candidate.  Coordinates are
+natural numbers; anything else is a `ClosureError`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .scalars import GF, QQ, FpElement
 
@@ -52,28 +55,52 @@ def _field(rows):
 
 def rref(rows):
     """Reduced row echelon form over the field of the entries.  Returns
-    (reduced nonzero rows, pivot cols)."""
-    of = _field(rows).of
-    mat = [[of(x) for x in r] for r in rows]
+    (reduced nonzero rows, pivot cols).
+
+    One fraction-free elimination on ints (after Bareiss, Math. Comp. 22, 1968):
+    over QQ each row is scaled to integers and reduced as a*row - b*pivot_row,
+    then divided by its gcd; over GF(p) the same update is taken mod p.  Only
+    the final rows become field elements, each entry over its row's pivot."""
+    field = _field(rows)
+    of, p = field.of, field.p
+    if p is None:
+        mat = [_integer_row([x if type(x) is int else of(x) for x in r]) for r in rows]
+    else:
+        mat = [[of(x).value for x in r] for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+    for col in range(len(mat[0])):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        prow = mat[sel] if mat[sel][col] > 0 else [-x for x in mat[sel]]
+        mat[sel], mat[rank] = mat[rank], prow
+        a = prow[col]
+        for i, row in enumerate(mat):
+            b = row[col]
+            if i == rank or not b:
+                continue
+            if p is None:
+                g = gcd(a, b)
+                row = [a // g * x - b // g * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+            else:
+                mat[i] = [(a * x - b * y) % p for x, y in zip(row, prow)]
         pivots.append(col)
-        rank += 1
-    return mat[:rank], pivots
+    if p is None:
+        zero = field.zero
+        return [[Fraction(x, r[c]) if x else zero for x in r] for r, c in zip(mat, pivots)], pivots
+    invs = [pow(r[c], -1, p) for r, c in zip(mat, pivots)]
+    return [[FpElement(x * v, p) for x in r] for r, v in zip(mat, invs)], pivots
+
+
+def _integer_row(row):
+    """A row of ints and Fractions scaled by the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rank(rows):

@@ -683,7 +683,25 @@ class Evaluator:
         return Pattern(template, PatternGenerator(template.terms, step))
 
     def _fn_sigmaspan(self, generators, candidate):
-        verdict, _ = SigmaSpanOracle(generators, self.env.window).decide(candidate.terms)
+        """`accepted` or `rejected`.  With vectors only the answer is exact: it
+        is decided on the coordinates the candidate and the vectors touch,
+        renumbered from 0, and needs no window.  With a pattern it is decided
+        on the window, which must hold every template, vector and the
+        candidate; `rejected` is then exact, while `accepted` holds on the
+        window only."""
+        f, window = candidate.terms, self.env.window
+        touched = set(f).union(*(g.coords if isinstance(g, VectorGenerator) else g.template
+                                 for g in generators))
+        if all(isinstance(g, VectorGenerator) for g in generators):
+            at = {n: i for i, n in enumerate(sorted(touched))}
+            generators = [VectorGenerator({at[n]: c for n, c in g.coords.items()})
+                          for g in generators]
+            f, window = {at[n]: c for n, c in f.items()}, len(at)
+        elif max(touched, default=-1) >= window:
+            raise EvalError("sigmaspan with a pattern reaches coordinate %d, outside a window "
+                            "of %d coordinates; it needs --window %d or more"
+                            % (max(touched), window, max(touched) + 1))
+        verdict, _ = SigmaSpanOracle(generators, window).decide(f)
         return verdict
 
     def _fn_basis(self, rows, depth):

@@ -253,7 +253,8 @@ def linear_combination(terms):
             for g, v in f.terms.items():
                 acc[g] = acc.get(g, field.zero) + c * v
         return FiniteSeries(space, acc)
-    cert = DescribedSet(space.universe, sum((f.certificate.atoms for _, f in terms), ()))
+    cert = DescribedSet(space.universe,
+                        dict.fromkeys(a for _, f in terms for a in f.certificate.atoms))
 
     def oracle(gamma, _terms=tuple(zip(coeffs, [f for _, f in terms]))):
         return sum((c * f.coeff(gamma) for c, f in _terms), field.zero)

@@ -146,6 +146,36 @@ def test_sigmaspan_under_fp_reduces_coefficients_mod_p():
     assert r.exit_code == 0 and r.output.strip() == "rejected"
 
 
+def test_sigmaspan_of_vectors_is_exact_past_the_window():
+    # no vector e_n with n >= the window was ever dropped: the vectors and the
+    # candidate are compared on every coordinate they touch
+    for field in ("rational", "fp:7"):
+        for e in ("sigmaspan(e0; e40)", "sigmaspan(e0 + e40; e0)", "sigmaspan(e0; e100000)"):
+            with time_limit(5):
+                r = run("--field", field, "eval", "-e", e)
+            assert r.exit_code == 0 and r.output.strip() == "rejected", e
+        r = run("--field", field, "eval", "-e", "sigmaspan(e40 - e7, e7; 2*e40)")
+        assert r.exit_code == 0 and r.output.strip() == "accepted"
+
+
+def test_sigmaspan_with_a_pattern_needs_a_window_that_holds_it():
+    # no summable sum of the members e_80k + e_(80k+40) is e0: coordinate 40
+    # would get the coefficient of e0
+    for field in ("rational", "fp:7"):
+        r = run("--field", field, "eval", "-e", "sigmaspan(pattern(e0 + e40, 80); e0)")
+        assert_one_line_error(r, "it needs --window 41 or more")
+        r = run("--field", field, "--window", "48", "eval", "-e",
+                "sigmaspan(pattern(e0 + e40, 80); e0)")
+        assert r.exit_code == 0 and r.output.strip() == "rejected"
+        r = run("--field", field, "--window", "1", "eval", "-e",
+                "sigmaspan(pattern(e0 + e1, 2); e0)")
+        assert_one_line_error(r, "it needs --window 2 or more")
+        # a vector beside a pattern, and the candidate, must fit too
+        for e in ("sigmaspan(pattern(e0, 2), e1 + e41; e1)", "sigmaspan(pattern(e0, 2); e41)"):
+            assert_one_line_error(run("--field", field, "eval", "-e", e),
+                                  "it needs --window 42 or more")
+
+
 def test_basis_under_fp_matches_the_rational_basis_of_the_reduced_row():
     r = run("--field", "fp:7", "eval", "-e", "basis([e0 + 7*e1], 2)")
     assert r.exit_code == 0 and r.output.strip() == "(1); (0, 1)"

@@ -99,6 +99,67 @@ def test_solve_combination_matches_independent_solver(cols, target):
         assert got == want  # the free columns get zero
 
 
+def gauss_jordan(rows):
+    """Second opinion on `rref`: Gauss-Jordan on field elements, coded from
+    scratch, over GF(p) when an entry is an FpElement and over QQ otherwise."""
+    p = next((x.p for r in rows for x in r if isinstance(x, FpElement)), None)
+    field = QQ if p is None else GF(p)
+    mat = [[field.of(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 7 x 8 rows over QQ (ints and Fractions) or over GF(p), where
+    FpElements mix with ints and Fractions, with a zero row or a repeated row
+    drawn in."""
+    p = draw(st.sampled_from([None, 2, 5, 7, 101]))
+    ints = st.integers(-30, 30)
+    entries = st.one_of(ints, st.fractions(-30, 30, max_denominator=12))
+    if p is not None:
+        entries = st.one_of(entries, ints.map(lambda v: FpElement(v, p)))
+    m = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * m)
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if p is not None:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, m - 1))
+        rows[i][j] = FpElement(draw(ints), p)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_matches_gauss_jordan_on_field_elements(rows):
+    try:
+        want = gauss_jordan(rows)
+    except ZeroDivisionError as exc:
+        # a denominator that vanishes mod p
+        with pytest.raises(ZeroDivisionError) as got:
+            rref(rows)
+        assert str(got.value) == str(exc)
+        return
+    red, pivots = rref(rows)
+    assert pivots == want[1]
+    assert red == want[0]
+    assert [[type(x) for x in r] for r in red] == [[type(x) for x in r] for r in want[0]]
+
+
 def _gf5_vectors(length):
     return st.lists(st.integers(0, 4).map(lambda v: FpElement(v, 5)),
                     min_size=length, max_size=length)

@@ -159,6 +159,12 @@ def test_eval_shift():
     assert shifted.certificate.format() == "prog(3; 1)"
 
 
+def test_repeated_terms_certify_each_atom_once():
+    triple = Evaluator(Env()).eval(parse("ones + ones + ones"))
+    assert triple.certificate.format() == "prog(0; 1)"
+    assert triple.coeff(5) == 3
+
+
 def test_eval_sigmaspan():
     out = evaluate("sigmaspan(pattern(e0 - e1, 1); e0)")
     assert out == "accepted"
