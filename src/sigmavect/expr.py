@@ -686,22 +686,28 @@ class Evaluator:
         """`accepted` or `rejected`.  With vectors only the answer is exact: it
         is decided on the coordinates the candidate and the vectors touch,
         renumbered from 0, and needs no window.  With a pattern it is decided
-        on the window, which must hold every template, vector and the
-        candidate; `rejected` is then exact, while `accepted` holds on the
-        window only."""
+        on the window.  A `rejected` is then exact: the left-kernel vector
+        that refutes the candidate lies inside the window, so it annihilates
+        every full generator and every summable sum of them, but not the
+        full candidate.  An `accepted` holds on the window only, so it is
+        refused unless the window holds every template, vector and the
+        candidate."""
         f, window = candidate.terms, self.env.window
         touched = set(f).union(*(g.coords if isinstance(g, VectorGenerator) else g.template
                                  for g in generators))
+        reach = -1  # the last coordinate the window must hold
         if all(isinstance(g, VectorGenerator) for g in generators):
             at = {n: i for i, n in enumerate(sorted(touched))}
             generators = [VectorGenerator({at[n]: c for n, c in g.coords.items()})
                           for g in generators]
             f, window = {at[n]: c for n, c in f.items()}, len(at)
-        elif max(touched, default=-1) >= window:
+        else:
+            reach = max(touched, default=-1)
+        verdict, _ = SigmaSpanOracle(generators, window).decide(f)
+        if verdict == "accepted" and reach >= window:
             raise EvalError("sigmaspan with a pattern reaches coordinate %d, outside a window "
                             "of %d coordinates; it needs --window %d or more"
-                            % (max(touched), window, max(touched) + 1))
-        verdict, _ = SigmaSpanOracle(generators, window).decide(f)
+                            % (reach, window, reach + 1))
         return verdict
 
     def _fn_basis(self, rows, depth):

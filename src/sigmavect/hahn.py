@@ -21,20 +21,32 @@ representations and atoms can overlap.  A factor is read at alpha by one
 rule (`_Frame.reader`): a finite factor through one table keyed by frame
 coordinates, a product or inverse on its own frame, in ints, and any other
 series (a caller's `Space.lazy` oracle, a Neumann sum) through its monomial.
+A finite factor is a stencil: times a framed factor g (a product or an
+inverse, zero off its certificate by construction), the coefficient at
+gamma is the sum over the finite factor's terms c * x^alpha of c times
+g(gamma - alpha), with no decompositions and no membership test.  A
+frameless factor is read through its monomial, and gamma - alpha can lie
+outside its universe, where the reader raises, so a product with one keeps
+the decompositions.
 The product's certificate is the product set of its factors' certificates
 (`DescribedSet.minkowski`), and a shift is a product with a monomial, so a
-shifted series is framed like any other product.
+shifted framed series is a one-term stencil.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
 times ([delta = x^-g0] minus the other terms f(alpha) h(beta)), each beta
-strictly below delta.  The coefficients are filled bottom-up from an
-explicit stack into the inverse's memo, keyed by frame coordinates, so each
-costs its decompositions once, on any grid, and a deep lookup uses no Python
-recursion.  `neumann_sum` keeps the literal weighted sum of powers.
+strictly below delta.  For a finite f the betas are again a stencil, kept
+where they lie in the inverse's grid.  The coefficients are filled
+bottom-up from an explicit stack into the inverse's memo, keyed by frame
+coordinates, so each costs its decompositions once, on any grid, and a
+deep lookup uses no Python recursion.  `neumann_sum` keeps the literal
+weighted sum of powers.  Every coefficient, of a product, an inverse or a
+Neumann sum, is one `Field.dot` of its pairs, normalized once.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .gridsolve import Lattice, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
@@ -179,7 +191,9 @@ def _decompositions(frame, atom_f, atom_g):
 
 def cauchy_product(f, g, space=None):
     """Convolution: coefficient at gamma sums f(alpha) g(beta) over the finite
-    set of decompositions gamma = alpha + beta inside the certificates.
+    set of decompositions gamma = alpha + beta inside the certificates.  A
+    finite factor times a framed one is a stencil: gamma reads the framed
+    factor at gamma - alpha for each term alpha of the finite one.
 
     The optional space overrides the output's (used by module actions, where
     the two factors live in different spaces)."""
@@ -193,24 +207,30 @@ def cauchy_product(f, g, space=None):
         acc = {}
         for a, ca in f.terms.items():
             for b, cb in g.terms.items():
-                gam = u.op(a, b)
-                acc[gam] = acc.get(gam, field.zero) + ca * cb
-        return FiniteSeries(out, acc)
+                acc.setdefault(u.op(a, b), []).append((ca, cb))
+        return FiniteSeries(out, {gam: field.dot(p) for gam, p in acc.items()})
     cert = f.certificate.minkowski(g.certificate)
     frame = _Frame(u, f_atoms + g_atoms)
+    finite, other = (f, g) if isinstance(f, FiniteSeries) else (g, f)
+    if isinstance(finite, FiniteSeries) and other.frame is not None:
+        # other is zero off its certificate, so off cert every read is zero
+        read = frame.reader(other)
+        stencil = [(c, frame.encode(a)) for a, c in finite.terms.items()]
+
+        def oracle(t):
+            return field.dot([(c, read(tuple(map(sub, t, a)))) for c, a in stencil])
+
+        return LazySeries(out, oracle, cert, frame)
+    # a frameless factor is read only at decompositions, inside its universe
     splits = [_decompositions(frame, af, ag) for af in f_atoms for ag in g_atoms]
     read_f, read_g = frame.reader(f), frame.reader(g)
-    zero = field.zero
 
     def oracle(t):
         # off cert, t has no decompositions and the sum is empty
         pairs = set()
         for split in splits:
             pairs |= split(t)
-        total = zero
-        for a, b in pairs:
-            total = total + read_f(a) * read_g(b)
-        return total
+        return field.dot([(read_f(a), read_g(b)) for a, b in pairs])
 
     return LazySeries(out, oracle, cert, frame)
 
@@ -286,10 +306,8 @@ def neumann_sum(eps, coeffs=None):
     def oracle(gamma):
         w = weight(wts, tuple(u.vectorize(gamma)))
         nmax = w // m0 if w >= 0 else 0
-        total = field.zero
-        for n in range(nmax + 1):
-            total = total + field.of(coeffs(n)) * power(n).coeff(gamma)
-        return total
+        return field.dot([(field.of(coeffs(n)), power(n).coeff(gamma))
+                          for n in range(nmax + 1)])
 
     return LazySeries(eps.space, oracle, cert)
 
@@ -337,7 +355,9 @@ def invert_unit(f, window=32):
     over alpha + beta = x^g0 * delta, alpha != x^g0 in f's atoms, beta in
     the grid.  A point alpha below x^g0 carries zero (`leading_term` has
     checked) and is skipped before its beta, which lies above delta, is
-    pushed; every other beta lies below delta.
+    pushed; every other beta lies below delta.  A finite f is a stencil:
+    beta = x^g0 * delta / alpha for each of its terms alpha != x^g0, kept
+    when it lies in the grid.
     """
     atoms = _check_hahn(f)
     u, field = f.universe, f.field
@@ -360,9 +380,33 @@ def invert_unit(f, window=32):
     cert = cert.minkowski(point)
     grid = cert.atoms[0]
     frame = _Frame(u, [*atoms, grid])
-    splits = [_decompositions(frame, a, grid) for a in atoms]
-    read_f, in_grid = frame.reader(f), frame.member(grid)
+    in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
+    # below(delta): the pairs (-c^-1 * f(alpha), beta) of delta's equation
+    if isinstance(f, FiniteSeries):
+        # a stencil: beta = delta + lead - alpha for the terms alpha != lead
+        stencil = [(-cinv * c, tuple(map(sub, lead, frame.encode(a))))
+                   for a, c in f.terms.items() if a != g0]
+
+        def below(top):
+            betas = [(c, tuple(map(add, top, s))) for c, s in stencil]
+            return [(c, b) for c, b in betas if in_grid(b)]
+    else:
+        splits = [_decompositions(frame, a, grid) for a in atoms]
+        read_f = frame.reader(f)
+
+        def below(top):
+            gamma = tuple(map(add, top, lead))
+            pairs = set()
+            for split in splits:
+                pairs |= split(gamma)
+            terms = []
+            for a, b in pairs:
+                if a != lead:
+                    ca = read_f(a)
+                    if not field.is_zero(ca):
+                        terms.append((-cinv * ca, b))
+            return terms
 
     def oracle(t):
         if not in_grid(t):
@@ -373,26 +417,17 @@ def invert_unit(f, window=32):
             if top in values:
                 continue
             if terms is None:
-                gamma = tuple(x + y for x, y in zip(top, lead))
-                pairs = set()
-                for split in splits:
-                    pairs |= split(gamma)
-                terms = []
-                for a, b in pairs:
-                    if a != lead:
-                        ca = read_f(a)
-                        if not field.is_zero(ca):
-                            terms.append((ca, b))
+                terms = below(top)
                 missing = [b for _, b in terms if b not in values]
                 if missing:
                     # revisit top once everything below it is filled
                     stack.append((top, terms))
                     stack.extend((b, None) for b in missing)
                     continue
-            total = field.one if top == start else field.zero
-            for ca, b in terms:
-                total = total - ca * values[b]
-            values[top] = cinv * total
+            rhs = [(c, values[b]) for c, b in terms]
+            if top == start:
+                rhs.append((cinv, field.one))
+            values[top] = field.dot(rhs)
         return values[t]
 
     inverse = LazySeries(f.space, oracle, cert, frame)

@@ -4,6 +4,11 @@ No floating point anywhere; every scalar is a Fraction or a prime-field
 element, and every operation is exact.  A prime field GF(p) (the CLI's
 ``--field fp:<p>``) needs a prime p < 2^31; any other modulus is refused,
 and on the command line that is a usage error.
+
+A sum of products, the inner loop of series arithmetic, is one call to
+`Field.dot`: it adds on plain ints (mod p, or over the lcm of the products'
+denominators) and normalizes once, where a left-to-right sum of `Fraction`s
+takes a gcd at every step.
 """
 
 from __future__ import annotations
@@ -125,6 +130,24 @@ class Field:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
         return FpElement(int(x), self.p)
+
+    def dot(self, pairs):
+        """The sum of c * v over the (c, v) pairs of this field's elements
+        (over QQ ints too), as one element: over GF(p) the products add on
+        ints mod p; over QQ each product is put over the lcm of the
+        products' denominators, and one `Fraction` is built.  No pairs give
+        `zero`."""
+        if self.p is not None:
+            return FpElement(sum(c.value * v.value for c, v in pairs), self.p)
+        num, den = 0, 1
+        for c, v in pairs:
+            n, d = c.numerator * v.numerator, c.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                lcm = math.lcm(den, d)
+                num, den = num * (lcm // den) + n * (lcm // d), lcm
+        return Fraction(num, den)
 
     def parse(self, text):
         text = text.strip()

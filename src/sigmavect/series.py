@@ -7,8 +7,10 @@ Finite series store their terms; lazy series carry a coefficient oracle plus
 a described support certificate.  `Space.lazy`, the entry for a caller's
 oracle, is the one place a certificate is checked against the bornology;
 the operations here and in `hahn`, `strmap` and `slalg` build their lazy
-results on certificates they derive.  All assertions about lazy values are
-window-relative and exact on the window.
+results on certificates they derive.  Every sum of products here (a linear
+combination, a family sum, the pairing) is one `Field.dot`, normalized
+once.  All assertions about lazy values are window-relative and exact on
+the window.
 """
 
 from __future__ import annotations
@@ -251,13 +253,13 @@ def linear_combination(terms):
         acc = {}
         for c, (_, f) in zip(coeffs, terms):
             for g, v in f.terms.items():
-                acc[g] = acc.get(g, field.zero) + c * v
-        return FiniteSeries(space, acc)
+                acc.setdefault(g, []).append((c, v))
+        return FiniteSeries(space, {g: field.dot(p) for g, p in acc.items()})
     cert = DescribedSet(space.universe,
                         dict.fromkeys(a for _, f in terms for a in f.certificate.atoms))
 
     def oracle(gamma, _terms=tuple(zip(coeffs, [f for _, f in terms]))):
-        return sum((c * f.coeff(gamma) for c, f in _terms), field.zero)
+        return field.dot([(c, f.coeff(gamma)) for c, f in _terms])
 
     return LazySeries(space, oracle, cert)
 
@@ -297,10 +299,7 @@ def pairing(f, g, declared_dual=False):
             "support certificates meet infinitely: %s vs %s"
             % (f.certificate.format(), g.certificate.format())
         )
-    total = f.field.zero
-    for gamma in els:
-        total = total + f.coeff(gamma) * g.coeff(gamma)
-    return total
+    return f.field.dot([(f.coeff(gamma), g.coeff(gamma)) for gamma in els])
 
 
 class SummableFamily:
@@ -420,10 +419,8 @@ def family_sum(fam, weights=None, precheck=True, window=32):
             raise SeriesError(
                 "no pointwise certificate at %s" % fam.space.universe.format(gamma)
             )
-        total = field.zero
-        for i in idx:
-            total = total + field.of(weights(i)) * fam.member(i).coeff(gamma)
-        return total
+        return field.dot([(field.of(weights(i)), fam.member(i).coeff(gamma))
+                          for i in idx])
 
     return LazySeries(fam.space, oracle, fam.union_cert)
 

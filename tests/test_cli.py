@@ -174,6 +174,10 @@ def test_sigmaspan_with_a_pattern_needs_a_window_that_holds_it():
         for e in ("sigmaspan(pattern(e0, 2), e1 + e41; e1)", "sigmaspan(pattern(e0, 2); e41)"):
             assert_one_line_error(run("--field", field, "eval", "-e", e),
                                   "it needs --window 42 or more")
+        # a window rejected is exact: the refuting functional lies inside
+        # the window, so no window has to hold the list
+        r = run("--field", field, "eval", "-e", "sigmaspan(pattern(e0 + e40, 80); e1)")
+        assert r.exit_code == 0 and r.output.strip() == "rejected"
 
 
 def test_basis_under_fp_matches_the_rational_basis_of_the_reduced_row():

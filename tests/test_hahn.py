@@ -295,6 +295,58 @@ def test_nested_expressions_match_dictionary_convolution(field, shape, p1, p2):
         neumann_inverse(f1).coeff(m(e)) for e in NEST_PROBES]
 
 
+STENCIL_PROBES = [m(Fraction(k, 6)) for k in range(-36, 37)]
+laurent_polys = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.dictionaries(st.integers(-3, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                    min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
+       unit_polys, st.integers(-3, 3))
+def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
+    """A finite factor is read as a stencil; the same factor wrapped as a
+    frameless `Space.lazy` series takes the decompositions.  Products either
+    way round, shifts and inverses must agree on a box, for Laurent and
+    Puiseux factors over QQ and GF(7), against framed factors that are an
+    inverse, a product of inverses, a stencil product and a shift."""
+    sp = Space(field, X, well_ordered(X))
+
+    def lazy(f):
+        return sp.lazy(f.coeff, f.certificate)
+
+    def unit(spec, q):
+        c0, _, rest = spec
+        return sp.series({m(0): c0, **{m(Fraction(k, q)): c for k, c in rest.items()}})
+
+    q, terms = spec
+    p = sp.series({m(Fraction(k, q)): c for k, c in terms.items()})
+    p_lazy = lazy(p)
+    f1, f2 = unit(u1, u1[1]), unit(u2, q)
+    if shape == 0:
+        framed = invert_unit(f1)
+    elif shape == 1:
+        framed = cauchy_product(invert_unit(f1), invert_unit(f2))
+    elif shape == 2:
+        framed = cauchy_product(f2, invert_unit(f1))
+    else:
+        framed = monomial_shift(invert_unit(f1), m(Fraction(-1, 2)), 3)
+    s = m(Fraction(shift, q))
+    pairs = [
+        (cauchy_product(p, framed), cauchy_product(p_lazy, framed)),
+        (cauchy_product(framed, p), cauchy_product(framed, p_lazy)),
+        (monomial_shift(framed, s, 2), cauchy_product(lazy(sp.delta(s, 2)), framed)),
+        (invert_unit(p), invert_unit(p_lazy)),
+        # nested: a stencil over a stencil product, and over the stencil inverse
+        (cauchy_product(p, cauchy_product(p, framed)),
+         cauchy_product(p_lazy, cauchy_product(p_lazy, framed))),
+        (cauchy_product(f2, invert_unit(p)), cauchy_product(lazy(f2), invert_unit(p_lazy))),
+    ]
+    for got, want in pairs:
+        assert [got.coeff(g) for g in STENCIL_PROBES] == [want.coeff(g) for g in STENCIL_PROBES]
+
+
 def test_invert_skips_certificate_points_below_the_leading_term():
     """A lazy unit whose certificate starts below its leading term: f is zero
     at x^-1 and x^(-1/2) and 1 + 2e at x^e for e >= 0.  A pair through a

@@ -7,7 +7,7 @@ mod p [DERIVED]; rational behaviour against fractions.Fraction [DERIVED].
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmavect.scalars import GF, QQ, FpElement, field_from_spec
@@ -32,6 +32,9 @@ def test_field_identity_elements():
     assert F7.zero == 0 and F7.one == 1
     assert F7.is_zero(F7.of(14))
     assert not F7.is_zero(F7.of(15))
+    # an empty sum of products is the field's zero, of the field's type
+    assert QQ.dot([]) == 0 and type(QQ.dot([])) is Fraction
+    assert F7.dot([]) == 0 and type(F7.dot([])) is FpElement
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -55,6 +58,36 @@ def test_gf_power_matches_modular_pow(a, n):
     p = 13
     got = FpElement(a, p) ** n
     assert isinstance(got, FpElement) and got.value == pow(a, n, p)
+
+
+def _left_to_right(field, pairs):
+    total = field.zero
+    for c, v in pairs:
+        total = total + c * v
+    return total
+
+
+rationals = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.one_of(st.integers(1, 3 ** 60), st.integers(0, 60).map(lambda k: 3 ** k))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 7, 65521]))
+def test_dot_matches_a_left_to_right_sum(data, p):
+    """Field.dot against adding c * v one product at a time: the same value
+    and the same element type, over QQ (ints and Fractions whose
+    denominators reach 3^60, powers of 3 among them so that denominators
+    share factors) and over GF(2), GF(7) and GF(65521)."""
+    field = QQ if p is None else GF(p)
+    if p is None:
+        elements = rationals
+    else:
+        elements = st.integers(-10 ** 6, 10 ** 6).map(lambda n: FpElement(n, p))
+    pairs = data.draw(st.lists(st.tuples(elements, elements), max_size=8))
+    got, want = field.dot(pairs), _left_to_right(field, pairs)
+    assert got == want and type(got) is type(want)
 
 
 def test_gf_division_by_zero():
