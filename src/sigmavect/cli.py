@@ -68,7 +68,7 @@ def _diag_message(exc):
 @click.group()
 @click.option("--field", default="rational", show_default=True,
               help="Scalar field: 'rational' or 'fp:<prime>'.")
-@click.option("--window", default=32, show_default=True, type=int,
+@click.option("--window", default=32, show_default=True, type=click.IntRange(min=1),
               help="Window for lazy-series assertions and rendering.")
 @click.option("--seed", default=0, show_default=True, type=int,
               help="Seed for randomized check suites.")

@@ -18,7 +18,10 @@ Alfonsin, The Diophantine Frobenius Problem, 2005), a table built once
 when a <= APERY_LIMIT; any other lattice stops its search at the first
 representation.  `solutions` lists them all.  The walks `grid_points` and
 `grid_points_upto` work on any coordinates; grid atoms run them on the
-frame's ints.
+frame's ints.  `grid_points_upto` reads a 1-D grid off the same Apery table:
+its points up to a bound are the runs base + w[r] + k*a, one per residue r,
+merged by one sort, in O(a + points * log a) steps, not O(bound) (one
+generator is a range); other grids are walked on a heap.
 """
 
 from __future__ import annotations
@@ -252,14 +255,23 @@ def shares_leading_index(generators):
     return True
 
 
-def grid_points_upto(generators, base, bound):
+def grid_points_upto(generators, base, bound, lattice=None):
     """Elements of the grid that are lex <= bound, as a sorted list, or None
-    when that set is infinite or not decidably finite."""
+    when that set is infinite or not decidably finite.  `lattice`, when
+    given, is the `Lattice` of `generators`, on whose frame base and bound
+    lie (an atom's `frame`); a 1-D grid is then read in closed form off its
+    cached Apery table (`_line_points_upto`).  Any other grid, and a 1-D
+    one whose smallest generator lies above APERY_LIMIT, is walked on the
+    heap (`grid_points`)."""
     gens = [tuple(g) for g in generators if any(c != 0 for c in g)]
     base = tuple(base)
     bound = tuple(bound)
     if not gens:
         return [base] if base <= bound else []
+    if lattice is not None and len(base) == 1:
+        pts = _line_points_upto(lattice, base[0], bound[0])
+        if pts is not None:
+            return pts
     if not shares_leading_index(gens):
         return None
     lead = leading_index(gens[0])
@@ -273,3 +285,23 @@ def grid_points_upto(generators, base, bound):
             break
         out.append(v)
     return out
+
+
+def _line_points_upto(lattice, base, bound):
+    """The points base + t <= bound, t in the 1-D `lattice`, as sorted
+    1-tuples, or None when its smallest generator a lies above
+    APERY_LIMIT.  One generator g gives the range base, base + g, ...;
+    several give, from each entry w[r] of the Apery table of a, the run
+    base + w[r], base + w[r] + a, ..., merged by one sort of the sorted
+    runs: O(a + points * log a) steps."""
+    hi = bound // 1  # the floor compares a Fraction bound exactly
+    steps = sorted({g for g, in lattice.gens})
+    if len(steps) == 1:
+        pts = range(base, hi + 1, steps[0])
+    else:
+        w = lattice.apery()
+        if w is None:
+            return None
+        pts = sorted(itertools.chain.from_iterable(
+            range(base + n, hi + 1, steps[0]) for n in w if n is not None))
+    return [(t,) for t in pts]

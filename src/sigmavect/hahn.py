@@ -30,7 +30,11 @@ outside its universe, where the reader raises, so a product with one keeps
 the decompositions.
 The product's certificate is the product set of its factors' certificates
 (`DescribedSet.minkowski`), and a shift is a product with a monomial, so a
-shifted framed series is a one-term stencil.
+shifted framed series is a one-term stencil.  `truncate` of a framed series
+runs in frame ints too: each certificate atom lists its points up to the
+bound there (a grid through `gridsolve.grid_points_upto`, in closed form in
+one variable), each point is read on the frame, and only the nonzero terms
+are decoded to monomials.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .gridsolve import Lattice, positive_weights, weight
+from .gridsolve import Lattice, grid_points_upto, positive_weights, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
 from .series import FiniteSeries, LazySeries, SeriesError
 
@@ -139,6 +143,30 @@ class _Frame:
         """The `Lattice` of generators (elements of the frame's atoms), on
         this frame."""
         return Lattice([self.u.vectorize(g) for g in generators], self.points)
+
+    def points_upto(self, atoms, bound):
+        """The points of `atoms` (of `_grid_atoms`, on this frame) that are
+        <= bound, as sorted frame coordinates, or None when a grid's walk
+        abstains (`grid_points_upto`).  The bound is compared exactly, off
+        the frame too.  A grid walks on its own `frame`, whose `Lattice`
+        caches its Apery table, and its points are scaled onto this frame:
+        that scale divides this one, as the grid's points are sums of this
+        frame's points."""
+        vec, scale = self.u.vectorize(bound), self.lattice.scale
+        top = tuple([c * scale for c in vec])
+        out = set()
+        for atom in atoms:
+            if _listed(atom):
+                out.update(t for t in map(self.encode, atom.elements()) if t <= top)
+                continue
+            lattice, origin = atom.frame
+            pts = grid_points_upto(lattice.gens, origin,
+                                   tuple([c * lattice.scale for c in vec]), lattice)
+            if pts is None:
+                return None
+            m = scale // lattice.scale
+            out.update(pts if m == 1 else (tuple([c * m for c in t]) for t in pts))
+        return sorted(out)
 
     def member(self, atom):
         """Membership in one of the frame's atoms, as a test on frame
@@ -436,16 +464,27 @@ def invert_unit(f, window=32):
 
 
 def truncate(f, bound):
-    """Finite series equal to f on monomials <= bound."""
-    _check_hahn(f)
-    u = f.universe
-    els = f.certificate.elements_upto(bound)
-    if els is None:
+    """Finite series equal to f on monomials <= bound.  A framed series (a
+    product or an inverse) walks its certificate in frame ints
+    (`_Frame.points_upto`), reads each point there and decodes only the
+    points it keeps; any other lists its certificate as monomials."""
+    atoms = _check_hahn(f)
+    frame = f.frame
+    if frame is None:
+        pts = f.certificate.elements_upto(bound)
+    else:
+        pts = frame.points_upto(atoms, bound)
+    if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"
-            % (f.certificate.format(), u.format(bound))
+            % (f.certificate.format(), f.universe.format(bound))
         )
-    if f.frame is None:
-        return FiniteSeries(f.space, {g: f.coeff(g) for g in els})
-    encode = f.frame.encode
-    return FiniteSeries(f.space, {g: f.at(encode(g)) for g in els})
+    if frame is None:
+        return FiniteSeries(f.space, {g: f.coeff(g) for g in pts})
+    terms = {}
+    is_zero = f.field.is_zero
+    for t in pts:
+        c = f.at(t)
+        if not is_zero(c):
+            terms[frame.decode(t)] = c
+    return FiniteSeries(f.space, terms)

@@ -183,6 +183,9 @@ class NumberTooLarge(ValueError):
                          % sys.get_int_max_str_digits())
 
 
+_LOG2_10 = math.log2(10)
+
+
 def check_size(q, power=1):
     """q, once q**power (q rational, power an int) is known to have a
     numerator and a denominator of at most sys.get_int_max_str_digits()
@@ -191,7 +194,7 @@ def check_size(q, power=1):
     from q's bit lengths, before the power is computed."""
     limit = sys.get_int_max_str_digits()
     if limit:
-        bits = limit * math.log2(10)  # 2**bits == 10**limit
+        bits = limit * _LOG2_10  # 2**bits == 10**limit
         for n in (q.numerator, q.denominator):
             b = n.bit_length()
             if power == 1:

@@ -340,7 +340,7 @@ class _ArithmeticAtom(Atom):
         lattice, origin = self.frame
         scale = lattice.scale if up else -lattice.scale
         bound = tuple([c * scale for c in self.universe.vectorize(bound)])
-        pts = grid_points_upto(lattice.gens, origin, bound)
+        pts = grid_points_upto(lattice.gens, origin, bound, lattice)
         if pts is None:
             return None
         out = list(self._points(pts))

@@ -98,6 +98,8 @@ class Universe(Value):
 
 
 def _fmt_rational(q):
+    if type(q) is int:
+        return str(check_size(q))
     q = check_size(Fraction(q))
     if q.denominator == 1:
         return str(q.numerator)

@@ -76,6 +76,19 @@ def test_eval_window_flag():
     assert "x^7" in long and "x^8" not in long
 
 
+def test_window_must_be_positive():
+    # a window of 0 printed 0 for x + 1 and passed the ring laws on empty
+    # windows; a negative one ended in a traceback
+    for window in ("0", "-1"):
+        for args in (["eval", "-e", "x + 1"], ["--format", "json", "eval", "-e", "x"],
+                     ["check", "--suite", "hahn-ring"]):
+            r = run("--window", window, *args)
+            assert r.exit_code == 2, (window, args)
+            assert isinstance(r.exception, SystemExit)
+            assert "Invalid value for '--window'" in r.output
+    assert run("--window", "1", "eval", "-e", "x + 1").output.strip() == "1"
+
+
 def test_eval_field_flag():
     r = run("--field", "fp:5", "eval", "-e", "truncate((1 - x)^-1, x^2) * 4")
     assert r.exit_code == 0
@@ -267,6 +280,14 @@ def test_oversized_numbers_are_diagnostics():
         with time_limit(5):
             r = run("eval", "-e", text)
         assert_one_line_error(r, "more than 4300 decimal digits")
+    # exponents too long to print reach the printer, not the arithmetic
+    for text in ("x^(2^14000 * 2^14000)", "x^(1/(2^14000 * 2^14000))"):
+        with time_limit(5):
+            r = run("eval", "-e", text)
+            assert_one_line_error(r, "more than 4300 decimal digits")
+            r = run("--format", "json", "eval", "-e", text)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert json.loads(r.output)["message"] == "error: number too large: more than 4300 decimal digits"
     # 2^14000 has 4215 digits; in GF(7) every power is a residue
     assert len(run("eval", "-e", "2^14000").output.strip()) == 4215
     assert run("--field", "fp:7", "eval", "-e", "2^20000").output.strip() == str(pow(2, 20000, 7))

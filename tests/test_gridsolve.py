@@ -4,7 +4,9 @@ Oracle notes: nonneg_solutions, Lattice.contains and GridAtom.contains are
 checked against an independent bounded brute-force search over exponent
 boxes [DERIVED], and the 1-D Apery test of Lattice.contains against an
 upward enumeration of the monoid past its conductor [DERIVED]; grid enumeration
-against a sorted exhaustive generation [DERIVED].
+against a sorted exhaustive generation [DERIVED], and the 1-D walk of
+grid_points_upto against the heap walk of grid_points cut at the bound
+[DERIVED].
 """
 
 import itertools
@@ -147,6 +149,7 @@ def test_grid_points_upto_empty_when_base_above():
 # most 3 times, shifting the second coordinate by at most 3/2, so those with
 # first coordinate 0 (second >= 1/3) are used at most (1 + 3/2) * 3 times.
 POS = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+POS_LINE = POS + [Fraction(2, 3), Fraction(3, 4), Fraction(5, 6), Fraction(2)]
 NEG = [Fraction(-1, 2), Fraction(-2, 5), Fraction(-1, 3)]
 
 
@@ -248,3 +251,40 @@ def test_apery_table_reads_a_scaled_lattice():
     lattice = Lattice([(Fraction(2, 3),), (Fraction(1, 2),)])
     assert lattice.apery() == [0, 4, 8]
     assert [t for t in range(12) if not lattice.contains((t,))] == [1, 2, 5]
+
+
+def heap_points_upto(gens, base, bound):
+    """Oracle: the heap walk of grid_points, cut at the bound."""
+    return list(itertools.takewhile(lambda v: v <= bound, grid_points(gens, base)))
+
+
+line_bounds = st.one_of(st.integers(-40, 150), st.builds(Fraction, st.integers(-400, 1500), st.integers(1, 7)))
+line_cases = st.one_of(
+    # int generators sharing the factor f, so whole residue classes miss
+    st.builds(lambda f, ks, b, hi: ([(f * k,) for k in ks], (b,), (hi,)),
+              st.integers(1, 4), st.lists(st.integers(1, 12), min_size=1, max_size=4),
+              st.integers(-30, 30), line_bounds),
+    # Fraction coordinates, scaled onto the lattice's frame
+    st.builds(lambda gens, b, hi: ([(g,) for g in gens], (b,), (hi,)),
+              st.lists(st.sampled_from(POS_LINE), min_size=1, max_size=3),
+              st.integers(-90, 90).map(lambda n: Fraction(n, 30)),
+              st.integers(-60, 240).map(lambda n: Fraction(n, 12))),
+    # a smallest generator above APERY_LIMIT: the heap walk answers
+    st.builds(lambda ds, b, k: ([(APERY_LIMIT + d,) for d in ds], (b,), (b + k,)),
+              st.lists(st.integers(1, 40), min_size=2, max_size=3),
+              st.integers(-30, 30), st.integers(-10, 5 * APERY_LIMIT)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_cases)
+def test_line_walk_matches_the_heap_walk(case):
+    """A 1-D grid read off the Apery table of the Lattice it is walked on
+    (its frame holds the base; the bound is compared exactly, off the
+    frame too) is the heap walk cut at the bound."""
+    gens, base, bound = case
+    lattice = Lattice(gens, [base])
+    base = lattice.scaled(base)
+    bound = tuple(c * lattice.scale for c in bound)
+    want = heap_points_upto(lattice.gens, base, bound)
+    assert grid_points_upto(lattice.gens, base, bound, lattice) == want

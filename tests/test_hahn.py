@@ -302,19 +302,17 @@ laurent_polys = st.tuples(
                     min_size=1, max_size=4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
-       unit_polys, st.integers(-3, 3))
-def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
-    """A finite factor is read as a stencil; the same factor wrapped as a
-    frameless `Space.lazy` series takes the decompositions.  Products either
-    way round, shifts and inverses must agree on a box, for Laurent and
-    Puiseux factors over QQ and GF(7), against framed factors that are an
-    inverse, a product of inverses, a stencil product and a shift."""
-    sp = Space(field, X, well_ordered(X))
+def lazy(f):
+    """f as a frameless `Space.lazy` series, read through its monomials."""
+    return f.space.lazy(f.coeff, f.certificate)
 
-    def lazy(f):
-        return sp.lazy(f.coeff, f.certificate)
+
+def stencil_factors(field, shape, spec, u1, u2):
+    """(space, p, f2, framed): a Laurent or Puiseux polynomial p, a unit
+    f2 on p's exponent denominator, and a framed series that is an inverse
+    (shape 0), a product of inverses (1), a stencil product (2) or a shift
+    (3)."""
+    sp = Space(field, X, well_ordered(X))
 
     def unit(spec, q):
         c0, _, rest = spec
@@ -322,7 +320,6 @@ def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
 
     q, terms = spec
     p = sp.series({m(Fraction(k, q)): c for k, c in terms.items()})
-    p_lazy = lazy(p)
     f1, f2 = unit(u1, u1[1]), unit(u2, q)
     if shape == 0:
         framed = invert_unit(f1)
@@ -332,7 +329,21 @@ def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
         framed = cauchy_product(f2, invert_unit(f1))
     else:
         framed = monomial_shift(invert_unit(f1), m(Fraction(-1, 2)), 3)
-    s = m(Fraction(shift, q))
+    return sp, p, f2, framed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
+       unit_polys, st.integers(-3, 3))
+def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
+    """A finite factor is read as a stencil; the same factor wrapped as a
+    frameless `Space.lazy` series takes the decompositions.  Products either
+    way round, shifts and inverses must agree on a box, for Laurent and
+    Puiseux factors over QQ and GF(7), against framed factors that are an
+    inverse, a product of inverses, a stencil product and a shift."""
+    sp, p, f2, framed = stencil_factors(field, shape, spec, u1, u2)
+    p_lazy = lazy(p)
+    s = m(Fraction(shift, spec[0]))
     pairs = [
         (cauchy_product(p, framed), cauchy_product(p_lazy, framed)),
         (cauchy_product(framed, p), cauchy_product(framed, p_lazy)),
@@ -345,6 +356,64 @@ def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
     ]
     for got, want in pairs:
         assert [got.coeff(g) for g in STENCIL_PROBES] == [want.coeff(g) for g in STENCIL_PROBES]
+
+
+def monomial_truncation(f, bound):
+    """The terms of f up to bound, listed through the certificate's
+    monomials (`elements_upto`) and read by `coeff`, zeros dropped."""
+    terms = [(g, f.coeff(g)) for g in f.certificate.elements_upto(bound)]
+    return [(g, c) for g, c in terms if not f.field.is_zero(c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
+       unit_polys, st.integers(-3, 3), st.integers(-24, 36), st.integers(0, 6))
+def test_framed_truncation_matches_the_monomial_path(field, shape, spec, u1, u2, shift, k, i):
+    """`truncate` walks a framed series on its frame's ints; it must keep
+    the terms, in order, that the certificate's monomials give, for
+    products either way round, inverses, stencil products and shifts, at
+    bounds x^(k/6) (on the frame or off it), below the support and at a
+    certificate point."""
+    sp, p, f2, framed = stencil_factors(field, shape, spec, u1, u2)
+    s = m(Fraction(shift, spec[0]))
+    # frameless factors on a finite atom and on a counted progression give
+    # framed products whose certificates hold finite atoms and counted
+    # progressions
+    counted = sp.lazy(lambda g: field.one, DescribedSet(X, [ProgressionAtom(X, s, m(Fraction(1, 3)), 7)]))
+    for f in [framed, cauchy_product(p, framed), cauchy_product(framed, p),
+              monomial_shift(framed, s, 2), invert_unit(p),
+              cauchy_product(p, cauchy_product(p, framed)), cauchy_product(f2, invert_unit(p)),
+              cauchy_product(lazy(p), f2), cauchy_product(counted, f2),
+              cauchy_product(counted, framed)]:
+        points = f.certificate.first_n(i + 1)
+        below = X.op(points[0], m(-1))
+        for bound in (m(Fraction(k, 6)), points[-1], below):
+            assert list(truncate(f, bound).terms.items()) == monomial_truncation(f, bound)
+        assert not truncate(f, below).terms
+
+
+def test_truncation_in_two_variables():
+    """A grid whose generators lead in one variable is walked on the heap in
+    frame ints; one whose generators lead in different variables has
+    infinitely many points below x and abstains with the same message at
+    every bound."""
+    xy = MonomialUniverse(["x", "y"])
+    sp = Space(QQ, xy, well_ordered(xy))
+    x, y = xy.monomial(x=1), xy.monomial(y=1)
+    bounds = [xy.monomial(x=3, y=-2), xy.monomial(x=Fraction(5, 2)), xy.monomial(y=3), xy.unit]
+    f = invert_unit(sp.series({xy.unit: 1, x: -1, xy.monomial(x=1, y=1): -2}))
+    for g in (f, cauchy_product(sp.series({xy.unit: 2, y: 1}), f), monomial_shift(f, y, 3)):
+        for bound in bounds:
+            assert list(truncate(g, bound).terms.items()) == monomial_truncation(g, bound)
+    assert truncate(f, xy.monomial(x=2, y=2)).terms == {
+        xy.unit: 1, x: 1, xy.monomial(x=1, y=1): 2, xy.monomial(x=2): 1,
+        xy.monomial(x=2, y=1): 4, xy.monomial(x=2, y=2): 4}
+    grid = invert_unit(sp.series({xy.unit: 1, x: -1, y: -1}))
+    assert grid.certificate.format() == "grid(1; x, y)"
+    for bound in bounds:
+        with pytest.raises(HahnError, match=re.escape(
+                "certificate grid(1; x, y) cannot be enumerated up to %s" % xy.format(bound))):
+            truncate(grid, bound)
 
 
 def test_invert_skips_certificate_points_below_the_leading_term():
