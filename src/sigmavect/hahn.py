@@ -231,12 +231,14 @@ def cauchy_product(f, g, space=None):
         raise HahnError("product across different universes or fields")
     u, field = f.universe, f.field
     out = space if space is not None else f.space
+    if out.universe != u or out.field != field:
+        raise HahnError("product space has another universe or field")
     if isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries):
         acc = {}
         for a, ca in f.terms.items():
             for b, cb in g.terms.items():
                 acc.setdefault(u.op(a, b), []).append((ca, cb))
-        return FiniteSeries(out, {gam: field.dot(p) for gam, p in acc.items()})
+        return FiniteSeries._derived(out, ((gam, field.dot(p)) for gam, p in acc.items()))
     cert = f.certificate.minkowski(g.certificate)
     frame = _Frame(u, f_atoms + g_atoms)
     finite, other = (f, g) if isinstance(f, FiniteSeries) else (g, f)
@@ -480,11 +482,12 @@ def truncate(f, bound):
             % (f.certificate.format(), f.universe.format(bound))
         )
     if frame is None:
-        return FiniteSeries(f.space, {g: f.coeff(g) for g in pts})
-    terms = {}
+        return FiniteSeries._derived(f.space, ((g, f.coeff(g)) for g in pts))
+    terms = []
     is_zero = f.field.is_zero
     for t in pts:
         c = f.at(t)
         if not is_zero(c):
-            terms[frame.decode(t)] = c
-    return FiniteSeries(f.space, terms)
+            # decode checks the monomial through `devectorize`
+            terms.append((frame.decode(t), c))
+    return FiniteSeries._derived(f.space, terms)

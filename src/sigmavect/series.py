@@ -7,10 +7,17 @@ Finite series store their terms; lazy series carry a coefficient oracle plus
 a described support certificate.  `Space.lazy`, the entry for a caller's
 oracle, is the one place a certificate is checked against the bornology;
 the operations here and in `hahn`, `strmap` and `slalg` build their lazy
-results on certificates they derive.  Every sum of products here (a linear
-combination, a family sum, the pairing) is one `Field.dot`, normalized
-once.  All assertions about lazy values are window-relative and exact on
-the window.
+results on certificates they derive.  A monomial is checked once, where it
+enters: by the public constructors (`FiniteSeries(space, terms)`,
+`Space.series`, `Space.delta`, `DescribedSet.finite`), by `Space.lazy`'s
+certificate and by the parsers.  A finite series the package derives from
+checked ones (a finite product or linear combination, a truncation, the
+certificate of a finite series) is built by `FiniteSeries._derived`, which
+checks nothing again.  Every sum of products here (a linear combination, a
+family sum, the pairing) is one `Field.dot`, normalized once; two finite
+series pair over the keys their term tables share, with no certificate
+and no meet.  All assertions about lazy values are window-relative and
+exact on the window.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import cached_property
 from itertools import islice
 
 from .bornology import Verdict, perp
-from .sets import DescribedSet, described_intersection
+from .sets import DescribedSet, FiniteAtom, described_intersection
 from .scalars import QQ
 from .universe import MonomialUniverse, Naturals, Value
 
@@ -163,13 +170,25 @@ class FiniteSeries(Series):
                 clean[g] = c
         self.terms = clean
 
+    @classmethod
+    def _derived(cls, space, items):
+        """The series of (key, value) pairs whose keys are already in the
+        universe's normal form and whose values are already in the field,
+        such as the package derives from checked series; zeros are
+        dropped."""
+        f = cls.__new__(cls)
+        Series.__init__(f, space)
+        is_zero = space.field.is_zero
+        f.terms = {g: c for g, c in items if not is_zero(c)}
+        return f
+
     def coeff(self, gamma):
         return self.terms.get(gamma, self.field.zero)
 
     @cached_property
     def certificate(self):
-        # terms is never changed after construction
-        return DescribedSet.finite(self.universe, list(self.terms))
+        # terms is never changed after construction, and its keys are checked
+        return DescribedSet(self.universe, [FiniteAtom._derived(self.universe, self.terms)])
 
     def window_terms(self, n):
         for g in islice(sorted(self.terms, key=self.universe.key), n):
@@ -254,7 +273,7 @@ def linear_combination(terms):
         for c, (_, f) in zip(coeffs, terms):
             for g, v in f.terms.items():
                 acc.setdefault(g, []).append((c, v))
-        return FiniteSeries(space, {g: field.dot(p) for g, p in acc.items()})
+        return FiniteSeries._derived(space, ((g, field.dot(p)) for g, p in acc.items()))
     cert = DescribedSet(space.universe,
                         dict.fromkeys(a for _, f in terms for a in f.certificate.atoms))
 
@@ -288,6 +307,11 @@ def pairing(f, g, declared_dual=False):
             raise SeriesError(
                 "bornologies are not mutually dual; pass declared_dual=True to override"
             )
+    if isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries):
+        # finite supports meet finitely, and a finite series is zero off its
+        # terms: probe the smaller table against the larger
+        small, large = sorted((f.terms, g.terms), key=len)
+        return f.field.dot([(c, large[k]) for k, c in small.items() if k in large])
     fin, els = described_intersection(f.certificate, g.certificate)
     if fin is None:
         raise PairingUndecided(

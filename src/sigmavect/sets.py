@@ -141,6 +141,14 @@ class FiniteAtom(Atom):
         super().__init__(universe)
         self.els = frozenset(universe.check(e) for e in elements)
 
+    @classmethod
+    def _derived(cls, universe, elements):
+        """The atom of elements already in the universe's normal form."""
+        a = cls.__new__(cls)
+        Atom.__init__(a, universe)
+        a.els = frozenset(elements)
+        return a
+
     def contains(self, el):
         return el in self.els
 
@@ -672,7 +680,10 @@ class DescribedSet(Value):
         if other.universe != self.universe:
             raise SetError("universe mismatch in product")
         atoms = [p for a in self.atoms for b in other.atoms for p in _atom_product(a, b)]
-        return DescribedSet(self.universe, list(dict.fromkeys(atoms)))
+        if len(atoms) > 1:
+            # hashing an atom builds its record, which formats every element
+            atoms = list(dict.fromkeys(atoms))
+        return DescribedSet(self.universe, atoms)
 
     def format(self):
         if not self.atoms:

@@ -106,10 +106,8 @@ class Derivation:
         cert = self.cert_transform(f.certificate)
 
         def oracle(delta):
-            total = sp.field.zero
-            for gamma in self.contributors(delta):
-                total = total + f.coeff(gamma) * self.action(gamma).coeff(delta)
-            return total
+            return sp.field.dot([(f.coeff(gamma), self.action(gamma).coeff(delta))
+                                 for gamma in self.contributors(delta)])
 
         if isinstance(f, FiniteSeries) and cert.is_finite() is True:
             return FiniteSeries(sp, {d: oracle(d) for d in cert.elements()})

@@ -101,6 +101,15 @@ def test_product_many():
     assert [p3.coeff(m(k)) for k in range(5)] == [1, 3, 3, 1, 0]
 
 
+def test_product_space_shares_the_factors_universe_and_field():
+    f = SP.series({m(0): 1, m(1): 1})
+    Y = MonomialUniverse(["y"])
+    for space in (Space(GF(7), X, well_ordered(X)), Space(QQ, Y, well_ordered(Y))):
+        for g in (f, SP.lazy(f.coeff, f.certificate)):
+            with pytest.raises(HahnError):
+                cauchy_product(f, g, space=space)
+
+
 def test_leading_term():
     f = SP.series({m(2): 7, m(5): 1})
     assert leading_term(f) == (m(2), 7)

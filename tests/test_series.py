@@ -6,13 +6,15 @@ coefficientwise addition done by hand in the test [DERIVED].
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmavect.scalars import QQ
+from sigmavect.scalars import GF, QQ
 from sigmavect.bornology import all_subsets, finite_subsets, well_ordered
+from sigmavect.hahn import cauchy_product, invert_unit, truncate
 from sigmavect.series import (
     FiniteSeries,
     PairingUndecided,
@@ -30,11 +32,13 @@ from sigmavect.series import (
     sub,
 )
 from sigmavect.sets import DescribedSet
-from sigmavect.universe import MonomialUniverse, Naturals, UniverseError
+from sigmavect.universe import MonomialUniverse, Naturals, PairUniverse, UniverseError
 
 N = Naturals()
 SEQ = Space(QQ, N, finite_subsets(N))
 DUAL = Space(QQ, N, all_subsets(N))
+X = MonomialUniverse(["x"])
+NN = PairUniverse(N, N)
 
 
 def test_coefficient_keys_are_checked_before_and_after_a_memo_hit():
@@ -179,11 +183,110 @@ def test_monomial_expansion_reconstructs():
         assert s.coeff(n) == f.coeff(n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.dictionaries(st.integers(0, 10), st.integers(-5, 5), max_size=5),
-       st.dictionaries(st.integers(0, 10), st.integers(-5, 5), max_size=5))
-def test_pairing_bilinear_dot_product_oracle(d1, d2):
-    f = SEQ.series(d1)
-    g = DUAL.series(d2)
-    want = sum(Fraction(d1[k] * d2.get(k, 0)) for k in d1)
-    assert pairing(f, g) == want
+# keys drawn raw: a Puiseux exponent may come as an int or as a Fraction
+KEYS = {
+    "naturals": (N, st.integers(0, 10)),
+    "puiseux": (X, st.tuples(st.one_of(st.integers(-2, 4),
+                                       st.fractions(-2, 4, max_denominator=3)))),
+    "pair": (NN, st.tuples(st.integers(0, 4), st.integers(0, 4))),
+}
+
+
+def _lazy(f):
+    """f behind a caller's oracle, so a pairing with it meets certificates."""
+    return f.space.lazy(f.coeff, f.certificate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.sampled_from(sorted(KEYS)), st.booleans(), st.data())
+def test_pairing_bilinear_dot_product_oracle(field, kind, disjoint, data):
+    u, keys = KEYS[kind]
+    d1 = data.draw(st.dictionaries(keys, st.integers(-5, 5), max_size=6))
+    d2 = data.draw(st.dictionaries(keys, st.integers(-5, 5), max_size=6))
+    if disjoint:
+        d2 = {k: c for k, c in d2.items() if k not in d1}
+    sp = Space(field, u, finite_subsets(u))
+    f, g = sp.series(d1), sp.dual().series(d2)
+    # oracle: the dot product over the keys of d1, reduced into the field [DERIVED]
+    want = field.of(sum(Fraction(c * d2.get(k, 0)) for k, c in d1.items()))
+    got = pairing(f, g)
+    assert got == want and type(got) is type(want)
+    assert pairing(g, f) == want
+    # the certificate path, on the same series behind caller oracles
+    for a, b in ((_lazy(f), g), (f, _lazy(g)), (_lazy(f), _lazy(g))):
+        via = pairing(a, b)
+        assert via == got and type(via) is type(got)
+
+
+def _shape(el):
+    """The types inside a key, e.g. (int,) or (Fraction,) for a monomial."""
+    return tuple(map(_shape, el)) if isinstance(el, tuple) else type(el)
+
+
+def _as_public(make):
+    """make()'s result, once every `FiniteSeries._derived` call it made is
+    shown to build exactly what the checking constructor builds from the
+    same pairs: the same keys of the same types, in the same order, the
+    same field values, no zeros, and the same certificate."""
+    calls, build = [], FiniteSeries._derived
+
+    def spy(cls, space, items):
+        items = list(items)
+        calls.append((space, items, build(space, items)))
+        return calls[-1][2]
+
+    with mock.patch.object(FiniteSeries, "_derived", classmethod(spy)):
+        out = make()
+    assert calls
+    for space, items, h in calls:
+        ref = FiniteSeries(space, dict(items))
+        assert list(h.terms.items()) == list(ref.terms.items())
+        assert [(_shape(g), type(c)) for g, c in h.terms.items()] == \
+            [(_shape(g), type(c)) for g, c in ref.terms.items()]
+        assert not any(h.field.is_zero(c) for c in h.terms.values())
+        assert h.certificate.to_record() == ref.certificate.to_record()
+    return out
+
+
+PUISEUX = st.dictionaries(
+    st.tuples(st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3))),
+    st.sampled_from([-7, -3, -1, 0, 1, 2, 5, 7, 14]), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), PUISEUX, PUISEUX, st.integers(-6, 30),
+       st.sampled_from([-1, 1, 2, 7]))
+def test_derived_finite_series_match_the_checking_constructor(field, d1, d2, top, c):
+    sp = Space(field, X, well_ordered(X))
+    f, g = sp.series(d1), sp.series(d2)
+    bound = X.monomial(x=Fraction(top, 6))
+    # finite x finite products and finite linear combinations
+    _as_public(lambda: cauchy_product(f, g))
+    _as_public(lambda: linear_combination([(c, f), (1, g)]))
+    assert _as_public(lambda: sub(f, f)).terms == {}
+    seven = _as_public(lambda: scale(7, f))
+    assert len(seven.terms) == (0 if field.p == 7 else len(f.terms))
+    # frameless truncations: a finite series, a caller's oracle, a lazy sum
+    for h in (f, _lazy(f), add(_lazy(f), g)):
+        assert h.frame is None
+        _as_public(lambda: truncate(h, bound))
+    # framed truncations: a product with a frameless factor, an inverse
+    prod = cauchy_product(f, _lazy(g))
+    assert prod.frame is not None
+    _as_public(lambda: truncate(prod, bound))
+    if len(f.terms) > 1:
+        inv = invert_unit(f)
+        assert inv.frame is not None
+        _as_public(lambda: truncate(inv, bound))
+
+
+@pytest.mark.parametrize("u, bad", [
+    (X, (0.5,)), (X, (True,)), (X, True), (X, (1, 2)),
+    (N, 1.0), (N, True), (NN, (1, 2, 3)), (NN, (True, 1)),
+])
+def test_public_entries_check_each_monomial(u, bad):
+    sp = Space(QQ, u, finite_subsets(u))
+    for build in (lambda: sp.series({bad: 1}), lambda: sp.delta(bad),
+                  lambda: DescribedSet.finite(u, [bad])):
+        with pytest.raises(UniverseError):
+            build()
