@@ -110,7 +110,7 @@ class Derivation:
                                  for gamma in self.contributors(delta)])
 
         if isinstance(f, FiniteSeries) and cert.is_finite() is True:
-            return FiniteSeries(sp, {d: oracle(d) for d in cert.elements()})
+            return FiniteSeries._derived(sp, ((d, oracle(d)) for d in cert.elements()))
         return LazySeries(sp, oracle, cert)
 
 
@@ -132,8 +132,12 @@ def euler_derivation(space):
     if u.dim != 1:
         raise AlgebraError("the Euler operator needs a one-generator universe")
 
+    field = space.field
+
     def action(gamma):
-        return space.delta(gamma, u.vectorize(gamma)[0])
+        # gamma is a checked monomial; field.of raises for an exponent whose
+        # denominator the prime divides
+        return FiniteSeries._derived(space, [(gamma, field.of(u.vectorize(gamma)[0]))])
 
     # x^q is the only monomial whose image meets x^q, and supports stay put
     return Derivation(space, action, lambda delta: [delta], lambda s: s)

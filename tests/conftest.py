@@ -1,7 +1,40 @@
 """Shared test helpers."""
 
 import contextlib
+import io
 import signal
+import sys
+from typing import NamedTuple
+
+from sigmavect.cli import main
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+def invoke(args, input=None):
+    """Run `sigma args` in-process with `input` as stdin.  The result holds
+    the exit status, the output with stderr interleaved as written, and the
+    exception that ended the run: the SystemExit of a nonzero exit, or any
+    other exception, which then counts as exit status 1."""
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(input or "")
+    code, exception = 0, None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            main.main(args=list(args), prog_name="sigma")
+    except SystemExit as exc:
+        code = exc.code
+        if code:
+            exception = exc
+    except Exception as exc:
+        code, exception = 1, exc
+    finally:
+        sys.stdin = stdin
+    return Result(code, out.getvalue(), exception)
 
 
 @contextlib.contextmanager

@@ -16,15 +16,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from sigmavect.bornology import Verdict, perp, product_bornology
 from sigmavect.closure import (
     IdempotenceFailure,
     PatternGenerator,
     idempotence_check,
 )
-from sigmavect.cli import main as cli_main
 from sigmavect.expr import Binary, Name, Num, Unary, parse, print_expr
 from sigmavect.suites import run_suite
 from sigmavect.universe import Naturals, PairUniverse
@@ -193,10 +192,9 @@ def test_criterion_11_parser_roundtrip_and_golden_cli():
     assert len(GOLDEN_EXPRS) == 20
 
     def run_all():
-        runner = CliRunner()
         outs = []
         for e in GOLDEN_EXPRS:
-            r = runner.invoke(cli_main, ["eval", "-e", e])
+            r = invoke(["eval", "-e", e])
             assert r.exit_code == 0, (e, r.output)
             outs.append(r.output)
         return outs

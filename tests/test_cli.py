@@ -8,18 +8,17 @@ import math
 import weakref
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
+from conftest import invoke, time_limit
 from sigmavect import expr
 from sigmavect.cli import main
 from test_acceptance import GOLDEN_EXPRS
 
 
 def run(*args, input=None):
-    return CliRunner().invoke(main, list(args), input=input)
+    return invoke(args, input=input)
 
 
 def test_eval_expression():
@@ -334,6 +333,86 @@ def test_power_of_an_inverse():
     out = run("eval", "-e", "truncate(((1 - x)^-1)^3, x^12)").output.strip()
     assert out == " + ".join(["1", "3*x"] + ["%d*x^%d" % (math.comb(n + 2, 2), n)
                                              for n in range(2, 13)])
+
+
+# -- argv -----------------------------------------------------------------------
+
+HERE = str(Path(__file__))
+
+# (argv, exit status, output, or None where only the status is pinned);
+# the cases the click-era command line answered this way
+ARGV_CASES = [
+    (["eval", "-e", "-x"], 0, "-1*x\n"),
+    (["eval", "--expr=-x"], 0, "-1*x\n"),
+    (["eval", "-ex"], 0, "x\n"),
+    (["eval", "-e", "1", "--expr", "-1"], 0, "1\n-1\n"),
+    (["--window=8", "eval", "-e", "x"], 0, "x\n"),
+    (["--window", "8", "--window", "9", "--format=json", "--seed=-3", "--field=fp:7",
+      "eval", "-e", "2"], 0, None),
+    (["--wind", "8", "eval", "-e", "1"], 2, None),
+    (["--window", "abc", "eval", "-e", "1"], 2, None),
+    (["--format", "xml", "eval", "-e", "1"], 2, None),
+    (["eval", "-e"], 2, None),
+    (["eval", "--window", "8", "-e", "1"], 2, None),
+    (["eval", "-f", "/missing"], 2, None),
+    (["eval", "-e", "1", "-f", "/missing"], 2, None),
+    (["eval", "-e", "1", "extra"], 2, None),
+    (["eval", "--", "-e", "1"], 2, None),
+    (["--window", "8"], 2, None),
+    (["bogus"], 2, None),
+    ([], 2, None),
+    (["eval", "-e", "1 +"], 1, None),
+]
+
+
+def test_argv_contract():
+    for args, status, output in ARGV_CASES:
+        r = run(*args)
+        assert r.exit_code == status, (args, r.output)
+        assert (r.exception is None) == (status == 0), args
+        assert "Traceback" not in r.output
+        if output is not None:
+            assert r.output == output, args
+
+
+def test_help_lists_options_and_commands():
+    for args, names in ((["--help"], ["--field", "--window", "--seed", "--format", "--help",
+                                      "check", "eval", "repl"]),
+                        (["eval", "--help"], ["-e, --expr", "-f, --file", "--help"]),
+                        (["check", "--help"], ["--suite", "--help"]),
+                        (["eval", "-e", "1", "--help"], ["-e, --expr"])):
+        r = run(*args)
+        assert r.exit_code == 0 and r.exception is None, args
+        for name in names:
+            assert name in r.output, (args, name)
+
+
+def test_expressions_run_in_order_before_the_file(tmp_path):
+    p = tmp_path / "exprs.txt"
+    p.write_text("3\n4\n")
+    r = run("eval", "-f", str(p), "-e", "1", "-e", "2")
+    assert r.exit_code == 0
+    assert r.output.splitlines() == ["1", "2", "3", "4"]
+
+
+ARGV_TOKENS = ["--field", "--window", "--seed", "--format", "-e", "--expr", "-f", "--file",
+               "--suite", "--help", "--", "-", "--wind", "-x", "--window=8", "--help=1",
+               "--format=json", "--field=fp:7", "--expr=1", "-ex", "-e-x",
+               "eval", "check", "repl", "bogus",
+               "rational", "fp:7", "fp:4", "real", "1", "8", "0", "-1", "abc", "",
+               "text", "json", "xml", "basis", "bornology-galois",
+               "x", "-x", "1 +", "x/0", "pair(ones, ones)", "truncate((1-x)^-1, x^5)",
+               HERE, "/missing"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_every_argv_ends_in_an_exit_status(args):
+    with time_limit(10):
+        r = run(*args)
+    assert r.exit_code in (0, 1, 2), (args, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exception)
+    assert "Traceback" not in r.output
 
 
 # -- grammar fuzzer ---------------------------------------------------------------

@@ -9,9 +9,7 @@ of a printed value and are skipped by the pattern.
 import re
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from sigmavect.cli import main
+from conftest import invoke
 from sigmavect.expr import BUILTINS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,7 +39,7 @@ def test_readme_lists_the_four_valued_examples():
 
 def test_readme_examples_print_their_values():
     for expr, value in readme_examples():
-        r = CliRunner().invoke(main, ["eval", "-e", expr])
+        r = invoke(["eval", "-e", expr])
         assert r.exit_code == 0, (expr, r.output)
         assert r.output.strip() == value, expr
 

@@ -32,6 +32,7 @@ from sigmavect.series import (
     sub,
 )
 from sigmavect.sets import DescribedSet
+from sigmavect.slalg import euler_derivation
 from sigmavect.universe import MonomialUniverse, Naturals, PairUniverse, UniverseError
 
 N = Naturals()
@@ -278,6 +279,15 @@ def test_derived_finite_series_match_the_checking_constructor(field, d1, d2, top
         inv = invert_unit(f)
         assert inv.frame is not None
         _as_public(lambda: truncate(inv, bound))
+    # the Euler derivation of a finite series, and its one-term images
+    # read through a caller's oracle: x^q goes to q * x^q
+    d = euler_derivation(sp)
+    want = {g: field.of(g[0]) * a for g, a in f.terms.items() if not field.is_zero(field.of(g[0]))}
+    assert _as_public(lambda: d.apply(f)).terms == want
+    if f.terms:
+        lazy = d.apply(_lazy(f))
+        assert _as_public(lambda: {g: lazy.coeff(g) for g in f.terms}) == \
+            {g: want.get(g, field.zero) for g in f.terms}
 
 
 @pytest.mark.parametrize("u, bad", [

@@ -1,6 +1,9 @@
 """Source hygiene checked with the standard library alone."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,17 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_cli_imports_the_standard_library_alone():
+    # the package has no runtime dependency: importing the command line
+    # loads no top-level module outside the standard library and sigmavect
+    code = ("import json, sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import sigmavect.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+            % str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    loaded = json.loads(out)
+    assert "sigmavect" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "sigmavect"] == []
