@@ -100,11 +100,13 @@ def eval_cmd(opts, exprs, path):
         raise UsageError("nothing to evaluate: pass -e EXPR or -f FILE", "eval")
     texts = list(exprs)
     if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    texts.append(line)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError("Invalid value for '-f' / '--file': %r cannot be read as text: %s."
+                             % (path, exc), "eval") from None
+        texts += [line for line in lines if line and not line.startswith("#")]
     window, fmt = opts["window"], opts["fmt"]
     env = Env(field=opts["field"], window=window)
     for text in texts:

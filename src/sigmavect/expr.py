@@ -33,7 +33,7 @@ from .series import (FiniteSeries, Series, Space, SummableFamily, add, family_su
                      scale, sub)
 from .sets import DescribedSet
 from .slalg import euler_derivation
-from .strmap import StrongLinearMap, pure_tensor
+from .strmap import pure_tensor
 from .universe import Integers, MonomialUniverse, Naturals, PairUniverse, UniverseError
 
 
@@ -324,8 +324,8 @@ class Env:
 
 
 _TYPES = (((int, Fraction, FpElement), "scalar"), (Series, "series"), (DescribedSet, "set"),
-          (bo.Bornology, "bornology"), (StrongLinearMap, "map"), (ConstructedBasis, "basis"),
-          (Pattern, "pattern"), (list, "list"), (str, "verdict"))
+          (bo.Bornology, "bornology"), (ConstructedBasis, "basis"), (Pattern, "pattern"),
+          (list, "list"), (str, "verdict"))
 
 
 def _type_of(value):
@@ -346,7 +346,6 @@ BUILTINS = {
     "lead": "f: series",
     "shift": "f: series, monomial: monomial",
     "perp": "b: bornology",
-    "apply": "map: map, f: series",
     "derive": "derivation: name, f: series",
     "pattern": "template: vector, step: integer",
     "sigmaspan": "generator: vector or pattern...; candidate: vector",
@@ -454,7 +453,6 @@ _READERS = {
     "vector list": ("a list of finite series in %(u)r", _read_vector_list),
     "set": ("a set", _read_type("set")),
     "bornology": ("a bornology", _read_type("bornology")),
-    "map": ("a map", _read_type("map")),
     "integer": ("an integer", _read_integer),
     "weight": ("a function n -> scalar", _read_weight),
     "name": ("a bare name", _read_name),
@@ -670,9 +668,6 @@ class Evaluator:
 
     def _fn_perp(self, b):
         return bo.perp(b)
-
-    def _fn_apply(self, m, f):
-        return m.apply(f)
 
     def _fn_derive(self, derivation, f):
         if derivation != "euler":

@@ -7,54 +7,54 @@ lattice-point enumeration) and gives the summability bound behind Neumann
 summation: any element has only finitely many representations as a sum of n
 support elements, with n bounded by a positive weight functional.
 
-A product or an inverse fixes one integer frame (`_Frame`) for every atom it
-decomposes over: the lcm of the denominators of their finite elements, grid
-bases and generators (`gridsolve.Lattice`), so each of those points has int
-coordinates.  The series it builds keeps the frame, and its oracle takes
-frame coordinates and is memoized by int tuple, so a coefficient lookup
-checks and encodes its monomial once.  The decompositions gamma = alpha +
-beta are then int vectors, found by one subtraction and one lattice
-membership per finite element, or by listing the lattice points of a grid
-x grid pair, on `Lattice`s built with the product, not per coefficient.
-The pairs form a set, as a grid x grid target can have several
-representations and atoms can overlap.  A factor is read at alpha by one
-rule (`_Frame.reader`): a finite factor through one table keyed by frame
-coordinates, a product or inverse on its own frame, in ints, and any other
-series (a caller's `Space.lazy` oracle, a Neumann sum) through its monomial.
-A finite factor is a stencil: times a framed factor g (a product or an
-inverse, zero off its certificate by construction), the coefficient at
-gamma is the sum over the finite factor's terms c * x^alpha of c times
-g(gamma - alpha), with no decompositions and no membership test.  A
-frameless factor is read through its monomial, and gamma - alpha can lie
-outside its universe, where the reader raises, so a product with one keeps
-the decompositions.
-The product's certificate is the product set of its factors' certificates
-(`DescribedSet.minkowski`), and a shift is a product with a monomial, so a
-shifted framed series is a one-term stencil.  `truncate` of a framed series
-runs in frame ints too: each certificate atom lists its points up to the
-bound there (a grid through `gridsolve.grid_points_upto`, in closed form in
-one variable), each point is read on the frame, and only the nonzero terms
-are decoded to monomials.
+Every lazy series built here (a product, an inverse, a Neumann sum) fixes
+one integer frame (`_Frame`) for the atoms it reads: the lcm of the
+denominators of their finite elements, grid bases and generators
+(`gridsolve.Lattice`), so each of those points has int coordinates.  The
+series keeps the frame, and its oracle takes frame coordinates and is
+memoized by int tuple, so a coefficient lookup checks and encodes its
+monomial once.  A factor is read on the frame by one rule
+(`_Frame.reader`), which is zero off the factor's certificate: a finite
+series through one table, a framed series in ints, and any other through
+`coeff`, with a point off the universe read as zero.
+
+There is one product rule.  The coefficient at gamma of f*g sums f(alpha)
+g(gamma - alpha) over the candidates of `_alphas`: the elements of f's
+listed atoms (finite atoms and counted progressions), the same for every
+gamma, and, for f's grids, gamma minus each element of g's listed atoms and
+the lattice solutions of each grid x grid pair.  Every decomposition gamma
+= alpha + beta is a candidate, and at any other candidate one factor reads
+zero, so no alpha needs a membership test.  A factor with no grid (a
+finite series, say) is taken as f, so that every candidate is fixed: a
+stencil.  f is read at a fixed alpha once, where g is first nonzero, and at
+the other candidates before g, so a caller's oracle (`Space.lazy`, a family
+sum) is called only where the sum over the decompositions reads it.  The product's certificate is the
+product set of its factors' certificates (`DescribedSet.minkowski`), and a
+shift is a product with a monomial.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
-times ([delta = x^-g0] minus the other terms f(alpha) h(beta)), each beta
-strictly below delta.  For a finite f the betas are again a stencil, kept
-where they lie in the inverse's grid.  The coefficients are filled
-bottom-up from an explicit stack into the inverse's memo, keyed by frame
-coordinates, so each costs its decompositions once, on any grid, and a
-deep lookup uses no Python recursion.  `neumann_sum` keeps the literal
-weighted sum of powers.  Every coefficient, of a product, an inverse or a
-Neumann sum, is one `Field.dot` of its pairs, normalized once.
+times ([delta = x^-g0] minus the other terms f(alpha) h(beta)) over the same
+candidates, each beta strictly below delta and in the inverse's grid.  The
+coefficients are filled bottom-up from an explicit stack into the inverse's
+memo, so each costs its candidates once, on any grid, and a deep lookup
+uses no Python recursion.  `neumann_sum` keeps the literal weighted sum of
+powers, each read on the frame of its grid.  `truncate` lists the
+certificate's points up to the bound on the series' frame, or on a frame of
+its atoms for a caller's series (a grid through
+`gridsolve.grid_points_upto`, in closed form in one variable), reads each
+there and decodes only the nonzero terms to monomials.  Every coefficient
+is one `Field.dot` of its pairs, normalized once.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .gridsolve import Lattice, grid_points_upto, positive_weights, weight
+from .gridsolve import Lattice, grid_points_upto, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
 from .series import FiniteSeries, LazySeries, SeriesError
+from .universe import UniverseError
 
 
 class HahnError(SeriesError):
@@ -96,10 +96,10 @@ def _atom_vectors(u, atom):
 
 
 class _Frame:
-    """The integer coordinates shared by the atoms of one product or
-    inverse: a monomial encodes to an int vector (None off the frame, where
-    no sum of atom points lies).  The series built on the frame keeps it,
-    and its oracle takes these coordinates."""
+    """The integer coordinates shared by the atoms of one series: a monomial
+    encodes to an int vector (None off the frame, where no sum of atom
+    points lies).  The series built on the frame keeps it, and its oracle
+    takes these coordinates."""
 
     def __init__(self, u, atoms):
         self.u = u
@@ -112,18 +112,33 @@ class _Frame:
     def decode(self, t):
         return self.u.devectorize(self.lattice.unscaled(t))
 
+    def listed(self, atoms):
+        """{frame coordinates: element} for the elements of the `_listed`
+        atoms among `atoms`."""
+        return {self.encode(e): e for a in atoms if _listed(a) for e in a.elements()}
+
     def reader(self, f):
         """f's coefficient as a function of this frame's coordinates, for a
-        factor f whose support lies on the frame.  A finite f is one table;
-        a series kept on a frame of its own is read there, in ints (off
-        that frame it is zero); any other series through its monomial."""
+        series f whose support lies on the frame; zero off f's certificate.
+        A finite f is one table; a series kept on a frame of its own is read
+        there, in ints (off that frame it is zero, and off its certificate
+        by construction); any other through `coeff`, which is zero off its
+        certificate, and a point off the universe reads zero."""
         zero = f.field.zero
         if isinstance(f, FiniteSeries):
             table = {self.encode(g): c for g, c in f.terms.items()}
             return lambda t: table.get(t, zero)
         if f.frame is None:
-            decode = self.decode
-            return lambda t: f.coeff(decode(t))
+            decode, coeff = self.decode, f.coeff
+
+            def read(t):
+                try:
+                    gamma = decode(t)
+                except UniverseError:
+                    return zero
+                return coeff(gamma)
+
+            return read
         at, own, scale = f.at, f.frame.lattice.scale, self.lattice.scale
         if own == scale:
             return at
@@ -154,10 +169,9 @@ class _Frame:
         frame's points."""
         vec, scale = self.u.vectorize(bound), self.lattice.scale
         top = tuple([c * scale for c in vec])
-        out = set()
+        out = {t for t in self.listed(atoms) if t <= top}
         for atom in atoms:
             if _listed(atom):
-                out.update(t for t in map(self.encode, atom.elements()) if t <= top)
                 continue
             lattice, origin = atom.frame
             pts = grid_points_upto(lattice.gens, origin,
@@ -168,60 +182,88 @@ class _Frame:
             out.update(pts if m == 1 else (tuple([c * m for c in t]) for t in pts))
         return sorted(out)
 
-    def member(self, atom):
-        """Membership in one of the frame's atoms, as a test on frame
-        coordinates."""
-        if _listed(atom):
-            return frozenset(self.encode(e) for e in atom.elements()).__contains__
-        lattice = self.grid_lattice(atom.steps)
-        base = self.encode(atom.origin)
-        return lambda t: lattice.contains(tuple(a - b for a, b in zip(t, base)))
+    def member(self, grid):
+        """Membership in a grid atom of the frame, as a test on frame
+        coordinates that gives the point t itself when it lies in the grid,
+        and None when not."""
+        lattice = self.grid_lattice(grid.steps)
+        base = self.encode(grid.origin)
+        return lambda t: t if lattice.contains(tuple(map(sub, t, base))) else None
 
 
-def _decompositions(frame, atom_f, atom_g):
-    """The function taking gamma to the set of pairs (alpha, beta) with alpha
-    in atom_f, beta in atom_g and alpha + beta = gamma, all in frame
-    coordinates.  Lattices are built once, here, not per coefficient."""
-    swap = not _listed(atom_f)
-    if not swap or _listed(atom_g):
-        if swap:
-            atom_f, atom_g = atom_g, atom_f
-        els = [frame.encode(e) for e in atom_f.elements()]
-        member = frame.member(atom_g)
+def _alphas(frame, f_atoms, g_atoms):
+    """The candidates alpha of gamma = alpha + beta, alpha in f_atoms and
+    beta in g_atoms, in frame coordinates, as (fixed, more).  `fixed` holds
+    the elements of f's `_listed` atoms (`_Frame.listed`), the same for
+    every gamma (the stencil); more(gamma) is the set of gamma minus each
+    element of g's listed atoms and of the lattice solutions of each grid x
+    grid pair, for f's grids, without the fixed alphas, or None when f has
+    no grid.  Every decomposition is among the candidates, each alpha once;
+    at any other, f or g is zero (`reader`).  Lattices are built once, here,
+    not per coefficient."""
+    fixed = frame.listed(f_atoms)
+    grids_f = [a for a in f_atoms if not _listed(a)]
+    if not grids_f:
+        return fixed, None
+    listed_g = frame.listed(g_atoms)
+    solvers = []
+    for af in grids_f:
+        for ag in g_atoms:
+            if not _listed(ag):
+                # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
+                lattice = frame.grid_lattice(af.steps + ag.steps)
+                bf = frame.encode(af.origin)
+                base = tuple(map(add, bf, frame.encode(ag.origin)))
+                solvers.append((lattice, lattice.gens[: len(af.steps)], bf, base))
+    skip = set(fixed)
 
-        def pairs(gamma):
-            out = set()
-            for a in els:
-                b = tuple(x - y for x, y in zip(gamma, a))
-                if member(b):
-                    out.add((b, a) if swap else (a, b))
-            return out
+    def more(gamma):
+        out = {tuple(map(sub, gamma, b)) for b in listed_g}
+        for lattice, gens_f, bf, base in solvers:
+            for sol in lattice.solutions(tuple(map(sub, gamma, base))):
+                a = bf
+                for k, g in zip(sol, gens_f):
+                    if k:
+                        a = tuple(x + k * y for x, y in zip(a, g))
+                out.add(a)
+        out -= skip
+        return out
 
-        return pairs
-    # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
-    lattice = frame.grid_lattice(atom_f.steps + atom_g.steps)
-    gens_f = lattice.gens[: len(atom_f.steps)]
-    bf = frame.encode(atom_f.origin)
-    base = tuple(x + y for x, y in zip(bf, frame.encode(atom_g.origin)))
+    return fixed, more
 
-    def pairs(gamma):
-        out = set()
-        for sol in lattice.solutions(tuple(x - y for x, y in zip(gamma, base))):
-            a = bf
-            for k, g in zip(sol, gens_f):
-                if k:
-                    a = tuple(x + k * y for x, y in zip(a, g))
-            out.add((a, tuple(x - y for x, y in zip(gamma, a))))
+
+def _stencil(coeff, fixed):
+    """The reads at the fixed alphas of `_alphas` (frame point -> element),
+    each made once: coeff(alpha) is read the first time the other factor
+    is nonzero at beta = gamma - alpha, and read again next time if it
+    raises.  pairs(gamma, other) gives (coeff(alpha), other(beta)) where
+    both are nonzero, and calls other at every alpha read so far, in the
+    order read, before the unread ones."""
+    seen, unread = [], dict(fixed)
+
+    def pairs(gamma, other):
+        out = [(c, v) for c, a in seen if (v := other(tuple(map(sub, gamma, a)))) and c]
+        for a in list(unread) if unread else ():
+            v = other(tuple(map(sub, gamma, a)))
+            if v:
+                c = coeff(unread[a])
+                del unread[a]
+                seen.append((c, a))
+                if c:
+                    out.append((c, v))
         return out
 
     return pairs
 
 
 def cauchy_product(f, g, space=None):
-    """Convolution: coefficient at gamma sums f(alpha) g(beta) over the finite
-    set of decompositions gamma = alpha + beta inside the certificates.  A
-    finite factor times a framed one is a stencil: gamma reads the framed
-    factor at gamma - alpha for each term alpha of the finite one.
+    """Convolution: the coefficient at gamma sums f(alpha) g(gamma - alpha)
+    over the candidates of `_alphas`, with a factor that has no grid, when
+    there is one, as f, so that every candidate is fixed.  f is read at a
+    fixed alpha once, where g is first nonzero (`_stencil`), and at the
+    other candidates before g, which is then read only where f is nonzero:
+    a caller's oracle is called only where the sum over the decompositions
+    reads it.
 
     The optional space overrides the output's (used by module actions, where
     the two factors live in different spaces)."""
@@ -241,26 +283,19 @@ def cauchy_product(f, g, space=None):
         return FiniteSeries._derived(out, ((gam, field.dot(p)) for gam, p in acc.items()))
     cert = f.certificate.minkowski(g.certificate)
     frame = _Frame(u, f_atoms + g_atoms)
-    finite, other = (f, g) if isinstance(f, FiniteSeries) else (g, f)
-    if isinstance(finite, FiniteSeries) and other.frame is not None:
-        # other is zero off its certificate, so off cert every read is zero
-        read = frame.reader(other)
-        stencil = [(c, frame.encode(a)) for a, c in finite.terms.items()]
-
-        def oracle(t):
-            return field.dot([(c, read(tuple(map(sub, t, a)))) for c, a in stencil])
-
-        return LazySeries(out, oracle, cert, frame)
-    # a frameless factor is read only at decompositions, inside its universe
-    splits = [_decompositions(frame, af, ag) for af in f_atoms for ag in g_atoms]
-    read_f, read_g = frame.reader(f), frame.reader(g)
+    if all(map(_listed, g_atoms)) and not all(map(_listed, f_atoms)):
+        f, g, f_atoms, g_atoms = g, f, g_atoms, f_atoms
+    fixed, more = _alphas(frame, f_atoms, g_atoms)
+    read_f, read_g = frame.reader(f) if more else None, frame.reader(g)
+    stencil = _stencil(f.coeff, fixed)
 
     def oracle(t):
-        # off cert, t has no decompositions and the sum is empty
-        pairs = set()
-        for split in splits:
-            pairs |= split(t)
-        return field.dot([(read_f(a), read_g(b)) for a, b in pairs])
+        terms = stencil(t, read_g)
+        for a in more(t) if more else ():
+            c = read_f(a)
+            if c:
+                terms.append((c, read_g(tuple(map(sub, t, a)))))
+        return field.dot(terms)
 
     return LazySeries(out, oracle, cert, frame)
 
@@ -282,13 +317,11 @@ def leading_term(f, window=32):
 
 
 def _power_grid(u, atoms):
-    """(support vectors, certificate) for the powers of a series eps whose
-    certificate atoms, checked by `_grid_atoms`, are `atoms`.
-
-    The vectors are the finite elements, grid bases and grid generators of
-    the atoms; the certificate is the grid on the unit that they generate,
-    which holds every eps^n, or None when there are no vectors.  Raises
-    unless every vector lies above the unit, that is, unless Supp(eps) > 1.
+    """The certificate for the powers of a series eps whose certificate
+    atoms, checked by `_grid_atoms`, are `atoms`: the grid on the unit that
+    their finite elements, grid bases and grid generators generate, which
+    holds every eps^n, or None when there are none.  Raises unless each of
+    them lies above the unit, that is, unless Supp(eps) > 1.
     """
     uk = u.key(u.unit)
     for a in atoms:
@@ -299,47 +332,46 @@ def _power_grid(u, atoms):
                     "%s %s is not above the unit"
                     % ("certificate element" if finite else "grid base", u.format(e))
                 )
-    vecs = [tuple(v) for a in atoms for v in _atom_vectors(u, a)]
-    if not vecs:
-        return vecs, None
-    gens = []
-    for v in vecs:
-        el = u.devectorize(v)
-        if el not in gens:
-            gens.append(el)
-    return vecs, DescribedSet.grid(u, u.unit, gens)
+    gens = list(dict.fromkeys(u.devectorize(v) for a in atoms for v in _atom_vectors(u, a)))
+    return DescribedSet.grid(u, u.unit, gens) if gens else None
 
 
 def neumann_sum(eps, coeffs=None):
-    """Sum over n of coeffs(n) * eps^n, defined whenever Supp(eps) > 1.
+    """Sum over n of coeffs(n) * eps^n, defined whenever Supp(eps) > 1, on
+    the frame of the grid of its powers (`_power_grid`).
 
     Each monomial gamma receives contributions from only finitely many n: a
     positive weight functional gives every support element weight >= m0 > 0,
     so eps^n cannot reach gamma once n * m0 exceeds the weight of gamma.
+    The weights are those of the grid's `Lattice`, on frame ints.
     """
     u, field = eps.universe, eps.field
     if coeffs is None:
         coeffs = lambda n: field.one
-    vecs, cert = _power_grid(u, _check_hahn(eps))
+    cert = _power_grid(u, _check_hahn(eps))
     if cert is None:
         return eps.space.delta(u.unit, coeffs(0))
-    wts = positive_weights(vecs)
-    m0 = min(weight(wts, v) for v in vecs)
+    grid, = cert.atoms
+    frame = _Frame(u, [grid])
+    lattice = frame.grid_lattice(grid.steps)  # on the unit, so a point is its own offset
+    wts, m0 = lattice.wts, min(lattice.gw)
+    last = eps.space.delta(u.unit)
+    readers = [frame.reader(last)]
 
-    powers = [eps.space.delta(u.unit)]
+    def power(n, t):
+        nonlocal last
+        while len(readers) <= n:
+            last = cauchy_product(last, eps)
+            readers.append(frame.reader(last))
+        return readers[n](t)
 
-    def power(n):
-        while len(powers) <= n:
-            powers.append(cauchy_product(powers[-1], eps))
-        return powers[n]
+    def oracle(t):
+        if not lattice.contains(t):
+            return field.zero
+        nmax = weight(wts, t) // m0
+        return field.dot([(field.of(coeffs(n)), power(n, t)) for n in range(nmax + 1)])
 
-    def oracle(gamma):
-        w = weight(wts, tuple(u.vectorize(gamma)))
-        nmax = w // m0 if w >= 0 else 0
-        return field.dot([(field.of(coeffs(n)), power(n).coeff(gamma))
-                          for n in range(nmax + 1)])
-
-    return LazySeries(eps.space, oracle, cert)
+    return LazySeries(eps.space, oracle, cert, frame)
 
 
 def _positive_part_atoms(u, cert):
@@ -382,12 +414,13 @@ def invert_unit(f, window=32):
 
         h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
 
-    over alpha + beta = x^g0 * delta, alpha != x^g0 in f's atoms, beta in
-    the grid.  A point alpha below x^g0 carries zero (`leading_term` has
-    checked) and is skipped before its beta, which lies above delta, is
-    pushed; every other beta lies below delta.  A finite f is a stencil:
-    beta = x^g0 * delta / alpha for each of its terms alpha != x^g0, kept
-    when it lies in the grid.
+    over the candidates alpha != x^g0 of `_alphas` for f's atoms and the
+    grid, beta = x^g0 * delta / alpha.  A beta outside the grid is dropped
+    before f is read at its alpha, and an alpha where f is zero is dropped:
+    a point alpha below x^g0 carries zero (`leading_term` has checked), and
+    its beta, which lies above delta, is never pushed; every other beta lies
+    below delta.  As in `cauchy_product`, f is read at a fixed alpha once,
+    where its beta first lies in the grid (`_stencil`).
     """
     atoms = _check_hahn(f)
     u, field = f.universe, f.field
@@ -404,7 +437,7 @@ def invert_unit(f, window=32):
         above = [FiniteAtom(u, [u.op(ginv, g) for g in f.terms if g != g0])]
     else:
         above = _positive_part_atoms(u, f.certificate.minkowski(point))
-    _, cert = _power_grid(u, above)
+    cert = _power_grid(u, above)
     if cert is None:
         return f.space.delta(ginv, cinv)
     cert = cert.minkowski(point)
@@ -412,31 +445,21 @@ def invert_unit(f, window=32):
     frame = _Frame(u, [*atoms, grid])
     in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
-    # below(delta): the pairs (-c^-1 * f(alpha), beta) of delta's equation
-    if isinstance(f, FiniteSeries):
-        # a stencil: beta = delta + lead - alpha for the terms alpha != lead
-        stencil = [(-cinv * c, tuple(map(sub, lead, frame.encode(a))))
-                   for a, c in f.terms.items() if a != g0]
+    fixed, more = _alphas(frame, atoms, [grid])
+    read_f = frame.reader(f) if more else None
+    fixed.pop(lead, None)
+    stencil = _stencil(lambda e: -cinv * f.coeff(e), fixed)
 
-        def below(top):
-            betas = [(c, tuple(map(add, top, s))) for c, s in stencil]
-            return [(c, b) for c, b in betas if in_grid(b)]
-    else:
-        splits = [_decompositions(frame, a, grid) for a in atoms]
-        read_f = frame.reader(f)
-
-        def below(top):
-            gamma = tuple(map(add, top, lead))
-            pairs = set()
-            for split in splits:
-                pairs |= split(gamma)
-            terms = []
-            for a, b in pairs:
-                if a != lead:
-                    ca = read_f(a)
-                    if not field.is_zero(ca):
-                        terms.append((-cinv * ca, b))
-            return terms
+    def below(top):
+        """The pairs (-c^-1 * f(alpha), beta) of top's equation."""
+        gamma = tuple(map(add, top, lead))
+        terms = stencil(gamma, in_grid)  # a beta off the grid is dropped
+        # a grid x grid solution of `more` has its beta in the grid
+        for a in more(gamma) if more else ():
+            ca = read_f(a) if a != lead else None
+            if ca:
+                terms.append((-cinv * ca, tuple(map(sub, gamma, a))))
+        return terms
 
     def oracle(t):
         if not in_grid(t):
@@ -466,28 +489,22 @@ def invert_unit(f, window=32):
 
 
 def truncate(f, bound):
-    """Finite series equal to f on monomials <= bound.  A framed series (a
-    product or an inverse) walks its certificate in frame ints
-    (`_Frame.points_upto`), reads each point there and decodes only the
-    points it keeps; any other lists its certificate as monomials."""
+    """Finite series equal to f on monomials <= bound: the points of f's
+    certificate up to the bound (`_Frame.points_upto`), on f's frame or, for
+    a caller's series, on a frame of its atoms, each read there
+    (`_Frame.reader`); only the nonzero terms are decoded to monomials."""
     atoms = _check_hahn(f)
-    frame = f.frame
-    if frame is None:
-        pts = f.certificate.elements_upto(bound)
-    else:
-        pts = frame.points_upto(atoms, bound)
+    frame = f.frame or _Frame(f.universe, atoms)
+    pts = frame.points_upto(atoms, bound)
     if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), f.universe.format(bound))
         )
-    if frame is None:
-        return FiniteSeries._derived(f.space, ((g, f.coeff(g)) for g in pts))
-    terms = []
-    is_zero = f.field.is_zero
+    read, terms = frame.reader(f), []
     for t in pts:
-        c = f.at(t)
-        if not is_zero(c):
+        c = read(t)
+        if c:
             # decode checks the monomial through `devectorize`
             terms.append((frame.decode(t), c))
     return FiniteSeries._derived(f.space, terms)

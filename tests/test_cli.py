@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -356,6 +357,7 @@ ARGV_CASES = [
     (["eval", "--window", "8", "-e", "1"], 2, None),
     (["eval", "-f", "/missing"], 2, None),
     (["eval", "-e", "1", "-f", "/missing"], 2, None),
+    (["eval", "-f", sys.executable], 2, None),  # a binary, not text in UTF-8
     (["eval", "-e", "1", "extra"], 2, None),
     (["eval", "--", "-e", "1"], 2, None),
     (["--window", "8"], 2, None),
@@ -385,6 +387,19 @@ def test_help_lists_options_and_commands():
         assert r.exit_code == 0 and r.exception is None, args
         for name in names:
             assert name in r.output, (args, name)
+
+
+def test_a_file_that_is_not_text_is_a_usage_error(tmp_path):
+    p = tmp_path / "bytes.txt"
+    p.write_bytes(b"x\xff\n")
+    r = run("eval", "-f", str(p))
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output
+    # one error line, naming the file
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: Invalid value for '-f' / '--file': %r cannot be read "
+                                "as text: " % str(p))
 
 
 def test_expressions_run_in_order_before_the_file(tmp_path):

@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
-from sigmavect.bornology import well_ordered
+from sigmavect.bornology import all_subsets, well_ordered
 from sigmavect.hahn import (
     HahnError,
-    _decompositions,
+    _alphas,
     _Frame,
     _grid_atoms,
     cauchy_product,
@@ -32,9 +32,9 @@ from sigmavect.hahn import (
     truncate,
 )
 from sigmavect.scalars import GF, QQ
-from sigmavect.series import Space, add, sub
+from sigmavect.series import Space, add, family_sum, finite_family, scale, sub
 from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom, IntervalAtom, ProgressionAtom
-from sigmavect.universe import MonomialUniverse
+from sigmavect.universe import MonomialUniverse, Naturals
 
 X = MonomialUniverse(["x"])
 SP = Space(QQ, X, well_ordered(X))
@@ -217,25 +217,26 @@ NEST_BOUND = Fraction(3)
 NEST_PROBES = [Fraction(k, 6) for k in range(-6, 19)]
 
 
-def dict_mul(field, d1, d2):
-    """Dictionary convolution, cut at NEST_BOUND, of exponent -> coefficient
-    dicts whose exponents are >= 0."""
+def dict_mul(field, d1, d2, bound=NEST_BOUND):
+    """Dictionary convolution, cut at bound, of exponent -> coefficient
+    dicts; exact up to bound when both factors are and their exponents are
+    >= 0."""
     out = {}
     for a, ca in d1.items():
         for b, cb in d2.items():
-            if a + b <= NEST_BOUND:
+            if a + b <= bound:
                 out[a + b] = out.get(a + b, field.zero) + ca * cb
     return out
 
 
-def dict_inverse(field, d):
+def dict_inverse(field, d, bound=NEST_BOUND):
     """The inverse of c0 (1 - eps), d's constant term c0 != 0, as
-    c0^-1 * sum eps^n cut at NEST_BOUND, by dictionary convolution."""
+    c0^-1 * sum eps^n cut at bound, by dictionary convolution."""
     c0inv = field.one / d[Fraction(0)]
     eps = {e: -c * c0inv for e, c in d.items() if e != 0}
     total, power = {Fraction(0): c0inv}, {Fraction(0): c0inv}
     while power:
-        power = {e: c for e, c in dict_mul(field, power, eps).items()}
+        power = {e: c for e, c in dict_mul(field, power, eps, bound).items()}
         for e, c in power.items():
             total[e] = total.get(e, field.zero) + c
     return total
@@ -305,6 +306,9 @@ def test_nested_expressions_match_dictionary_convolution(field, shape, p1, p2):
 
 
 STENCIL_PROBES = [m(Fraction(k, 6)) for k in range(-36, 37)]
+# the dictionary reference is cut at STENCIL_BOUND and exact up to x^6 on
+# every series below, whose exponents go down to -13/2
+STENCIL_BOUND = Fraction(13)
 laurent_polys = st.tuples(
     st.sampled_from([1, 2, 3]),
     st.dictionaries(st.integers(-3, 3), st.sampled_from([-3, -2, -1, 1, 2, 3]),
@@ -341,30 +345,63 @@ def stencil_factors(field, shape, spec, u1, u2):
     return sp, p, f2, framed
 
 
+def exponents(f):
+    """The exponent -> coefficient dict of a finite series of x."""
+    return {X.vectorize(g)[0]: c for g, c in f.terms.items()}
+
+
+def dict_shift(field, d, e, c=1):
+    return {a + e: field.of(c) * v for a, v in d.items()}
+
+
+def dict_laurent_inverse(field, d):
+    """The inverse of a Laurent or Puiseux polynomial c x^g0 (1 - eps) by
+    `dict_inverse` of its unit part, exact up to STENCIL_BOUND - g0."""
+    g0 = min(d)
+    c = d[g0]
+    unit = {e - g0: v / c for e, v in d.items()}
+    return {e - g0: v / c for e, v in dict_inverse(field, unit, STENCIL_BOUND).items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
        unit_polys, st.integers(-3, 3))
 def test_stencils_match_the_generic_path(field, shape, spec, u1, u2, shift):
     """A finite factor is read as a stencil; the same factor wrapped as a
-    frameless `Space.lazy` series takes the decompositions.  Products either
-    way round, shifts and inverses must agree on a box, for Laurent and
-    Puiseux factors over QQ and GF(7), against framed factors that are an
-    inverse, a product of inverses, a stencil product and a shift."""
+    frameless `Space.lazy` series is read by the same rule through its
+    monomials.  Products either way round, shifts and inverses must agree on
+    a box, for Laurent and Puiseux factors over QQ and GF(7), against framed
+    factors that are an inverse, a product of inverses, a stencil product
+    and a shift, both with each other and with dictionary convolution."""
     sp, p, f2, framed = stencil_factors(field, shape, spec, u1, u2)
     p_lazy = lazy(p)
     s = m(Fraction(shift, spec[0]))
-    pairs = [
-        (cauchy_product(p, framed), cauchy_product(p_lazy, framed)),
-        (cauchy_product(framed, p), cauchy_product(framed, p_lazy)),
-        (monomial_shift(framed, s, 2), cauchy_product(lazy(sp.delta(s, 2)), framed)),
-        (invert_unit(p), invert_unit(p_lazy)),
+
+    def mul(d1, d2):
+        return dict_mul(field, d1, d2, STENCIL_BOUND)
+
+    dp, df2, df1 = exponents(p), exponents(f2), exponents(sp.series(
+        {m(0): u1[0], **{m(Fraction(k, u1[1])): c for k, c in u1[2].items()}}))
+    inv1 = dict_laurent_inverse(field, df1)
+    dframed = [inv1, mul(inv1, dict_laurent_inverse(field, df2)), mul(df2, inv1),
+               dict_shift(field, inv1, Fraction(-1, 2), 3)][shape]
+    dpinv = dict_laurent_inverse(field, dp)
+    triples = [
+        (cauchy_product(p, framed), cauchy_product(p_lazy, framed), mul(dp, dframed)),
+        (cauchy_product(framed, p), cauchy_product(framed, p_lazy), mul(dp, dframed)),
+        (monomial_shift(framed, s, 2), cauchy_product(lazy(sp.delta(s, 2)), framed),
+         dict_shift(field, dframed, X.vectorize(s)[0], 2)),
+        (invert_unit(p), invert_unit(p_lazy), dpinv),
         # nested: a stencil over a stencil product, and over the stencil inverse
         (cauchy_product(p, cauchy_product(p, framed)),
-         cauchy_product(p_lazy, cauchy_product(p_lazy, framed))),
-        (cauchy_product(f2, invert_unit(p)), cauchy_product(lazy(f2), invert_unit(p_lazy))),
+         cauchy_product(p_lazy, cauchy_product(p_lazy, framed)), mul(dp, mul(dp, dframed))),
+        (cauchy_product(f2, invert_unit(p)), cauchy_product(lazy(f2), invert_unit(p_lazy)),
+         mul(df2, dpinv)),
     ]
-    for got, want in pairs:
-        assert [got.coeff(g) for g in STENCIL_PROBES] == [want.coeff(g) for g in STENCIL_PROBES]
+    for got, via_lazy, want in triples:
+        values = [got.coeff(g) for g in STENCIL_PROBES]
+        assert values == [via_lazy.coeff(g) for g in STENCIL_PROBES]
+        assert values == [want.get(X.vectorize(g)[0], field.zero) for g in STENCIL_PROBES]
 
 
 def monomial_truncation(f, bound):
@@ -378,27 +415,88 @@ def monomial_truncation(f, bound):
 @given(st.sampled_from([QQ, GF(7)]), st.integers(0, 3), laurent_polys, unit_polys,
        unit_polys, st.integers(-3, 3), st.integers(-24, 36), st.integers(0, 6))
 def test_framed_truncation_matches_the_monomial_path(field, shape, spec, u1, u2, shift, k, i):
-    """`truncate` walks a framed series on its frame's ints; it must keep
-    the terms, in order, that the certificate's monomials give, for
-    products either way round, inverses, stencil products and shifts, at
-    bounds x^(k/6) (on the frame or off it), below the support and at a
-    certificate point."""
+    """`truncate` walks a series on its frame's ints, or a caller's series on
+    a frame of its atoms; it must keep the terms, in order, that the
+    certificate's monomials give, for products either way round, inverses,
+    stencil products, shifts, `Space.lazy` series on a grid and on a counted
+    progression, a family sum, a weighted Neumann sum and a linear
+    combination of framed series, at bounds x^(k/6) (on the frame or off
+    it), below the support and at a certificate point."""
     sp, p, f2, framed = stencil_factors(field, shape, spec, u1, u2)
     s = m(Fraction(shift, spec[0]))
     # frameless factors on a finite atom and on a counted progression give
     # framed products whose certificates hold finite atoms and counted
     # progressions
     counted = sp.lazy(lambda g: field.one, DescribedSet(X, [ProgressionAtom(X, s, m(Fraction(1, 3)), 7)]))
+    on_grid = sp.lazy(lambda g: field.of(int(6 * X.vectorize(g)[0]) % 5 - 2),
+                      DescribedSet.grid(X, s, [m(Fraction(1, 2)), m(Fraction(2, 3))]))
+    eps = sp.series({m(Fraction(k, u1[1])): c for k, c in u1[2].items()})
+    frameless = [counted, on_grid, lazy(framed),
+                 family_sum(finite_family([framed, p, on_grid]), lambda j: 2 - j),
+                 neumann_sum(eps, lambda n: n - 2),
+                 add(framed, scale(3, cauchy_product(p, framed)))]
     for f in [framed, cauchy_product(p, framed), cauchy_product(framed, p),
               monomial_shift(framed, s, 2), invert_unit(p),
               cauchy_product(p, cauchy_product(p, framed)), cauchy_product(f2, invert_unit(p)),
               cauchy_product(lazy(p), f2), cauchy_product(counted, f2),
-              cauchy_product(counted, framed)]:
+              cauchy_product(counted, framed), *frameless]:
         points = f.certificate.first_n(i + 1)
+        if not points:  # a Neumann sum of a zero eps is a finite series
+            continue
         below = X.op(points[0], m(-1))
         for bound in (m(Fraction(k, 6)), points[-1], below):
             assert list(truncate(f, bound).terms.items()) == monomial_truncation(f, bound)
         assert not truncate(f, below).terms
+
+
+def test_stencil_reads_below_zero_on_the_naturals():
+    """On the naturals a stencil reads its other factor at n - a, which
+    falls below 0 for n < a: off the universe, where it reads as zero.
+    Products either way round and with a lazy counted stencil, and their
+    truncations, against the convolution sums."""
+    nat = Naturals()
+    sp = Space(QQ, nat, all_subsets(nat))
+    ramp = sp.lazy(lambda n: n + 1, DescribedSet.progression(nat, 0, 1))
+    e = sp.series({2: 1, 5: -3})
+    counted = sp.lazy(lambda n: 2 * n, DescribedSet.progression(nat, 3, 2, 3))  # 3, 5, 7
+
+    def want(d, n):
+        return sum(c * (n - a + 1) for a, c in d.items() if a <= n)
+
+    for got, d in [(cauchy_product(e, ramp), e.terms), (cauchy_product(ramp, e), e.terms),
+                   (cauchy_product(counted, ramp), {3: 6, 5: 10, 7: 14})]:
+        assert [got.coeff(n) for n in range(12)] == [want(d, n) for n in range(12)]
+        assert truncate(got, 8).terms == {n: want(d, n) for n in range(9) if want(d, n)}
+    assert truncate(ramp, 4).terms == {n: n + 1 for n in range(5)}
+
+
+def test_a_callers_oracle_is_read_only_where_a_decomposition_reads_it():
+    """f's oracle raises at x^5, a point of its finite atom that is a
+    decomposition of no coefficient up to x^(9/2) of f times a finite, a
+    frameless and a framed factor, either way round: truncating there must
+    not read it, while the coefficient at x^5 of f * (1 + 2x) does, and
+    so, again, does each read of x^(11/2) from a stencil on x and x^5."""
+    def oracle(g):
+        if g == m(5):
+            raise ZeroDivisionError("read at x^5")
+        return 1
+
+    f = SP.lazy(oracle, DescribedSet(X, [FiniteAtom(X, [m(1), m(5)]),
+                                         GridAtom(X, m(Fraction(1, 2)), [m(1)])]))
+    finite = SP.series({m(0): 1, m(1): 2})
+    ones = SP.lazy(lambda g: 1, DescribedSet.grid(X, m(Fraction(1, 2)), [m(Fraction(1, 2))]))
+    for g in (finite, ones, invert_unit(SP.series({m(0): 1, m(1): -1}))):
+        for p in (cauchy_product(f, g), cauchy_product(g, f)):
+            assert truncate(p, m(Fraction(9, 2))).terms
+    with pytest.raises(ZeroDivisionError, match="read at x"):
+        cauchy_product(f, finite).coeff(m(5))
+    # as a stencil on its finite atom alone, f is read at x^5 only for a
+    # coefficient that needs it, and a failed read leaves the stencil whole
+    h = cauchy_product(SP.lazy(oracle, DescribedSet.finite(X, [m(1), m(5)])), ones)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="read at x"):
+            h.coeff(m(Fraction(11, 2)))
+    assert [h.coeff(m(Fraction(k, 2))) for k in range(1, 7)] == [0, 0, 1, 1, 1, 1]
 
 
 def test_truncation_in_two_variables():
@@ -492,9 +590,12 @@ def frame_atom(spec):
 @example(("grid", Fraction(1, 2), [Fraction(1)]),
          ("grid", Fraction(0), [Fraction(1, 2), Fraction(1)]), Fraction(2))
 def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
-    """Grid membership, enumeration up to a bound and the decompositions of
-    a product, all run in integer frame coordinates, against enumeration
-    over Fraction exponents."""
+    """Grid membership, enumeration up to a bound and the candidate alphas
+    of a product, all run in integer frame coordinates, against enumeration
+    over Fraction exponents: the candidates hold every decomposition, each
+    alpha once, and those lying on both sides are exactly the
+    decompositions.  The sides are one atom each, then both atoms each, so
+    a fixed alpha can also be a listed element's difference."""
     atom_f, pts_f = frame_atom(spec_f)
     atom_g, pts_g = frame_atom(spec_g)
     for atom, pts in ((atom_f, pts_f), (atom_g, pts_g)):
@@ -502,12 +603,21 @@ def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
         assert atom.elements_upto(m(FRAME_BOUND)) == [m(e) for e in sorted(pts)]
     frame = _Frame(X, [atom_f, atom_g])
     t = frame.encode(m(gamma))
-    got = set()
-    if t is not None:
-        got = {(frame.decode(a), frame.decode(b))
-               for a, b in _decompositions(frame, atom_f, atom_g)(t)}
-    want = {(m(a), m(gamma - a)) for a in pts_f if gamma - a in pts_g}
-    assert got == want
+    both = pts_f | pts_g
+    for f_side, g_side, on_f, on_g in (([atom_f], [atom_g], pts_f, pts_g),
+                                       ([atom_f, atom_g], [atom_g, atom_f], both, both)):
+        want = {(m(a), m(gamma - a)) for a in on_f if gamma - a in on_g}
+        if t is None:
+            assert want == set()
+            continue
+        fixed, more = _alphas(frame, f_side, g_side)
+        alphas = [*fixed, *(more(t) if more else ())]
+        assert len(alphas) == len(set(alphas))
+        pairs = {(frame.decode(a), frame.decode(tuple(x - y for x, y in zip(t, a))))
+                 for a in alphas}
+        assert {a for a, _ in want} <= {a for a, _ in pairs}
+        assert {(a, b) for a, b in pairs if any(x.contains(a) for x in f_side)
+                and any(x.contains(b) for x in g_side)} == want
 
 
 def test_deep_inverse_coefficient_needs_no_deep_recursion():
@@ -557,6 +667,18 @@ def test_neumann_sum_is_geometric_series():
     # oracle: sum x^n has all coefficients 1 [DERIVED]
     assert [s.coeff(m(n)) for n in range(6)] == [1] * 6
     assert cauchy_product(sub(ONE, eps), s).eq_window(ONE, 24)
+
+
+def test_neumann_weights_are_read_only_on_the_certificate():
+    """x^(23/3) lies on the frame of the grid on x^(5/3), x^(7/3) but not in
+    it (23 is the Frobenius number of 5 and 7): its coefficient is zero, and
+    no weight is asked for there.  x^8 = (x^(5/3))^2 (x^(7/3))^2 asks for
+    the weights of n <= 8 / (5/3)."""
+    asked = []
+    s = neumann_sum(SP.series({m(Fraction(5, 3)): 1, m(Fraction(7, 3)): 1}),
+                    lambda n: asked.append(n) or 1)
+    assert s.coeff(m(Fraction(23, 3))) == 0 and asked == []
+    assert s.coeff(m(8)) == 6 and asked == [0, 1, 2, 3, 4]
 
 
 def test_neumann_sum_requires_positive_support():
