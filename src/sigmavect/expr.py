@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import bornology as bo
 from .closure import (ConstructedBasis, FunctionalFamily, PatternGenerator, SigmaSpanOracle,
@@ -55,12 +55,14 @@ class Diagnostic(ValueError):
 _TOKEN = re.compile(r"(->|\(x\)|[-+*/^()\[\],;])|(\d+)|([^\W\d]\w*)|(\s)")
 
 
-@dataclass
 class Token:
-    kind: str  # 'num' | 'ident' | punctuation itself | 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind  # 'num' | 'ident' | punctuation itself | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text):
@@ -84,48 +86,58 @@ def tokenize(text):
 # -- AST ----------------------------------------------------------------------
 
 
-class Node:
-    """Base of the AST node dataclasses."""
+# tokens, nodes and patterns are plain classes with slots: `dataclasses`
+# would load `inspect`, `ast`, `dis` and `tokenize` with the command line
 
 
-@dataclass
-class Num(Node):
-    value: int
+class Num:
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass
-class Name(Node):
-    ident: str
+class Name:
+    __slots__ = ("ident",)
+
+    def __init__(self, ident):
+        self.ident = ident
 
 
-@dataclass
-class Unary(Node):
-    op: str
-    arg: Node
+class Unary:
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op, arg):
+        self.op, self.arg = op, arg
 
 
-@dataclass
-class Binary(Node):
-    op: str
-    left: Node
-    right: Node
+class Binary:
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
-class Call(Node):
-    func: str
-    groups: tuple  # tuple of tuples of Node/Lambda
+class Call:
+    __slots__ = ("func", "groups")
+
+    def __init__(self, func, groups):
+        self.func = func
+        self.groups = groups  # tuple of tuples of nodes
 
 
-@dataclass
-class ListExpr(Node):
-    items: tuple
+class ListExpr:
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
 
 
-@dataclass
-class Lambda(Node):
-    var: str
-    body: Node
+class Lambda:
+    __slots__ = ("var", "body")
+
+    def __init__(self, var, body):
+        self.var, self.body = var, body
 
 
 class _Parser:
@@ -284,16 +296,25 @@ def _int(digits):
 _SEQUENCE_NAME = re.compile(r"e(0|[1-9][0-9]*)")
 
 
-@dataclass
 class Pattern:
     """pattern(template, step): the step's generator, kept with its template."""
 
-    template: FiniteSeries
-    generator: PatternGenerator
+    __slots__ = ("template", "generator")
+
+    def __init__(self, template, generator):
+        self.template, self.generator = template, generator
+
+
+# the bornology names, each on the integers
+_BORNOLOGIES = {"finite": bo.finite_subsets, "all": bo.all_subsets, "wo": bo.well_ordered,
+                "rwo": bo.reverse_well_ordered, "wo_omega": bo.order_type_omega}
 
 
 class Env:
-    """Evaluation context: fixed spaces plus named values."""
+    """Evaluation context: fixed spaces plus named values.  The Hahn space
+    on x is built with the context; the sequence space and the built-in
+    names (x, ones and the bornologies) are built on first use, once per
+    context."""
 
     def __init__(self, field=QQ, window=32):
         self.field = field
@@ -301,26 +322,30 @@ class Env:
         self.X = MonomialUniverse(["x"])
         self.hahn_space = Space(field, self.X, bo.well_ordered(self.X))
         self.nat = Naturals()
-        self.seq_space = Space(field, self.nat, bo.finite_subsets(self.nat))
-        self.seq_dual = Space(field, self.nat, bo.all_subsets(self.nat))
-        self.int_universe = Integers()
-        self.names = {
-            "x": self.hahn_space.series({self.X.monomial(x=1): 1}),
-            "ones": self.seq_dual.lazy(lambda n: 1, DescribedSet.progression(self.nat, 0, 1)),
-        }
-        for kind, ctor in (("finite", bo.finite_subsets), ("all", bo.all_subsets),
-                           ("wo", bo.well_ordered), ("rwo", bo.reverse_well_ordered),
-                           ("wo_omega", bo.order_type_omega)):
-            self.names[kind] = ctor(self.int_universe)
+        self.names = {}
+
+    @cached_property
+    def seq_space(self):
+        return Space(self.field, self.nat, bo.finite_subsets(self.nat))
 
     def lookup(self, ident):
         """A named value; e<n> is the n-th unit sequence for every n."""
         if ident in self.names:
             return self.names[ident]
-        m = _SEQUENCE_NAME.fullmatch(ident)
-        if m is None:
-            raise EvalError("unknown name %r" % ident)
-        return self.seq_space.delta(_int(m.group(1)))
+        if ident == "x":
+            value = self.hahn_space.series({self.X.monomial(x=1): 1})
+        elif ident == "ones":
+            dual = Space(self.field, self.nat, bo.all_subsets(self.nat))
+            value = dual.lazy(lambda n: 1, DescribedSet.progression(self.nat, 0, 1))
+        elif ident in _BORNOLOGIES:
+            value = _BORNOLOGIES[ident](Integers())
+        else:
+            m = _SEQUENCE_NAME.fullmatch(ident)
+            if m is None:
+                raise EvalError("unknown name %r" % ident)
+            return self.seq_space.delta(_int(m.group(1)))
+        self.names[ident] = value
+        return value
 
 
 _TYPES = (((int, Fraction, FpElement), "scalar"), (Series, "series"), (DescribedSet, "set"),
@@ -388,7 +413,7 @@ def _read_monomial(ev, v, u):
     """The element g of u that v is as the series 1*g; the scalar 1 is the unit."""
     if _type_of(v) == "scalar" and v == ev.env.field.one:
         return u.unit
-    if isinstance(v, FiniteSeries) and v.universe == u and len(v.terms) == 1:
+    if isinstance(v, FiniteSeries) and v.universe == u and len(v.table) == 1:
         (g, c), = v.terms.items()
         if c == v.field.one:
             return g
@@ -580,7 +605,7 @@ class Evaluator:
             return base ** n if n >= 0 else (self.env.field.one / base) ** -n
         if ty != "series":
             raise EvalError("cannot raise a %s to a power" % ty)
-        if isinstance(base, FiniteSeries) and len(base.terms) == 1:
+        if isinstance(base, FiniteSeries) and len(base.table) == 1:
             (g, c), = base.terms.items()
             u = base.universe
             if not u.is_group and q < 0:

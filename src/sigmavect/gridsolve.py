@@ -65,6 +65,27 @@ def weight(wts, vec):
     return sum(w * c for w, c in zip(wts, vec))
 
 
+def scaled(vec, scale):
+    """The exact vector vec (ints and Fractions) times scale, as ints, or
+    None when that leaves the ints."""
+    out = []
+    for c in vec:
+        if type(c) is int:
+            out.append(c * scale)
+            continue
+        q, r = divmod(c.numerator * scale, c.denominator)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
+
+
+def unscaled(t, scale):
+    """The exact vector of ints t over scale, an integral coordinate as an
+    int and any other as a Fraction."""
+    return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in t)
+
+
 class Lattice:
     """The nonnegative integer combinations of lex-positive generators, on
     the integer frame that also holds `points`."""
@@ -87,23 +108,12 @@ class Lattice:
     def scaled(self, vec):
         """vec * scale as ints, or None when it leaves the frame (and so is
         no point of the lattice or of a grid on it)."""
-        scale = self.scale
-        out = []
-        for c in vec:
-            if type(c) is int:
-                out.append(c * scale)
-                continue
-            q, r = divmod(c.numerator * scale, c.denominator)
-            if r:
-                return None
-            out.append(q)
-        return tuple(out)
+        return scaled(vec, self.scale)
 
     def unscaled(self, t):
         """The exponent vector of frame coordinates t, an integral
         coordinate as an int."""
-        scale = self.scale
-        return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in t)
+        return unscaled(t, self.scale)
 
     def multiple(self, t):
         """The k >= 0 with t == k * (last generator), or None (also for t

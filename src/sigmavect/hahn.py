@@ -7,16 +7,20 @@ lattice-point enumeration) and gives the summability bound behind Neumann
 summation: any element has only finitely many representations as a sum of n
 support elements, with n bounded by a positive weight functional.
 
+Every series here is kept on an integer frame.  A finite series keys its
+terms by frame ints (`series.FiniteSeries`), so two finite series multiply
+term by term with their keys added as ints, on the lcm of their scales.
 Every lazy series built here (a product, an inverse, a Neumann sum) fixes
-one integer frame (`_Frame`) for the atoms it reads: the lcm of the
+one frame (`series._Frame`) for the atoms it reads: the lcm of the
 denominators of their finite elements, grid bases and generators
 (`gridsolve.Lattice`), so each of those points has int coordinates.  The
 series keeps the frame, and its oracle takes frame coordinates and is
 memoized by int tuple, so a coefficient lookup checks and encodes its
 monomial once.  A factor is read on the frame by one rule
 (`_Frame.reader`), which is zero off the factor's certificate: a finite
-series through one table, a framed series in ints, and any other through
-`coeff`, with a point off the universe read as zero.
+series through its table on the frame's scale, a framed series in ints,
+and a caller's frameless series at the decoded monomial, with a point off
+the universe read as zero.
 
 There is one product rule.  The coefficient at gamma of f*g sums f(alpha)
 g(gamma - alpha) over the candidates of `_alphas`: the elements of f's
@@ -28,9 +32,9 @@ zero, so no alpha needs a membership test.  A factor with no grid (a
 finite series, say) is taken as f, so that every candidate is fixed: a
 stencil.  f is read at a fixed alpha once, where g is first nonzero, and at
 the other candidates before g, so a caller's oracle (`Space.lazy`, a family
-sum) is called only where the sum over the decompositions reads it.  The product's certificate is the
-product set of its factors' certificates (`DescribedSet.minkowski`), and a
-shift is a product with a monomial.
+sum) is called only where the sum over the decompositions reads it.  The
+product's certificate is the product set of its factors' certificates
+(`DescribedSet.minkowski`), and a shift is a product with a monomial.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
@@ -41,20 +45,21 @@ memo, so each costs its candidates once, on any grid, and a deep lookup
 uses no Python recursion.  `neumann_sum` keeps the literal weighted sum of
 powers, each read on the frame of its grid.  `truncate` lists the
 certificate's points up to the bound on the series' frame, or on a frame of
-its atoms for a caller's series (a grid through
+its atoms for a finite or a caller's series (a grid through
 `gridsolve.grid_points_upto`, in closed form in one variable), reads each
-there and decodes only the nonzero terms to monomials.  Every coefficient
-is one `Field.dot` of its pairs, normalized once.
+there and keeps the nonzero terms; on a framed universe their keys are
+those frame coordinates, and no monomial is decoded.  Every coefficient is
+one `Field.dot` of its pairs, normalized once.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add, sub
 
-from .gridsolve import Lattice, grid_points_upto, weight
+from .gridsolve import weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
-from .series import FiniteSeries, LazySeries, SeriesError
-from .universe import UniverseError
+from .series import FiniteSeries, LazySeries, SeriesError, _atom_vectors, _Frame, _listed
 
 
 class HahnError(SeriesError):
@@ -72,130 +77,23 @@ def _grid_atoms(cert):
     return cert.atoms
 
 
-def _listed(atom):
-    """True for an atom of `_grid_atoms` read by its elements (a finite
-    atom or a counted progression); any other is read by its origin and
-    steps."""
-    return isinstance(atom, FiniteAtom) or atom.count is not None
+def _check_monoid(f):
+    if not f.universe.has_monoid:
+        raise HahnError("Hahn arithmetic needs a monoid universe")
 
 
 def _check_hahn(f):
     """The atoms of f's certificate checked by `_grid_atoms`; raises unless
     f is a series on a monoid with a grid-certified support."""
-    if not f.universe.has_monoid:
-        raise HahnError("Hahn arithmetic needs a monoid universe")
+    _check_monoid(f)
     return _grid_atoms(f.certificate)
-
-
-def _atom_vectors(u, atom):
-    """The vectors of an atom of `_grid_atoms`: its elements when
-    `_listed`, else its origin and then its step vectors."""
-    if _listed(atom):
-        return [u.vectorize(e) for e in atom.elements()]
-    return [u.vectorize(atom.origin)] + atom.vectors
-
-
-class _Frame:
-    """The integer coordinates shared by the atoms of one series: a monomial
-    encodes to an int vector (None off the frame, where no sum of atom
-    points lies).  The series built on the frame keeps it, and its oracle
-    takes these coordinates."""
-
-    def __init__(self, u, atoms):
-        self.u = u
-        self.points = [v for a in atoms for v in _atom_vectors(u, a)]
-        self.lattice = Lattice((), self.points)
-
-    def encode(self, el):
-        return self.lattice.scaled(self.u.vectorize(el))
-
-    def decode(self, t):
-        return self.u.devectorize(self.lattice.unscaled(t))
-
-    def listed(self, atoms):
-        """{frame coordinates: element} for the elements of the `_listed`
-        atoms among `atoms`."""
-        return {self.encode(e): e for a in atoms if _listed(a) for e in a.elements()}
-
-    def reader(self, f):
-        """f's coefficient as a function of this frame's coordinates, for a
-        series f whose support lies on the frame; zero off f's certificate.
-        A finite f is one table; a series kept on a frame of its own is read
-        there, in ints (off that frame it is zero, and off its certificate
-        by construction); any other through `coeff`, which is zero off its
-        certificate, and a point off the universe reads zero."""
-        zero = f.field.zero
-        if isinstance(f, FiniteSeries):
-            table = {self.encode(g): c for g, c in f.terms.items()}
-            return lambda t: table.get(t, zero)
-        if f.frame is None:
-            decode, coeff = self.decode, f.coeff
-
-            def read(t):
-                try:
-                    gamma = decode(t)
-                except UniverseError:
-                    return zero
-                return coeff(gamma)
-
-            return read
-        at, own, scale = f.at, f.frame.lattice.scale, self.lattice.scale
-        if own == scale:
-            return at
-
-        def read(t):
-            out = []
-            for c in t:
-                q, r = divmod(c * own, scale)
-                if r:
-                    return zero
-                out.append(q)
-            return at(tuple(out))
-
-        return read
-
-    def grid_lattice(self, generators):
-        """The `Lattice` of generators (elements of the frame's atoms), on
-        this frame."""
-        return Lattice([self.u.vectorize(g) for g in generators], self.points)
-
-    def points_upto(self, atoms, bound):
-        """The points of `atoms` (of `_grid_atoms`, on this frame) that are
-        <= bound, as sorted frame coordinates, or None when a grid's walk
-        abstains (`grid_points_upto`).  The bound is compared exactly, off
-        the frame too.  A grid walks on its own `frame`, whose `Lattice`
-        caches its Apery table, and its points are scaled onto this frame:
-        that scale divides this one, as the grid's points are sums of this
-        frame's points."""
-        vec, scale = self.u.vectorize(bound), self.lattice.scale
-        top = tuple([c * scale for c in vec])
-        out = {t for t in self.listed(atoms) if t <= top}
-        for atom in atoms:
-            if _listed(atom):
-                continue
-            lattice, origin = atom.frame
-            pts = grid_points_upto(lattice.gens, origin,
-                                   tuple([c * lattice.scale for c in vec]), lattice)
-            if pts is None:
-                return None
-            m = scale // lattice.scale
-            out.update(pts if m == 1 else (tuple([c * m for c in t]) for t in pts))
-        return sorted(out)
-
-    def member(self, grid):
-        """Membership in a grid atom of the frame, as a test on frame
-        coordinates that gives the point t itself when it lies in the grid,
-        and None when not."""
-        lattice = self.grid_lattice(grid.steps)
-        base = self.encode(grid.origin)
-        return lambda t: t if lattice.contains(tuple(map(sub, t, base))) else None
 
 
 def _alphas(frame, f_atoms, g_atoms):
     """The candidates alpha of gamma = alpha + beta, alpha in f_atoms and
     beta in g_atoms, in frame coordinates, as (fixed, more).  `fixed` holds
-    the elements of f's `_listed` atoms (`_Frame.listed`), the same for
-    every gamma (the stencil); more(gamma) is the set of gamma minus each
+    the points of f's `_listed` atoms (`_Frame.listed`), the same for every
+    gamma (the stencil); more(gamma) is the set of gamma minus each
     element of g's listed atoms and of the lattice solutions of each grid x
     grid pair, for f's grids, without the fixed alphas, or None when f has
     no grid.  Every decomposition is among the candidates, each alpha once;
@@ -232,13 +130,13 @@ def _alphas(frame, f_atoms, g_atoms):
     return fixed, more
 
 
-def _stencil(coeff, fixed):
-    """The reads at the fixed alphas of `_alphas` (frame point -> element),
-    each made once: coeff(alpha) is read the first time the other factor
-    is nonzero at beta = gamma - alpha, and read again next time if it
-    raises.  pairs(gamma, other) gives (coeff(alpha), other(beta)) where
-    both are nonzero, and calls other at every alpha read so far, in the
-    order read, before the unread ones."""
+def _stencil(read, fixed):
+    """The reads at the fixed alphas of `_alphas`, each made once:
+    read(alpha) is made the first time the other factor is nonzero at beta
+    = gamma - alpha, and made again next time if it raises.  pairs(gamma,
+    other) gives (read(alpha), other(beta)) where both are nonzero, and
+    calls other at every alpha read so far, in the order read, before the
+    unread ones."""
     seen, unread = [], dict(fixed)
 
     def pairs(gamma, other):
@@ -246,7 +144,7 @@ def _stencil(coeff, fixed):
         for a in list(unread) if unread else ():
             v = other(tuple(map(sub, gamma, a)))
             if v:
-                c = coeff(unread[a])
+                c = read(a)
                 del unread[a]
                 seen.append((c, a))
                 if c:
@@ -257,37 +155,46 @@ def _stencil(coeff, fixed):
 
 
 def cauchy_product(f, g, space=None):
-    """Convolution: the coefficient at gamma sums f(alpha) g(gamma - alpha)
-    over the candidates of `_alphas`, with a factor that has no grid, when
-    there is one, as f, so that every candidate is fixed.  f is read at a
-    fixed alpha once, where g is first nonzero (`_stencil`), and at the
-    other candidates before g, which is then read only where f is nonzero:
-    a caller's oracle is called only where the sum over the decompositions
-    reads it.
+    """Convolution.  Two finite series multiply term by term on one scale,
+    their frame keys adding as ints.  Otherwise the coefficient at gamma
+    sums f(alpha) g(gamma - alpha) over the candidates of `_alphas`, with a
+    factor that has no grid, when there is one, as f, so that every
+    candidate is fixed.  f is read at a fixed alpha once, where g is first
+    nonzero (`_stencil`), and at the other candidates before g, which is
+    then read only where f is nonzero: a caller's oracle is called only
+    where the sum over the decompositions reads it.
 
     The optional space overrides the output's (used by module actions, where
     the two factors live in different spaces)."""
-    f_atoms = _check_hahn(f)
-    g_atoms = _check_hahn(g)
+    finite = isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries)
+    if finite:
+        # a finite series' certificate is one finite atom, which needs no check
+        _check_monoid(f)
+        _check_monoid(g)
+    else:
+        f_atoms, g_atoms = _check_hahn(f), _check_hahn(g)
     if f.universe != g.universe or f.field != g.field:
         raise HahnError("product across different universes or fields")
     u, field = f.universe, f.field
     out = space if space is not None else f.space
     if out.universe != u or out.field != field:
         raise HahnError("product space has another universe or field")
-    if isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries):
+    if finite:
+        scale = lcm(f.scale, g.scale)
+        key_sum = (lambda a, b: tuple(map(add, a, b))) if u.framed else u.op
+        g_terms = g.on_scale(scale).items()
         acc = {}
-        for a, ca in f.terms.items():
-            for b, cb in g.terms.items():
-                acc.setdefault(u.op(a, b), []).append((ca, cb))
-        return FiniteSeries._derived(out, ((gam, field.dot(p)) for gam, p in acc.items()))
+        for a, ca in f.on_scale(scale).items():
+            for b, cb in g_terms:
+                acc.setdefault(key_sum(a, b), []).append((ca, cb))
+        return FiniteSeries._derived(out, scale, ((k, field.dot(p)) for k, p in acc.items()))
     cert = f.certificate.minkowski(g.certificate)
     frame = _Frame(u, f_atoms + g_atoms)
     if all(map(_listed, g_atoms)) and not all(map(_listed, f_atoms)):
         f, g, f_atoms, g_atoms = g, f, g_atoms, f_atoms
     fixed, more = _alphas(frame, f_atoms, g_atoms)
-    read_f, read_g = frame.reader(f) if more else None, frame.reader(g)
-    stencil = _stencil(f.coeff, fixed)
+    read_f, read_g = frame.reader(f), frame.reader(g)
+    stencil = _stencil(read_f, fixed)
 
     def oracle(t):
         terms = stencil(t, read_g)
@@ -446,9 +353,9 @@ def invert_unit(f, window=32):
     in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
     fixed, more = _alphas(frame, atoms, [grid])
-    read_f = frame.reader(f) if more else None
+    read_f = frame.reader(f)
     fixed.pop(lead, None)
-    stencil = _stencil(lambda e: -cinv * f.coeff(e), fixed)
+    stencil = _stencil(lambda a: -cinv * read_f(a), fixed)
 
     def below(top):
         """The pairs (-c^-1 * f(alpha), beta) of top's equation."""
@@ -489,10 +396,11 @@ def invert_unit(f, window=32):
 
 
 def truncate(f, bound):
-    """Finite series equal to f on monomials <= bound: the points of f's
-    certificate up to the bound (`_Frame.points_upto`), on f's frame or, for
-    a caller's series, on a frame of its atoms, each read there
-    (`_Frame.reader`); only the nonzero terms are decoded to monomials."""
+    """Finite series equal to f on monomials <= bound, its terms in
+    increasing order: the points of f's certificate up to the bound
+    (`_Frame.points_upto`), on f's frame or, for a finite or a caller's
+    series, on a frame of its atoms, each read there (`_Frame.reader`); the
+    nonzero terms are kept on that frame (`_Frame.series`)."""
     atoms = _check_hahn(f)
     frame = f.frame or _Frame(f.universe, atoms)
     pts = frame.points_upto(atoms, bound)
@@ -505,6 +413,5 @@ def truncate(f, bound):
     for t in pts:
         c = read(t)
         if c:
-            # decode checks the monomial through `devectorize`
-            terms.append((frame.decode(t), c))
-    return FiniteSeries._derived(f.space, terms)
+            terms.append((t, c))
+    return frame.series(f.space, terms)

@@ -3,32 +3,38 @@
 A series is a coefficient function on a universe whose support is bounded in
 a chosen bornology; the field, universe and bornology together are its
 `Space`, which every series and every summable family holds as one value.
-Finite series store their terms; lazy series carry a coefficient oracle plus
-a described support certificate.  `Space.lazy`, the entry for a caller's
-oracle, is the one place a certificate is checked against the bornology;
-the operations here and in `hahn`, `strmap` and `slalg` build their lazy
+Finite series store their terms on an integer frame (`FiniteSeries`), and
+monomials appear only at the public boundary: the constructors check and
+encode them, and `terms`, `window_terms`, `format`, `to_record` and
+`certificate` decode.  Lazy series carry a coefficient oracle plus a
+described support certificate; one built on a frame of its atoms
+(`_Frame`: a Hahn product, inverse or Neumann sum, or the sum of a finite
+family of finite series) takes frame coordinates.  `Space.lazy`, the entry for a caller's oracle,
+is the one place a certificate is checked against the bornology; the
+operations here and in `hahn`, `strmap` and `slalg` build their lazy
 results on certificates they derive.  A monomial is checked once, where it
 enters: by the public constructors (`FiniteSeries(space, terms)`,
 `Space.series`, `Space.delta`, `DescribedSet.finite`), by `Space.lazy`'s
 certificate and by the parsers.  A finite series the package derives from
-checked ones (a finite product or linear combination, a truncation, the
-certificate of a finite series) is built by `FiniteSeries._derived`, which
-checks nothing again.  Every sum of products here (a linear combination, a
-family sum, the pairing) is one `Field.dot`, normalized once; two finite
-series pair over the keys their term tables share, with no certificate
-and no meet.  All assertions about lazy values are window-relative and
-exact on the window.
+checked ones is built by `FiniteSeries._derived` on frame keys, or by
+`FiniteSeries._of_elements` from checked monomials, and neither checks
+again.  Every sum of products here (a linear combination, a family sum,
+the pairing) is one `Field.dot`, normalized once.  All assertions about
+lazy values are window-relative and exact on the window.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import islice
+from math import lcm
 
 from .bornology import Verdict, perp
+from .gridsolve import Lattice, grid_points_upto
 from .sets import DescribedSet, FiniteAtom, described_intersection
 from .scalars import QQ
-from .universe import MonomialUniverse, Naturals, Value
+from .universe import MonomialUniverse, Naturals, UniverseError, Value
 
 
 class SeriesError(ValueError):
@@ -159,6 +165,17 @@ class Series:
 
 
 class FiniteSeries(Series):
+    """Finitely many terms, kept on an integer frame: `table` maps the frame
+    key (`Universe.encode`) of each monomial of the support to its nonzero
+    coefficient, on `scale`, a common denominator of the support's
+    coordinates.  The key is the exponent vector times the scale, as ints,
+    or the monomial itself on the naturals and the integers, whose elements
+    are ints already.  Products, linear combinations, truncations and
+    pairings of finite series add and compare these keys as ints; two
+    series on different scales meet on the lcm of their scales, by one
+    multiply per key.  `terms` is the monomial view, decoded once and in
+    the table's order."""
+
     def __init__(self, space, terms):
         super().__init__(space)
         universe, field = self.universe, self.field
@@ -168,44 +185,90 @@ class FiniteSeries(Series):
             c = field.of(c)
             if not field.is_zero(c):
                 clean[g] = c
-        self.terms = clean
+        self.scale, self.table = _encoded(universe, clean)
+        self.terms = clean  # the checked keys are what decoding gives
 
     @classmethod
-    def _derived(cls, space, items):
-        """The series of (key, value) pairs whose keys are already in the
-        universe's normal form and whose values are already in the field,
-        such as the package derives from checked series; zeros are
-        dropped."""
+    def _derived(cls, space, scale, items):
+        """The series of (frame key on scale, field value) pairs such as the
+        package derives from checked series; zeros are dropped and nothing
+        is checked."""
         f = cls.__new__(cls)
         Series.__init__(f, space)
         is_zero = space.field.is_zero
-        f.terms = {g: c for g, c in items if not is_zero(c)}
+        f.scale = scale
+        f.table = {k: c for k, c in items if not is_zero(c)}
         return f
 
+    @classmethod
+    def _of_elements(cls, space, items):
+        """The series of (checked monomial, field value) pairs, encoded."""
+        scale, table = _encoded(space.universe, dict(items))
+        return cls._derived(space, scale, table.items())
+
+    @cached_property
+    def terms(self):
+        """{monomial: coefficient}, in the table's order."""
+        u, scale = self.universe, self.scale
+        if not u.framed:
+            return self.table
+        decode = u.decode
+        return {decode(k, scale): c for k, c in self.table.items()}
+
+    def on_scale(self, scale):
+        """The table on `scale`, whose frame holds every term (a multiple of
+        this series' scale, say): each key times scale / self.scale."""
+        s = self.scale
+        if scale == s:
+            return self.table
+        return {tuple([c * scale // s for c in k]): v for k, v in self.table.items()}
+
     def coeff(self, gamma):
-        return self.terms.get(gamma, self.field.zero)
+        try:
+            key = self.universe.encode(gamma, self.scale)
+        except (AttributeError, TypeError):  # no coordinates to encode
+            raise UniverseError("%r is not an element of %s" % (gamma, self.universe)) from None
+        return self.table.get(key, self.field.zero)
 
     @cached_property
     def certificate(self):
-        # terms is never changed after construction, and its keys are checked
+        # the table is never changed after construction, and its keys decode
+        # to checked monomials
         return DescribedSet(self.universe, [FiniteAtom._derived(self.universe, self.terms)])
 
     def window_terms(self, n):
-        for g in islice(sorted(self.terms, key=self.universe.key), n):
-            yield g, self.terms[g]
+        u, terms = self.universe, self.terms.items()
+        if u.framed:
+            # frame keys sort in the universe's order (lex, scaled by a
+            # scale > 0), and `terms` decodes them once, in the table's order
+            terms = [t for _, t in sorted(zip(self.table, terms), key=operator.itemgetter(0))]
+        else:
+            terms = sorted(terms, key=lambda t: u.key(t[0]))
+        return islice(terms, n)
 
     def is_zero(self):
-        return not self.terms
+        return not self.table
+
+
+def _encoded(u, terms):
+    """(scale, table) of {checked monomial: value}: the lcm of the
+    monomials' denominators and the table of their frame keys on it, in
+    the same order (`terms` itself off a framed universe)."""
+    if not u.framed:
+        return 1, terms
+    scale, encode = lcm(*map(u.denominator, terms)), u.encode
+    return scale, {encode(g, scale): c for g, c in terms.items()}
 
 
 class LazySeries(Series):
     """A coefficient oracle on a support certificate, taken as given: a
     caller's certificate enters through `Space.lazy`, which checks it.
 
-    A series built on a `frame` (a Hahn product or inverse) has an oracle
-    on the frame's int coordinates (`frame.encode(gamma)`, None off the
-    frame) that is zero off the certificate by construction; it answers
-    `coeff` by one check and one encoding, and `at` on coordinates.
+    A series built on a `frame` (a Hahn product or inverse, the sum of a
+    finite family of finite series) has an oracle on the frame's int
+    coordinates (`frame.encode(gamma)`, None off the frame) that is zero off
+    the certificate by construction; it answers `coeff` by one check and
+    one encoding, and `at` on coordinates.
     """
 
     def __init__(self, space, oracle, certificate, frame=None):
@@ -219,7 +282,10 @@ class LazySeries(Series):
 
     def coeff(self, gamma):
         # the check comes first, so a bad key raises even after a memo hit
-        gamma = self.universe.check(gamma)
+        return self._read(self.universe.check(gamma))
+
+    def _read(self, gamma):
+        """The coefficient at a checked monomial."""
         if self.frame is not None:
             return self.at(self.frame.encode(gamma))
         val = self._memo.get(gamma)
@@ -246,6 +312,133 @@ class LazySeries(Series):
         return self._cert
 
 
+def _listed(atom):
+    """True for an atom of a Hahn certificate read by its elements (a
+    finite atom or a counted progression); any other is read by its origin
+    and steps."""
+    return isinstance(atom, FiniteAtom) or atom.count is not None
+
+
+def _atom_vectors(u, atom):
+    """The vectors of an atom of a Hahn certificate: its elements when
+    `_listed`, else its origin and then its step vectors."""
+    if _listed(atom):
+        return [u.vectorize(e) for e in atom.elements()]
+    return [u.vectorize(atom.origin)] + atom.vectors
+
+
+class _Frame:
+    """The integer coordinates shared by the atoms (finite sets, counted
+    progressions and grids) of one lazy series: a monomial encodes to an
+    int vector (None off the frame, where no sum of atom points lies).  The
+    series built on the frame keeps it, and its oracle takes these
+    coordinates; on a framed universe they are the keys a finite series
+    has on the frame's scale."""
+
+    def __init__(self, u, atoms):
+        self.u = u
+        self.points = [v for a in atoms for v in _atom_vectors(u, a)]
+        self.lattice = Lattice((), self.points)
+
+    def encode(self, el):
+        return self.lattice.scaled(self.u.vectorize(el))
+
+    def decode(self, t):
+        return self.u.devectorize(self.lattice.unscaled(t))
+
+    def listed(self, atoms):
+        """The frame coordinates of the elements of the `_listed` atoms
+        among `atoms`, as the keys of a dict."""
+        return dict.fromkeys(self.encode(e) for a in atoms if _listed(a) for e in a.elements())
+
+    def table(self, f):
+        """The finite series f's table on this frame's coordinates; f's
+        terms lie on the frame."""
+        if self.u.framed:
+            return f.on_scale(self.lattice.scale)
+        return {self.encode(g): c for g, c in f.table.items()}
+
+    def series(self, space, items):
+        """The finite series of (frame coordinates, field value) pairs."""
+        if self.u.framed:
+            return FiniteSeries._derived(space, self.lattice.scale, items)
+        # decode checks the monomial through `devectorize`
+        return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
+
+    def reader(self, f):
+        """f's coefficient as a function of this frame's coordinates, for a
+        series f whose support lies on the frame; zero off f's certificate.
+        A finite f is one table; a series kept on a frame of its own is read
+        there, in ints (off that frame it is zero, and off its certificate
+        by construction); any other at the decoded monomial, which is
+        checked by decoding, and a point off the universe reads zero."""
+        zero = f.field.zero
+        if isinstance(f, FiniteSeries):
+            table = self.table(f)
+            return lambda t: table.get(t, zero)
+        if f.frame is None:
+            decode, read_el = self.decode, f._read
+
+            def read(t):
+                try:
+                    gamma = decode(t)
+                except UniverseError:
+                    return zero
+                return read_el(gamma)
+
+            return read
+        at, own, scale = f.at, f.frame.lattice.scale, self.lattice.scale
+        if own == scale:
+            return at
+
+        def read(t):
+            out = []
+            for c in t:
+                q, r = divmod(c * own, scale)
+                if r:
+                    return zero
+                out.append(q)
+            return at(tuple(out))
+
+        return read
+
+    def grid_lattice(self, generators):
+        """The `Lattice` of generators (elements of the frame's atoms), on
+        this frame."""
+        return Lattice([self.u.vectorize(g) for g in generators], self.points)
+
+    def points_upto(self, atoms, bound):
+        """The points of `atoms` (on this frame) that are <= bound, as
+        sorted frame coordinates, or None when a grid's walk abstains
+        (`grid_points_upto`).  The bound is compared exactly, off the frame
+        too.  A grid walks on its own `frame`, whose `Lattice` caches its
+        Apery table, and its points are scaled onto this frame: that scale
+        divides this one, as the grid's points are sums of this frame's
+        points."""
+        vec, scale = self.u.vectorize(bound), self.lattice.scale
+        top = tuple([c * scale for c in vec])
+        out = {t for t in self.listed(atoms) if t <= top}
+        for atom in atoms:
+            if _listed(atom):
+                continue
+            lattice, origin = atom.frame
+            pts = grid_points_upto(lattice.gens, origin,
+                                   tuple([c * lattice.scale for c in vec]), lattice)
+            if pts is None:
+                return None
+            m = scale // lattice.scale
+            out.update(pts if m == 1 else (tuple([c * m for c in t]) for t in pts))
+        return sorted(out)
+
+    def member(self, grid):
+        """Membership in a grid atom of the frame, as a test on frame
+        coordinates that gives the point t itself when it lies in the grid,
+        and None when not."""
+        lattice = self.grid_lattice(grid.steps)
+        base = self.encode(grid.origin)
+        return lambda t: t if lattice.contains(tuple(map(operator.sub, t, base))) else None
+
+
 def series_from_record(rec, field=QQ):
     from .bornology import bornology_from_record
     from .universe import universe_from_record
@@ -269,11 +462,12 @@ def linear_combination(terms):
     field = space.field
     coeffs = [field.of(c) for c, _ in terms]
     if all(isinstance(f, FiniteSeries) for _, f in terms):
+        scale = lcm(*(f.scale for _, f in terms))
         acc = {}
         for c, (_, f) in zip(coeffs, terms):
-            for g, v in f.terms.items():
-                acc.setdefault(g, []).append((c, v))
-        return FiniteSeries._derived(space, ((g, field.dot(p)) for g, p in acc.items()))
+            for k, v in f.on_scale(scale).items():
+                acc.setdefault(k, []).append((c, v))
+        return FiniteSeries._derived(space, scale, ((k, field.dot(p)) for k, p in acc.items()))
     cert = DescribedSet(space.universe,
                         dict.fromkeys(a for _, f in terms for a in f.certificate.atoms))
 
@@ -309,8 +503,9 @@ def pairing(f, g, declared_dual=False):
             )
     if isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries):
         # finite supports meet finitely, and a finite series is zero off its
-        # terms: probe the smaller table against the larger
-        small, large = sorted((f.terms, g.terms), key=len)
+        # terms: probe the smaller table against the larger, on one scale
+        scale = lcm(f.scale, g.scale)
+        small, large = sorted((f.on_scale(scale), g.on_scale(scale)), key=len)
         return f.field.dot([(c, large[k]) for k, c in small.items() if k in large])
     fin, els = described_intersection(f.certificate, g.certificate)
     if fin is None:
@@ -333,7 +528,18 @@ class SummableFamily:
     universe's codec naming the indices); `member` maps an index to a Series;
     `pointwise` maps gamma to the finite list of indices whose member may be
     supported at gamma; `union_cert` bounds the union of all supports.
+    `members` is the tuple of members of a `finite_family`, as long as its
+    certificates are the ones `finite_family` built; None otherwise.
     """
+
+    members = None
+
+    def __setattr__(self, name, value):
+        # a family whose index, members or certificates are replaced no longer
+        # certifies itself
+        if name != "members":
+            vars(self).pop("members", None)
+        super().__setattr__(name, value)
 
     def __init__(self, space, index, member, pointwise, union_cert):
         self.space = space
@@ -365,7 +571,9 @@ def finite_family(members):
     def pointwise(gamma):
         return [i for i in index if members[i].certificate.contains(gamma)]
 
-    return SummableFamily(space, index, lambda i: members[i], pointwise, cert)
+    fam = SummableFamily(space, index, lambda i: members[i], pointwise, cert)
+    fam.members = tuple(members)
+    return fam
 
 
 def check_summable(fam, window=32):
@@ -428,14 +636,36 @@ def check_summable(fam, window=32):
 
 def family_sum(fam, weights=None, precheck=True, window=32):
     """The sum series: coefficient at gamma adds the finitely many
-    contributions named by the pointwise certificate."""
+    contributions named by the pointwise certificate.  The sum of a finite
+    family of finite series is kept on the frame of its union certificate:
+    member i contributes at a point exactly when its table holds it, and
+    weights(i) is read there, as the pointwise certificate would name it.
+
+    A finite family of finite series certifies itself: `finite_family`
+    builds its pointwise and union certificates from the members' supports,
+    so no probe of `check_summable` can fail, and its precheck is the
+    boundedness of the union alone."""
+    members = fam.members
+    finite = members is not None and all(isinstance(f, FiniteSeries) for f in members)
     if precheck:
-        report = check_summable(fam, window)
-        if report["verdict"] == "rejected":
-            raise SeriesError("family rejected: %s" % "; ".join(report["failures"]))
-    field = fam.space.field
+        if not finite:
+            report = check_summable(fam, window)
+            if report["verdict"] == "rejected":
+                raise SeriesError("family rejected: %s" % "; ".join(report["failures"]))
+        elif fam.space.bornology.is_bounded(fam.union_cert) is Verdict.UNBOUNDED:
+            raise SeriesError("family rejected: union support certificate is unbounded")
+    field, u = fam.space.field, fam.space.universe
     if weights is None:
         weights = lambda i: field.one
+    if finite and u.dim is not None:
+        frame = _Frame(u, fam.union_cert.atoms)
+        tables = list(enumerate(map(frame.table, members)))
+
+        def framed(t):
+            return field.dot([(field.of(weights(i)), v)
+                              for i, table in tables if (v := table.get(t))])
+
+        return LazySeries(fam.space, framed, fam.union_cert, frame)
 
     def oracle(gamma):
         idx = fam.pointwise(gamma)

@@ -110,7 +110,7 @@ class Derivation:
                                  for gamma in self.contributors(delta)])
 
         if isinstance(f, FiniteSeries) and cert.is_finite() is True:
-            return FiniteSeries._derived(sp, ((d, oracle(d)) for d in cert.elements()))
+            return FiniteSeries._of_elements(sp, ((d, oracle(d)) for d in cert.elements()))
         return LazySeries(sp, oracle, cert)
 
 
@@ -137,7 +137,7 @@ def euler_derivation(space):
     def action(gamma):
         # gamma is a checked monomial; field.of raises for an exponent whose
         # denominator the prime divides
-        return FiniteSeries._derived(space, [(gamma, field.of(u.vectorize(gamma)[0]))])
+        return FiniteSeries._of_elements(space, [(gamma, field.of(u.vectorize(gamma)[0]))])
 
     # x^q is the only monomial whose image meets x^q, and supports stay put
     return Derivation(space, action, lambda delta: [delta], lambda s: s)

@@ -8,7 +8,11 @@ Fraction otherwise (`check`, `unit`, `op`), which changes no equality, hash
 or text, as hash(Fraction(n)) == hash(n).  Elements of the numeric and
 monomial universes also embed into Q^n ("vectorize"), in the same normal
 form, which is what the grid bookkeeping in :mod:`sigmavect.gridsolve`
-works on.
+works on.  A framed universe (the rationals, exponent vectors, and pairs
+with a framed side) also keys an element on an integer frame: its vector
+times a common denominator, as ints (`encode`, `decode`), which is how a
+finite series keeps its terms; the naturals and the integers, whose
+elements are ints already, key an element by itself.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
+from .gridsolve import scaled, unscaled
 from .scalars import check_size
 
 
@@ -86,6 +92,27 @@ class Universe(Value):
     def devectorize(self, vec):
         raise UniverseError("universe %s has no vector embedding" % self)
 
+    # integer frame ---------------------------------------------------------
+    # A finite series keys its terms on one scale.  On a framed universe the
+    # key of an element is its vector times the scale, as ints; on any other
+    # (no embedding, or elements that are ints already) it is the element
+    # itself, and the scale is 1.
+    framed = False
+
+    def denominator(self, el):
+        """The least scale whose frame holds the checked element el: the lcm
+        of its vector's coordinate denominators."""
+        return _denominator(self.vectorize(el)) if self.framed else 1
+
+    def encode(self, el, scale):
+        """The frame key of el on scale, or None when el leaves that frame."""
+        return scaled(self.vectorize(el), scale) if self.framed else el
+
+    def decode(self, key, scale):
+        """The element, in normal form, of a frame key on scale: a key that
+        `encode` gave, or a monoid sum of such keys."""
+        return self.devectorize(unscaled(key, scale)) if self.framed else key
+
     # codec ---------------------------------------------------------------
     def format(self, el):
         raise NotImplementedError
@@ -112,6 +139,14 @@ def _parse_rational(text):
         num, den = text.split("/")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def _denominator(vec):
+    d = 1
+    for c in vec:
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    return d
 
 
 def _coordinate(c):
@@ -228,6 +263,7 @@ class Integers(_NumericUniverse):
 class Rationals(_NumericUniverse):
     kind = "rationals"
     is_group = True
+    framed = True
     _zero = Fraction(0)
 
     def contains(self, el):
@@ -244,6 +280,7 @@ class Rationals(_NumericUniverse):
     def devectorize(self, vec):
         return Fraction(vec[0])
 
+
     def parse(self, text):
         return _parse_rational(text)
 
@@ -258,6 +295,7 @@ class _ExponentGroup(Universe):
 
     has_monoid = True
     is_group = True
+    framed = True
     exponents = "rational"
 
     def _normal(self, el):
@@ -305,6 +343,18 @@ class _ExponentGroup(Universe):
 
     def devectorize(self, vec):
         return self.check(tuple(vec))
+
+    # an element is its own vector
+    def denominator(self, el):
+        return _denominator(el)
+
+    def encode(self, el, scale):
+        return scaled(el, scale)
+
+    def decode(self, key, scale):
+        # the coordinates of a sum of elements keep their kind (natural or
+        # integer exponents stay ints), so the key needs no check
+        return key if scale == 1 else unscaled(key, scale)
 
 
 class TupleUniverse(_ExponentGroup):
@@ -416,6 +466,7 @@ class PairUniverse(Universe):
         self.is_group = left.is_group and right.is_group
         if left.dim is not None and right.dim is not None:
             self.dim = left.dim + right.dim
+            self.framed = left.framed or right.framed
 
     def contains(self, el):
         return (

@@ -13,7 +13,9 @@ It exits 1 if any run ended in a traceback.  `diff` prints the number of
 keys whose outputs differ, then the first few of them, and exits 1 if
 there are any.
 
-The corpus is drawn from a fixed seed: products either way round of finite
+The corpus holds hand-picked cases, among them finite Puiseux arithmetic
+whose terms have mixed exponent denominators, and then a draw from a fixed
+seed: products either way round of finite
 series, inverses and `sum` families, inverses, shifts, `(1 - x^(1/q))^-1`,
 pairings, `lead`, truncations at bounds on and off the support, weights
 that raise partway along a family, sequence products on the naturals, and
@@ -101,6 +103,22 @@ def corpus():
         "shift(ones, e2)", "pair(ones, e3 + 2*e5)", "pair(ones, ones)", "lead(x - x)",
         "pair(x^(1/2) + x, 2*x)", "pair(x^(1/2), (1 - x)^-1)",
         "derive(euler, (1 - x^(1/2))^-1)", "x^-1 * (1 - x)^-1",
+        # finite Puiseux arithmetic whose terms have mixed denominators, so
+        # that series on different integer frames meet
+        "(x^(1/2) + x^(1/3)) * (1 - x^(1/6))", "(1 - x^(1/6)) * (x^(1/2) + x^(1/3))",
+        "x^(1/2) - x^(1/2)", "x^(1/2) + x^(1/3) - x^(1/2)", "lead(x^(2/3) - x^(2/3) + x^(5/4))",
+        "(2*x^(2/3) + x^(1/2))^-1", "truncate((2*x^(2/3) + x^(1/2))^-1, x^2)",
+        "truncate((2*x^(2/3) + x^(1/2))^-1, x^(7/12))",
+        "truncate(2*x^(2/3) + x^(1/2), x^(1/2))", "truncate(2*x^(2/3) + x^(1/2), x^(3/5))",
+        "truncate(2*x^(2/3) + x^(1/2), x^-1)",
+        "truncate((x^(1/2) + x^(1/3)) * (1 - x^(1/6)), x^(2/3))",
+        "(x^(1/2) + 2*x^(2/3)) * (x^(1/3) - x^(3/4)) - 7*x^(5/6)",
+        "3*(x^(1/4) + x^(1/6)) + 2*x^(1/4) - x^(5/4) * x^-1",
+        "pair(x^(1/2) + x^(1/3), x^(1/3) - 2*x^(5/6))", "pair(x^(1/2) + x^(1/4), 5*x^(2/4))",
+        "derive(euler, x^(1/2) + 2*x^(2/3) - x^(5/6))", "shift(x^(1/2) + x^(1/3), x^(1/6))",
+        "(x^(1/2) + x^(1/3))^-1 * (x^(1/2) + x^(1/3))",
+        "truncate((1 + x^(1/2) + x^(1/3))^-1 * (1 - x^(1/6)), x^(3/2))",
+        "(e1 + 2*e3) * (e2 - e1)", "truncate(e1 + 3*e4 - e1, e3)",
     ]
     rng = random.Random("cli-differential:0")
     for _ in range(SIZE):

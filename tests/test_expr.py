@@ -135,6 +135,21 @@ def test_golden_evaluations():
         assert got == want, (text, got, want)
 
 
+def test_env_builds_each_name_on_its_first_lookup():
+    env = Env()
+    assert env.names == {} and "seq_space" not in vars(env)
+    assert evaluate("1 + 2", env=env) == "3" and env.names == {}
+    ones = env.lookup("ones")
+    assert env.lookup("ones") is ones and sorted(env.names) == ["ones"]
+    assert evaluate("perp(finite)", env=env) == "all"
+    assert evaluate("pair(e1 + e3, ones)", env=env) == "2"
+    assert sorted(env.names) == ["finite", "ones"]
+    with pytest.raises(EvalError, match="unknown name 'y'"):
+        env.lookup("y")
+    # another context builds its own values
+    assert Env().lookup("ones") is not ones
+
+
 def test_eval_scalar_arithmetic():
     assert evaluate("1/2 + 1/3") == "5/6"
     assert evaluate("2^10") == "1024"

@@ -2,7 +2,9 @@
 
 Oracle notes: pairings are checked against a plain dot product over an
 exhaustively enumerated finite support [DERIVED]; family sums against
-coefficientwise addition done by hand in the test [DERIVED].
+coefficientwise addition done by hand in the test [DERIVED]; finite series
+on integer frames against products, combinations and truncations of dicts
+keyed by normal-form exponent tuples [DERIVED].
 """
 
 from fractions import Fraction
@@ -175,6 +177,19 @@ def test_check_summable_rejects_lying_certificate():
     assert report["failures"]
 
 
+def test_a_finite_family_with_a_replaced_certificate_is_judged_by_its_certificates():
+    good = SEQ.series({0: 1})
+    fam = finite_family([good])
+    assert fam.members == (good,)
+    assert family_sum(fam).frame is not None
+    fam.union_cert = DescribedSet.finite(N, [5])
+    assert fam.members is None
+    with pytest.raises(SeriesError, match="family rejected"):
+        family_sum(fam)
+    s = family_sum(fam, precheck=False)
+    assert s.frame is None and s.coeff(0) == 0
+
+
 def test_monomial_expansion_reconstructs():
     sp = Space(QQ, N, finite_subsets(N))
     f = sp.series({1: 4, 6: -2})
@@ -227,20 +242,21 @@ def _shape(el):
 def _as_public(make):
     """make()'s result, once every `FiniteSeries._derived` call it made is
     shown to build exactly what the checking constructor builds from the
-    same pairs: the same keys of the same types, in the same order, the
-    same field values, no zeros, and the same certificate."""
+    same pairs, their frame keys decoded: the same keys of the same types,
+    in the same order, the same field values, no zeros, and the same
+    certificate."""
     calls, build = [], FiniteSeries._derived
 
-    def spy(cls, space, items):
+    def spy(cls, space, scale, items):
         items = list(items)
-        calls.append((space, items, build(space, items)))
-        return calls[-1][2]
+        calls.append((space, scale, items, build(space, scale, items)))
+        return calls[-1][3]
 
     with mock.patch.object(FiniteSeries, "_derived", classmethod(spy)):
         out = make()
     assert calls
-    for space, items, h in calls:
-        ref = FiniteSeries(space, dict(items))
+    for space, scale, items, h in calls:
+        ref = FiniteSeries(space, {space.universe.decode(k, scale): c for k, c in items})
         assert list(h.terms.items()) == list(ref.terms.items())
         assert [(_shape(g), type(c)) for g, c in h.terms.items()] == \
             [(_shape(g), type(c)) for g, c in ref.terms.items()]
@@ -290,6 +306,14 @@ def test_derived_finite_series_match_the_checking_constructor(field, d1, d2, top
             {g: want.get(g, field.zero) for g in f.terms}
 
 
+def test_a_finite_coefficient_at_a_key_with_no_coordinates_is_refused():
+    f = Space(QQ, X, well_ordered(X)).series({(Fraction(1, 2),): 3})
+    assert f.coeff((Fraction(1, 2),)) == 3
+    for bad in ((0.5,), "x", 3):
+        with pytest.raises(UniverseError):
+            f.coeff(bad)
+
+
 @pytest.mark.parametrize("u, bad", [
     (X, (0.5,)), (X, (True,)), (X, True), (X, (1, 2)),
     (N, 1.0), (N, True), (NN, (1, 2, 3)), (NN, (True, 1)),
@@ -300,3 +324,122 @@ def test_public_entries_check_each_monomial(u, bad):
                   lambda: DescribedSet.finite(u, [bad])):
         with pytest.raises(UniverseError):
             build()
+
+
+# -- finite series on integer frames against a monomial-keyed oracle ---------
+
+XY = MonomialUniverse(["x", "y"])
+
+
+def _exponent():
+    """A raw exponent with a denominator from 1 to 6: an int or a Fraction."""
+    return st.one_of(st.integers(-3, 6), st.builds(Fraction, st.integers(-18, 36),
+                                                  st.integers(1, 6)))
+
+
+def _nf(q):
+    """An exponent in normal form: an int when it is integral."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _key(g):
+    return tuple(_nf(c) for c in g)
+
+
+def _oracle_series(field, d):
+    """{normal-form exponent tuple: nonzero field value}, in d's order."""
+    out = {}
+    for g, c in d.items():
+        c = field.of(c)
+        if c:
+            out[_key(g)] = c
+    return out
+
+
+def _clean(d):
+    return {g: c for g, c in d.items() if c}
+
+
+def _oracle_product(field, a, b):
+    out = {}
+    for g, c in a.items():
+        for h, e in b.items():
+            k = _key(tuple(Fraction(x) + y for x, y in zip(g, h)))
+            out[k] = out.get(k, field.zero) + c * e
+    return _clean(out)
+
+
+def _oracle_combination(field, pairs):
+    out = {}
+    for w, d in pairs:
+        for g, c in d.items():
+            out[g] = out.get(g, field.zero) + field.of(w) * c
+    return _clean(out)
+
+
+def _oracle_upto(d, bound):
+    top = tuple(Fraction(c) for c in bound)
+    return {g: d[g] for g in sorted(d, key=lambda g: tuple(map(Fraction, g)))
+            if tuple(map(Fraction, g)) <= top}
+
+
+def _same_terms(h, want):
+    """h.terms is want: the same keys with the same coordinate types, the
+    same values of the same types, in the same order."""
+    got = list(h.terms.items())
+    assert got == list(want.items())
+    assert [(_shape(g), type(c)) for g, c in got] == \
+        [(_shape(g), type(c)) for g, c in want.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.sampled_from([1, 2]), st.data())
+def test_framed_finite_series_match_a_monomial_oracle(field, dim, data):
+    u = X if dim == 1 else XY
+    sp = Space(field, u, finite_subsets(u))
+    mono = st.tuples(*[_exponent()] * dim)
+    coeffs = st.sampled_from([-7, -3, -1, 0, 1, 2, 5, 7, 14])
+    ds = [data.draw(st.dictionaries(mono, coeffs, max_size=5)) for _ in range(3)]
+    f, g, h = (sp.series(d) for d in ds)
+    a, b, c = (_oracle_series(field, d) for d in ds)
+    for s, want in zip((f, g, h), (a, b, c)):
+        _same_terms(s, want)
+    # products either way round
+    _same_terms(cauchy_product(f, g), _oracle_product(field, a, b))
+    _same_terms(cauchy_product(g, f), _oracle_product(field, b, a))
+    _same_terms(cauchy_product(cauchy_product(f, g), h),
+                _oracle_product(field, _oracle_product(field, a, b), c))
+    # linear combinations, and cancellation to zero
+    _same_terms(add(f, g), _oracle_combination(field, [(1, a), (1, b)]))
+    _same_terms(sub(f, g), _oracle_combination(field, [(1, a), (-1, b)]))
+    _same_terms(scale(3, h), _oracle_combination(field, [(3, c)]))
+    _same_terms(linear_combination([(2, f), (-1, g), (5, h)]),
+                _oracle_combination(field, [(2, a), (-1, b), (5, c)]))
+    assert sub(f, f).terms == {} and sub(f, f).is_zero()
+    _same_terms(scale(7, f), _oracle_combination(field, [(7, a)]))
+    assert scale(7, f).is_zero() == (field.p == 7 or not a)
+    # the pairing of two finite series
+    assert pairing(f, g, declared_dual=True) == \
+        field.dot([(v, b[k]) for k, v in a.items() if k in b])
+    # truncations on and off the support, and off every frame
+    keys = list(a) + list(b)
+    bounds = [data.draw(st.sampled_from(keys))] if keys else []
+    bounds.append(data.draw(mono))
+    for bound in bounds:
+        _same_terms(truncate(f, bound), _oracle_upto(a, _key(bound)))
+        _same_terms(truncate(cauchy_product(f, g), bound),
+                    _oracle_upto(_oracle_product(field, a, b), _key(bound)))
+        # the sum of a finite family of finite series, on its frame
+        w = [2, -1, 3]
+        fam = finite_family([f, g, h])
+        total = family_sum(fam, lambda i: w[i])
+        assert total.frame is not None
+        _same_terms(truncate(total, bound), _oracle_upto(
+            _oracle_combination(field, list(zip(w, (a, b, c)))), _key(bound)))
+    # public constructors still refuse a bad key
+    for bad in [(0.5,) * dim, (True,) * dim, (0,) * (dim + 1), "x"]:
+        for build in (lambda: sp.series({bad: 1}), lambda: sp.delta(bad)):
+            with pytest.raises(UniverseError):
+                build()
+

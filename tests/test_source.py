@@ -37,15 +37,27 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def test_the_cli_imports_the_standard_library_alone():
-    # the package has no runtime dependency: importing the command line
-    # loads no top-level module outside the standard library and sigmavect
+def _loaded_by_the_cli():
+    """The top-level modules that importing the command line loads."""
     code = ("import json, sys; sys.path.insert(0, %r); before = set(sys.modules); "
             "import sigmavect.cli; "
             "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
             % str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_the_cli_imports_the_standard_library_alone():
+    # the package has no runtime dependency: importing the command line
+    # loads no top-level module outside the standard library and sigmavect
+    loaded = _loaded_by_the_cli()
     assert "sigmavect" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "sigmavect"] == []
+
+
+def test_the_cli_loads_no_introspection_modules():
+    # every process pays for what the command line imports: `dataclasses`
+    # alone would bring in `inspect`, `ast`, `dis` and `tokenize`
+    loaded = _loaded_by_the_cli()
+    assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in loaded] == []
