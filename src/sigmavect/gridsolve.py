@@ -98,11 +98,23 @@ class Lattice:
         for v in itertools.chain(gens, points):
             for c in v:
                 scale = lcm(scale, c.denominator)
+        self._fix([tuple([c.numerator * (scale // c.denominator) for c in g]) for g in gens],
+                  scale)
+
+    @classmethod
+    def on_frame(cls, gens, scale):
+        """The lattice of generators given as frame coordinates on `scale`
+        (int tuples), with nothing to rescale."""
+        lattice = cls.__new__(cls)
+        lattice._fix(gens, scale)
+        return lattice
+
+    def _fix(self, gens, scale):
         self.scale = scale
-        self.gens = [tuple([c.numerator * (scale // c.denominator) for c in g]) for g in gens]
-        self.wts = positive_weights(self.gens)
-        self.gw = [weight(self.wts, g) for g in self.gens]
-        self.lead = leading_index(self.gens[-1]) if gens else None
+        self.gens = gens
+        self.wts = positive_weights(gens)
+        self.gw = [weight(self.wts, g) for g in gens]
+        self.lead = leading_index(gens[-1]) if gens else None
         self._apery = None
 
     def scaled(self, vec):

@@ -11,30 +11,34 @@ Every series here is kept on an integer frame.  A finite series keys its
 terms by frame ints (`series.FiniteSeries`), so two finite series multiply
 term by term with their keys added as ints, on the lcm of their scales.
 Every lazy series built here (a product, an inverse, a Neumann sum) fixes
-one frame (`series._Frame`) for the atoms it reads: the lcm of the
-denominators of their finite elements, grid bases and generators
-(`gridsolve.Lattice`), so each of those points has int coordinates.  The
-series keeps the frame, and its oracle takes frame coordinates and is
-memoized by int tuple, so a coefficient lookup checks and encodes its
-monomial once.  A factor is read on the frame by one rule
-(`_Frame.reader`), which is zero off the factor's certificate: a finite
-series through its table on the frame's scale, a framed series in ints,
-and a caller's frameless series at the decoded monomial, with a point off
-the universe read as zero.
+one frame (`series._Frame`) for the parts it reads (`_parts`): a finite
+factor itself, whose points are its table's keys on its own scale, and the
+atoms of any other factor's certificate, with the denominators of their
+finite elements, grid bases and generators.  The frame's scale is the lcm
+of those scales, so each of those points has int coordinates, and nothing
+a finite factor holds is decoded or encoded again.  The series keeps the
+frame, and its oracle takes frame coordinates and is memoized by int
+tuple, so a coefficient lookup checks and encodes its monomial once.  A
+factor is read on the frame by one rule (`_Frame.reader`), which is zero
+off the factor's certificate: a finite series through its table on the
+frame's scale, a framed series in ints, and a caller's frameless series at
+the decoded monomial, with a point off the universe read as zero.
 
 There is one product rule.  The coefficient at gamma of f*g sums f(alpha)
-g(gamma - alpha) over the candidates of `_alphas`: the elements of f's
-listed atoms (finite atoms and counted progressions), the same for every
-gamma, and, for f's grids, gamma minus each element of g's listed atoms and
-the lattice solutions of each grid x grid pair.  Every decomposition gamma
-= alpha + beta is a candidate, and at any other candidate one factor reads
-zero, so no alpha needs a membership test.  A factor with no grid (a
-finite series, say) is taken as f, so that every candidate is fixed: a
-stencil.  f is read at a fixed alpha once, where g is first nonzero, and at
-the other candidates before g, so a caller's oracle (`Space.lazy`, a family
-sum) is called only where the sum over the decompositions reads it.  The
-product's certificate is the product set of its factors' certificates
-(`DescribedSet.minkowski`), and a shift is a product with a monomial.
+g(gamma - alpha) over the candidates of `_alphas`: the points of f's
+listed parts (finite series, finite atoms and counted progressions), the
+same for every gamma, and, for f's grids, gamma minus each point of g's
+listed parts and the lattice solutions of each grid x grid pair.  Every
+decomposition gamma = alpha + beta is a candidate, and at any other
+candidate one factor reads zero, so no alpha needs a membership test.  A
+factor with no grid (a finite series, say) is taken as f, so that every
+candidate is fixed: a stencil.  f is read at a fixed alpha once, where g
+is first nonzero, and at the other candidates before g, so a caller's
+oracle (`Space.lazy`, a family sum) is called only where the sum over the
+decompositions reads it.  The product's certificate is the product set of
+its factors' certificates (`DescribedSet.minkowski`, which drops a
+repeated atom by its structure, formatting nothing), and a shift is a
+product with a monomial.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
@@ -45,7 +49,7 @@ memo, so each costs its candidates once, on any grid, and a deep lookup
 uses no Python recursion.  `neumann_sum` keeps the literal weighted sum of
 powers, each read on the frame of its grid.  `truncate` lists the
 certificate's points up to the bound on the series' frame, or on a frame of
-its atoms for a finite or a caller's series (a grid through
+its parts for a finite or a caller's series (a grid through
 `gridsolve.grid_points_upto`, in closed form in one variable), reads each
 there and keeps the nonzero terms; on a framed universe their keys are
 those frame coordinates, and no monomial is decoded.  Every coefficient is
@@ -58,8 +62,8 @@ from math import lcm
 from operator import add, sub
 
 from .gridsolve import weight
-from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom
-from .series import FiniteSeries, LazySeries, SeriesError, _atom_vectors, _Frame, _listed
+from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms
+from .series import FiniteSeries, LazySeries, SeriesError, _Frame, _listed
 
 
 class HahnError(SeriesError):
@@ -89,24 +93,35 @@ def _check_hahn(f):
     return _grid_atoms(f.certificate)
 
 
-def _alphas(frame, f_atoms, g_atoms):
-    """The candidates alpha of gamma = alpha + beta, alpha in f_atoms and
-    beta in g_atoms, in frame coordinates, as (fixed, more).  `fixed` holds
-    the points of f's `_listed` atoms (`_Frame.listed`), the same for every
-    gamma (the stencil); more(gamma) is the set of gamma minus each
-    element of g's listed atoms and of the lattice solutions of each grid x
-    grid pair, for f's grids, without the fixed alphas, or None when f has
-    no grid.  Every decomposition is among the candidates, each alpha once;
-    at any other, f or g is zero (`reader`).  Lattices are built once, here,
-    not per coefficient."""
-    fixed = frame.listed(f_atoms)
-    grids_f = [a for a in f_atoms if not _listed(a)]
+def _parts(f):
+    """f's parts of a frame (`_Frame`), once f is checked as by
+    `_check_hahn`: a finite series is its own part, whose points are its
+    table's keys (its certificate, one finite atom, needs no check), and
+    any other series gives its certificate's atoms."""
+    if isinstance(f, FiniteSeries):
+        _check_monoid(f)
+        return (f,)
+    return _check_hahn(f)
+
+
+def _alphas(frame, f_parts, g_parts):
+    """The candidates alpha of gamma = alpha + beta, alpha in f_parts and
+    beta in g_parts (parts of the frame, `_parts`), in frame coordinates,
+    as (fixed, more).  `fixed` holds the points of f's `_listed` parts
+    (`_Frame.listed`), the same for every gamma (the stencil); more(gamma)
+    is the set of gamma minus each point of g's listed parts and of the
+    lattice solutions of each grid x grid pair, for f's grids, without the
+    fixed alphas, or None when f has no grid.  Every decomposition is among
+    the candidates, each alpha once; at any other, f or g is zero
+    (`reader`).  Lattices are built once, here, not per coefficient."""
+    fixed = frame.listed(f_parts)
+    grids_f = [a for a in f_parts if not _listed(a)]
     if not grids_f:
         return fixed, None
-    listed_g = frame.listed(g_atoms)
+    listed_g = frame.listed(g_parts)
     solvers = []
     for af in grids_f:
-        for ag in g_atoms:
+        for ag in g_parts:
             if not _listed(ag):
                 # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
                 lattice = frame.grid_lattice(af.steps + ag.steps)
@@ -172,7 +187,7 @@ def cauchy_product(f, g, space=None):
         _check_monoid(f)
         _check_monoid(g)
     else:
-        f_atoms, g_atoms = _check_hahn(f), _check_hahn(g)
+        f_parts, g_parts = _parts(f), _parts(g)
     if f.universe != g.universe or f.field != g.field:
         raise HahnError("product across different universes or fields")
     u, field = f.universe, f.field
@@ -189,10 +204,10 @@ def cauchy_product(f, g, space=None):
                 acc.setdefault(key_sum(a, b), []).append((ca, cb))
         return FiniteSeries._derived(out, scale, ((k, field.dot(p)) for k, p in acc.items()))
     cert = f.certificate.minkowski(g.certificate)
-    frame = _Frame(u, f_atoms + g_atoms)
-    if all(map(_listed, g_atoms)) and not all(map(_listed, f_atoms)):
-        f, g, f_atoms, g_atoms = g, f, g_atoms, f_atoms
-    fixed, more = _alphas(frame, f_atoms, g_atoms)
+    frame = _Frame(u, f_parts + g_parts)
+    if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
+        f, g, f_parts, g_parts = g, f, g_parts, f_parts
+    fixed, more = _alphas(frame, f_parts, g_parts)
     read_f, read_g = frame.reader(f), frame.reader(g)
     stencil = _stencil(read_f, fixed)
 
@@ -219,8 +234,16 @@ def product_many(series):
 def leading_term(f, window=32):
     """(least support monomial, coefficient), or None when the first `window`
     certificate elements all carry zero (the 'zero-to-window' verdict)."""
-    _check_hahn(f)
+    _parts(f)
     return next(f.window_terms(window), None)
+
+
+def _atom_vectors(u, atom):
+    """The vectors of an atom of a Hahn certificate: its elements when
+    `_listed`, else its origin and then its step vectors."""
+    if _listed(atom):
+        return [u.vectorize(e) for e in atom.elements()]
+    return [u.vectorize(atom.origin)] + atom.vectors
 
 
 def _power_grid(u, atoms):
@@ -306,7 +329,7 @@ def _positive_part_atoms(u, cert):
                     q = u.op(p, g)
                     if u.key(q) > uk:
                         out.append(GridAtom(u, q, a.steps))
-    return list(dict.fromkeys(out))
+    return _distinct_atoms(out)
 
 
 def monomial_shift(f, shift, scalar=1):
@@ -321,7 +344,7 @@ def invert_unit(f, window=32):
 
         h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
 
-    over the candidates alpha != x^g0 of `_alphas` for f's atoms and the
+    over the candidates alpha != x^g0 of `_alphas` for f's parts and the
     grid, beta = x^g0 * delta / alpha.  A beta outside the grid is dropped
     before f is read at its alpha, and an alpha where f is zero is dropped:
     a point alpha below x^g0 carries zero (`leading_term` has checked), and
@@ -329,7 +352,7 @@ def invert_unit(f, window=32):
     below delta.  As in `cauchy_product`, f is read at a fixed alpha once,
     where its beta first lies in the grid (`_stencil`).
     """
-    atoms = _check_hahn(f)
+    parts = _parts(f)
     u, field = f.universe, f.field
     if not u.is_group:
         raise HahnError("inversion needs a group universe")
@@ -349,10 +372,10 @@ def invert_unit(f, window=32):
         return f.space.delta(ginv, cinv)
     cert = cert.minkowski(point)
     grid = cert.atoms[0]
-    frame = _Frame(u, [*atoms, grid])
+    frame = _Frame(u, [*parts, grid])
     in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
-    fixed, more = _alphas(frame, atoms, [grid])
+    fixed, more = _alphas(frame, parts, [grid])
     read_f = frame.reader(f)
     fixed.pop(lead, None)
     stencil = _stencil(lambda a: -cinv * read_f(a), fixed)
@@ -398,12 +421,13 @@ def invert_unit(f, window=32):
 def truncate(f, bound):
     """Finite series equal to f on monomials <= bound, its terms in
     increasing order: the points of f's certificate up to the bound
-    (`_Frame.points_upto`), on f's frame or, for a finite or a caller's
-    series, on a frame of its atoms, each read there (`_Frame.reader`); the
-    nonzero terms are kept on that frame (`_Frame.series`)."""
-    atoms = _check_hahn(f)
-    frame = f.frame or _Frame(f.universe, atoms)
-    pts = frame.points_upto(atoms, bound)
+    (`_Frame.points_upto`; a finite series' table keys), on f's frame or,
+    for a finite or a caller's series, on a frame of its parts, each read
+    there (`_Frame.reader`); the nonzero terms are kept on that frame
+    (`_Frame.series`)."""
+    parts = _parts(f)
+    frame = f.frame or _Frame(f.universe, parts)
+    pts = frame.points_upto(parts, bound)
     if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"

@@ -7,9 +7,11 @@ Finite series store their terms on an integer frame (`FiniteSeries`), and
 monomials appear only at the public boundary: the constructors check and
 encode them, and `terms`, `window_terms`, `format`, `to_record` and
 `certificate` decode.  Lazy series carry a coefficient oracle plus a
-described support certificate; one built on a frame of its atoms
-(`_Frame`: a Hahn product, inverse or Neumann sum, or the sum of a finite
-family of finite series) takes frame coordinates.  `Space.lazy`, the entry for a caller's oracle,
+described support certificate; one built on a frame of its parts
+(`_Frame`: a Hahn product, inverse or Neumann sum, the sum of a finite
+family of finite series, or the Euler derivation's image of one of those)
+takes frame coordinates.  A finite part gives the frame its table's keys
+and scale as they are.  `Space.lazy`, the entry for a caller's oracle,
 is the one place a certificate is checked against the bornology; the
 operations here and in `hahn`, `strmap` and `slalg` build their lazy
 results on certificates they derive.  A monomial is checked once, where it
@@ -31,7 +33,7 @@ from itertools import islice
 from math import lcm
 
 from .bornology import Verdict, perp
-from .gridsolve import Lattice, grid_points_upto
+from .gridsolve import Lattice, grid_points_upto, scaled, unscaled
 from .sets import DescribedSet, FiniteAtom, described_intersection
 from .scalars import QQ
 from .universe import MonomialUniverse, Naturals, UniverseError, Value
@@ -312,56 +314,68 @@ class LazySeries(Series):
         return self._cert
 
 
-def _listed(atom):
-    """True for an atom of a Hahn certificate read by its elements (a
-    finite atom or a counted progression); any other is read by its origin
-    and steps."""
-    return isinstance(atom, FiniteAtom) or atom.count is not None
+def _listed(part):
+    """True for a part of a frame read by its points (a finite series, whose
+    points are its table's keys, a finite atom or a counted progression);
+    any other part, a grid atom, is read by its origin and steps."""
+    return isinstance(part, (FiniteSeries, FiniteAtom)) or part.count is not None
 
 
-def _atom_vectors(u, atom):
-    """The vectors of an atom of a Hahn certificate: its elements when
-    `_listed`, else its origin and then its step vectors."""
-    if _listed(atom):
-        return [u.vectorize(e) for e in atom.elements()]
-    return [u.vectorize(atom.origin)] + atom.vectors
+def _part_scale(u, part):
+    """The least scale whose frame holds a part's points: a finite series'
+    own scale, a finite atom's lcm of its elements' denominators, an
+    arithmetic atom's of its origin's and steps'."""
+    if isinstance(part, FiniteSeries):
+        return part.scale
+    if isinstance(part, FiniteAtom):
+        return lcm(*map(u.denominator, part.els))
+    return lcm(u.denominator(part.origin), *map(u.denominator, part.steps))
 
 
 class _Frame:
-    """The integer coordinates shared by the atoms (finite sets, counted
-    progressions and grids) of one lazy series: a monomial encodes to an
-    int vector (None off the frame, where no sum of atom points lies).  The
-    series built on the frame keeps it, and its oracle takes these
-    coordinates; on a framed universe they are the keys a finite series
-    has on the frame's scale."""
+    """The integer coordinates shared by the parts of one lazy series: the
+    atoms (finite sets, counted progressions and grids) of its factors'
+    certificates, and its finite factors, whose table keys are their
+    points.  A monomial encodes to an int vector (None off the frame, where
+    no sum of part points lies), its vector times `scale`, the lcm of the
+    parts' scales.  The series built on the frame keeps it, and its oracle
+    takes these coordinates; on a framed universe they are the keys a
+    finite series has on the frame's scale."""
 
-    def __init__(self, u, atoms):
+    def __init__(self, u, parts):
         self.u = u
-        self.points = [v for a in atoms for v in _atom_vectors(u, a)]
-        self.lattice = Lattice((), self.points)
+        self.scale = lcm(*(_part_scale(u, p) for p in parts))
 
     def encode(self, el):
-        return self.lattice.scaled(self.u.vectorize(el))
+        return scaled(self.u.vectorize(el), self.scale)
 
     def decode(self, t):
-        return self.u.devectorize(self.lattice.unscaled(t))
+        return self.u.devectorize(unscaled(t, self.scale))
 
-    def listed(self, atoms):
-        """The frame coordinates of the elements of the `_listed` atoms
-        among `atoms`, as the keys of a dict."""
-        return dict.fromkeys(self.encode(e) for a in atoms if _listed(a) for e in a.elements())
+    def listed(self, parts):
+        """The frame coordinates of the points of the `_listed` parts among
+        `parts`, as the keys of a new dict whose values are all None: a
+        finite series' table keys on this frame, the elements of a listed
+        atom encoded."""
+        out = {}
+        for p in parts:
+            if isinstance(p, FiniteSeries):
+                out.update(dict.fromkeys(self.table(p)))
+            elif _listed(p):
+                out.update(dict.fromkeys(map(self.encode, p.elements())))
+        return out
 
     def table(self, f):
         """The finite series f's table on this frame's coordinates; f's
         terms lie on the frame."""
         if self.u.framed:
-            return f.on_scale(self.lattice.scale)
+            return f.on_scale(self.scale)
         return {self.encode(g): c for g, c in f.table.items()}
 
     def series(self, space, items):
         """The finite series of (frame coordinates, field value) pairs."""
         if self.u.framed:
-            return FiniteSeries._derived(space, self.lattice.scale, items)
+            return FiniteSeries._derived(space, self.scale, items)
         # decode checks the monomial through `devectorize`
         return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
 
@@ -387,7 +401,7 @@ class _Frame:
                 return read_el(gamma)
 
             return read
-        at, own, scale = f.at, f.frame.lattice.scale, self.lattice.scale
+        at, own, scale = f.at, f.frame.scale, self.scale
         if own == scale:
             return at
 
@@ -403,22 +417,22 @@ class _Frame:
         return read
 
     def grid_lattice(self, generators):
-        """The `Lattice` of generators (elements of the frame's atoms), on
+        """The `Lattice` of generators (points of the frame's parts), on
         this frame."""
-        return Lattice([self.u.vectorize(g) for g in generators], self.points)
+        return Lattice.on_frame([self.encode(g) for g in generators], self.scale)
 
-    def points_upto(self, atoms, bound):
-        """The points of `atoms` (on this frame) that are <= bound, as
+    def points_upto(self, parts, bound):
+        """The points of `parts` (on this frame) that are <= bound, as
         sorted frame coordinates, or None when a grid's walk abstains
         (`grid_points_upto`).  The bound is compared exactly, off the frame
         too.  A grid walks on its own `frame`, whose `Lattice` caches its
         Apery table, and its points are scaled onto this frame: that scale
         divides this one, as the grid's points are sums of this frame's
         points."""
-        vec, scale = self.u.vectorize(bound), self.lattice.scale
+        vec, scale = self.u.vectorize(bound), self.scale
         top = tuple([c * scale for c in vec])
-        out = {t for t in self.listed(atoms) if t <= top}
-        for atom in atoms:
+        out = {t for t in self.listed(parts) if t <= top}
+        for atom in parts:
             if _listed(atom):
                 continue
             lattice, origin = atom.frame
@@ -658,7 +672,7 @@ def family_sum(fam, weights=None, precheck=True, window=32):
     if weights is None:
         weights = lambda i: field.one
     if finite and u.dim is not None:
-        frame = _Frame(u, fam.union_cert.atoms)
+        frame = _Frame(u, members)
         tables = list(enumerate(map(frame.table, members)))
 
         def framed(t):

@@ -40,6 +40,8 @@ counted progression, and an arithmetic atom give that arithmetic atom moved
 to each of its points, of its kind and count; two uncounted arithmetic
 atoms give the grid on the product of their origins with both step lists
 (which `GridAtom` refuses when a step falls).  Any other atom has no rule.
+A product atom that repeats another is dropped by its structure (its
+element set, or its kind, origin, steps and count), with no record built.
 """
 
 from __future__ import annotations
@@ -680,10 +682,7 @@ class DescribedSet(Value):
         if other.universe != self.universe:
             raise SetError("universe mismatch in product")
         atoms = [p for a in self.atoms for b in other.atoms for p in _atom_product(a, b)]
-        if len(atoms) > 1:
-            # hashing an atom builds its record, which formats every element
-            atoms = list(dict.fromkeys(atoms))
-        return DescribedSet(self.universe, atoms)
+        return DescribedSet(self.universe, _distinct_atoms(atoms))
 
     def format(self):
         if not self.atoms:
@@ -727,6 +726,19 @@ def _atom_from_record(rec, u):
         right = set_from_record(rec["right"], u.right)
         return ProductAtom(u, left, right)
     raise SetError("unknown atom record %r" % kind)
+
+
+def _distinct_atoms(atoms):
+    """The finite and arithmetic atoms of one universe without repeats, in
+    the order first seen: equal as `Value`s, that is, with equal records,
+    exactly when they are equal as structures.  A finite atom is its set of
+    elements, an arithmetic atom its type, origin, steps and count, all in
+    the universe's normal form, so nothing is formatted."""
+    seen = {}
+    for a in atoms:
+        key = a.els if isinstance(a, FiniteAtom) else (type(a), a.origin, a.steps, a.count)
+        seen.setdefault(key, a)
+    return list(seen.values())
 
 
 def _atom_product(a, b):

@@ -119,6 +119,22 @@ def corpus():
         "(x^(1/2) + x^(1/3))^-1 * (x^(1/2) + x^(1/3))",
         "truncate((1 + x^(1/2) + x^(1/3))^-1 * (1 - x^(1/6)), x^(3/2))",
         "(e1 + 2*e3) * (e2 - e1)", "truncate(e1 + 3*e4 - e1, e3)",
+        # the Euler derivation of products, inverses, shifts and sums with
+        # exponent denominators 3, 5 and 7, whose exponents raise under fp:5
+        # or fp:7, also where the coefficient is zero
+        "derive(euler, (1 - x^(1/3))^-1)",
+        "truncate(derive(euler, (1 + x^(1/5) - 2*x^(2/5))^-1), x^2)",
+        "derive(euler, (1 - x^(1/7))^-1 * (x^(2/7) + 3*x))",
+        "truncate(derive(euler, (x^(1/3) + 2*x^(2/5)) * (1 - x^(1/5))^-1), x^(7/5))",
+        "derive(euler, shift((1 - x^(1/5))^-1, x^(2/3)))",
+        "derive(euler, x^(3/7) + 2*x^(5/7) - x)",
+        "truncate(derive(euler, (1 - x^(2/7) - x^(3/7))^-1), x^2)",
+        "truncate(derive(euler, (1 - x^(1/7))^-1 * (1 - x^(1/7))), x^2)",
+        "truncate(derive(euler, (1 - x^(1/5))^-1 * (1 - x^(1/5))), x)",
+        "derive(euler, derive(euler, (2 + x^(1/3))^-1 * (1 - x^(1/3))))",
+        "pair(derive(euler, (1 - x^(1/5))^-1), x^(3/5) + x^2)",
+        "derive(euler, x^(1/5) + 3*x^(2/5))^-1",
+        "truncate(derive(euler, sum(grid(x^(1/7); x^(2/7)), n -> n)), x^2)",
     ]
     rng = random.Random("cli-differential:0")
     for _ in range(SIZE):

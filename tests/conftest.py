@@ -37,6 +37,16 @@ def invoke(args, input=None):
     return Result(code, out.getvalue(), exception)
 
 
+def outcome(fn, catch=Exception):
+    """("ok", value) of fn(), or ("raised", type, text) of the `catch`
+    exception it raises, so two ways to the same result compare raise and
+    all."""
+    try:
+        return ("ok", fn())
+    except catch as exc:
+        return ("raised", type(exc), str(exc))
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block once `seconds` of wall time pass, so a

@@ -620,6 +620,27 @@ def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
                 and any(x.contains(b) for x in g_side)} == want
 
 
+@pytest.mark.parametrize("unit", ["finite", "product"])
+def test_a_puiseux_inverse_and_its_truncation_build_no_atom_record(monkeypatch, unit):
+    # an atom's record formats every element; the product sets of the
+    # certificates drop repeated atoms by their structure instead
+    records = []
+    for cls in (FiniteAtom, ProgressionAtom, GridAtom):
+        def spy(self, _orig=cls.to_record):
+            records.append(self)
+            return _orig(self)
+
+        monkeypatch.setattr(cls, "to_record", spy)
+    f = SP.series({m(0): 2, m(Fraction(1, 2)): 1, m(Fraction(2, 3)): -3})
+    if unit == "product":
+        f = cauchy_product(SP.series({m(0): 1, m(Fraction(1, 3)): 1}),
+                           invert_unit(SP.series({m(0): 1, m(Fraction(1, 2)): -1})))
+    records.clear()
+    h = truncate(invert_unit(f), m(2))
+    assert records == []
+    assert truncate(cauchy_product(f, h), m(2)).terms == {X.unit: 1}
+
+
 def test_deep_inverse_coefficient_needs_no_deep_recursion():
     # x^2000 of 1/(1 - x - x^2) is F(2001), asked cold at the default
     # recursion limit; the values below it are filled without recursion

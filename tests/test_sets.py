@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
+from conftest import outcome, time_limit
 from sigmavect.bornology import (
     Verdict,
     all_subsets,
@@ -35,6 +35,7 @@ from sigmavect.sets import (
     IntervalAtom,
     ProgressionAtom,
     SetError,
+    _atom_product,
     _atom_subset_of,
     _bound,
     atom_intersection,
@@ -363,6 +364,53 @@ def test_minkowski_matches_box_enumeration(data):
     t_points = {q for q in box(40) if t.contains(el(q))}
     for p in box(12):
         assert prod.contains(el(p)) == any(p - a in t_points for a in s_points), p
+
+
+def _twin(u, atom):
+    """The atom built again from coordinates of the other type: an integral
+    exponent given as an int is given as Fraction(n), and the other way
+    round.  The naturals and the integers take ints alone."""
+    def flip(c):
+        return Fraction(c) if type(c) is int else int(c) if c.denominator == 1 else c
+
+    def el(e):
+        if u is N or u is Z:
+            return e
+        return tuple(map(flip, e)) if isinstance(e, tuple) else flip(e)
+
+    if isinstance(atom, FiniteAtom):
+        return FiniteAtom(u, [el(e) for e in atom.els])
+    if isinstance(atom, GridAtom):
+        return GridAtom(u, el(atom.origin), [el(g) for g in atom.steps])
+    return ProgressionAtom(u, el(atom.origin), el(atom.steps[0]), atom.count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minkowski_dedupes_its_atoms_as_their_records_do(data):
+    """minkowski drops a repeated product atom by its structure (a finite
+    atom's element set; an arithmetic atom's type, origin, steps and count),
+    not by its record, and keeps the same atoms, in the same order, as a
+    dedupe by record.  Each factor atom also comes twice, once built from
+    the other coordinate type, so the products repeat."""
+    universe = data.draw(st.sampled_from(PRODUCT_UNIVERSES))
+    u = universe[0]
+    s, t = data.draw(_product_factor(universe)), data.draw(_product_factor(universe))
+    s = DescribedSet(u, s.atoms + tuple(_twin(u, a) for a in s.atoms))
+    got = outcome(lambda: s.minkowski(t), SetError)
+    want = outcome(lambda: DescribedSet(u, list(dict.fromkeys(
+        p for a in s.atoms for b in t.atoms for p in _atom_product(a, b)))), SetError)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].to_record() == want[1].to_record()
+
+
+def test_minkowski_keeps_atoms_that_differ_in_kind_or_count_only():
+    s = DescribedSet(X1, [ProgressionAtom(X1, (0,), (1,), 2), ProgressionAtom(X1, (0,), (1,)),
+                          GridAtom(X1, (0,), [(1,)]), ProgressionAtom(X1, (0,), (1,), 3),
+                          GridAtom(X1, (Fraction(0),), [(Fraction(1),)])])
+    prod = s.minkowski(DescribedSet.finite(X1, [(0,), (Fraction(0),)]))
+    assert prod.format() == "prog(1; x; count=2) | prog(1; x) | grid(1; x) | prog(1; x; count=3)"
 
 
 def test_minkowski_refuses_other_atoms():

@@ -10,15 +10,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import outcome
 from sigmavect.bornology import Verdict, all_subsets, finite_subsets, generate, well_ordered
-from sigmavect.hahn import cauchy_product, invert_unit
-from sigmavect.scalars import QQ
-from sigmavect.series import SeriesError, Space, add, family_sum, finite_family, scale
+from sigmavect.hahn import cauchy_product, invert_unit, neumann_sum, truncate
+from sigmavect.scalars import GF, QQ
+from sigmavect.series import (
+    FiniteSeries,
+    LazySeries,
+    SeriesError,
+    Space,
+    add,
+    family_sum,
+    finite_family,
+    scale,
+)
 from sigmavect.sets import DescribedSet
 from sigmavect.slalg import (
     AlgebraError,
     BornologicalMonoid,
+    Derivation,
     ModuleAction,
     euler_derivation,
     extend_derivation,
@@ -109,6 +122,85 @@ def test_euler_strong_linearity_on_families():
     for i in fam.index:
         rhs = add(rhs, scale(w[i], D.apply(fam.member(i))))
     assert lhs.eq_window(rhs)
+
+
+def _seen(f, probes, bound):
+    """What a reader sees of a series: its kind, the record of its
+    certificate, its coefficients (with their types) at the probes and its
+    sorted terms up to `bound`, each an outcome, so a raise is seen too."""
+    def coeff(g):
+        c = f.coeff(g)
+        return c, type(c)
+
+    def upto():
+        t = f if isinstance(f, FiniteSeries) else truncate(f, bound)
+        return [(g, c, type(c)) for g, c in t.window_terms(len(t.table))]
+
+    return (type(f), f.certificate.to_record(),
+            [outcome(lambda: coeff(g)) for g in probes], outcome(upto))
+
+
+# exponents k/d with denominators 1 to 7, coefficients that no prime here divides
+EXPONENT = st.builds(Fraction, st.integers(0, 10), st.integers(1, 7))
+COEFF = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, GF(5), GF(7)]),
+       st.sampled_from(["finite", "product", "inverse", "neumann"]),
+       st.dictionaries(EXPONENT, COEFF, min_size=1, max_size=3),
+       st.dictionaries(EXPONENT.filter(bool), COEFF, min_size=1, max_size=2))
+def test_euler_matches_the_generic_derivation(field, kind, a, b):
+    """The Euler derivation reads a finite series' table and a framed
+    series on its frame; a generic `Derivation` with the same monomial
+    action reads one image series per monomial.  They agree on the image's
+    kind, certificate record, coefficients and their types, terms up to a
+    bound, and on the type and text of anything raised, where the prime
+    divides an exponent's denominator too."""
+    sp = Space(field, X, well_ordered(X))
+    finite = sp.series({m(q): c for q, c in a.items()})
+    unit = sp.series({m(0): 1, **{m(q): c for q, c in b.items()}})
+    eps = sp.series({m(q): c for q, c in b.items()})
+    f = {"finite": lambda: finite, "product": lambda: cauchy_product(finite, invert_unit(unit)),
+         "inverse": lambda: invert_unit(unit), "neumann": lambda: neumann_sum(eps)}[kind]()
+    euler = euler_derivation(sp)
+    generic = Derivation(sp, euler.action, lambda d: [d], lambda s: s)
+    got, want = outcome(lambda: euler.apply(f)), outcome(lambda: generic.apply(f))
+    assert got[:1] == want[:1] and (got[0] == "ok" or got == want)
+    if got[0] == "raised":
+        return
+    probes = sorted({m(Fraction(k, d)) for d in range(1, 8) for k in range(0, 8)})
+    assert _seen(got[1], probes, m(1)) == _seen(want[1], probes, m(1))
+
+
+@pytest.mark.parametrize("kind", ["product", "inverse", "neumann"])
+def test_euler_keeps_a_framed_series_on_its_frame(kind):
+    # the image of a Hahn product, inverse or Neumann sum is a lazy series
+    # on that series' own frame, so its truncation reads frame ints; the
+    # generic rule gives a frameless series with the same terms
+    y = SP.series({m(0): 1, m(Fraction(1, 2)): -1, m(Fraction(1, 3)): 2})
+    eps = SP.series({m(Fraction(1, 2)): 1, m(Fraction(2, 3)): -1})
+    f = {"product": lambda: cauchy_product(y, invert_unit(add(y, eps))),
+         "inverse": lambda: invert_unit(y), "neumann": lambda: neumann_sum(eps)}[kind]()
+    euler = euler_derivation(SP)
+    img = euler.apply(f)
+    generic = Derivation(SP, euler.action, lambda d: [d], lambda s: s).apply(f)
+    assert isinstance(img, LazySeries) and img.frame is f.frame is not None
+    assert generic.frame is None
+    assert truncate(img, m(2)).terms == truncate(generic, m(2)).terms
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_euler_raises_on_the_certificate_where_a_coefficient_is_zero(p):
+    # (1 - x^(1/p))^-1 * (1 - x^(1/p)) is 1, but its certificate holds
+    # x^(1/p), whose exponent has no value in GF(p): the image raises there,
+    # as the generic rule does, and nowhere off the certificate
+    sp = Space(GF(p), X, well_ordered(X))
+    y = sp.series({m(0): 1, m(Fraction(1, p)): -1})
+    img = euler_derivation(sp).apply(cauchy_product(invert_unit(y), y))
+    assert img.coeff(m(Fraction(-1, p))) == 0
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by %d" % p):
+        img.coeff(m(Fraction(1, p)))
 
 
 def test_euler_refuses_a_series_of_another_bornology():
