@@ -32,37 +32,48 @@ listed parts and the lattice solutions of each grid x grid pair.  Every
 decomposition gamma = alpha + beta is a candidate, and at any other
 candidate one factor reads zero, so no alpha needs a membership test.  A
 factor with no grid (a finite series, say) is taken as f, so that every
-candidate is fixed: a stencil.  f is read at a fixed alpha once, where g
-is first nonzero, and at the other candidates before g, so a caller's
-oracle (`Space.lazy`, a family sum) is called only where the sum over the
-decompositions reads it.  The product's certificate is the product set of
-its factors' certificates (`DescribedSet.minkowski`, which drops a
-repeated atom by its structure, formatting nothing), and a shift is a
-product with a monomial.
+candidate is fixed: a stencil.  A finite f is its table, read once; any
+other f is read at a fixed alpha once, where g is first nonzero, and at
+the other candidates before g, so a caller's oracle (`Space.lazy`, a
+family sum) is called only where the sum over the decompositions reads
+it.  The product's certificate is the product set of its factors'
+certificates (`DescribedSet.minkowski`, which drops a repeated atom by its
+structure, formatting nothing, and whose atoms moved to each point of a
+finite factor share one `Lattice`), and a shift is a product with a
+monomial.
 
 Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
 with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
 times ([delta = x^-g0] minus the other terms f(alpha) h(beta)) over the same
-candidates, each beta strictly below delta and in the inverse's grid.  The
-coefficients are filled bottom-up from an explicit stack into the inverse's
-memo, so each costs its candidates once, on any grid, and a deep lookup
-uses no Python recursion.  `neumann_sum` keeps the literal weighted sum of
-powers, each read on the frame of its grid.  `truncate` lists the
-certificate's points up to the bound on the series' frame, or on a frame of
-its parts for a finite or a caller's series (a grid through
-`gridsolve.grid_points_upto`, in closed form in one variable), reads each
-there and keeps the nonzero terms; on a framed universe their keys are
-those frame coordinates, and no monomial is decoded.  Every coefficient is
-one `Field.dot` of its pairs, normalized once.
+candidates, each beta strictly below delta and in the inverse's grid.  One
+body gives those terms to two walks, which fill the inverse's memo, so
+each coefficient costs its candidates once and no Python recursion is
+used.  `truncate` sweeps: it fills the grid's points up to the bound in
+increasing order, so every beta is already in the memo or off the grid.
+Random access (`coeff`) walks an explicit stack down from delta, testing
+each beta for membership in the grid; it serves any grid, also one whose
+points below a bound cannot be listed.  `neumann_sum` keeps the literal
+weighted sum of powers, each read on the frame of its grid.
+
+`truncate` lists the certificate's points up to the bound on the series'
+frame, or on a frame of its parts for a finite or a caller's series (a
+grid through `gridsolve.grid_points_upto`, in closed form in one
+variable).  A product or an inverse fills them in one increasing sweep (a
+product first has its other factor sweep as far as its stencil reaches,
+and then reads that factor's memo); any other series is read at each.
+The nonzero terms are kept, on a framed universe keyed by those frame
+coordinates, and no monomial is decoded.  Every coefficient is one
+`Field.dot` of its pairs, normalized once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
 from .gridsolve import weight
-from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms
+from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms, _moved
 from .series import FiniteSeries, LazySeries, SeriesError, _Frame, _listed
 
 
@@ -145,13 +156,24 @@ def _alphas(frame, f_parts, g_parts):
     return fixed, more
 
 
-def _stencil(read, fixed):
-    """The reads at the fixed alphas of `_alphas`, each made once:
-    read(alpha) is made the first time the other factor is nonzero at beta
-    = gamma - alpha, and made again next time if it raises.  pairs(gamma,
-    other) gives (read(alpha), other(beta)) where both are nonzero, and
-    calls other at every alpha read so far, in the order read, before the
-    unread ones."""
+def _stencil(frame, f, fixed, scalar=None):
+    """pairs(gamma, other): the pairs (scalar * f(alpha), other(beta)),
+    beta = gamma - alpha, over the fixed alphas of `_alphas` where both are
+    nonzero (scalar 1 when None).  A finite f is its table on the frame,
+    read once.  Any other f is read at an alpha once, the first time other
+    is nonzero at its beta, and again next time if it raises; other is
+    called at every alpha read so far, in the order read, before the unread
+    ones, so a caller's oracle is read only where a decomposition needs
+    it."""
+    if isinstance(f, FiniteSeries):
+        table = frame.table(f)
+        items = [(a, table[a] if scalar is None else scalar * table[a]) for a in fixed]
+
+        def pairs(gamma, other):
+            return [(c, v) for a, c in items if (v := other(tuple(map(sub, gamma, a))))]
+
+        return pairs
+    read = frame.reader(f)
     seen, unread = [], dict(fixed)
 
     def pairs(gamma, other):
@@ -160,6 +182,8 @@ def _stencil(read, fixed):
             v = other(tuple(map(sub, gamma, a)))
             if v:
                 c = read(a)
+                if scalar is not None:
+                    c = scalar * c
                 del unread[a]
                 seen.append((c, a))
                 if c:
@@ -175,9 +199,15 @@ def cauchy_product(f, g, space=None):
     sums f(alpha) g(gamma - alpha) over the candidates of `_alphas`, with a
     factor that has no grid, when there is one, as f, so that every
     candidate is fixed.  f is read at a fixed alpha once, where g is first
-    nonzero (`_stencil`), and at the other candidates before g, which is
-    then read only where f is nonzero: a caller's oracle is called only
-    where the sum over the decompositions reads it.
+    nonzero (`_stencil`; a finite f is its table), and at the other
+    candidates before g, which is then read only where f is nonzero: a
+    caller's oracle is called only where the sum over the decompositions
+    reads it.
+
+    The product's sweep (`truncate`) lists its certificate's points up to a
+    bound and, when every candidate is fixed, first has g fill its own
+    memo by its sweep as far as the stencil reaches, so that each
+    coefficient reads g there, a point missing from it being zero.
 
     The optional space overrides the output's (used by module actions, where
     the two factors live in different spaces)."""
@@ -208,10 +238,10 @@ def cauchy_product(f, g, space=None):
     if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
         f, g, f_parts, g_parts = g, f, g_parts, f_parts
     fixed, more = _alphas(frame, f_parts, g_parts)
-    read_f, read_g = frame.reader(f), frame.reader(g)
-    stencil = _stencil(read_f, fixed)
+    stencil = _stencil(frame, f, fixed)
+    read_f, read_g = frame.reader(f) if more else None, frame.reader(g)
 
-    def oracle(t):
+    def coefficient(t, read_g):
         terms = stencil(t, read_g)
         for a in more(t) if more else ():
             c = read_f(a)
@@ -219,7 +249,26 @@ def cauchy_product(f, g, space=None):
                 terms.append((c, read_g(tuple(map(sub, t, a)))))
         return field.dot(terms)
 
-    return LazySeries(out, oracle, cert, frame)
+    def sweep(vec):
+        pts = frame.points_upto(cert.atoms, vec)
+        if pts is not None:
+            read = read_g
+            if fixed and not more and g._sweep is not None:
+                # g swept up to vec over the least alpha holds every beta
+                # the stencil reads, and reads None, as zero, off its points
+                least = min(fixed)
+                low = tuple([c - Fraction(a, frame.scale) for c, a in zip(vec, least)])
+                if g._sweep(low) is not None:
+                    read = frame.reader(g, swept=True)
+            memo = product._memo
+            for t in pts:
+                if t not in memo:
+                    memo[t] = coefficient(t, read)
+        return pts
+
+    product = LazySeries(out, lambda t: coefficient(t, read_g), cert, frame)
+    product._sweep = sweep
+    return product
 
 
 def product_many(series):
@@ -238,14 +287,6 @@ def leading_term(f, window=32):
     return next(f.window_terms(window), None)
 
 
-def _atom_vectors(u, atom):
-    """The vectors of an atom of a Hahn certificate: its elements when
-    `_listed`, else its origin and then its step vectors."""
-    if _listed(atom):
-        return [u.vectorize(e) for e in atom.elements()]
-    return [u.vectorize(atom.origin)] + atom.vectors
-
-
 def _power_grid(u, atoms):
     """The certificate for the powers of a series eps whose certificate
     atoms, checked by `_grid_atoms`, are `atoms`: the grid on the unit that
@@ -254,6 +295,7 @@ def _power_grid(u, atoms):
     them lies above the unit, that is, unless Supp(eps) > 1.
     """
     uk = u.key(u.unit)
+    gens = {}
     for a in atoms:
         finite = _listed(a)
         for e in a.elements() if finite else [a.origin]:
@@ -262,8 +304,11 @@ def _power_grid(u, atoms):
                     "%s %s is not above the unit"
                     % ("certificate element" if finite else "grid base", u.format(e))
                 )
-    gens = list(dict.fromkeys(u.devectorize(v) for a in atoms for v in _atom_vectors(u, a)))
-    return DescribedSet.grid(u, u.unit, gens) if gens else None
+            gens[e] = None
+        if not finite:
+            gens.update(dict.fromkeys(a.steps))
+    # checked elements above the unit: a grid that needs no check
+    return DescribedSet(u, [GridAtom._derived(u, u.unit, gens)]) if gens else None
 
 
 def neumann_sum(eps, coeffs=None):
@@ -315,7 +360,7 @@ def _positive_part_atoms(u, cert):
         if _listed(a):
             keep = [e for e in a.elements() if u.key(e) > uk]
             if keep:
-                out.append(FiniteAtom(u, keep))
+                out.append(FiniteAtom._derived(u, keep))
         elif u.key(a.origin) > uk:
             out.append(a)
         else:
@@ -324,11 +369,8 @@ def _positive_part_atoms(u, cert):
                 raise HahnError(
                     "cannot split certificate atom %s at the unit" % a.format()
                 )
-            for p in low:
-                for g in a.steps:
-                    q = u.op(p, g)
-                    if u.key(q) > uk:
-                        out.append(GridAtom(u, q, a.steps))
+            moved = [q for p in low for g in a.steps if u.key(q := u.op(p, g)) > uk]
+            out.extend(_moved(a, moved, GridAtom))
     return _distinct_atoms(out)
 
 
@@ -345,12 +387,20 @@ def invert_unit(f, window=32):
         h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
 
     over the candidates alpha != x^g0 of `_alphas` for f's parts and the
-    grid, beta = x^g0 * delta / alpha.  A beta outside the grid is dropped
-    before f is read at its alpha, and an alpha where f is zero is dropped:
-    a point alpha below x^g0 carries zero (`leading_term` has checked), and
-    its beta, which lies above delta, is never pushed; every other beta lies
-    below delta.  As in `cauchy_product`, f is read at a fixed alpha once,
-    where its beta first lies in the grid (`_stencil`).
+    grid, beta = x^g0 * delta / alpha.  One body (`below`) gives the pairs
+    of that sum, with h(beta) read by a test it is handed; an alpha where f
+    is zero is dropped, and a point alpha below x^g0 carries zero
+    (`leading_term` has checked).  As in `cauchy_product`, f is read at a
+    fixed alpha once, where that test first passes (`_stencil`).
+
+    Two walks fill the series' memo by that body.  The sweep (`truncate`)
+    lists the grid's points up to a bound in increasing order and fills
+    each from the memo: every beta below delta on the grid is already
+    there, and one missing from it is off the grid, so zero.  Random access
+    (`coeff`, `window_terms`) walks an explicit stack from delta down: it
+    tests each beta for membership in the grid, fills the missing ones
+    first and then delta, so a deep lookup uses no Python recursion, also
+    on a grid whose points below a bound cannot be listed.
     """
     parts = _parts(f)
     u, field = f.universe, f.field
@@ -364,7 +414,7 @@ def invert_unit(f, window=32):
     point = DescribedSet.finite(u, [ginv])
     if isinstance(f, FiniteSeries):
         # listed in the order of f.terms, which fixes the grid generators' order
-        above = [FiniteAtom(u, [u.op(ginv, g) for g in f.terms if g != g0])]
+        above = [FiniteAtom._derived(u, [u.op(ginv, g) for g in f.terms if g != g0])]
     else:
         above = _positive_part_atoms(u, f.certificate.minkowski(point))
     cert = _power_grid(u, above)
@@ -376,20 +426,26 @@ def invert_unit(f, window=32):
     in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
     fixed, more = _alphas(frame, parts, [grid])
-    read_f = frame.reader(f)
     fixed.pop(lead, None)
-    stencil = _stencil(lambda a: -cinv * read_f(a), fixed)
+    stencil = _stencil(frame, f, fixed, -cinv)
+    read_f = frame.reader(f) if more else None
 
-    def below(top):
-        """The pairs (-c^-1 * f(alpha), beta) of top's equation."""
+    def below(top, other):
+        """The pairs (-c^-1 * f(alpha), other(beta)) of top's equation
+        where both are nonzero."""
         gamma = tuple(map(add, top, lead))
-        terms = stencil(gamma, in_grid)  # a beta off the grid is dropped
-        # a grid x grid solution of `more` has its beta in the grid
+        terms = stencil(gamma, other)
         for a in more(gamma) if more else ():
             ca = read_f(a) if a != lead else None
-            if ca:
-                terms.append((-cinv * ca, tuple(map(sub, gamma, a))))
+            if ca and (v := other(tuple(map(sub, gamma, a)))):
+                terms.append((-cinv * ca, v))
         return terms
+
+    def solve(top, terms):
+        """h(top) from the pairs (-c^-1 * f(alpha), h(beta)) of `below`."""
+        if top == start:
+            terms.append((cinv, field.one))
+        return field.dot(terms)
 
     def oracle(t):
         if not in_grid(t):
@@ -400,20 +456,25 @@ def invert_unit(f, window=32):
             if top in values:
                 continue
             if terms is None:
-                terms = below(top)
+                terms = below(top, in_grid)  # the pairs' betas, off the grid dropped
                 missing = [b for _, b in terms if b not in values]
                 if missing:
                     # revisit top once everything below it is filled
                     stack.append((top, terms))
                     stack.extend((b, None) for b in missing)
                     continue
-            rhs = [(c, values[b]) for c, b in terms]
-            if top == start:
-                rhs.append((cinv, field.one))
-            values[top] = field.dot(rhs)
+            values[top] = solve(top, [(c, values[b]) for c, b in terms])
         return values[t]
 
+    def sweep(vec):
+        pts = frame.points_upto(cert.atoms, vec)
+        for t in pts or ():
+            if t not in values:
+                values[t] = solve(t, below(t, values.get))
+        return pts
+
     inverse = LazySeries(f.space, oracle, cert, frame)
+    inverse._sweep = sweep
     values = inverse._memo  # the fixed point fills the series' own memo
     return inverse
 
@@ -422,20 +483,21 @@ def truncate(f, bound):
     """Finite series equal to f on monomials <= bound, its terms in
     increasing order: the points of f's certificate up to the bound
     (`_Frame.points_upto`; a finite series' table keys), on f's frame or,
-    for a finite or a caller's series, on a frame of its parts, each read
-    there (`_Frame.reader`); the nonzero terms are kept on that frame
+    for a finite or a caller's series, on a frame of its parts.  A product
+    or an inverse fills its memo there in one increasing sweep
+    (`Series._sweep`); any other series is read at each point
+    (`_Frame.reader`).  The nonzero terms are kept on that frame
     (`_Frame.series`)."""
     parts = _parts(f)
     frame = f.frame or _Frame(f.universe, parts)
-    pts = frame.points_upto(parts, bound)
+    vec = f.universe.vectorize(bound)
+    if f._sweep is not None:
+        pts, read = f._sweep(vec), f._memo.__getitem__
+    else:
+        pts, read = frame.points_upto(parts, vec), frame.reader(f)
     if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), f.universe.format(bound))
         )
-    read, terms = frame.reader(f), []
-    for t in pts:
-        c = read(t)
-        if c:
-            terms.append((t, c))
-    return frame.series(f.space, terms)
+    return frame.series(f.space, [(t, c) for t in pts if (c := read(t))])

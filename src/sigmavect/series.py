@@ -11,7 +11,9 @@ described support certificate; one built on a frame of its parts
 (`_Frame`: a Hahn product, inverse or Neumann sum, the sum of a finite
 family of finite series, or the Euler derivation's image of one of those)
 takes frame coordinates.  A finite part gives the frame its table's keys
-and scale as they are.  `Space.lazy`, the entry for a caller's oracle,
+and scale as they are.  A Hahn product or inverse can also fill its memo
+at every point of its certificate up to a bound, in increasing order
+(`Series._sweep`, which `hahn.truncate` runs).  `Space.lazy`, the entry for a caller's oracle,
 is the one place a certificate is checked against the bornology; the
 operations here and in `hahn`, `strmap` and `slalg` build their lazy
 results on certificates they derive.  A monomial is checked once, where it
@@ -94,6 +96,11 @@ class PairingUndecided(SeriesError):
 
 class Series:
     frame = None  # the integer coordinates a framed lazy series is kept on
+    # sweep(vec): a Hahn product's or inverse's fill of its memo at every
+    # point of its certificate up to the exponent vector vec, in increasing
+    # order, giving those points as sorted frame coordinates, or None when
+    # they cannot be listed (`hahn.truncate`)
+    _sweep = None
 
     def __init__(self, space):
         self.space = space
@@ -129,13 +136,17 @@ class Series:
         return all(self.coeff(g) == other.coeff(g) for g in probes)
 
     def to_record(self, window=32):
+        # each monomial of the window is formatted once, for the terms and
+        # for the certificate's finite atoms
+        u = self.universe
         terms = list(self.window_terms(window))
+        texts = {g: u.format(g) for g, _ in terms}
         return {
-            "universe": self.universe.to_record(),
+            "universe": u.to_record(),
             "bornology": self.bornology.to_record(),
             "kind": "finite" if isinstance(self, FiniteSeries) else "lazy",
-            "terms": [[self.universe.format(g), self.field.format(c)] for g, c in terms],
-            "certificate": self.certificate.to_record(),
+            "terms": [[texts[g], self.field.format(c)] for g, c in terms],
+            "certificate": self.certificate.to_record(texts),
         }
 
     def format(self, window=32):
@@ -379,13 +390,15 @@ class _Frame:
         # decode checks the monomial through `devectorize`
         return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
 
-    def reader(self, f):
+    def reader(self, f, swept=False):
         """f's coefficient as a function of this frame's coordinates, for a
         series f whose support lies on the frame; zero off f's certificate.
         A finite f is one table; a series kept on a frame of its own is read
         there, in ints (off that frame it is zero, and off its certificate
-        by construction); any other at the decoded monomial, which is
-        checked by decoding, and a point off the universe reads zero."""
+        by construction), or, when `swept`, from its memo alone, where a
+        missing point reads None, as zero; any other at the decoded
+        monomial, which is checked by decoding, and a point off the
+        universe reads zero."""
         zero = f.field.zero
         if isinstance(f, FiniteSeries):
             table = self.table(f)
@@ -401,7 +414,7 @@ class _Frame:
                 return read_el(gamma)
 
             return read
-        at, own, scale = f.at, f.frame.scale, self.scale
+        at, own, scale = f._memo.get if swept else f.at, f.frame.scale, self.scale
         if own == scale:
             return at
 
@@ -421,35 +434,46 @@ class _Frame:
         this frame."""
         return Lattice.on_frame([self.encode(g) for g in generators], self.scale)
 
-    def points_upto(self, parts, bound):
-        """The points of `parts` (on this frame) that are <= bound, as
-        sorted frame coordinates, or None when a grid's walk abstains
-        (`grid_points_upto`).  The bound is compared exactly, off the frame
-        too.  A grid walks on its own `frame`, whose `Lattice` caches its
-        Apery table, and its points are scaled onto this frame: that scale
-        divides this one, as the grid's points are sums of this frame's
-        points."""
-        vec, scale = self.u.vectorize(bound), self.scale
+    def points_upto(self, parts, vec):
+        """The points of `parts` (on this frame) that are <= the exponent
+        vector vec, as sorted frame coordinates, or None when a grid's walk
+        abstains (`grid_points_upto`).  vec is compared exactly, off the
+        frame too.  A grid walks on its own `frame`, whose `Lattice` (shared
+        by atoms of the same steps, `sets._moved`) caches its Apery table,
+        and its points are scaled onto this frame, which holds them."""
+        scale = self.scale
         top = tuple([c * scale for c in vec])
         out = {t for t in self.listed(parts) if t <= top}
         for atom in parts:
             if _listed(atom):
                 continue
             lattice, origin = atom.frame
-            pts = grid_points_upto(lattice.gens, origin,
-                                   tuple([c * lattice.scale for c in vec]), lattice)
+            own = lattice.scale
+            pts = grid_points_upto(lattice.gens, origin, tuple([c * own for c in vec]), lattice)
             if pts is None:
                 return None
-            m = scale // lattice.scale
-            out.update(pts if m == 1 else (tuple([c * m for c in t]) for t in pts))
+            out.update(pts if own == scale else (tuple([c * scale // own for c in t]) for t in pts))
         return sorted(out)
 
     def member(self, grid):
         """Membership in a grid atom of the frame, as a test on frame
         coordinates that gives the point t itself when it lies in the grid,
-        and None when not."""
-        lattice = self.grid_lattice(grid.steps)
-        base = self.encode(grid.origin)
+        and None when not; on the grid's own `frame`, whose `Lattice` is
+        the one `points_upto` lists."""
+        lattice, base = grid.frame
+        own, scale = lattice.scale, self.scale
+
+        def test(t):
+            rest = []
+            for c, b in zip(t, base):
+                q, r = divmod(c * own, scale)
+                if r:
+                    return None
+                rest.append(q - b)
+            return t if lattice.contains(tuple(rest)) else None
+
+        if own != scale:
+            return test
         return lambda t: t if lattice.contains(tuple(map(operator.sub, t, base))) else None
 
 

@@ -37,11 +37,14 @@ support of a Hahn product fg lies in Supp(f)*Supp(g), and a shift is a
 product with a monomial) is taken atom by atom, exactly: two finite atoms
 give the finite atom of all their products; a finite atom, or else a
 counted progression, and an arithmetic atom give that arithmetic atom moved
-to each of its points, of its kind and count; two uncounted arithmetic
-atoms give the grid on the product of their origins with both step lists
-(which `GridAtom` refuses when a step falls).  Any other atom has no rule.
-A product atom that repeats another is dropped by its structure (its
-element set, or its kind, origin, steps and count), with no record built.
+to each of its points, of its kind and count, all sharing one `Lattice`
+(`_moved`), so one Apery table; two uncounted arithmetic atoms give the
+grid on the product of their origins with both step lists (which
+`GridAtom` refuses when a step falls).  Any other atom has no rule.  A
+product atom is built from checked ones without a second check
+(`_derived`).  A product atom that repeats another is dropped by its
+structure (its element set, or its kind, origin, steps and count), with no
+record built.
 """
 
 from __future__ import annotations
@@ -169,8 +172,11 @@ class FiniteAtom(Atom):
     def format(self):
         return "{" + ", ".join(sorted(self.universe.format(e) for e in self.els)) + "}"
 
-    def to_record(self):
-        return {"atom": "finite", "elements": sorted(self.universe.format(e) for e in self.els)}
+    def to_record(self, texts=None):
+        """The record; `texts`, when given, maps elements to their text,
+        which is used as it is, not formatted again."""
+        fmt, texts = self.universe.format, texts or {}
+        return {"atom": "finite", "elements": sorted(texts.get(e) or fmt(e) for e in self.els)}
 
 
 class IntervalAtom(Atom):
@@ -272,12 +278,30 @@ class _ArithmeticAtom(Atom):
     its first `count` terms.  Every step lies above the unit (`up`) or, for
     a falling progression, below it."""
 
+    _lattice = None  # a `Lattice` shared with other atoms of the same steps
+
     def __init__(self, universe, origin, steps, count=None):
         super().__init__(universe)
-        self.origin = universe.check(origin)
-        self.steps = tuple(map(universe.check, steps))
-        self.count = count
-        self.up = not self.steps or min(map(universe.key, self.steps)) > universe.key(universe.unit)
+        self._fix(universe.check(origin), tuple(map(universe.check, steps)), count)
+
+    @classmethod
+    def _derived(cls, universe, origin, steps, count=None, lattice=None):
+        """The atom of an origin and steps already in the universe's normal
+        form, built from checked atoms; nothing is checked again.
+        `lattice`, when given, is the `Lattice` of the steps (negated when
+        they fall) on a frame that also holds the origin, shared with other
+        atoms of the same steps (`_moved`)."""
+        a = cls.__new__(cls)
+        Atom.__init__(a, universe)
+        a._fix(origin, tuple(steps), count)
+        if lattice is not None:
+            a._lattice = lattice
+        return a
+
+    def _fix(self, origin, steps, count):
+        u = self.universe
+        self.origin, self.steps, self.count = origin, steps, count
+        self.up = not steps or min(map(u.key, steps)) > u.key(u.unit)
 
     @property
     def vectors(self):
@@ -287,13 +311,17 @@ class _ArithmeticAtom(Atom):
 
     @cached_property
     def frame(self):
-        """(lattice, origin): the `Lattice` of the steps on the integer
+        """(lattice, origin): the `Lattice` of the steps on an integer
         frame that holds the origin too, and the origin in it, both negated
-        for a falling progression; built on first use."""
-        origin, steps = self.universe.vectorize(self.origin), self.vectors
+        for a falling progression; built on first use, unless the atom
+        shares the lattice of other atoms of its steps."""
+        origin = self.universe.vectorize(self.origin)
         if not self.up:
-            origin, steps = _neg(origin), [_neg(v) for v in steps]
-        lattice = Lattice(steps, [origin])
+            origin = _neg(origin)
+        lattice = self._lattice
+        if lattice is None:
+            steps = self.vectors if self.up else [_neg(v) for v in self.vectors]
+            lattice = Lattice(steps, [origin])
         return lattice, lattice.scaled(origin)
 
     def contains(self, el):
@@ -689,8 +717,12 @@ class DescribedSet(Value):
             return "{}"
         return " | ".join(a.format() for a in self.atoms)
 
-    def to_record(self):
-        return {"universe": self.universe.to_record(), "atoms": [a.to_record() for a in self.atoms]}
+    def to_record(self, texts=None):
+        """The record; `texts`, when given, maps elements to their text,
+        which finite atoms use as it is (`FiniteAtom.to_record`)."""
+        return {"universe": self.universe.to_record(),
+                "atoms": [a.to_record(texts) if isinstance(a, FiniteAtom) else a.to_record()
+                          for a in self.atoms]}
 
     def __repr__(self):
         return "DescribedSet(%s)" % self.format()
@@ -751,14 +783,33 @@ def _atom_product(a, b):
     # a finite atom, else a counted progression, goes first
     if isinstance(b, FiniteAtom) or (b.is_finite() and not isinstance(a, FiniteAtom)):
         a, b = b, a
+    # the products of checked elements are in normal form
     if isinstance(b, FiniteAtom):
-        return [FiniteAtom(u, [u.op(x, y) for x in a.els for y in b.els])]
+        return [FiniteAtom._derived(u, [u.op(x, y) for x in a.els for y in b.els])]
     if a.is_finite():
-        moved = [u.op(p, b.origin) for p in a.elements()]
-        if isinstance(b, ProgressionAtom):
-            return [ProgressionAtom(u, o, b.steps[0], b.count) for o in moved]
-        return [GridAtom(u, o, b.steps) for o in moved]
-    return [GridAtom(u, u.op(a.origin, b.origin), dict.fromkeys(a.steps + b.steps))]
+        return _moved(b, [u.op(p, b.origin) for p in a.elements()])
+    steps = dict.fromkeys(a.steps + b.steps)
+    if not (a.up and b.up):
+        return [GridAtom(u, u.op(a.origin, b.origin), steps)]  # refuses the falling step
+    return [GridAtom._derived(u, u.op(a.origin, b.origin), steps)]
+
+
+def _moved(b, origins, kind=None):
+    """The arithmetic atom b moved to each of the checked `origins`, as
+    atoms of b's kind (or `kind`) and count that share one `Lattice` of
+    b's steps: b's own, or b's scaled to a frame that also holds every
+    origin.  So their Apery table is built once."""
+    u = b.universe
+    lattice = b.frame[0]
+    scale = lattice.scale
+    for o in origins:
+        for c in u.vectorize(o):
+            scale = lcm(scale, c.denominator)
+    if scale != lattice.scale:
+        m = scale // lattice.scale
+        lattice = Lattice.on_frame([tuple([c * m for c in g]) for g in lattice.gens], scale)
+    kind = kind or type(b)
+    return [kind._derived(u, o, b.steps, b.count, lattice) for o in origins]
 
 
 # ---------------------------------------------------------------------------

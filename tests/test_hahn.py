@@ -497,6 +497,74 @@ def test_a_callers_oracle_is_read_only_where_a_decomposition_reads_it():
         with pytest.raises(ZeroDivisionError, match="read at x"):
             h.coeff(m(Fraction(11, 2)))
     assert [h.coeff(m(Fraction(k, 2))) for k in range(1, 7)] == [0, 0, 1, 1, 1, 1]
+    # truncating h sweeps its points in order and keeps that stencil lazy:
+    # x^5 is first read for x^(11/2), on a fresh h as on this one
+    for h in (h, cauchy_product(SP.lazy(oracle, DescribedSet.finite(X, [m(1), m(5)])), ones)):
+        assert truncate(h, m(Fraction(9, 2))).terms == {m(Fraction(k, 2)): 1 for k in range(3, 10)}
+        with pytest.raises(ZeroDivisionError, match="read at x"):
+            truncate(h, m(Fraction(11, 2)))
+
+
+XY = MonomialUniverse(["x", "y"])
+
+
+def sweep_terms(lo):
+    """{(a, b): c}: the term c x^a y^b, or c x^(a/2 + |b|/3) in one variable."""
+    return st.dictionaries(st.tuples(st.integers(lo, 3), st.integers(-2, 2)),
+                           st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.sampled_from(["line", "puiseux", "plane"]),
+       st.integers(0, 6), st.integers(1, 6), sweep_terms(1), sweep_terms(-1),
+       st.tuples(st.integers(2, 6), st.integers(0, 5)), st.lists(st.integers(0, 40), max_size=6))
+def test_a_truncation_sweep_matches_random_access_on_a_fresh_copy(field, kind, shape, c0, rest,
+                                                                 other, bound, reads):
+    """`truncate` fills a product's or an inverse's memo in one increasing
+    sweep; it must give the terms that `coeff`, walking its stack down from
+    each point in decreasing order, gives on a copy built anew, and leave a
+    memo that random access reads the same.  Inverses, products either way
+    round, of a caller's stencil, of two inverses and nested, shifts and the
+    inverse of a product, on exponents x^n, x^(n/2 + k/3) and x^a y^b (a
+    grid whose generators all lead in x, listed on the heap), under QQ and
+    GF(7), after `coeff` reads that have filled part of the memo out of
+    order."""
+    u = XY if kind == "plane" else X
+    sp = Space(field, u, well_ordered(u))
+
+    def mono(a, b):
+        if kind == "plane":
+            return XY.monomial(x=a, y=b)
+        return m(a if kind == "line" else Fraction(a, 2) + Fraction(abs(b), 3))
+
+    def poly(terms, unit=False):
+        d = {u.unit: c0} if unit else {}
+        for (a, b), c in terms.items():
+            if a > 0 or not unit:  # a unit's other terms lie above 1
+                d[mono(a, b)] = d.get(mono(a, b), 0) + c
+        return sp.series(d)
+
+    def build():
+        p, q = poly(rest, unit=True), poly(other)
+        inv = invert_unit(p)
+        return [inv, cauchy_product(q, inv), cauchy_product(inv, q),
+                monomial_shift(inv, mono(-1, 1), 2),
+                cauchy_product(sp.lazy(q.coeff, q.certificate), cauchy_product(q, inv)),
+                cauchy_product(inv, invert_unit(poly(other, unit=True))),
+                invert_unit(cauchy_product(inv, poly(other, unit=True)))][shape]
+
+    if kind == "plane":
+        top = XY.monomial(x=bound[0], y=bound[1] - 3)
+    else:
+        top = m(bound[0] + Fraction(bound[1], 6))
+    swept, fresh = build(), build()
+    points = swept.certificate.first_n(16)
+    for i in reads if points else ():
+        swept.coeff(points[i % len(points)])
+    want = [(g, c) for g in reversed(fresh.certificate.elements_upto(top))
+            if not field.is_zero(c := fresh.coeff(g))][::-1]
+    assert list(truncate(swept, top).terms.items()) == want
+    assert [swept.coeff(g) for g in points] == [fresh.coeff(g) for g in points]
 
 
 def test_truncation_in_two_variables():
@@ -536,6 +604,20 @@ def test_invert_skips_certificate_points_below_the_leading_term():
         want = neumann_inverse(f, eps)
         assert [h.coeff(p) for p in PROBES] == [want.coeff(p) for p in PROBES]
         assert cauchy_product(f, h).eq_window(ONE, 24)
+
+
+def test_an_inverse_on_a_finer_frame_than_its_grid():
+    """f is 1 - x on grid(1; x) and zero at x^(-1/5), a point of its
+    certificate below its leading term: its inverse's frame holds fifths and
+    its grid only integers.  Random access tests membership in the grid
+    from frame coordinates, and a sweep lists the grid onto the frame."""
+    f = SP.lazy(lambda g: {m(0): 1, m(1): -1}.get(g, 0),
+                DescribedSet(X, [FiniteAtom(X, [m(Fraction(-1, 5))]), GridAtom(X, m(0), [m(1)])]))
+    h = invert_unit(f)
+    assert h.frame.scale == 5 and h.certificate.format() == "grid(1; x)"
+    assert [h.coeff(m(Fraction(k, 5))) for k in range(-5, 16)] == [
+        int(k >= 0 and k % 5 == 0) for k in range(-5, 16)]
+    assert truncate(invert_unit(f), m(Fraction(16, 5))).terms == {m(k): 1 for k in range(4)}
 
 
 # Exponents for the integer-frame oracle: generators and bases with
