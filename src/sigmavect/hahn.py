@@ -24,8 +24,9 @@ off the factor's certificate: a finite series through its table on the
 frame's scale, a framed series in ints, and a caller's frameless series at
 the decoded monomial, with a point off the universe read as zero.
 
-There is one product rule.  The coefficient at gamma of f*g sums f(alpha)
-g(gamma - alpha) over the candidates of `_alphas`: the points of f's
+There is one product rule, and one candidate reader, `_pairs`, serves it
+for products and inverses alike.  The coefficient at gamma of f*g sums
+f(alpha) g(gamma - alpha) over its candidates: the points of f's
 listed parts (finite series, finite atoms and counted progressions), the
 same for every gamma, and, for f's grids, gamma minus each point of g's
 listed parts and the lattice solutions of each grid x grid pair.  Every
@@ -72,7 +73,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
-from .gridsolve import weight
+from .gridsolve import Lattice, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms, _moved
 from .series import FiniteSeries, LazySeries, SeriesError, _Frame, _listed
 
@@ -115,94 +116,96 @@ def _parts(f):
     return _check_hahn(f)
 
 
-def _alphas(frame, f_parts, g_parts):
-    """The candidates alpha of gamma = alpha + beta, alpha in f_parts and
-    beta in g_parts (parts of the frame, `_parts`), in frame coordinates,
-    as (fixed, more).  `fixed` holds the points of f's `_listed` parts
-    (`_Frame.listed`), the same for every gamma (the stencil); more(gamma)
-    is the set of gamma minus each point of g's listed parts and of the
-    lattice solutions of each grid x grid pair, for f's grids, without the
-    fixed alphas, or None when f has no grid.  Every decomposition is among
-    the candidates, each alpha once; at any other, f or g is zero
-    (`reader`).  Lattices are built once, here, not per coefficient."""
+def _pairs(frame, f, f_parts, g_parts, scalar=None, skip=None):
+    """(pairs, least) for f's side of gamma = alpha + beta, alpha in f_parts
+    and beta in g_parts (parts of the frame, `_parts`), in frame
+    coordinates.  pairs(gamma, other) gives every (scalar * f(alpha),
+    other(beta)) where both are nonzero (scalar 1 when None), over the
+    candidate alphas other than `skip`: the points of f's `_listed` parts
+    (`_Frame.listed`), fixed for every gamma (the stencil), and, for f's
+    grids, gamma minus each point of g's listed parts and the lattice
+    solutions of each grid x grid pair.  Every decomposition is a
+    candidate, each alpha once; at any other, f or g is zero (`reader`).
+    `least` is the least fixed alpha when every candidate is fixed, else
+    None.  Lattices are built once, here, not per coefficient.
+
+    A finite f is its table on the frame, read once.  Any other f is read
+    at a fixed alpha once, the first time other is nonzero at its beta,
+    and again next time if it raises; other is called at every fixed alpha
+    read so far, in the order read, before the unread ones, and at any
+    other candidate only where f is nonzero, so a caller's oracle is read
+    only where a decomposition needs it."""
     fixed = frame.listed(f_parts)
+    fixed.pop(skip, None)
+    if isinstance(f, FiniteSeries):
+        table = frame.table(f)
+        items = [(a, table[a] if scalar is None else scalar * table[a]) for a in fixed]
+
+        def stencil(gamma, other):
+            return [(c, v) for a, c in items if (v := other(tuple(map(sub, gamma, a))))]
+    else:
+        read = frame.reader(f)
+        seen, unread = [], dict(fixed)
+
+        def stencil(gamma, other):
+            out = [(c, v) for c, a in seen if (v := other(tuple(map(sub, gamma, a)))) and c]
+            for a in list(unread) if unread else ():
+                v = other(tuple(map(sub, gamma, a)))
+                if v:
+                    c = read(a)
+                    if scalar is not None:
+                        c = scalar * c
+                    del unread[a]
+                    seen.append((c, a))
+                    if c:
+                        out.append((c, v))
+            return out
+
+    # a finite f has no grid
     grids_f = [a for a in f_parts if not _listed(a)]
     if not grids_f:
-        return fixed, None
+        return stencil, min(fixed, default=None)
     listed_g = frame.listed(g_parts)
     solvers = []
     for af in grids_f:
         for ag in g_parts:
             if not _listed(ag):
                 # grid x grid: solve sum(ki gi) + sum(lj hj) = gamma - bf - bg
-                lattice = frame.grid_lattice(af.steps + ag.steps)
+                gens = [frame.encode(s) for s in af.steps + ag.steps]
+                lattice = Lattice.on_frame(gens, frame.scale)
                 bf = frame.encode(af.origin)
                 base = tuple(map(add, bf, frame.encode(ag.origin)))
-                solvers.append((lattice, lattice.gens[: len(af.steps)], bf, base))
-    skip = set(fixed)
+                solvers.append((lattice, gens[: len(af.steps)], bf, base))
+    done = {*fixed, skip}
 
-    def more(gamma):
-        out = {tuple(map(sub, gamma, b)) for b in listed_g}
+    def pairs(gamma, other):
+        out = stencil(gamma, other)
+        alphas = {tuple(map(sub, gamma, b)) for b in listed_g}
         for lattice, gens_f, bf, base in solvers:
             for sol in lattice.solutions(tuple(map(sub, gamma, base))):
                 a = bf
                 for k, g in zip(sol, gens_f):
                     if k:
                         a = tuple(x + k * y for x, y in zip(a, g))
-                out.add(a)
-        out -= skip
+                alphas.add(a)
+        for a in alphas - done:
+            c = read(a)
+            if c and (v := other(tuple(map(sub, gamma, a)))):
+                out.append((c if scalar is None else scalar * c, v))
         return out
 
-    return fixed, more
-
-
-def _stencil(frame, f, fixed, scalar=None):
-    """pairs(gamma, other): the pairs (scalar * f(alpha), other(beta)),
-    beta = gamma - alpha, over the fixed alphas of `_alphas` where both are
-    nonzero (scalar 1 when None).  A finite f is its table on the frame,
-    read once.  Any other f is read at an alpha once, the first time other
-    is nonzero at its beta, and again next time if it raises; other is
-    called at every alpha read so far, in the order read, before the unread
-    ones, so a caller's oracle is read only where a decomposition needs
-    it."""
-    if isinstance(f, FiniteSeries):
-        table = frame.table(f)
-        items = [(a, table[a] if scalar is None else scalar * table[a]) for a in fixed]
-
-        def pairs(gamma, other):
-            return [(c, v) for a, c in items if (v := other(tuple(map(sub, gamma, a))))]
-
-        return pairs
-    read = frame.reader(f)
-    seen, unread = [], dict(fixed)
-
-    def pairs(gamma, other):
-        out = [(c, v) for c, a in seen if (v := other(tuple(map(sub, gamma, a)))) and c]
-        for a in list(unread) if unread else ():
-            v = other(tuple(map(sub, gamma, a)))
-            if v:
-                c = read(a)
-                if scalar is not None:
-                    c = scalar * c
-                del unread[a]
-                seen.append((c, a))
-                if c:
-                    out.append((c, v))
-        return out
-
-    return pairs
+    return pairs, None
 
 
 def cauchy_product(f, g, space=None):
     """Convolution.  Two finite series multiply term by term on one scale,
     their frame keys adding as ints.  Otherwise the coefficient at gamma
-    sums f(alpha) g(gamma - alpha) over the candidates of `_alphas`, with a
-    factor that has no grid, when there is one, as f, so that every
+    is one `Field.dot` of the pairs f(alpha), g(gamma - alpha) of `_pairs`,
+    with a factor that has no grid, when there is one, as f, so that every
     candidate is fixed.  f is read at a fixed alpha once, where g is first
-    nonzero (`_stencil`; a finite f is its table), and at the other
-    candidates before g, which is then read only where f is nonzero: a
-    caller's oracle is called only where the sum over the decompositions
-    reads it.
+    nonzero (a finite f is its table), and at the other candidates before
+    g, which is then read only where f is nonzero: a caller's oracle is
+    called only where the sum over the decompositions reads it.
 
     The product's sweep (`truncate`) lists its certificate's points up to a
     bound and, when every candidate is fixed, first has g fill its own
@@ -237,36 +240,26 @@ def cauchy_product(f, g, space=None):
     frame = _Frame(u, f_parts + g_parts)
     if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
         f, g, f_parts, g_parts = g, f, g_parts, f_parts
-    fixed, more = _alphas(frame, f_parts, g_parts)
-    stencil = _stencil(frame, f, fixed)
-    read_f, read_g = frame.reader(f) if more else None, frame.reader(g)
-
-    def coefficient(t, read_g):
-        terms = stencil(t, read_g)
-        for a in more(t) if more else ():
-            c = read_f(a)
-            if c:
-                terms.append((c, read_g(tuple(map(sub, t, a)))))
-        return field.dot(terms)
+    pairs, least = _pairs(frame, f, f_parts, g_parts)
+    read_g = frame.reader(g)
 
     def sweep(vec):
         pts = frame.points_upto(cert.atoms, vec)
         if pts is not None:
             read = read_g
-            if fixed and not more and g._sweep is not None:
+            if least is not None and g._sweep is not None:
                 # g swept up to vec over the least alpha holds every beta
                 # the stencil reads, and reads None, as zero, off its points
-                least = min(fixed)
                 low = tuple([c - Fraction(a, frame.scale) for c, a in zip(vec, least)])
                 if g._sweep(low) is not None:
                     read = frame.reader(g, swept=True)
             memo = product._memo
             for t in pts:
                 if t not in memo:
-                    memo[t] = coefficient(t, read)
+                    memo[t] = field.dot(pairs(t, read))
         return pts
 
-    product = LazySeries(out, lambda t: coefficient(t, read_g), cert, frame)
+    product = LazySeries(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
     product._sweep = sweep
     return product
 
@@ -328,7 +321,7 @@ def neumann_sum(eps, coeffs=None):
         return eps.space.delta(u.unit, coeffs(0))
     grid, = cert.atoms
     frame = _Frame(u, [grid])
-    lattice = frame.grid_lattice(grid.steps)  # on the unit, so a point is its own offset
+    lattice = grid.frame[0]  # on the unit, so a point is its own offset
     wts, m0 = lattice.wts, min(lattice.gw)
     last = eps.space.delta(u.unit)
     readers = [frame.reader(last)]
@@ -386,14 +379,14 @@ def invert_unit(f, window=32):
 
         h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
 
-    over the candidates alpha != x^g0 of `_alphas` for f's parts and the
-    grid, beta = x^g0 * delta / alpha.  One body (`below`) gives the pairs
-    of that sum, with h(beta) read by a test it is handed; an alpha where f
-    is zero is dropped, and a point alpha below x^g0 carries zero
+    over the candidates alpha != x^g0 of `_pairs` for f's parts and the
+    grid, beta = x^g0 * delta / alpha.  `_pairs` at x^g0 * delta gives the
+    pairs of that sum, with h(beta) read by a test it is handed; an alpha
+    where f is zero is dropped, and a point alpha below x^g0 carries zero
     (`leading_term` has checked).  As in `cauchy_product`, f is read at a
-    fixed alpha once, where that test first passes (`_stencil`).
+    fixed alpha once, where that test first passes.
 
-    Two walks fill the series' memo by that body.  The sweep (`truncate`)
+    Two walks fill the series' memo by those pairs.  The sweep (`truncate`)
     lists the grid's points up to a bound in increasing order and fills
     each from the memo: every beta below delta on the grid is already
     there, and one missing from it is off the grid, so zero.  Random access
@@ -425,24 +418,13 @@ def invert_unit(f, window=32):
     frame = _Frame(u, [*parts, grid])
     in_grid = frame.member(grid)
     lead, start = frame.encode(g0), frame.encode(ginv)
-    fixed, more = _alphas(frame, parts, [grid])
-    fixed.pop(lead, None)
-    stencil = _stencil(frame, f, fixed, -cinv)
-    read_f = frame.reader(f) if more else None
-
-    def below(top, other):
-        """The pairs (-c^-1 * f(alpha), other(beta)) of top's equation
-        where both are nonzero."""
-        gamma = tuple(map(add, top, lead))
-        terms = stencil(gamma, other)
-        for a in more(gamma) if more else ():
-            ca = read_f(a) if a != lead else None
-            if ca and (v := other(tuple(map(sub, gamma, a)))):
-                terms.append((-cinv * ca, v))
-        return terms
+    # the pairs (-c^-1 * f(alpha), other(beta)) of the equation at top are
+    # pairs(top + lead, other)
+    pairs, _ = _pairs(frame, f, parts, [grid], -cinv, lead)
 
     def solve(top, terms):
-        """h(top) from the pairs (-c^-1 * f(alpha), h(beta)) of `below`."""
+        """h(top) from the pairs (-c^-1 * f(alpha), h(beta)) of its
+        equation."""
         if top == start:
             terms.append((cinv, field.one))
         return field.dot(terms)
@@ -456,7 +438,8 @@ def invert_unit(f, window=32):
             if top in values:
                 continue
             if terms is None:
-                terms = below(top, in_grid)  # the pairs' betas, off the grid dropped
+                # the pairs' betas, off the grid dropped
+                terms = pairs(tuple(map(add, top, lead)), in_grid)
                 missing = [b for _, b in terms if b not in values]
                 if missing:
                     # revisit top once everything below it is filled
@@ -470,7 +453,7 @@ def invert_unit(f, window=32):
         pts = frame.points_upto(cert.atoms, vec)
         for t in pts or ():
             if t not in values:
-                values[t] = solve(t, below(t, values.get))
+                values[t] = solve(t, pairs(tuple(map(add, t, lead)), values.get))
         return pts
 
     inverse = LazySeries(f.space, oracle, cert, frame)

@@ -8,15 +8,15 @@ monomials appear only at the public boundary: the constructors check and
 encode them, and `terms`, `window_terms`, `format`, `to_record` and
 `certificate` decode.  Lazy series carry a coefficient oracle plus a
 described support certificate; one built on a frame of its parts
-(`_Frame`: a Hahn product, inverse or Neumann sum, the sum of a finite
-family of finite series, or the Euler derivation's image of one of those)
-takes frame coordinates.  A finite part gives the frame its table's keys
-and scale as they are.  A Hahn product or inverse can also fill its memo
-at every point of its certificate up to a bound, in increasing order
-(`Series._sweep`, which `hahn.truncate` runs).  `Space.lazy`, the entry for a caller's oracle,
-is the one place a certificate is checked against the bornology; the
-operations here and in `hahn`, `strmap` and `slalg` build their lazy
-results on certificates they derive.  A monomial is checked once, where it
+(`_Frame`: a Hahn product, inverse or Neumann sum, or the sum of a finite
+family of finite series) takes frame coordinates.  A finite part gives the
+frame its table's keys and scale as they are.  A Hahn product or inverse
+can also fill its memo at every point of its certificate up to a bound,
+in increasing order (`Series._sweep`, which `hahn.truncate` runs).
+`Space.lazy`, the entry for a caller's oracle, is the one place a
+certificate is checked against the bornology; the operations here and
+in `hahn`, `strmap` and `slalg` build their lazy results on certificates
+they derive.  A monomial is checked once, where it
 enters: by the public constructors (`FiniteSeries(space, terms)`,
 `Space.series`, `Space.delta`, `DescribedSet.finite`), by `Space.lazy`'s
 certificate and by the parsers.  A finite series the package derives from
@@ -35,7 +35,7 @@ from itertools import islice
 from math import lcm
 
 from .bornology import Verdict, perp
-from .gridsolve import Lattice, grid_points_upto, scaled, unscaled
+from .gridsolve import grid_points_upto, scaled, unscaled
 from .sets import DescribedSet, FiniteAtom, described_intersection
 from .scalars import QQ
 from .universe import MonomialUniverse, Naturals, UniverseError, Value
@@ -414,25 +414,23 @@ class _Frame:
                 return read_el(gamma)
 
             return read
-        at, own, scale = f._memo.get if swept else f.at, f.frame.scale, self.scale
-        if own == scale:
+        at, own = f._memo.get if swept else f.at, f.frame.scale
+        if own == self.scale:
             return at
+        onto = self.onto
+        # at reads None, off f's frame, as zero
+        return lambda t: at(onto(t, own))
 
-        def read(t):
-            out = []
-            for c in t:
-                q, r = divmod(c * own, scale)
-                if r:
-                    return zero
-                out.append(q)
-            return at(tuple(out))
-
-        return read
-
-    def grid_lattice(self, generators):
-        """The `Lattice` of generators (points of the frame's parts), on
-        this frame."""
-        return Lattice.on_frame([self.encode(g) for g in generators], self.scale)
+    def onto(self, t, own):
+        """Frame coordinates t on the scale `own` (t * own / scale, as
+        ints), or None where t leaves that scale's frame."""
+        scale, out = self.scale, []
+        for c in t:
+            q, r = divmod(c * own, scale)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def points_upto(self, parts, vec):
         """The points of `parts` (on this frame) that are <= the exponent
@@ -461,20 +459,17 @@ class _Frame:
         and None when not; on the grid's own `frame`, whose `Lattice` is
         the one `points_upto` lists."""
         lattice, base = grid.frame
-        own, scale = lattice.scale, self.scale
+        own, onto = lattice.scale, self.onto
+        if own == self.scale:
+            return lambda t: t if lattice.contains(tuple(map(operator.sub, t, base))) else None
 
         def test(t):
-            rest = []
-            for c, b in zip(t, base):
-                q, r = divmod(c * own, scale)
-                if r:
-                    return None
-                rest.append(q - b)
-            return t if lattice.contains(tuple(rest)) else None
+            s = onto(t, own)
+            if s is None or not lattice.contains(tuple(map(operator.sub, s, base))):
+                return None
+            return t
 
-        if own != scale:
-            return test
-        return lambda t: t if lattice.contains(tuple(map(operator.sub, t, base))) else None
+        return test
 
 
 def series_from_record(rec, field=QQ):

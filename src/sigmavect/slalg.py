@@ -8,13 +8,9 @@ derivation is specified by its values on monomials plus a summability schema
 the sum-preserving map f -> sum of f(gamma) * d(gamma).
 
 The Euler derivation x * d/dx is diagonal: x^q is an eigenvector with
-eigenvalue q.  It is read on the integer frame a series already has: the
-image of a finite series is its own table on its own scale, each
-coefficient times q, and the image of a series kept on a frame (a Hahn
-product, inverse or Neumann sum, a framed family sum) is a lazy series on
-that frame, so that `truncate` and products read it in frame ints.  Only a
-series with no frame takes the generic rule, one image series per
-monomial."""
+eigenvalue q.  The image of a finite series is its own table on its own
+scale, each coefficient times q; any other series takes the generic rule,
+one image series per monomial."""
 
 from __future__ import annotations
 
@@ -30,7 +26,6 @@ from .series import (
     SummableFamily,
     check_summable,
 )
-from .universe import UniverseError
 
 
 class AlgebraError(SeriesError):
@@ -116,8 +111,8 @@ class Derivation:
         sum of f(gamma) * action(gamma)(delta) over the contributors gamma
         of delta, on the transformed certificate, a finite series when f is
         finite and that certificate is finite.  The Euler derivation
-        (`euler_derivation`) scales f's coefficients on f's own integer
-        frame instead, with no image series per monomial."""
+        (`euler_derivation`) scales a finite f's table on its own scale
+        instead, with no image series per monomial."""
         if not self.space.contains(f):
             raise AlgebraError("argument outside the algebra")
         return self._image(f)
@@ -138,43 +133,19 @@ class Derivation:
 class _Euler(Derivation):
     """x * d/dx on a one-generator universe: x^q is an eigenvector with
     eigenvalue q, in the field (an exponent whose denominator the prime
-    divides raises there).  The image of a series is read on the series'
-    own frame: the coefficient at frame key k on scale s is f's there times
-    q = k / s (k itself on the naturals and the integers, whose keys are
-    the elements).  A finite series gives its table so scaled, on its own
-    scale; a series kept on a frame (a Hahn product, inverse or Neumann
-    sum, a framed family sum) gives a lazy series on that frame.  Any other
-    series takes the generic rule."""
+    divides raises there).  The image of a finite series is its table on
+    its own scale, the coefficient at key k on scale s times q = k / s (k
+    itself on the naturals and the integers, whose keys are the elements).
+    Any other series takes the generic rule."""
 
     def _image(self, f):
-        sp = self.space
-        field = sp.field
-        if isinstance(f, FiniteSeries):
-            s, framed = f.scale, sp.universe.framed
-            return FiniteSeries._derived(
-                sp, s, ((k, c * field.of(Fraction(k[0] if framed else k, s)))
-                        for k, c in f.table.items()))
-        frame = f.frame
-        if frame is None:
+        if not isinstance(f, FiniteSeries):
             return super()._image(f)
-        at, s, cert, zero = f.at, frame.scale, f.certificate, field.zero
-        # where the prime divides the scale, an exponent of the certificate
-        # raises even where f is zero, as in the generic rule
-        fragile = field.p is not None and s % field.p == 0
-
-        def on_cert(t):
-            try:
-                return cert.contains(frame.decode(t))
-            except UniverseError:  # off the universe
-                return False
-
-        def oracle(t):
-            c = at(t)
-            if c or (fragile and on_cert(t)):
-                return c * field.of(Fraction(t[0], s))
-            return zero
-
-        return LazySeries(sp, oracle, cert, frame)
+        sp = self.space
+        field, s, framed = sp.field, f.scale, sp.universe.framed
+        return FiniteSeries._derived(
+            sp, s, ((k, c * field.of(Fraction(k[0] if framed else k, s)))
+                    for k, c in f.table.items()))
 
 
 def extend_derivation(space, action, contributors, cert_transform, battery=(), window=32):

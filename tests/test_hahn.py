@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
+from sigmavect import gridsolve
 from sigmavect.bornology import all_subsets, well_ordered
 from sigmavect.hahn import (
     HahnError,
-    _alphas,
     _Frame,
     _grid_atoms,
+    _pairs,
     cauchy_product,
     invert_unit,
     leading_term,
@@ -672,12 +673,13 @@ def frame_atom(spec):
 @example(("grid", Fraction(1, 2), [Fraction(1)]),
          ("grid", Fraction(0), [Fraction(1, 2), Fraction(1)]), Fraction(2))
 def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
-    """Grid membership, enumeration up to a bound and the candidate alphas
-    of a product, all run in integer frame coordinates, against enumeration
-    over Fraction exponents: the candidates hold every decomposition, each
-    alpha once, and those lying on both sides are exactly the
-    decompositions.  The sides are one atom each, then both atoms each, so
-    a fixed alpha can also be a listed element's difference."""
+    """Grid membership, enumeration up to a bound and the pairs of a
+    product's coefficient (`_pairs`), all run in integer frame coordinates,
+    against enumeration over Fraction exponents.  f reads 1 on its side and
+    `other` gives the key beta on g's side, so the pairs at gamma are the
+    decompositions alpha + beta, each exactly once.  The sides are one atom
+    each, then both atoms each, so a fixed alpha can also be a listed
+    element's difference."""
     atom_f, pts_f = frame_atom(spec_f)
     atom_g, pts_g = frame_atom(spec_g)
     for atom, pts in ((atom_f, pts_f), (atom_g, pts_g)):
@@ -692,14 +694,13 @@ def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
         if t is None:
             assert want == set()
             continue
-        fixed, more = _alphas(frame, f_side, g_side)
-        alphas = [*fixed, *(more(t) if more else ())]
-        assert len(alphas) == len(set(alphas))
-        pairs = {(frame.decode(a), frame.decode(tuple(x - y for x, y in zip(t, a))))
-                 for a in alphas}
-        assert {a for a, _ in want} <= {a for a, _ in pairs}
-        assert {(a, b) for a, b in pairs if any(x.contains(a) for x in f_side)
-                and any(x.contains(b) for x in g_side)} == want
+        f = SP.lazy(lambda g: 1, DescribedSet(X, f_side))
+        g_set = DescribedSet(X, g_side)
+        pairs, _ = _pairs(frame, f, f_side, g_side)
+        got = [(c, frame.decode(tuple(x - y for x, y in zip(t, b))), frame.decode(b))
+               for c, b in pairs(t, lambda b: b if g_set.contains(frame.decode(b)) else None)]
+        assert all(c == 1 for c, _, _ in got)
+        assert sorted(p[1:] for p in got) == sorted(want)
 
 
 @pytest.mark.parametrize("unit", ["finite", "product"])
@@ -782,6 +783,19 @@ def test_neumann_weights_are_read_only_on_the_certificate():
                     lambda n: asked.append(n) or 1)
     assert s.coeff(m(Fraction(23, 3))) == 0 and asked == []
     assert s.coeff(m(8)) == 6 and asked == [0, 1, 2, 3, 4]
+
+
+def test_a_neumann_grid_builds_one_lattice(monkeypatch):
+    # the Neumann sum reads its grid's own `Lattice`, which its truncation
+    # lists, so one lattice and one Apery table serve both
+    built, tables = [], []
+    fix, apery = gridsolve.Lattice._fix, gridsolve.apery_set
+    monkeypatch.setattr(gridsolve.Lattice, "_fix",
+                        lambda self, *a: built.append(self) or fix(self, *a))
+    monkeypatch.setattr(gridsolve, "apery_set", lambda *a: tables.append(a) or apery(*a))
+    s = truncate(neumann_sum(SP.series({m(Fraction(1, 2)): 1, m(Fraction(2, 3)): 1})), m(3))
+    assert (len(built), len(tables)) == (1, 1)
+    assert s.coeff(m(Fraction(7, 6))) == 2  # x^(1/2) x^(2/3), either way round
 
 
 def test_neumann_sum_requires_positive_support():

@@ -19,7 +19,6 @@ from sigmavect.hahn import cauchy_product, invert_unit, neumann_sum, truncate
 from sigmavect.scalars import GF, QQ
 from sigmavect.series import (
     FiniteSeries,
-    LazySeries,
     SeriesError,
     Space,
     add,
@@ -171,23 +170,6 @@ def test_euler_matches_the_generic_derivation(field, kind, a, b):
         return
     probes = sorted({m(Fraction(k, d)) for d in range(1, 8) for k in range(0, 8)})
     assert _seen(got[1], probes, m(1)) == _seen(want[1], probes, m(1))
-
-
-@pytest.mark.parametrize("kind", ["product", "inverse", "neumann"])
-def test_euler_keeps_a_framed_series_on_its_frame(kind):
-    # the image of a Hahn product, inverse or Neumann sum is a lazy series
-    # on that series' own frame, so its truncation reads frame ints; the
-    # generic rule gives a frameless series with the same terms
-    y = SP.series({m(0): 1, m(Fraction(1, 2)): -1, m(Fraction(1, 3)): 2})
-    eps = SP.series({m(Fraction(1, 2)): 1, m(Fraction(2, 3)): -1})
-    f = {"product": lambda: cauchy_product(y, invert_unit(add(y, eps))),
-         "inverse": lambda: invert_unit(y), "neumann": lambda: neumann_sum(eps)}[kind]()
-    euler = euler_derivation(SP)
-    img = euler.apply(f)
-    generic = Derivation(SP, euler.action, lambda d: [d], lambda s: s).apply(f)
-    assert isinstance(img, LazySeries) and img.frame is f.frame is not None
-    assert generic.frame is None
-    assert truncate(img, m(2)).terms == truncate(generic, m(2)).terms
 
 
 @pytest.mark.parametrize("p", [5, 7])
