@@ -10,7 +10,7 @@ support elements, with n bounded by a positive weight functional.
 Every series here is kept on an integer frame.  A finite series keys its
 terms by frame ints (`series.FiniteSeries`), so two finite series multiply
 term by term with their keys added as ints, on the lcm of their scales.
-Every lazy series built here (a product, an inverse, a Neumann sum) fixes
+Every lazy series built here (a product, a quotient, a Neumann sum) fixes
 one frame (`series._Frame`) for the parts it reads (`_parts`): a finite
 factor itself, whose points are its table's keys on its own scale, and the
 atoms of any other factor's certificate, with the denominators of their
@@ -25,7 +25,7 @@ frame's scale, a framed series in ints, and a caller's frameless series at
 the decoded monomial, with a point off the universe read as zero.
 
 There is one product rule, and one candidate reader, `_pairs`, serves it
-for products and inverses alike.  The coefficient at gamma of f*g sums
+for products and quotients alike.  The coefficient at gamma of f*g sums
 f(alpha) g(gamma - alpha) over its candidates: the points of f's
 listed parts (finite series, finite atoms and counted progressions), the
 same for every gamma, and, for f's grids, gamma minus each point of g's
@@ -43,23 +43,37 @@ structure, formatting nothing, and whose atoms moved to each point of a
 finite factor share one `Lattice`), and a shift is a product with a
 monomial.
 
-Inversion is the fixed point of f*h = 1 on f itself: read at x^g0 * delta,
-with c * x^g0 the leading term of f, the equation gives h(delta) as c^-1
-times ([delta = x^-g0] minus the other terms f(alpha) h(beta)) over the same
-candidates, each beta strictly below delta and in the inverse's grid.  One
-body gives those terms to two walks, which fill the inverse's memo, so
-each coefficient costs its candidates once and no Python recursion is
-used.  `truncate` sweeps: it fills the grid's points up to the bound in
-increasing order, so every beta is already in the memo or off the grid.
-Random access (`coeff`) walks an explicit stack down from delta, testing
-each beta for membership in the grid; it serves any grid, also one whose
-points below a bound cannot be listed.  `neumann_sum` keeps the literal
-weighted sum of powers, each read on the frame of its grid.
+A quotient g/f of a finite numerator g by a unit f is the fixed point of
+f*h = g on f itself, and an inverse is the quotient 1/f: read at x^g0 *
+delta, with c * x^g0 the leading term of f, the equation gives h(delta)
+as c^-1 times (g(x^g0 * delta) minus the other terms f(alpha) h(beta))
+over the same candidates.  A finite factor times a quotient, either way
+round, is the quotient of its product with the numerator by the same
+unit, on the product's certificate, so g * f^-1, g / f and a shift of
+f^-1 each fill one memo.  The fill is exact in increasing order:
+
+- every beta = x^g0 * delta / alpha with alpha > x^g0 lies below delta
+  (a candidate alpha below x^g0 reads zero, as `leading_term` has
+  checked);
+- h = g * f^-1 is zero off Supp(g) times the grid of f^-1, which the
+  certificate holds;
+- so a walk in increasing order finds each beta in the memo or off the
+  certificate, where h is zero.
+
+One body gives those terms to two walks, which fill the quotient's memo,
+so each coefficient costs its candidates once and no Python recursion is
+used.  `truncate` sweeps: it fills the certificate's points up to the
+bound in increasing order.  Random access (`coeff`) walks an explicit
+stack down from delta, testing each beta for membership in a certificate
+atom (the grid of f^-1 moved to each point of a finite set that holds
+Supp(g)); it serves any grid, also one whose points below a bound cannot
+be listed.  `neumann_sum` keeps the literal weighted sum of powers, each
+read on the frame of its grid.
 
 `truncate` lists the certificate's points up to the bound on the series'
 frame, or on a frame of its parts for a finite or a caller's series (a
 grid through `gridsolve.grid_points_upto`, in closed form in one
-variable).  A product or an inverse fills them in one increasing sweep (a
+variable).  A product or a quotient fills them in one increasing sweep (a
 product first has its other factor sweep as far as its stencil reaches,
 and then reads that factor's memo); any other series is read at each.
 The nonzero terms are kept, on a framed universe keyed by those frame
@@ -212,8 +226,14 @@ def cauchy_product(f, g, space=None):
     memo by its sweep as far as the stencil reaches, so that each
     coefficient reads g there, a point missing from it being zero.
 
+    A finite factor times a quotient n/d (`invert_unit` is 1/d), either
+    way round, is instead the quotient of its product with n by d, on this
+    product's certificate, so it fills one memo in one sweep.  A product of
+    two quotients, or of a lazy factor and a quotient, is a product.
+
     The optional space overrides the output's (used by module actions, where
-    the two factors live in different spaces)."""
+    the two factors live in different spaces); with it, a quotient factor is
+    read as any other factor."""
     finite = isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries)
     if finite:
         # a finite series' certificate is one finite atom, which needs no check
@@ -228,15 +248,18 @@ def cauchy_product(f, g, space=None):
     if out.universe != u or out.field != field:
         raise HahnError("product space has another universe or field")
     if finite:
-        scale = lcm(f.scale, g.scale)
-        key_sum = (lambda a, b: tuple(map(add, a, b))) if u.framed else u.op
-        g_terms = g.on_scale(scale).items()
-        acc = {}
-        for a, ca in f.on_scale(scale).items():
-            for b, cb in g_terms:
-                acc.setdefault(key_sum(a, b), []).append((ca, cb))
-        return FiniteSeries._derived(out, scale, ((k, field.dot(p)) for k, p in acc.items()))
+        return _finite_product(out, f, g)
     cert = f.certificate.minkowski(g.certificate)
+    q = g if isinstance(f, FiniteSeries) else f if isinstance(g, FiniteSeries) else None
+    if space is None and q is not None and q._quotient is not None:
+        # a finite factor times n/d is (its product with n)/d, on this
+        # product's certificate
+        n, d, data = q._quotient
+        if n is None:  # q is 1/d
+            num = f if q is g else g
+        else:
+            num = _finite_product(out, f, n) if q is g else _finite_product(out, n, g)
+        return _quotient(out, num, d, data, cert)
     frame = _Frame(u, f_parts + g_parts)
     if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
         f, g, f_parts, g_parts = g, f, g_parts, f_parts
@@ -262,6 +285,20 @@ def cauchy_product(f, g, space=None):
     product = LazySeries(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
     product._sweep = sweep
     return product
+
+
+def _finite_product(space, f, g):
+    """The finite series f*g in space, term by term on one scale, the frame
+    keys adding as ints; f and g are checked by `cauchy_product`."""
+    u, field = space.universe, space.field
+    scale = lcm(f.scale, g.scale)
+    key_sum = (lambda a, b: tuple(map(add, a, b))) if u.framed else u.op
+    g_terms = g.on_scale(scale).items()
+    acc = {}
+    for a, ca in f.on_scale(scale).items():
+        for b, cb in g_terms:
+            acc.setdefault(key_sum(a, b), []).append((ca, cb))
+    return FiniteSeries._derived(space, scale, ((k, field.dot(p)) for k, p in acc.items()))
 
 
 def product_many(series):
@@ -374,26 +411,11 @@ def monomial_shift(f, shift, scalar=1):
 
 def invert_unit(f, window=32):
     """Multiplicative inverse of f, whose leading term c * x^g0 lies in the
-    first `window` certificate positions: the fixed point h of f*h = 1, on
-    the grid on x^-g0 that x^-g0 * Supp(f) minus the unit generates, where
-
-        h(delta) = c^-1 * ([delta = x^-g0] - sum of f(alpha) h(beta))
-
-    over the candidates alpha != x^g0 of `_pairs` for f's parts and the
-    grid, beta = x^g0 * delta / alpha.  `_pairs` at x^g0 * delta gives the
-    pairs of that sum, with h(beta) read by a test it is handed; an alpha
-    where f is zero is dropped, and a point alpha below x^g0 carries zero
-    (`leading_term` has checked).  As in `cauchy_product`, f is read at a
-    fixed alpha once, where that test first passes.
-
-    Two walks fill the series' memo by those pairs.  The sweep (`truncate`)
-    lists the grid's points up to a bound in increasing order and fills
-    each from the memo: every beta below delta on the grid is already
-    there, and one missing from it is off the grid, so zero.  Random access
-    (`coeff`, `window_terms`) walks an explicit stack from delta down: it
-    tests each beta for membership in the grid, fills the missing ones
-    first and then delta, so a deep lookup uses no Python recursion, also
-    on a grid whose points below a bound cannot be listed.
+    first `window` certificate positions: the quotient 1/f (`_quotient`),
+    on the grid on x^-g0 that x^-g0 * Supp(f) minus the unit generates.
+    f's parts, its leading exponent g0 and c^-1 are found once, here, and a
+    product with a finite factor hands them on (`cauchy_product`).  A
+    monomial f gives the finite series c^-1 x^-g0.
     """
     parts = _parts(f)
     u, field = f.universe, f.field
@@ -413,53 +435,97 @@ def invert_unit(f, window=32):
     cert = _power_grid(u, above)
     if cert is None:
         return f.space.delta(ginv, cinv)
-    cert = cert.minkowski(point)
-    grid = cert.atoms[0]
-    frame = _Frame(u, [*parts, grid])
-    in_grid = frame.member(grid)
-    lead, start = frame.encode(g0), frame.encode(ginv)
-    # the pairs (-c^-1 * f(alpha), other(beta)) of the equation at top are
-    # pairs(top + lead, other)
-    pairs, _ = _pairs(frame, f, parts, [grid], -cinv, lead)
+    return _quotient(f.space, None, f, (parts, g0, cinv), cert.minkowski(point))
 
-    def solve(top, terms):
-        """h(top) from the pairs (-c^-1 * f(alpha), h(beta)) of its
-        equation."""
-        if top == start:
-            terms.append((cinv, field.one))
+
+def _quotient(space, numerator, unit, data, cert):
+    """The quotient h = n/d of the finite numerator n (1 when None) by the
+    unit d, on the certificate cert, which holds Supp(n) times the grid of
+    1/d: the fixed point of d*h = n.  `data` are d's parts, its leading
+    exponent g0 and c^-1, c its leading coefficient (`invert_unit`).  Read
+    at x^g0 * delta,
+
+        h(delta) = c^-1 * (n(x^g0 * delta) - sum of d(alpha) h(beta))
+
+    over the candidates alpha != x^g0 of `_pairs` for d's parts and cert's
+    atoms, beta = x^g0 * delta / alpha; a point alpha below x^g0 carries
+    zero (`leading_term` has checked).  Its readers (`_pairs`, n's table
+    on the frame, the certificate's membership tests) are built on the
+    first read, so a quotient that only feeds a product builds none.
+
+    Two walks fill the series' memo by those pairs (see the module
+    docstring): the sweep (`truncate`) in increasing order, and random
+    access (`coeff`, `window_terms`) by an explicit stack from delta down,
+    which fills the missing betas on the certificate first."""
+    parts, g0, cinv = data
+    atoms, field = cert.atoms, space.field
+    frame = _Frame(space.universe, [*parts, *atoms] if numerator is None
+                   else [*parts, numerator, *atoms])
+    lead = pairs = table = in_cert = None
+
+    def ready():
+        nonlocal lead, pairs, table
+        if pairs is None:
+            lead = frame.encode(g0)
+            # the pairs (-c^-1 * d(alpha), other(beta)) of the equation at
+            # delta are pairs(delta + lead, other)
+            pairs, _ = _pairs(frame, unit, parts, atoms, -cinv, lead)
+            if numerator is None:
+                table = {frame.encode(space.universe.unit): field.one}
+            else:
+                table = frame.table(numerator)
+
+    def solve(up, terms):
+        """h(delta) from the pairs (-c^-1 * d(alpha), h(beta)) of its
+        equation at up = delta + lead."""
+        v = table.get(up)
+        if v:
+            terms.append((cinv, v))
         return field.dot(terms)
 
     def oracle(t):
-        if not in_grid(t):
+        nonlocal in_cert
+        if in_cert is None:
+            tests = [frame.member(a) for a in atoms]
+            in_cert = tests[0] if len(tests) == 1 else (
+                lambda b: b if any(test(b) for test in tests) else None)
+        if not in_cert(t):
             return field.zero
-        stack = [(t, None)]
+        ready()
+        stack = [(t, None, None)]
         while stack:
-            top, terms = stack.pop()
+            top, up, terms = stack.pop()
             if top in values:
                 continue
             if terms is None:
-                # the pairs' betas, off the grid dropped
-                terms = pairs(tuple(map(add, top, lead)), in_grid)
+                # the pairs' betas, off the certificate dropped
+                up = tuple(map(add, top, lead))
+                terms = pairs(up, in_cert)
                 missing = [b for _, b in terms if b not in values]
                 if missing:
                     # revisit top once everything below it is filled
-                    stack.append((top, terms))
-                    stack.extend((b, None) for b in missing)
+                    stack.append((top, up, terms))
+                    stack.extend((b, None, None) for b in missing)
                     continue
-            values[top] = solve(top, [(c, values[b]) for c, b in terms])
+            values[top] = solve(up, [(c, values[b]) for c, b in terms])
         return values[t]
 
     def sweep(vec):
-        pts = frame.points_upto(cert.atoms, vec)
-        for t in pts or ():
-            if t not in values:
-                values[t] = solve(t, pairs(tuple(map(add, t, lead)), values.get))
+        pts = frame.points_upto(atoms, vec)
+        if pts:
+            ready()
+            get = values.get
+            for t in pts:
+                if t not in values:
+                    up = tuple(map(add, t, lead))
+                    values[t] = solve(up, pairs(up, get))
         return pts
 
-    inverse = LazySeries(f.space, oracle, cert, frame)
-    inverse._sweep = sweep
-    values = inverse._memo  # the fixed point fills the series' own memo
-    return inverse
+    h = LazySeries(space, oracle, cert, frame)
+    h._sweep = sweep
+    h._quotient = (numerator, unit, data)
+    values = h._memo  # the fixed point fills the series' own memo
+    return h
 
 
 def truncate(f, bound):
@@ -467,7 +533,7 @@ def truncate(f, bound):
     increasing order: the points of f's certificate up to the bound
     (`_Frame.points_upto`; a finite series' table keys), on f's frame or,
     for a finite or a caller's series, on a frame of its parts.  A product
-    or an inverse fills its memo there in one increasing sweep
+    or a quotient fills its memo there in one increasing sweep
     (`Series._sweep`); any other series is read at each point
     (`_Frame.reader`).  The nonzero terms are kept on that frame
     (`_Frame.series`)."""

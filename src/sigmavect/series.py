@@ -8,9 +8,9 @@ monomials appear only at the public boundary: the constructors check and
 encode them, and `terms`, `window_terms`, `format`, `to_record` and
 `certificate` decode.  Lazy series carry a coefficient oracle plus a
 described support certificate; one built on a frame of its parts
-(`_Frame`: a Hahn product, inverse or Neumann sum, or the sum of a finite
+(`_Frame`: a Hahn product, quotient or Neumann sum, or the sum of a finite
 family of finite series) takes frame coordinates.  A finite part gives the
-frame its table's keys and scale as they are.  A Hahn product or inverse
+frame its table's keys and scale as they are.  A Hahn product or quotient
 can also fill its memo at every point of its certificate up to a bound,
 in increasing order (`Series._sweep`, which `hahn.truncate` runs).
 `Space.lazy`, the entry for a caller's oracle, is the one place a
@@ -96,11 +96,15 @@ class PairingUndecided(SeriesError):
 
 class Series:
     frame = None  # the integer coordinates a framed lazy series is kept on
-    # sweep(vec): a Hahn product's or inverse's fill of its memo at every
+    # sweep(vec): a Hahn product's or quotient's fill of its memo at every
     # point of its certificate up to the exponent vector vec, in increasing
     # order, giving those points as sorted frame coordinates, or None when
     # they cannot be listed (`hahn.truncate`)
     _sweep = None
+    # (numerator, unit, unit data) of a Hahn quotient n/d, the fixed point
+    # of d*h = n (`hahn.invert_unit` is 1/d, its numerator None), which a
+    # finite factor multiplies into its numerator (`hahn.cauchy_product`)
+    _quotient = None
 
     def __init__(self, space):
         self.space = space

@@ -14,7 +14,8 @@ keys whose outputs differ, then the first few of them, and exits 1 if
 there are any.
 
 The corpus holds hand-picked cases, among them finite Puiseux arithmetic
-whose terms have mixed exponent denominators, and then a draw from a fixed
+whose terms have mixed exponent denominators and quotients (a finite
+factor times an inverse, printed and truncated), and then a draw from a fixed
 seed: products either way round of finite
 series, inverses and `sum` families, inverses, shifts, `(1 - x^(1/q))^-1`,
 pairings, `lead`, truncations at bounds on and off the support, weights
@@ -39,6 +40,17 @@ FIELDS = ("rational", "fp:7", "fp:5")
 FORMATS = ("text", "json")
 WINDOW = 12  # keeps the corpus fast; a family weight that raises does so within it
 SIZE = 400  # drawn expressions, after the hand-picked ones
+# a finite factor times an inverse, either way round, a shift of an
+# inverse and a division are each one quotient; a lazy finite factor
+# (here a scalar multiple) or a second inverse keeps the product
+QUOTIENTS = (
+    "(1 + x) * (1 - x)^-1", "(1 - x)^-1 * (x^(1/2) + 2)",
+    "(1 - x) * (1 - x)^-1", "0 * (1 - x)^-1", "(x - x) * (1 - x)^-1", "7 * (1 - x)^-1",
+    "x^(1/2) * ((2 + x) * (1 - x^(1/3))^-1)",
+    "shift((1 - x - x^2)^-1, x^(1/2))", "(1 + x) / (1 - x - x^2)",
+    "(1 + x) * (1 - x * (1 - x)^-1)^-1",
+    "(1 - x)^-1 * (1 - x^2)^-1",
+)
 
 
 def _mono(num, den):
@@ -135,6 +147,9 @@ def corpus():
         "pair(derive(euler, (1 - x^(1/5))^-1), x^(3/5) + x^2)",
         "derive(euler, x^(1/5) + 3*x^(2/5))^-1",
         "truncate(derive(euler, sum(grid(x^(1/7); x^(2/7)), n -> n)), x^2)",
+        # quotients, printed lazily (in JSON with their certificate records)
+        # and truncated
+        *(e for q in QUOTIENTS for e in (q, "truncate(%s, x^3)" % q)),
     ]
     rng = random.Random("cli-differential:0")
     for _ in range(SIZE):

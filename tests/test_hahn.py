@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import time_limit
-from sigmavect import gridsolve
+from sigmavect import gridsolve, hahn
 from sigmavect.bornology import all_subsets, well_ordered
+from sigmavect.expr import Env, Evaluator, parse
 from sigmavect.hahn import (
     HahnError,
     _Frame,
@@ -33,7 +34,7 @@ from sigmavect.hahn import (
     truncate,
 )
 from sigmavect.scalars import GF, QQ
-from sigmavect.series import Space, add, family_sum, finite_family, scale, sub
+from sigmavect.series import FiniteSeries, Space, add, family_sum, finite_family, scale, sub
 from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom, IntervalAtom, ProgressionAtom
 from sigmavect.universe import MonomialUniverse, Naturals
 
@@ -521,12 +522,13 @@ def sweep_terms(lo):
        st.tuples(st.integers(2, 6), st.integers(0, 5)), st.lists(st.integers(0, 40), max_size=6))
 def test_a_truncation_sweep_matches_random_access_on_a_fresh_copy(field, kind, shape, c0, rest,
                                                                  other, bound, reads):
-    """`truncate` fills a product's or an inverse's memo in one increasing
+    """`truncate` fills a product's or a quotient's memo in one increasing
     sweep; it must give the terms that `coeff`, walking its stack down from
     each point in decreasing order, gives on a copy built anew, and leave a
-    memo that random access reads the same.  Inverses, products either way
-    round, of a caller's stencil, of two inverses and nested, shifts and the
-    inverse of a product, on exponents x^n, x^(n/2 + k/3) and x^a y^b (a
+    memo that random access reads the same.  Inverses, quotients (a finite
+    factor times an inverse, either way round, and a shift of an inverse),
+    products of a caller's stencil, of two inverses and nested, and the
+    inverse of a quotient, on exponents x^n, x^(n/2 + k/3) and x^a y^b (a
     grid whose generators all lead in x, listed on the heap), under QQ and
     GF(7), after `coeff` reads that have filled part of the memo out of
     order."""
@@ -619,6 +621,92 @@ def test_an_inverse_on_a_finer_frame_than_its_grid():
     assert [h.coeff(m(Fraction(k, 5))) for k in range(-5, 16)] == [
         int(k >= 0 and k % 5 == 0) for k in range(-5, 16)]
     assert truncate(invert_unit(f), m(Fraction(16, 5))).terms == {m(k): 1 for k in range(4)}
+
+
+QUOTIENT_BOUND = Fraction(3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(7), GF(65521)]),
+       st.sampled_from(["zero", "monomial", "puiseux", "unit"]),
+       st.sampled_from(["finite", "lazy", "inverse"]), st.integers(0, 4), unit_polys,
+       st.sampled_from([1, 2, 3]),
+       st.dictionaries(st.integers(-2, 6), st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1,
+                       max_size=3),
+       st.integers(-2, 2))
+def test_a_quotient_is_the_fixed_point_of_its_unit_times_it(field, num_kind, unit_kind, shape,
+                                                             spec, q, terms, k):
+    """g * d^-1 for a finite g is the quotient h with d * h = g: d times h
+    truncated at x^3 is g up to x^3, by dictionary convolution.  g is zero,
+    a monomial, a few Puiseux terms or the finite unit itself; d is that
+    unit, the same unit as a frameless `Space.lazy` series, or its inverse
+    (a framed unit on a grid).  The shapes are g * d^-1, d^-1 * g,
+    g2 * (g * d^-1), a shift of d^-1 and g / d through the evaluator, under
+    QQ, GF(7) and GF(65521).  Each keeps the product's certificate, and
+    `coeff` on a copy built anew agrees with the swept one.  With a `space`
+    given, the product stays a product and agrees with the quotient."""
+    sp = Space(field, X, well_ordered(X))
+    c0, q0, rest = spec
+    unit = sp.series({m(0): c0, **{m(Fraction(e, q0)): c for e, c in rest.items()}})
+    b = QUOTIENT_BOUND
+    d_dict = exponents(unit)
+    if unit_kind == "inverse":
+        # h reaches down to x^-2, so d is read up to x^(b + 2)
+        d_dict = dict_inverse(field, d_dict, b + 2)
+    g = {"zero": sp.zero(), "monomial": sp.delta(m(Fraction(k, q)), 2), "unit": unit,
+         "puiseux": sp.series({m(Fraction(e, q)): c for e, c in terms.items()})}[num_kind]
+    g2 = sp.series({m(0): 2, m(Fraction(1, 2)): -1})
+    s = m(Fraction(k, 2))
+    env = Env(field)
+
+    def build():
+        d = {"finite": unit, "lazy": lazy(unit), "inverse": invert_unit(unit)}[unit_kind]
+        inv = invert_unit(d)
+        env.names.update(g=g, d=d)
+        return [
+            (cauchy_product(g, inv), g, g.certificate.minkowski(inv.certificate)),
+            (cauchy_product(inv, g), g, inv.certificate.minkowski(g.certificate)),
+            (cauchy_product(g2, q1 := cauchy_product(g, inv)), cauchy_product(g2, g),
+             g2.certificate.minkowski(q1.certificate)),
+            (monomial_shift(inv, s), sp.delta(s),
+             sp.delta(s).certificate.minkowski(inv.certificate)),
+            (Evaluator(env).eval(parse("g / d")), g, g.certificate.minkowski(inv.certificate)),
+        ][shape], inv
+
+    (h, target, cert), inv = build()
+    assert h.certificate.to_record() == cert.to_record()
+    if not isinstance(inv, FiniteSeries):  # d is no monomial
+        assert h._quotient is not None
+        product = cauchy_product(*((g, inv) if shape != 1 else (inv, g)), space=sp)
+        assert product._quotient is None
+        if shape < 2:
+            assert [product.coeff(p) for p in PROBES] == [h.coeff(p) for p in PROBES]
+    got = exponents(truncate(h, m(b)))
+    want = {e: c for e, c in exponents(target).items() if e <= b}
+    assert {e: c for e, c in dict_mul(field, d_dict, got, b).items() if c} == want
+    if num_kind == "unit" and unit_kind != "inverse" and shape in (0, 1, 4):
+        assert got == {0: 1}
+    (fresh, _, _), _ = build()
+    assert [fresh.coeff(p) for p in PROBES] == [h.coeff(p) for p in PROBES]
+
+
+def test_a_quotient_fills_one_memo_in_one_sweep(monkeypatch):
+    """truncate(Q * P^-1, x^8) builds one candidate reader (`_pairs`), the
+    quotient's own, in its one sweep; the inverse builds none until it is
+    read itself."""
+    built = []
+    pairs = hahn._pairs
+    monkeypatch.setattr(hahn, "_pairs", lambda *a, **kw: built.append(a[1]) or pairs(*a, **kw))
+    unit, num = SP.series({m(0): 1, m(2): -1, m(3): -1}), SP.series({m(0): 2, m(1): 1})
+    inv = invert_unit(unit)
+    h = cauchy_product(num, inv)
+    assert built == []
+    a = [1, 0, 1]  # 1/(1 - x^2 - x^3): a(n) = a(n - 2) + a(n - 3)
+    while len(a) <= 8:
+        a.append(a[-2] + a[-3])
+    assert truncate(h, m(8)).terms == {m(n): 2 * a[n] + (a[n - 1] if n else 0) for n in range(9)}
+    assert built == [unit]
+    assert inv.coeff(m(8)) == a[8] and built == [unit, unit]
 
 
 # Exponents for the integer-frame oracle: generators and bases with

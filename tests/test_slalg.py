@@ -150,12 +150,12 @@ COEFF = st.sampled_from([-3, -2, -1, 1, 2, 3])
        st.dictionaries(EXPONENT, COEFF, min_size=1, max_size=3),
        st.dictionaries(EXPONENT.filter(bool), COEFF, min_size=1, max_size=2))
 def test_euler_matches_the_generic_derivation(field, kind, a, b):
-    """The Euler derivation reads a finite series' table and a framed
-    series on its frame; a generic `Derivation` with the same monomial
-    action reads one image series per monomial.  They agree on the image's
-    kind, certificate record, coefficients and their types, terms up to a
-    bound, and on the type and text of anything raised, where the prime
-    divides an exponent's denominator too."""
+    """The Euler derivation scales a finite series' table, and any other
+    series takes the generic rule; a generic `Derivation` with the same
+    monomial action reads one image series per monomial.  They agree on
+    the image's kind, certificate record, coefficients and their types,
+    terms up to a bound, and on the type and text of anything raised,
+    where the prime divides an exponent's denominator too."""
     sp = Space(field, X, well_ordered(X))
     finite = sp.series({m(q): c for q, c in a.items()})
     unit = sp.series({m(0): 1, **{m(q): c for q, c in b.items()}})
