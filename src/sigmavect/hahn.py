@@ -62,28 +62,28 @@ f^-1 each fill one memo.  The fill is exact in increasing order:
 
 One body gives those terms to two walks, which fill the quotient's memo,
 so each coefficient costs its candidates once and no Python recursion is
-used.  `truncate` sweeps: it fills the certificate's points up to the
-bound in increasing order.  Random access (`coeff`) walks an explicit
-stack down from delta, testing each beta for membership in a certificate
-atom (the grid of f^-1 moved to each point of a finite set that holds
-Supp(g)); it serves any grid, also one whose points below a bound cannot
-be listed.  `neumann_sum` keeps the literal weighted sum of powers, each
-read on the frame of its grid.
+used.  The fill (`Series._fill`) takes the certificate's points up to a
+bound, which `truncate` lists, in increasing order.  Random access
+(`coeff`) walks an explicit stack down from delta, testing each beta for
+membership in a certificate atom (the grid of f^-1 moved to each point
+of a finite set that holds Supp(g)); it serves any grid, also one whose
+points below a bound cannot be listed.  `neumann_sum` keeps the literal
+weighted sum of powers, each read on the frame of its grid.
 
-`truncate` lists the certificate's points up to the bound on the series'
-frame, or on a frame of its parts for a finite or a caller's series (a
-grid through `gridsolve.grid_points_upto`, in closed form in one
-variable).  A product or a quotient fills them in one increasing sweep (a
-product first has its other factor sweep as far as its stencil reaches,
-and then reads that factor's memo); any other series is read at each.
-The nonzero terms are kept, on a framed universe keyed by those frame
-coordinates, and no monomial is decoded.  Every coefficient is one
-`Field.dot` of its pairs, normalized once.
+`truncate` has one path for every series.  It lists the certificate's
+points up to the bound on the series' frame, or on a frame of its parts
+for a finite or a caller's series (a grid through
+`gridsolve.grid_points_upto`, in closed form in one variable), has a
+quotient fill them, and reads each point through `_Frame.reader`: a
+product, a Neumann sum or any other series reads point by point, in
+increasing order, and a quotient reads its memo.  The nonzero terms are
+kept, on a framed universe keyed by those frame coordinates, and no
+monomial is decoded.  Every coefficient is one `Field.dot` of its pairs,
+normalized once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
@@ -131,17 +131,16 @@ def _parts(f):
 
 
 def _pairs(frame, f, f_parts, g_parts, scalar=None, skip=None):
-    """(pairs, least) for f's side of gamma = alpha + beta, alpha in f_parts
-    and beta in g_parts (parts of the frame, `_parts`), in frame
-    coordinates.  pairs(gamma, other) gives every (scalar * f(alpha),
+    """The pairs function for f's side of gamma = alpha + beta, alpha in
+    f_parts and beta in g_parts (parts of the frame, `_parts`), in frame
+    coordinates: pairs(gamma, other) gives every (scalar * f(alpha),
     other(beta)) where both are nonzero (scalar 1 when None), over the
     candidate alphas other than `skip`: the points of f's `_listed` parts
     (`_Frame.listed`), fixed for every gamma (the stencil), and, for f's
     grids, gamma minus each point of g's listed parts and the lattice
     solutions of each grid x grid pair.  Every decomposition is a
     candidate, each alpha once; at any other, f or g is zero (`reader`).
-    `least` is the least fixed alpha when every candidate is fixed, else
-    None.  Lattices are built once, here, not per coefficient.
+    Lattices are built once, here, not per coefficient.
 
     A finite f is its table on the frame, read once.  Any other f is read
     at a fixed alpha once, the first time other is nonzero at its beta,
@@ -178,7 +177,7 @@ def _pairs(frame, f, f_parts, g_parts, scalar=None, skip=None):
     # a finite f has no grid
     grids_f = [a for a in f_parts if not _listed(a)]
     if not grids_f:
-        return stencil, min(fixed, default=None)
+        return stencil
     listed_g = frame.listed(g_parts)
     solvers = []
     for af in grids_f:
@@ -208,7 +207,7 @@ def _pairs(frame, f, f_parts, g_parts, scalar=None, skip=None):
                 out.append((c if scalar is None else scalar * c, v))
         return out
 
-    return pairs, None
+    return pairs
 
 
 def cauchy_product(f, g, space=None):
@@ -219,12 +218,8 @@ def cauchy_product(f, g, space=None):
     candidate is fixed.  f is read at a fixed alpha once, where g is first
     nonzero (a finite f is its table), and at the other candidates before
     g, which is then read only where f is nonzero: a caller's oracle is
-    called only where the sum over the decompositions reads it.
-
-    The product's sweep (`truncate`) lists its certificate's points up to a
-    bound and, when every candidate is fixed, first has g fill its own
-    memo by its sweep as far as the stencil reaches, so that each
-    coefficient reads g there, a point missing from it being zero.
+    called only where the sum over the decompositions reads it.  A
+    product is read point by point, by `coeff` or `truncate` alike.
 
     A finite factor times a quotient n/d (`invert_unit` is 1/d), either
     way round, is instead the quotient of its product with n by d, on this
@@ -232,8 +227,8 @@ def cauchy_product(f, g, space=None):
     two quotients, or of a lazy factor and a quotient, is a product.
 
     The optional space overrides the output's (used by module actions, where
-    the two factors live in different spaces); with it, a quotient factor is
-    read as any other factor."""
+    the two factors live in different spaces); it picks the space, not the
+    rule."""
     finite = isinstance(f, FiniteSeries) and isinstance(g, FiniteSeries)
     if finite:
         # a finite series' certificate is one finite atom, which needs no check
@@ -251,7 +246,7 @@ def cauchy_product(f, g, space=None):
         return _finite_product(out, f, g)
     cert = f.certificate.minkowski(g.certificate)
     q = g if isinstance(f, FiniteSeries) else f if isinstance(g, FiniteSeries) else None
-    if space is None and q is not None and q._quotient is not None:
+    if q is not None and q._quotient is not None:
         # a finite factor times n/d is (its product with n)/d, on this
         # product's certificate
         n, d, data = q._quotient
@@ -263,28 +258,8 @@ def cauchy_product(f, g, space=None):
     frame = _Frame(u, f_parts + g_parts)
     if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
         f, g, f_parts, g_parts = g, f, g_parts, f_parts
-    pairs, least = _pairs(frame, f, f_parts, g_parts)
-    read_g = frame.reader(g)
-
-    def sweep(vec):
-        pts = frame.points_upto(cert.atoms, vec)
-        if pts is not None:
-            read = read_g
-            if least is not None and g._sweep is not None:
-                # g swept up to vec over the least alpha holds every beta
-                # the stencil reads, and reads None, as zero, off its points
-                low = tuple([c - Fraction(a, frame.scale) for c, a in zip(vec, least)])
-                if g._sweep(low) is not None:
-                    read = frame.reader(g, swept=True)
-            memo = product._memo
-            for t in pts:
-                if t not in memo:
-                    memo[t] = field.dot(pairs(t, read))
-        return pts
-
-    product = LazySeries(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
-    product._sweep = sweep
-    return product
+    pairs, read_g = _pairs(frame, f, f_parts, g_parts), frame.reader(g)
+    return LazySeries(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
 
 
 def _finite_product(space, f, g):
@@ -451,12 +426,14 @@ def _quotient(space, numerator, unit, data, cert):
     atoms, beta = x^g0 * delta / alpha; a point alpha below x^g0 carries
     zero (`leading_term` has checked).  Its readers (`_pairs`, n's table
     on the frame, the certificate's membership tests) are built on the
-    first read, so a quotient that only feeds a product builds none.
+    first read or non-empty fill, so a quotient that only feeds a product
+    builds none.
 
     Two walks fill the series' memo by those pairs (see the module
-    docstring): the sweep (`truncate`) in increasing order, and random
-    access (`coeff`, `window_terms`) by an explicit stack from delta down,
-    which fills the missing betas on the certificate first."""
+    docstring): `fill(pts)` (`Series._fill`) at the sorted points that
+    `truncate` lists, in increasing order, and random access (`coeff`,
+    `window_terms`) by an explicit stack from delta down, which fills the
+    missing betas on the certificate first."""
     parts, g0, cinv = data
     atoms, field = cert.atoms, space.field
     frame = _Frame(space.universe, [*parts, *atoms] if numerator is None
@@ -469,7 +446,7 @@ def _quotient(space, numerator, unit, data, cert):
             lead = frame.encode(g0)
             # the pairs (-c^-1 * d(alpha), other(beta)) of the equation at
             # delta are pairs(delta + lead, other)
-            pairs, _ = _pairs(frame, unit, parts, atoms, -cinv, lead)
+            pairs = _pairs(frame, unit, parts, atoms, -cinv, lead)
             if numerator is None:
                 table = {frame.encode(space.universe.unit): field.one}
             else:
@@ -510,8 +487,7 @@ def _quotient(space, numerator, unit, data, cert):
             values[top] = solve(up, [(c, values[b]) for c, b in terms])
         return values[t]
 
-    def sweep(vec):
-        pts = frame.points_upto(atoms, vec)
+    def fill(pts):
         if pts:
             ready()
             get = values.get
@@ -519,10 +495,9 @@ def _quotient(space, numerator, unit, data, cert):
                 if t not in values:
                     up = tuple(map(add, t, lead))
                     values[t] = solve(up, pairs(up, get))
-        return pts
 
     h = LazySeries(space, oracle, cert, frame)
-    h._sweep = sweep
+    h._fill = fill
     h._quotient = (numerator, unit, data)
     values = h._memo  # the fixed point fills the series' own memo
     return h
@@ -532,21 +507,19 @@ def truncate(f, bound):
     """Finite series equal to f on monomials <= bound, its terms in
     increasing order: the points of f's certificate up to the bound
     (`_Frame.points_upto`; a finite series' table keys), on f's frame or,
-    for a finite or a caller's series, on a frame of its parts.  A product
-    or a quotient fills its memo there in one increasing sweep
-    (`Series._sweep`); any other series is read at each point
-    (`_Frame.reader`).  The nonzero terms are kept on that frame
-    (`_Frame.series`)."""
+    for a finite or a caller's series, on a frame of its parts, each read
+    through `_Frame.reader`.  A quotient first fills its memo at those
+    points in increasing order (`Series._fill`).  The nonzero terms are
+    kept on that frame (`_Frame.series`)."""
     parts = _parts(f)
     frame = f.frame or _Frame(f.universe, parts)
-    vec = f.universe.vectorize(bound)
-    if f._sweep is not None:
-        pts, read = f._sweep(vec), f._memo.__getitem__
-    else:
-        pts, read = frame.points_upto(parts, vec), frame.reader(f)
+    pts = frame.points_upto(parts, f.universe.vectorize(bound))
     if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), f.universe.format(bound))
         )
+    if f._fill is not None:
+        f._fill(pts)
+    read = frame.reader(f)
     return frame.series(f.space, [(t, c) for t in pts if (c := read(t))])

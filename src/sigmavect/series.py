@@ -8,11 +8,12 @@ monomials appear only at the public boundary: the constructors check and
 encode them, and `terms`, `window_terms`, `format`, `to_record` and
 `certificate` decode.  Lazy series carry a coefficient oracle plus a
 described support certificate; one built on a frame of its parts
-(`_Frame`: a Hahn product, quotient or Neumann sum, or the sum of a finite
-family of finite series) takes frame coordinates.  A finite part gives the
-frame its table's keys and scale as they are.  A Hahn product or quotient
-can also fill its memo at every point of its certificate up to a bound,
-in increasing order (`Series._sweep`, which `hahn.truncate` runs).
+(`_Frame`: a Hahn product, quotient or Neumann sum) takes frame
+coordinates.  A finite part gives the frame its table's keys and scale as
+they are.  A Hahn quotient can also fill its memo at the points of its
+certificate up to a bound, in increasing order (`Series._fill`, which
+`hahn.truncate` runs before it reads them).  The sum of a finite family
+of finite series is their linear combination, a finite series.
 `Space.lazy`, the entry for a caller's oracle, is the one place a
 certificate is checked against the bornology; the operations here and
 in `hahn`, `strmap` and `slalg` build their lazy results on certificates
@@ -96,11 +97,10 @@ class PairingUndecided(SeriesError):
 
 class Series:
     frame = None  # the integer coordinates a framed lazy series is kept on
-    # sweep(vec): a Hahn product's or quotient's fill of its memo at every
-    # point of its certificate up to the exponent vector vec, in increasing
-    # order, giving those points as sorted frame coordinates, or None when
-    # they cannot be listed (`hahn.truncate`)
-    _sweep = None
+    # fill(pts): a Hahn quotient's fill of its memo at the sorted frame
+    # coordinates pts, the points of its certificate up to a bound, in
+    # increasing order, before `hahn.truncate` reads them
+    _fill = None
     # (numerator, unit, unit data) of a Hahn quotient n/d, the fixed point
     # of d*h = n (`hahn.invert_unit` is 1/d, its numerator None), which a
     # finite factor multiplies into its numerator (`hahn.cauchy_product`)
@@ -281,11 +281,11 @@ class LazySeries(Series):
     """A coefficient oracle on a support certificate, taken as given: a
     caller's certificate enters through `Space.lazy`, which checks it.
 
-    A series built on a `frame` (a Hahn product or inverse, the sum of a
-    finite family of finite series) has an oracle on the frame's int
-    coordinates (`frame.encode(gamma)`, None off the frame) that is zero off
-    the certificate by construction; it answers `coeff` by one check and
-    one encoding, and `at` on coordinates.
+    A series built on a `frame` (a Hahn product, quotient or Neumann sum)
+    has an oracle on the frame's int coordinates (`frame.encode(gamma)`,
+    None off the frame) that is zero off the certificate by construction;
+    it answers `coeff` by one check and one encoding, and `at` on
+    coordinates.
     """
 
     def __init__(self, space, oracle, certificate, frame=None):
@@ -394,15 +394,13 @@ class _Frame:
         # decode checks the monomial through `devectorize`
         return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
 
-    def reader(self, f, swept=False):
+    def reader(self, f):
         """f's coefficient as a function of this frame's coordinates, for a
         series f whose support lies on the frame; zero off f's certificate.
         A finite f is one table; a series kept on a frame of its own is read
         there, in ints (off that frame it is zero, and off its certificate
-        by construction), or, when `swept`, from its memo alone, where a
-        missing point reads None, as zero; any other at the decoded
-        monomial, which is checked by decoding, and a point off the
-        universe reads zero."""
+        by construction); any other at the decoded monomial, which is
+        checked by decoding, and a point off the universe reads zero."""
         zero = f.field.zero
         if isinstance(f, FiniteSeries):
             table = self.table(f)
@@ -418,7 +416,7 @@ class _Frame:
                 return read_el(gamma)
 
             return read
-        at, own = f._memo.get if swept else f.at, f.frame.scale
+        at, own = f.at, f.frame.scale
         if own == self.scale:
             return at
         onto = self.onto
@@ -674,9 +672,9 @@ def check_summable(fam, window=32):
 def family_sum(fam, weights=None, precheck=True, window=32):
     """The sum series: coefficient at gamma adds the finitely many
     contributions named by the pointwise certificate.  The sum of a finite
-    family of finite series is kept on the frame of its union certificate:
-    member i contributes at a point exactly when its table holds it, and
-    weights(i) is read there, as the pointwise certificate would name it.
+    family of finite series is the finite series `linear_combination` of
+    (weights(i), member i) over the members that have a term, each weight
+    read once, and the space's zero when none has one.
 
     A finite family of finite series certifies itself: `finite_family`
     builds its pointwise and union certificates from the members' supports,
@@ -691,18 +689,12 @@ def family_sum(fam, weights=None, precheck=True, window=32):
                 raise SeriesError("family rejected: %s" % "; ".join(report["failures"]))
         elif fam.space.bornology.is_bounded(fam.union_cert) is Verdict.UNBOUNDED:
             raise SeriesError("family rejected: union support certificate is unbounded")
-    field, u = fam.space.field, fam.space.universe
+    field = fam.space.field
     if weights is None:
         weights = lambda i: field.one
-    if finite and u.dim is not None:
-        frame = _Frame(u, members)
-        tables = list(enumerate(map(frame.table, members)))
-
-        def framed(t):
-            return field.dot([(field.of(weights(i)), v)
-                              for i, table in tables if (v := table.get(t))])
-
-        return LazySeries(fam.space, framed, fam.union_cert, frame)
+    if finite:
+        terms = [(weights(i), f) for i, f in enumerate(members) if f.table]
+        return linear_combination(terms) if terms else fam.space.zero()
 
     def oracle(gamma):
         idx = fam.pointwise(gamma)

@@ -15,7 +15,8 @@ there are any.
 
 The corpus holds hand-picked cases, among them finite Puiseux arithmetic
 whose terms have mixed exponent denominators and quotients (a finite
-factor times an inverse, printed and truncated), and then a draw from a fixed
+factor times an inverse, printed and truncated), a finite factor times a
+product of two inverses, and then a draw from a fixed
 seed: products either way round of finite
 series, inverses and `sum` families, inverses, shifts, `(1 - x^(1/q))^-1`,
 pairings, `lead`, truncations at bounds on and off the support, weights
@@ -50,6 +51,13 @@ QUOTIENTS = (
     "shift((1 - x - x^2)^-1, x^(1/2))", "(1 + x) / (1 - x - x^2)",
     "(1 + x) * (1 - x * (1 - x)^-1)^-1",
     "(1 - x)^-1 * (1 - x^2)^-1",
+)
+# a finite factor times a product of two inverses, and a shift of one: a
+# product whose other factor is itself a product, read point by point
+PRODUCTS_OF_QUOTIENTS = (
+    "(2 + x) * ((1 - x)^-1 * (1 - x^2)^-1)",
+    "x^(1/2) * ((1 - x^(1/3))^-1 * (1 + x)^-1)",
+    "shift((1 - x)^-1 * (1 - x^(1/2))^-1, x^(1/3))",
 )
 
 
@@ -147,9 +155,9 @@ def corpus():
         "pair(derive(euler, (1 - x^(1/5))^-1), x^(3/5) + x^2)",
         "derive(euler, x^(1/5) + 3*x^(2/5))^-1",
         "truncate(derive(euler, sum(grid(x^(1/7); x^(2/7)), n -> n)), x^2)",
-        # quotients, printed lazily (in JSON with their certificate records)
-        # and truncated
-        *(e for q in QUOTIENTS for e in (q, "truncate(%s, x^3)" % q)),
+        # quotients and products of them, printed lazily (in JSON with their
+        # certificate records) and truncated
+        *(e for q in QUOTIENTS + PRODUCTS_OF_QUOTIENTS for e in (q, "truncate(%s, x^3)" % q)),
     ]
     rng = random.Random("cli-differential:0")
     for _ in range(SIZE):

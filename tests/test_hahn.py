@@ -36,6 +36,7 @@ from sigmavect.hahn import (
 from sigmavect.scalars import GF, QQ
 from sigmavect.series import FiniteSeries, Space, add, family_sum, finite_family, scale, sub
 from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom, IntervalAtom, ProgressionAtom
+from sigmavect.slalg import module_action
 from sigmavect.universe import MonomialUniverse, Naturals
 
 X = MonomialUniverse(["x"])
@@ -522,10 +523,11 @@ def sweep_terms(lo):
        st.tuples(st.integers(2, 6), st.integers(0, 5)), st.lists(st.integers(0, 40), max_size=6))
 def test_a_truncation_sweep_matches_random_access_on_a_fresh_copy(field, kind, shape, c0, rest,
                                                                  other, bound, reads):
-    """`truncate` fills a product's or a quotient's memo in one increasing
-    sweep; it must give the terms that `coeff`, walking its stack down from
-    each point in decreasing order, gives on a copy built anew, and leave a
-    memo that random access reads the same.  Inverses, quotients (a finite
+    """`truncate` has a quotient fill its memo in one increasing sweep and
+    reads a product point by point, in increasing order; it must give the
+    terms that `coeff`, walking its stack down from each point in
+    decreasing order, gives on a copy built anew, and leave a memo that
+    random access reads the same.  Inverses, quotients (a finite
     factor times an inverse, either way round, and a shift of an inverse),
     products of a caller's stencil, of two inverses and nested, and the
     inverse of a quotient, on exponents x^n, x^(n/2 + k/3) and x^a y^b (a
@@ -643,8 +645,9 @@ def test_a_quotient_is_the_fixed_point_of_its_unit_times_it(field, num_kind, uni
     (a framed unit on a grid).  The shapes are g * d^-1, d^-1 * g,
     g2 * (g * d^-1), a shift of d^-1 and g / d through the evaluator, under
     QQ, GF(7) and GF(65521).  Each keeps the product's certificate, and
-    `coeff` on a copy built anew agrees with the swept one.  With a `space`
-    given, the product stays a product and agrees with the quotient."""
+    `coeff` on a copy built anew agrees with the filled one.  A frameless
+    copy of g times d^-1 stays a product and agrees with the quotient, and
+    with a `space` given, g times d^-1 is the quotient all the same."""
     sp = Space(field, X, well_ordered(X))
     c0, q0, rest = spec
     unit = sp.series({m(0): c0, **{m(Fraction(e, q0)): c for e, c in rest.items()}})
@@ -677,10 +680,13 @@ def test_a_quotient_is_the_fixed_point_of_its_unit_times_it(field, num_kind, uni
     assert h.certificate.to_record() == cert.to_record()
     if not isinstance(inv, FiniteSeries):  # d is no monomial
         assert h._quotient is not None
-        product = cauchy_product(*((g, inv) if shape != 1 else (inv, g)), space=sp)
-        assert product._quotient is None
+        product = cauchy_product(*((lazy(g), inv) if shape != 1 else (inv, lazy(g))))
+        spaced = cauchy_product(*((g, inv) if shape != 1 else (inv, g)), space=sp)
+        assert product._quotient is None and spaced._quotient is not None
+        want = [product.coeff(p) for p in PROBES]
+        assert [spaced.coeff(p) for p in PROBES] == want
         if shape < 2:
-            assert [product.coeff(p) for p in PROBES] == [h.coeff(p) for p in PROBES]
+            assert [h.coeff(p) for p in PROBES] == want
     got = exponents(truncate(h, m(b)))
     want = {e: c for e, c in exponents(target).items() if e <= b}
     assert {e: c for e, c in dict_mul(field, d_dict, got, b).items() if c} == want
@@ -707,6 +713,27 @@ def test_a_quotient_fills_one_memo_in_one_sweep(monkeypatch):
     assert truncate(h, m(8)).terms == {m(n): 2 * a[n] + (a[n - 1] if n else 0) for n in range(9)}
     assert built == [unit]
     assert inv.coeff(m(8)) == a[8] and built == [unit, unit]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_a_module_action_on_an_inverse_is_a_quotient_on_the_carrier(field):
+    """Q acting on P^-1 in a translation module is the quotient Q/P, kept
+    on the carrier: P times its truncation at x^12 is Q up to x^12, by
+    dictionary convolution, and its coefficients are those of a frameless
+    copy of Q acting on P^-1, which takes the product path."""
+    carrier = Space(field, X, well_ordered(X))
+    act = module_action(Space(field, X, all_subsets(X)), carrier)
+    unit = carrier.series({m(0): 1, m(2): -1, m(3): -1})
+    num = act.space.series({m(0): 2, m(1): 1})
+    inv = invert_unit(unit)
+    h, product = act.act(num, inv), act.act(lazy(num), inv)
+    assert h._quotient is not None and product._quotient is None
+    assert h.space == carrier
+    got = exponents(truncate(h, m(12)))
+    assert {e: c for e, c in dict_mul(field, exponents(unit), got, 12).items() if c} == \
+        exponents(num)
+    points = PROBES + [m(k) for k in range(4, 13)]
+    assert [h.coeff(p) for p in points] == [product.coeff(p) for p in points]
 
 
 # Exponents for the integer-frame oracle: generators and bases with
@@ -784,7 +811,7 @@ def test_integer_frame_matches_fraction_enumeration(spec_f, spec_g, gamma):
             continue
         f = SP.lazy(lambda g: 1, DescribedSet(X, f_side))
         g_set = DescribedSet(X, g_side)
-        pairs, _ = _pairs(frame, f, f_side, g_side)
+        pairs = _pairs(frame, f, f_side, g_side)
         got = [(c, frame.decode(tuple(x - y for x, y in zip(t, b))), frame.decode(b))
                for c, b in pairs(t, lambda b: b if g_set.contains(frame.decode(b)) else None)]
         assert all(c == 1 for c, _, _ in got)

@@ -167,6 +167,26 @@ def test_family_sum_with_weights():
     assert [s.coeff(n) for n in range(3)] == [1, 2, 3]
 
 
+def test_a_finite_family_reads_the_weights_of_members_with_a_term():
+    """The sum of a finite family of finite series reads the weight of each
+    member that has a term, once, and never that of a zero member; a family
+    of zeros sums to the space's zero."""
+    members = [SEQ.series({0: 1, 2: 3}), SEQ.zero(), SEQ.series({2: -1, 3: 2})]
+    read = []
+
+    def weights(i):
+        if not members[i].terms:
+            raise AssertionError("the weight of a member with no term is read")
+        read.append(i)
+        return Fraction(i + 1)
+
+    s = family_sum(finite_family(members), weights)
+    assert read == [0, 2]
+    assert isinstance(s, FiniteSeries) and s.terms == {0: 1, 3: 6}
+    zero = family_sum(finite_family([SEQ.zero(), SEQ.zero()]), lambda i: 1 / 0)
+    assert isinstance(zero, FiniteSeries) and zero.space == SEQ and zero.is_zero()
+
+
 def test_check_summable_rejects_lying_certificate():
     good = SEQ.series({0: 1})
     fam = finite_family([good])
@@ -181,7 +201,8 @@ def test_a_finite_family_with_a_replaced_certificate_is_judged_by_its_certificat
     good = SEQ.series({0: 1})
     fam = finite_family([good])
     assert fam.members == (good,)
-    assert family_sum(fam).frame is not None
+    total = family_sum(fam)
+    assert isinstance(total, FiniteSeries) and total.terms == {0: 1}
     fam.union_cert = DescribedSet.finite(N, [5])
     assert fam.members is None
     with pytest.raises(SeriesError, match="family rejected"):
@@ -430,13 +451,14 @@ def test_framed_finite_series_match_a_monomial_oracle(field, dim, data):
         _same_terms(truncate(f, bound), _oracle_upto(a, _key(bound)))
         _same_terms(truncate(cauchy_product(f, g), bound),
                     _oracle_upto(_oracle_product(field, a, b), _key(bound)))
-        # the sum of a finite family of finite series, on its frame
+        # the sum of a finite family of finite series, a finite series
         w = [2, -1, 3]
         fam = finite_family([f, g, h])
         total = family_sum(fam, lambda i: w[i])
-        assert total.frame is not None
-        _same_terms(truncate(total, bound), _oracle_upto(
-            _oracle_combination(field, list(zip(w, (a, b, c)))), _key(bound)))
+        want = _oracle_combination(field, list(zip(w, (a, b, c))))
+        assert isinstance(total, FiniteSeries)
+        _same_terms(total, want)
+        _same_terms(truncate(total, bound), _oracle_upto(want, _key(bound)))
     # public constructors still refuse a bad key
     for bad in [(0.5,) * dim, (True,) * dim, (0,) * (dim + 1), "x"]:
         for build in (lambda: sp.series({bad: 1}), lambda: sp.delta(bad)):
