@@ -7,22 +7,12 @@ lattice-point enumeration) and gives the summability bound behind Neumann
 summation: any element has only finitely many representations as a sum of n
 support elements, with n bounded by a positive weight functional.
 
-Every series here is kept on an integer frame.  A finite series keys its
-terms by frame ints (`series.FiniteSeries`), so two finite series multiply
-term by term with their keys added as ints, on the lcm of their scales.
-Every lazy series built here (a product, a quotient, a Neumann sum) fixes
-one frame (`series._Frame`) for the parts it reads (`_parts`): a finite
-factor itself, whose points are its table's keys on its own scale, and the
-atoms of any other factor's certificate, with the denominators of their
-finite elements, grid bases and generators.  The frame's scale is the lcm
-of those scales, so each of those points has int coordinates, and nothing
-a finite factor holds is decoded or encoded again.  The series keeps the
-frame, and its oracle takes frame coordinates and is memoized by int
-tuple, so a coefficient lookup checks and encodes its monomial once.  A
-factor is read on the frame by one rule (`_Frame.reader`), which is zero
-off the factor's certificate: a finite series through its table on the
-frame's scale, a framed series in ints, and a caller's frameless series at
-the decoded monomial, with a point off the universe read as zero.
+Every series here is kept on an integer frame (`_Frame` says how).  A
+finite series keys its terms by frame ints (`series.FiniteSeries`), so two
+finite series multiply term by term with their keys added as ints, on the
+lcm of their scales.  Every lazy series built here (a product, a quotient,
+a Neumann sum) is a `_Framed` series: it fixes one frame for the parts it
+reads (`_parts`), and its oracle takes that frame's coordinates.
 
 There is one product rule, and one candidate reader, `_pairs`, serves it
 for products and quotients alike.  The coefficient at gamma of f*g sums
@@ -62,8 +52,8 @@ f^-1 each fill one memo.  The fill is exact in increasing order:
 
 One body gives those terms to two walks, which fill the quotient's memo,
 so each coefficient costs its candidates once and no Python recursion is
-used.  The fill (`Series._fill`) takes the certificate's points up to a
-bound, which `truncate` lists, in increasing order.  Random access
+used.  The fill (`_Quotient.fill`) takes the certificate's points up to
+a bound, which `truncate` lists, in increasing order.  Random access
 (`coeff`) walks an explicit stack down from delta, testing each beta for
 membership in a certificate atom (the grid of f^-1 moved to each point
 of a finite set that holds Supp(g)); it serves any grid, also one whose
@@ -84,16 +74,189 @@ normalized once.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 from operator import add, sub
 
-from .gridsolve import Lattice, weight
+from .gridsolve import Lattice, grid_points_upto, scaled, unscaled, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms, _moved
-from .series import FiniteSeries, LazySeries, SeriesError, _Frame, _listed
+from .series import FiniteSeries, LazySeries, SeriesError
+from .universe import UniverseError
 
 
 class HahnError(SeriesError):
     pass
+
+
+def _listed(part):
+    """True for a part of a frame read by its points (a finite series, whose
+    points are its table's keys, a finite atom or a counted progression);
+    any other part, a grid atom, is read by its origin and steps."""
+    return isinstance(part, (FiniteSeries, FiniteAtom)) or part.count is not None
+
+
+def _part_scale(u, part):
+    """The least scale whose frame holds a part's points: a finite series'
+    own scale, a finite atom's lcm of its elements' denominators, an
+    arithmetic atom's of its origin's and steps'."""
+    if isinstance(part, FiniteSeries):
+        return part.scale
+    if isinstance(part, FiniteAtom):
+        return lcm(*map(u.denominator, part.els))
+    return lcm(u.denominator(part.origin), *map(u.denominator, part.steps))
+
+
+class _Frame:
+    """The integer coordinates shared by the parts of one series: the atoms
+    (finite sets, counted progressions and grids) of its factors'
+    certificates, and its finite factors, whose table keys are their
+    points.  A monomial encodes to an int vector (None off the frame, where
+    no sum of part points lies), its exponent vector times `scale`, the lcm
+    of the parts' scales (`_part_scale`: the denominators of their finite
+    elements, grid bases and generators, or a finite factor's own scale).
+    So each part point has int coordinates, and nothing a finite factor
+    holds is decoded or encoded again: on a framed universe its keys are
+    the keys a finite series has on the frame's scale."""
+
+    def __init__(self, u, parts):
+        self.u = u
+        self.scale = lcm(*(_part_scale(u, p) for p in parts))
+
+    def encode(self, el):
+        return scaled(self.u.vectorize(el), self.scale)
+
+    def decode(self, t):
+        return self.u.devectorize(unscaled(t, self.scale))
+
+    def listed(self, parts):
+        """The frame coordinates of the points of the `_listed` parts among
+        `parts`, as the keys of a new dict whose values are all None: a
+        finite series' table keys on this frame, the elements of a listed
+        atom encoded."""
+        out = {}
+        for p in parts:
+            if isinstance(p, FiniteSeries):
+                out.update(dict.fromkeys(self.table(p)))
+            elif _listed(p):
+                out.update(dict.fromkeys(map(self.encode, p.elements())))
+        return out
+
+    def table(self, f):
+        """The finite series f's table on this frame's coordinates; f's
+        terms lie on the frame."""
+        if self.u.framed:
+            return f.on_scale(self.scale)
+        return {self.encode(g): c for g, c in f.table.items()}
+
+    def series(self, space, items):
+        """The finite series of (frame coordinates, field value) pairs."""
+        if self.u.framed:
+            return FiniteSeries._derived(space, self.scale, items)
+        # decode checks the monomial through `devectorize`
+        return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
+
+    def reader(self, f):
+        """f's coefficient as a function of this frame's coordinates, for a
+        series f whose support lies on the frame; zero off f's certificate.
+        A finite f is one table; a `_Framed` f is read on its own frame, in
+        ints (off that frame it is zero, and off its certificate by
+        construction); any other at the decoded monomial, which is checked
+        by decoding, and a point off the universe reads zero."""
+        zero = f.field.zero
+        if isinstance(f, FiniteSeries):
+            table = self.table(f)
+            return lambda t: table.get(t, zero)
+        if not isinstance(f, _Framed):
+            decode, read_el = self.decode, f._read
+
+            def read(t):
+                try:
+                    gamma = decode(t)
+                except UniverseError:
+                    return zero
+                return read_el(gamma)
+
+            return read
+        at, own = f.at, f.frame.scale
+        if own == self.scale:
+            return at
+        onto = self.onto
+        # at reads None, off f's frame, as zero
+        return lambda t: at(onto(t, own))
+
+    def onto(self, t, own):
+        """Frame coordinates t on the scale `own` (t * own / scale, as
+        ints), or None where t leaves that scale's frame."""
+        scale, out = self.scale, []
+        for c in t:
+            q, r = divmod(c * own, scale)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
+
+    def points_upto(self, parts, vec):
+        """The points of `parts` (on this frame) that are <= the exponent
+        vector vec, as sorted frame coordinates, or None when a grid's walk
+        abstains (`grid_points_upto`).  vec is compared exactly, off the
+        frame too.  A grid walks on its own `frame`, whose `Lattice` (shared
+        by atoms of the same steps, `sets._moved`) caches its Apery table,
+        and its points are scaled onto this frame, which holds them."""
+        scale = self.scale
+        top = tuple([c * scale for c in vec])
+        out = {t for t in self.listed(parts) if t <= top}
+        for atom in parts:
+            if _listed(atom):
+                continue
+            lattice, origin = atom.frame
+            own = lattice.scale
+            pts = grid_points_upto(lattice.gens, origin, tuple([c * own for c in vec]), lattice)
+            if pts is None:
+                return None
+            out.update(pts if own == scale else (tuple([c * scale // own for c in t]) for t in pts))
+        return sorted(out)
+
+    def member(self, grid):
+        """Membership in a grid atom of the frame, as a test on frame
+        coordinates that gives the point t itself when it lies in the grid,
+        and None when not; on the grid's own `frame`, whose `Lattice` is
+        the one `points_upto` lists."""
+        lattice, base = grid.frame
+        own, onto = lattice.scale, self.onto
+        if own == self.scale:
+            return lambda t: t if lattice.contains(tuple(map(sub, t, base))) else None
+
+        def test(t):
+            s = onto(t, own)
+            if s is None or not lattice.contains(tuple(map(sub, s, base))):
+                return None
+            return t
+
+        return test
+
+
+class _Framed(LazySeries):
+    """A lazy series kept on a `frame` (a product, a Neumann sum or a
+    quotient): its oracle takes the frame's int coordinates, is memoized by
+    int tuple and is zero off the certificate by construction, so `coeff`
+    is one check, one encoding and `at`, the read at coordinates."""
+
+    def __init__(self, space, oracle, certificate, frame):
+        super().__init__(space, oracle, certificate)
+        self.frame = frame
+
+    def _read(self, gamma):
+        return self.at(self.frame.encode(gamma))
+
+    def at(self, t):
+        """The coefficient at frame coordinates t, memoized by t; zero off
+        the frame (t None)."""
+        if t is None:
+            return self.field.zero
+        val = self._memo.get(t)
+        if val is None:
+            val = self._memo[t] = self._oracle(t)
+        return val
 
 
 def _grid_atoms(cert):
@@ -246,20 +409,20 @@ def cauchy_product(f, g, space=None):
         return _finite_product(out, f, g)
     cert = f.certificate.minkowski(g.certificate)
     q = g if isinstance(f, FiniteSeries) else f if isinstance(g, FiniteSeries) else None
-    if q is not None and q._quotient is not None:
+    if isinstance(q, _Quotient):
         # a finite factor times n/d is (its product with n)/d, on this
         # product's certificate
-        n, d, data = q._quotient
+        n = q.numerator
         if n is None:  # q is 1/d
             num = f if q is g else g
         else:
             num = _finite_product(out, f, n) if q is g else _finite_product(out, n, g)
-        return _quotient(out, num, d, data, cert)
+        return _Quotient(out, num, q.unit, q.data, cert)
     frame = _Frame(u, f_parts + g_parts)
     if all(map(_listed, g_parts)) and not all(map(_listed, f_parts)):
         f, g, f_parts, g_parts = g, f, g_parts, f_parts
     pairs, read_g = _pairs(frame, f, f_parts, g_parts), frame.reader(g)
-    return LazySeries(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
+    return _Framed(out, lambda t: field.dot(pairs(t, read_g)), cert, frame)
 
 
 def _finite_product(space, f, g):
@@ -351,7 +514,7 @@ def neumann_sum(eps, coeffs=None):
         nmax = weight(wts, t) // m0
         return field.dot([(field.of(coeffs(n)), power(n, t)) for n in range(nmax + 1)])
 
-    return LazySeries(eps.space, oracle, cert, frame)
+    return _Framed(eps.space, oracle, cert, frame)
 
 
 def _positive_part_atoms(u, cert):
@@ -386,7 +549,7 @@ def monomial_shift(f, shift, scalar=1):
 
 def invert_unit(f, window=32):
     """Multiplicative inverse of f, whose leading term c * x^g0 lies in the
-    first `window` certificate positions: the quotient 1/f (`_quotient`),
+    first `window` certificate positions: the quotient 1/f (`_Quotient`),
     on the grid on x^-g0 that x^-g0 * Supp(f) minus the unit generates.
     f's parts, its leading exponent g0 and c^-1 are found once, here, and a
     product with a finite factor hands them on (`cauchy_product`).  A
@@ -410,65 +573,83 @@ def invert_unit(f, window=32):
     cert = _power_grid(u, above)
     if cert is None:
         return f.space.delta(ginv, cinv)
-    return _quotient(f.space, None, f, (parts, g0, cinv), cert.minkowski(point))
+    return _Quotient(f.space, None, f, (parts, g0, cinv), cert.minkowski(point))
 
 
-def _quotient(space, numerator, unit, data, cert):
-    """The quotient h = n/d of the finite numerator n (1 when None) by the
-    unit d, on the certificate cert, which holds Supp(n) times the grid of
+class _Quotient(_Framed):
+    """The quotient h = n/d of the finite `numerator` n (1 when None) by
+    the `unit` d, on a certificate that holds Supp(n) times the grid of
     1/d: the fixed point of d*h = n.  `data` are d's parts, its leading
     exponent g0 and c^-1, c its leading coefficient (`invert_unit`).  Read
     at x^g0 * delta,
 
         h(delta) = c^-1 * (n(x^g0 * delta) - sum of d(alpha) h(beta))
 
-    over the candidates alpha != x^g0 of `_pairs` for d's parts and cert's
-    atoms, beta = x^g0 * delta / alpha; a point alpha below x^g0 carries
-    zero (`leading_term` has checked).  Its readers (`_pairs`, n's table
-    on the frame, the certificate's membership tests) are built on the
-    first read or non-empty fill, so a quotient that only feeds a product
-    builds none.
+    over the candidates alpha != x^g0 of `_pairs` for d's parts and the
+    certificate's atoms, beta = x^g0 * delta / alpha; a point alpha below
+    x^g0 carries zero (`leading_term` has checked).  Its readers (`_pairs`,
+    n's table on the frame, the certificate's membership tests) are built
+    on first use, so a quotient that only feeds a product builds none.
 
-    Two walks fill the series' memo by those pairs (see the module
-    docstring): `fill(pts)` (`Series._fill`) at the sorted points that
-    `truncate` lists, in increasing order, and random access (`coeff`,
-    `window_terms`) by an explicit stack from delta down, which fills the
-    missing betas on the certificate first."""
-    parts, g0, cinv = data
-    atoms, field = cert.atoms, space.field
-    frame = _Frame(space.universe, [*parts, *atoms] if numerator is None
-                   else [*parts, numerator, *atoms])
-    lead = pairs = table = in_cert = None
+    Two walks fill the memo by those pairs (see the module docstring):
+    `fill(pts)` at the sorted points that `truncate` lists, in increasing
+    order, and random access (`at`, under `coeff` and `window_terms`) by an
+    explicit stack from delta down, which fills the missing betas on the
+    certificate first."""
 
-    def ready():
-        nonlocal lead, pairs, table
-        if pairs is None:
-            lead = frame.encode(g0)
-            # the pairs (-c^-1 * d(alpha), other(beta)) of the equation at
-            # delta are pairs(delta + lead, other)
-            pairs = _pairs(frame, unit, parts, atoms, -cinv, lead)
-            if numerator is None:
-                table = {frame.encode(space.universe.unit): field.one}
-            else:
-                table = frame.table(numerator)
+    def __init__(self, space, numerator, unit, data, cert):
+        parts = data[0]
+        frame = _Frame(space.universe, [*parts, *cert.atoms] if numerator is None
+                       else [*parts, numerator, *cert.atoms])
+        # the walks fill the memo themselves, so there is no oracle
+        super().__init__(space, None, cert, frame)
+        self.numerator, self.unit, self.data = numerator, unit, data
 
-    def solve(up, terms):
-        """h(delta) from the pairs (-c^-1 * d(alpha), h(beta)) of its
-        equation at up = delta + lead."""
-        v = table.get(up)
-        if v:
-            terms.append((cinv, v))
-        return field.dot(terms)
+    @cached_property
+    def _equation(self):
+        """(lead, pairs, solve): x^g0 on the frame; the pairs (-c^-1 *
+        d(alpha), other(beta)) of the equation at delta, which are
+        pairs(delta + lead, other); and solve(up, terms), h(delta) from
+        those pairs at up = delta + lead."""
+        parts, g0, cinv = self.data
+        frame, field, n = self.frame, self.field, self.numerator
+        lead = frame.encode(g0)
+        pairs = _pairs(frame, self.unit, parts, self.certificate.atoms, -cinv, lead)
+        table = {frame.encode(self.universe.unit): field.one} if n is None else frame.table(n)
+        dot = field.dot
 
-    def oracle(t):
-        nonlocal in_cert
-        if in_cert is None:
-            tests = [frame.member(a) for a in atoms]
-            in_cert = tests[0] if len(tests) == 1 else (
-                lambda b: b if any(test(b) for test in tests) else None)
+        def solve(up, terms):
+            v = table.get(up)
+            if v:
+                terms.append((cinv, v))
+            return dot(terms)
+
+        return lead, pairs, solve
+
+    @cached_property
+    def _in_cert(self):
+        """Membership in the certificate, a test on frame coordinates that
+        gives the point itself or None (`_Frame.member`)."""
+        tests = [self.frame.member(a) for a in self.certificate.atoms]
+        if len(tests) == 1:
+            return tests[0]
+        return lambda b: b if any(test(b) for test in tests) else None
+
+    def at(self, t):
+        """h at frame coordinates t, memoized by t: zero off the frame (t
+        None) and off the certificate; otherwise an explicit stack from t
+        down fills the memo, each point once everything below it is."""
+        if t is None:
+            return self.field.zero
+        values = self._memo
+        val = values.get(t)
+        if val is not None:
+            return val
+        in_cert = self._in_cert
         if not in_cert(t):
-            return field.zero
-        ready()
+            val = values[t] = self.field.zero
+            return val
+        lead, pairs, solve = self._equation
         stack = [(t, None, None)]
         while stack:
             top, up, terms = stack.pop()
@@ -487,39 +668,36 @@ def _quotient(space, numerator, unit, data, cert):
             values[top] = solve(up, [(c, values[b]) for c, b in terms])
         return values[t]
 
-    def fill(pts):
+    def fill(self, pts):
+        """Fill the memo at the sorted frame coordinates pts, the points of
+        the certificate up to a bound, in increasing order."""
         if pts:
-            ready()
+            lead, pairs, solve = self._equation
+            values = self._memo
             get = values.get
             for t in pts:
                 if t not in values:
                     up = tuple(map(add, t, lead))
                     values[t] = solve(up, pairs(up, get))
 
-    h = LazySeries(space, oracle, cert, frame)
-    h._fill = fill
-    h._quotient = (numerator, unit, data)
-    values = h._memo  # the fixed point fills the series' own memo
-    return h
-
 
 def truncate(f, bound):
     """Finite series equal to f on monomials <= bound, its terms in
     increasing order: the points of f's certificate up to the bound
-    (`_Frame.points_upto`; a finite series' table keys), on f's frame or,
-    for a finite or a caller's series, on a frame of its parts, each read
-    through `_Frame.reader`.  A quotient first fills its memo at those
-    points in increasing order (`Series._fill`).  The nonzero terms are
-    kept on that frame (`_Frame.series`)."""
+    (`_Frame.points_upto`; a finite series' table keys), on a `_Framed`
+    f's frame or, for a finite or a caller's series, on a frame of its
+    parts, each read through `_Frame.reader`.  A quotient first fills its
+    memo at those points in increasing order (`_Quotient.fill`).  The
+    nonzero terms are kept on that frame (`_Frame.series`)."""
     parts = _parts(f)
-    frame = f.frame or _Frame(f.universe, parts)
+    frame = f.frame if isinstance(f, _Framed) else _Frame(f.universe, parts)
     pts = frame.points_upto(parts, f.universe.vectorize(bound))
     if pts is None:
         raise HahnError(
             "certificate %s cannot be enumerated up to %s"
             % (f.certificate.format(), f.universe.format(bound))
         )
-    if f._fill is not None:
-        f._fill(pts)
+    if isinstance(f, _Quotient):
+        f.fill(pts)
     read = frame.reader(f)
     return frame.series(f.space, [(t, c) for t in pts if (c := read(t))])

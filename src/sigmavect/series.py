@@ -7,13 +7,8 @@ Finite series store their terms on an integer frame (`FiniteSeries`), and
 monomials appear only at the public boundary: the constructors check and
 encode them, and `terms`, `window_terms`, `format`, `to_record` and
 `certificate` decode.  Lazy series carry a coefficient oracle plus a
-described support certificate; one built on a frame of its parts
-(`_Frame`: a Hahn product, quotient or Neumann sum) takes frame
-coordinates.  A finite part gives the frame its table's keys and scale as
-they are.  A Hahn quotient can also fill its memo at the points of its
-certificate up to a bound, in increasing order (`Series._fill`, which
-`hahn.truncate` runs before it reads them).  The sum of a finite family
-of finite series is their linear combination, a finite series.
+described support certificate.  The sum of a finite family of finite
+series is their linear combination, a finite series.
 `Space.lazy`, the entry for a caller's oracle, is the one place a
 certificate is checked against the bornology; the operations here and
 in `hahn`, `strmap` and `slalg` build their lazy results on certificates
@@ -36,9 +31,7 @@ from itertools import islice
 from math import lcm
 
 from .bornology import Verdict, perp
-from .gridsolve import grid_points_upto, scaled, unscaled
 from .sets import DescribedSet, FiniteAtom, described_intersection
-from .scalars import QQ
 from .universe import MonomialUniverse, Naturals, UniverseError, Value
 
 
@@ -96,16 +89,6 @@ class PairingUndecided(SeriesError):
 
 
 class Series:
-    frame = None  # the integer coordinates a framed lazy series is kept on
-    # fill(pts): a Hahn quotient's fill of its memo at the sorted frame
-    # coordinates pts, the points of its certificate up to a bound, in
-    # increasing order, before `hahn.truncate` reads them
-    _fill = None
-    # (numerator, unit, unit data) of a Hahn quotient n/d, the fixed point
-    # of d*h = n (`hahn.invert_unit` is 1/d, its numerator None), which a
-    # finite factor multiplies into its numerator (`hahn.cauchy_product`)
-    _quotient = None
-
     def __init__(self, space):
         self.space = space
         self.field = space.field
@@ -279,22 +262,14 @@ def _encoded(u, terms):
 
 class LazySeries(Series):
     """A coefficient oracle on a support certificate, taken as given: a
-    caller's certificate enters through `Space.lazy`, which checks it.
+    caller's certificate enters through `Space.lazy`, which checks it."""
 
-    A series built on a `frame` (a Hahn product, quotient or Neumann sum)
-    has an oracle on the frame's int coordinates (`frame.encode(gamma)`,
-    None off the frame) that is zero off the certificate by construction;
-    it answers `coeff` by one check and one encoding, and `at` on
-    coordinates.
-    """
-
-    def __init__(self, space, oracle, certificate, frame=None):
+    def __init__(self, space, oracle, certificate):
         super().__init__(space)
         if certificate.universe != self.universe:
             raise SeriesError("certificate universe mismatch")
         self._oracle = oracle
         self._cert = certificate
-        self.frame = frame
         self._memo = {}
 
     def coeff(self, gamma):
@@ -303,8 +278,6 @@ class LazySeries(Series):
 
     def _read(self, gamma):
         """The coefficient at a checked monomial."""
-        if self.frame is not None:
-            return self.at(self.frame.encode(gamma))
         val = self._memo.get(gamma)
         if val is None:
             if self._cert.contains(gamma):
@@ -314,176 +287,9 @@ class LazySeries(Series):
             self._memo[gamma] = val
         return val
 
-    def at(self, t):
-        """The coefficient at frame coordinates t, memoized by t; zero off
-        the frame (t None)."""
-        if t is None:
-            return self.field.zero
-        val = self._memo.get(t)
-        if val is None:
-            val = self._memo[t] = self._oracle(t)
-        return val
-
     @property
     def certificate(self):
         return self._cert
-
-
-def _listed(part):
-    """True for a part of a frame read by its points (a finite series, whose
-    points are its table's keys, a finite atom or a counted progression);
-    any other part, a grid atom, is read by its origin and steps."""
-    return isinstance(part, (FiniteSeries, FiniteAtom)) or part.count is not None
-
-
-def _part_scale(u, part):
-    """The least scale whose frame holds a part's points: a finite series'
-    own scale, a finite atom's lcm of its elements' denominators, an
-    arithmetic atom's of its origin's and steps'."""
-    if isinstance(part, FiniteSeries):
-        return part.scale
-    if isinstance(part, FiniteAtom):
-        return lcm(*map(u.denominator, part.els))
-    return lcm(u.denominator(part.origin), *map(u.denominator, part.steps))
-
-
-class _Frame:
-    """The integer coordinates shared by the parts of one lazy series: the
-    atoms (finite sets, counted progressions and grids) of its factors'
-    certificates, and its finite factors, whose table keys are their
-    points.  A monomial encodes to an int vector (None off the frame, where
-    no sum of part points lies), its vector times `scale`, the lcm of the
-    parts' scales.  The series built on the frame keeps it, and its oracle
-    takes these coordinates; on a framed universe they are the keys a
-    finite series has on the frame's scale."""
-
-    def __init__(self, u, parts):
-        self.u = u
-        self.scale = lcm(*(_part_scale(u, p) for p in parts))
-
-    def encode(self, el):
-        return scaled(self.u.vectorize(el), self.scale)
-
-    def decode(self, t):
-        return self.u.devectorize(unscaled(t, self.scale))
-
-    def listed(self, parts):
-        """The frame coordinates of the points of the `_listed` parts among
-        `parts`, as the keys of a new dict whose values are all None: a
-        finite series' table keys on this frame, the elements of a listed
-        atom encoded."""
-        out = {}
-        for p in parts:
-            if isinstance(p, FiniteSeries):
-                out.update(dict.fromkeys(self.table(p)))
-            elif _listed(p):
-                out.update(dict.fromkeys(map(self.encode, p.elements())))
-        return out
-
-    def table(self, f):
-        """The finite series f's table on this frame's coordinates; f's
-        terms lie on the frame."""
-        if self.u.framed:
-            return f.on_scale(self.scale)
-        return {self.encode(g): c for g, c in f.table.items()}
-
-    def series(self, space, items):
-        """The finite series of (frame coordinates, field value) pairs."""
-        if self.u.framed:
-            return FiniteSeries._derived(space, self.scale, items)
-        # decode checks the monomial through `devectorize`
-        return FiniteSeries._derived(space, 1, ((self.decode(t), c) for t, c in items))
-
-    def reader(self, f):
-        """f's coefficient as a function of this frame's coordinates, for a
-        series f whose support lies on the frame; zero off f's certificate.
-        A finite f is one table; a series kept on a frame of its own is read
-        there, in ints (off that frame it is zero, and off its certificate
-        by construction); any other at the decoded monomial, which is
-        checked by decoding, and a point off the universe reads zero."""
-        zero = f.field.zero
-        if isinstance(f, FiniteSeries):
-            table = self.table(f)
-            return lambda t: table.get(t, zero)
-        if f.frame is None:
-            decode, read_el = self.decode, f._read
-
-            def read(t):
-                try:
-                    gamma = decode(t)
-                except UniverseError:
-                    return zero
-                return read_el(gamma)
-
-            return read
-        at, own = f.at, f.frame.scale
-        if own == self.scale:
-            return at
-        onto = self.onto
-        # at reads None, off f's frame, as zero
-        return lambda t: at(onto(t, own))
-
-    def onto(self, t, own):
-        """Frame coordinates t on the scale `own` (t * own / scale, as
-        ints), or None where t leaves that scale's frame."""
-        scale, out = self.scale, []
-        for c in t:
-            q, r = divmod(c * own, scale)
-            if r:
-                return None
-            out.append(q)
-        return tuple(out)
-
-    def points_upto(self, parts, vec):
-        """The points of `parts` (on this frame) that are <= the exponent
-        vector vec, as sorted frame coordinates, or None when a grid's walk
-        abstains (`grid_points_upto`).  vec is compared exactly, off the
-        frame too.  A grid walks on its own `frame`, whose `Lattice` (shared
-        by atoms of the same steps, `sets._moved`) caches its Apery table,
-        and its points are scaled onto this frame, which holds them."""
-        scale = self.scale
-        top = tuple([c * scale for c in vec])
-        out = {t for t in self.listed(parts) if t <= top}
-        for atom in parts:
-            if _listed(atom):
-                continue
-            lattice, origin = atom.frame
-            own = lattice.scale
-            pts = grid_points_upto(lattice.gens, origin, tuple([c * own for c in vec]), lattice)
-            if pts is None:
-                return None
-            out.update(pts if own == scale else (tuple([c * scale // own for c in t]) for t in pts))
-        return sorted(out)
-
-    def member(self, grid):
-        """Membership in a grid atom of the frame, as a test on frame
-        coordinates that gives the point t itself when it lies in the grid,
-        and None when not; on the grid's own `frame`, whose `Lattice` is
-        the one `points_upto` lists."""
-        lattice, base = grid.frame
-        own, onto = lattice.scale, self.onto
-        if own == self.scale:
-            return lambda t: t if lattice.contains(tuple(map(operator.sub, t, base))) else None
-
-        def test(t):
-            s = onto(t, own)
-            if s is None or not lattice.contains(tuple(map(operator.sub, s, base))):
-                return None
-            return t
-
-        return test
-
-
-def series_from_record(rec, field=QQ):
-    from .bornology import bornology_from_record
-    from .universe import universe_from_record
-
-    u = universe_from_record(rec["universe"])
-    b = bornology_from_record(rec["bornology"], u)
-    if rec["kind"] != "finite":
-        raise SeriesError("only finite series can be rebuilt from a record")
-    terms = {u.parse(m): field.parse(c) for m, c in rec["terms"]}
-    return FiniteSeries(Space(field, u, b), terms)
 
 
 def linear_combination(terms):

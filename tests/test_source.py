@@ -61,3 +61,32 @@ def test_the_cli_loads_no_introspection_modules():
     # alone would bring in `inspect`, `ast`, `dis` and `tokenize`
     loaded = _loaded_by_the_cli()
     assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in loaded] == []
+
+
+def test_series_knows_nothing_of_hahn_frames():
+    # integer frames, framed series and the quotient's fill live in `hahn`:
+    # `series` imports neither `hahn` nor `gridsolve`, and neither `Series`
+    # nor `LazySeries` defines a frame hook, as a class attribute, a method
+    # or an attribute set on an instance
+    tree = ast.parse((PACKAGE / "series.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(a.name for a in node.names)
+    assert imported & {"gridsolve", "hahn"} == set()
+    hooks = {"frame", "at", "_fill", "_quotient"}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        if cls.name not in ("Series", "LazySeries"):
+            continue
+        defined = set()
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        assert defined & hooks == set(), cls.name
