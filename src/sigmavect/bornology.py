@@ -374,30 +374,6 @@ def order_type_omega(u):
     return OrderBornology(u, "wo_omega")
 
 
-def bornology_from_record(rec, universe=None):
-    from .sets import set_from_record
-    from .universe import universe_from_record
-
-    if universe is None:
-        universe = universe_from_record(rec["universe"])
-    kind = rec["kind"]
-    if kind == "finite":
-        return FiniteSubsets(universe)
-    if kind == "all":
-        return AllSubsets(universe)
-    if kind in _ORDERS:
-        return OrderBornology(universe, kind)
-    if kind == "generated":
-        gens = [set_from_record(g, universe) for g in rec["generators"]]
-        return Generated(universe, gens)
-    if kind == "perp":
-        return Perp(bornology_from_record(rec["inner"]))
-    for cls in (ProductBornology, HomBornology):
-        if kind == cls.kind:
-            return cls(bornology_from_record(rec["left"]), bornology_from_record(rec["right"]), universe)
-    raise BornologyError("unknown bornology kind %r" % kind)
-
-
 def agree_on_battery(b1, b2, battery):
     """Extensional comparison: same verdict on every battery set.
 

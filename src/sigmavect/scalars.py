@@ -114,7 +114,7 @@ class Field:
         self.one = self.of(1)
 
     def of(self, x):
-        """Coerce an int, Fraction or textual 'p/q' into the field."""
+        """Coerce an int or Fraction into the field."""
         if self.p is None:
             if type(x) is Fraction:  # exact test: isinstance on an int runs the ABC check
                 return x
@@ -148,13 +148,6 @@ class Field:
                 lcm = math.lcm(den, d)
                 num, den = num * (lcm // den) + n * (lcm // d), lcm
         return Fraction(num, den)
-
-    def parse(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return self.of(Fraction(int(num), int(den)))
-        return self.of(int(text))
 
     def format(self, x):
         return str(check_size(x) if self.p is None else x)

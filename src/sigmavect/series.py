@@ -15,7 +15,7 @@ in `hahn`, `strmap` and `slalg` build their lazy results on certificates
 they derive.  A monomial is checked once, where it
 enters: by the public constructors (`FiniteSeries(space, terms)`,
 `Space.series`, `Space.delta`, `DescribedSet.finite`), by `Space.lazy`'s
-certificate and by the parsers.  A finite series the package derives from
+certificate and by the expression parser.  A finite series derived from
 checked ones is built by `FiniteSeries._derived` on frame keys, or by
 `FiniteSeries._of_elements` from checked monomials, and neither checks
 again.  Every sum of products here (a linear combination, a family sum,
@@ -365,8 +365,8 @@ def pairing(f, g, declared_dual=False):
 class SummableFamily:
     """Indexed family of series with explicit summability certificates.
 
-    `index` is either an explicit list of indices or a DescribedSet (with its
-    universe's codec naming the indices); `member` maps an index to a Series;
+    `index` is either an explicit list of indices or a DescribedSet (its
+    universe's text names the indices); `member` maps an index to a Series;
     `pointwise` maps gamma to the finite list of indices whose member may be
     supported at gamma; `union_cert` bounds the union of all supports.
     `members` is the tuple of members of a `finite_family`, as long as its

@@ -728,38 +728,6 @@ class DescribedSet(Value):
         return "DescribedSet(%s)" % self.format()
 
 
-def set_from_record(rec, universe=None):
-    from .universe import universe_from_record
-
-    if universe is None:
-        universe = universe_from_record(rec["universe"])
-    atoms = [_atom_from_record(a, universe) for a in rec["atoms"]]
-    return DescribedSet(universe, atoms)
-
-
-def _atom_from_record(rec, u):
-    kind = rec["atom"]
-    if kind == "finite":
-        return FiniteAtom(u, [u.parse(t) for t in rec["elements"]])
-    if kind == "interval":
-        lo = u.parse(rec["lo"]) if rec["lo"] is not None else None
-        hi = u.parse(rec["hi"]) if rec["hi"] is not None else None
-        return IntervalAtom(u, lo, hi, rec["lo_strict"], rec["hi_strict"])
-    if kind == "progression":
-        return ProgressionAtom(u, u.parse(rec["start"]), u.parse(rec["step"]), rec["count"])
-    if kind == "grid":
-        return GridAtom(u, u.parse(rec["base"]), [u.parse(g) for g in rec["generators"]])
-    if kind == "complement":
-        within = _atom_from_record(rec["within"], u)
-        inner = set_from_record(rec["inner"], u)
-        return ComplementAtom(inner, within)
-    if kind == "product":
-        left = set_from_record(rec["left"], u.left)
-        right = set_from_record(rec["right"], u.right)
-        return ProductAtom(u, left, right)
-    raise SetError("unknown atom record %r" % kind)
-
-
 def _distinct_atoms(atoms):
     """The finite and arithmetic atoms of one universe without repeats, in
     the order first seen: equal as `Value`s, that is, with equal records,

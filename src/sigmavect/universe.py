@@ -1,6 +1,6 @@
 """Index universes: the sets of monomials that series are supported on.
 
-A universe knows its elements (via a canonical textual codec), its total
+A universe knows its elements (each written in one canonical text), its total
 order and an optional (ordered) monoid operation.  Numeric coordinates are
 exact: ints (not bools) and Fractions, never floats.  An exponent vector
 holds each coordinate in one normal form, an int when it is integral and a
@@ -17,7 +17,6 @@ elements are ints already, key an element by itself.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -113,11 +112,8 @@ class Universe(Value):
         `encode` gave, or a monoid sum of such keys."""
         return self.devectorize(unscaled(key, scale)) if self.framed else key
 
-    # codec ---------------------------------------------------------------
+    # canonical text ------------------------------------------------------
     def format(self, el):
-        raise NotImplementedError
-
-    def parse(self, text):
         raise NotImplementedError
 
     def __repr__(self):
@@ -131,14 +127,6 @@ def _fmt_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def _parse_rational(text):
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 def _denominator(vec):
@@ -185,9 +173,6 @@ class FiniteUniverse(Universe):
     def format(self, el):
         return str(el)
 
-    def parse(self, text):
-        return self.check(text.strip())
-
     def to_record(self):
         return {"kind": "finite", "labels": list(self.labels)}
 
@@ -229,9 +214,6 @@ class Naturals(_NumericUniverse):
             raise UniverseError("%s is not a natural number" % q)
         return int(q)
 
-    def parse(self, text):
-        return self.check(int(text.strip()))
-
     def to_record(self):
         return {"kind": "naturals"}
 
@@ -252,9 +234,6 @@ class Integers(_NumericUniverse):
         if q.denominator != 1:
             raise UniverseError("%s is not an integer" % q)
         return int(q)
-
-    def parse(self, text):
-        return self.check(int(text.strip()))
 
     def to_record(self):
         return {"kind": "integers"}
@@ -279,10 +258,6 @@ class Rationals(_NumericUniverse):
 
     def devectorize(self, vec):
         return Fraction(vec[0])
-
-
-    def parse(self, text):
-        return _parse_rational(text)
 
     def to_record(self):
         return {"kind": "rationals"}
@@ -371,20 +346,8 @@ class TupleUniverse(_ExponentGroup):
     def format(self, el):
         return "(" + ", ".join(_fmt_rational(c) for c in el) + ")"
 
-    def parse(self, text):
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise UniverseError("bad tuple literal %r" % text)
-        parts = text[1:-1].split(",")
-        return self.check(tuple(_parse_rational(p) for p in parts))
-
     def to_record(self):
         return {"kind": "tuples", "arity": self.arity}
-
-
-_MONO_FACTOR = re.compile(
-    r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\(?-?\d+(?:/\d+)?\)?))?$"
-)
 
 
 class MonomialUniverse(_ExponentGroup):
@@ -433,22 +396,6 @@ class MonomialUniverse(_ExponentGroup):
             else:
                 parts.append("%s^(%s)" % (name, _fmt_rational(e)))
         return "*".join(parts) if parts else "1"
-
-    def parse(self, text):
-        text = text.strip()
-        if text == "1":
-            return self.unit
-        vec = [0] * self.dim
-        for factor in text.split("*"):
-            m = _MONO_FACTOR.match(factor.strip())
-            if not m:
-                raise UniverseError("bad monomial factor %r" % factor)
-            name, exp = m.group(1), m.group(2)
-            if name not in self.names:
-                raise UniverseError("unknown generator %r" % name)
-            q = _parse_rational(exp.strip("()")) if exp else 1
-            vec[self.names.index(name)] += q
-        return self.check(tuple(vec))
 
     def to_record(self):
         return {"kind": "monomials", "names": list(self.names), "exponents": self.exponents}
@@ -504,39 +451,6 @@ class PairUniverse(Universe):
     def format(self, el):
         return "(%s, %s)" % (self.left.format(el[0]), self.right.format(el[1]))
 
-    def parse(self, text):
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise UniverseError("bad pair literal %r" % text)
-        depth = 0
-        inner = text[1:-1]
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return (self.left.parse(inner[:i]), self.right.parse(inner[i + 1:]))
-        raise UniverseError("bad pair literal %r" % text)
-
     def to_record(self):
         return {"kind": "pair", "left": self.left.to_record(), "right": self.right.to_record()}
 
-
-def universe_from_record(rec):
-    kind = rec["kind"]
-    if kind == "finite":
-        return FiniteUniverse(rec["labels"])
-    if kind == "naturals":
-        return Naturals()
-    if kind == "integers":
-        return Integers()
-    if kind == "rationals":
-        return Rationals()
-    if kind == "tuples":
-        return TupleUniverse(rec["arity"])
-    if kind == "monomials":
-        return MonomialUniverse(rec["names"], rec["exponents"])
-    if kind == "pair":
-        return PairUniverse(universe_from_record(rec["left"]), universe_from_record(rec["right"]))
-    raise UniverseError("unknown universe record %r" % kind)

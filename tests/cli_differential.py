@@ -16,8 +16,8 @@ there are any.
 The corpus holds hand-picked cases, among them finite Puiseux arithmetic
 whose terms have mixed exponent denominators and quotients (a finite
 factor times an inverse, printed and truncated), a finite factor times a
-product of two inverses, and then a draw from a fixed
-seed: products either way round of finite
+product of two inverses, pairings of pure tensors, and then a draw from a
+fixed seed: products either way round of finite
 series, inverses and `sum` families, inverses, shifts, `(1 - x^(1/q))^-1`,
 pairings, `lead`, truncations at bounds on and off the support, weights
 that raise partway along a family, sequence products on the naturals, and
@@ -139,6 +139,11 @@ def corpus():
         "(x^(1/2) + x^(1/3))^-1 * (x^(1/2) + x^(1/3))",
         "truncate((1 + x^(1/2) + x^(1/3))^-1 * (1 - x^(1/6)), x^(3/2))",
         "(e1 + 2*e3) * (e2 - e1)", "truncate(e1 + 3*e4 - e1, e3)",
+        # pairings of pure tensors, whose product certificates meet side by
+        # side: finite by finite, empty on one side, infinite on both
+        "pair((e1 + e2) (x) ones, ones (x) (e3 + 2*e4))",
+        "pair((e1 + e2) (x) ones, (e3 + e4) (x) ones)",
+        "pair(ones (x) (e0 + e5), (e0 + e5) (x) ones)", "pair(ones (x) ones, ones (x) ones)",
         # the Euler derivation of products, inverses, shifts and sums with
         # exponent denominators 3, 5 and 7, whose exponents raise under fp:5
         # or fp:7, also where the coefficient is zero

@@ -16,7 +16,6 @@ from sigmavect.bornology import (
     Verdict,
     agree_on_battery,
     all_subsets,
-    bornology_from_record,
     finite_subsets,
     generate,
     hom_bornology,
@@ -36,6 +35,7 @@ from sigmavect.sets import (
     ProgressionAtom,
 )
 from sigmavect.universe import (
+    FiniteUniverse,
     Integers,
     MonomialUniverse,
     Naturals,
@@ -256,11 +256,30 @@ def test_hom_bornology_grid_verdicts(fk, gk):
         assert v is (Verdict.BOUNDED if truth else Verdict.UNBOUNDED) or v is Verdict.UNDECIDED
 
 
-def test_record_roundtrip():
-    for b in (finite_subsets(Z), all_subsets(Z), well_ordered(Z),
-              reverse_well_ordered(Z), order_type_omega(Z),
-              generate(Z, [EVENS])):
-        assert bornology_from_record(b.to_record(), Z).to_record() == b.to_record()
+def _valued_objects():
+    """Freshly built universes, sets and bornologies, one of each shape."""
+    Zf, X = Integers(), MonomialUniverse(["x"])
+    return [
+        Naturals(), Zf, Rationals(), TupleUniverse(3),
+        MonomialUniverse(["x", "y"], "integer"), PairUniverse(Naturals(), Zf),
+        FiniteUniverse(["a", "b"]),
+        DescribedSet.finite(Zf, [1, 2]), DescribedSet.progression(Zf, 0, -3),
+        DescribedSet.grid(X, X.unit, [X.monomial(x=1)]), DescribedSet.interval(Zf, lo=0, hi=9),
+        finite_subsets(Zf), all_subsets(Zf), well_ordered(Zf), reverse_well_ordered(Zf),
+        order_type_omega(Zf), generate(Zf, [DescribedSet.progression(Zf, 0, 2)]),
+    ]
+
+
+def test_records_identify_values():
+    # a record is a value's identity (`Value`): a fresh copy has the same
+    # record and is equal, and distinct objects have distinct records
+    first, again = _valued_objects(), _valued_objects()
+    records = [v.to_record() for v in first]
+    assert [v.to_record() for v in again] == records
+    assert all(a == b and hash(a) == hash(b) for a, b in zip(first, again))
+    for i, rec in enumerate(records):
+        assert rec not in records[i + 1:], first[i]
+        assert first[i] not in first[i + 1:]
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 
 from sigmavect import hahn
 from sigmavect.scalars import GF, QQ
-from sigmavect.bornology import all_subsets, finite_subsets, well_ordered
+from sigmavect.bornology import all_subsets, finite_subsets, generate, well_ordered
 from sigmavect.hahn import cauchy_product, invert_unit, truncate
 from sigmavect.series import (
     FiniteSeries,
+    LazySeries,
     PairingUndecided,
     SeriesError,
     Space,
+    SummableFamily,
     add,
     check_summable,
     family_sum,
@@ -189,6 +191,52 @@ def test_check_summable_rejects_lying_certificate():
     report = check_summable(fam)
     assert report["verdict"] == "rejected"
     assert report["failures"]
+
+
+class _Escaping(LazySeries):
+    """A member whose coefficients ignore its certificate."""
+
+    def coeff(self, gamma):
+        return self.field.one
+
+
+def _family(space, members, pointwise, union):
+    return SummableFamily(space, list(range(len(members))), members.__getitem__, pointwise, union)
+
+
+def _verdict(fam):
+    report = check_summable(fam)
+    return report["verdict"], report["failures"]
+
+
+def test_check_summable_verdicts():
+    one = SEQ.series({0: 1})
+    everywhere = lambda gamma: [0]
+    # the union certificate decides first: unbounded rejects, undecided
+    # leaves the verdict undecided whatever the probes find
+    fam = _family(SEQ, [one], everywhere, DescribedSet.progression(N, 0, 1))
+    assert _verdict(fam) == ("rejected", ["union support certificate is unbounded"])
+    with pytest.raises(SeriesError, match="family rejected: union support"):
+        family_sum(fam)
+    odd = Space(QQ, N, generate(N, [DescribedSet.grid(N, 0, [2, 3])]))
+    fam = _family(odd, [odd.series({1: 1})], everywhere, DescribedSet.grid(N, 1, [2]))
+    assert _verdict(fam) == ("undecided", ["union support certificate boundedness undecided"])
+    # a probe with no pointwise certificate is undecided and the rest go on
+    fam = _family(SEQ, [one], lambda gamma: None if gamma == 1 else [0],
+                  DescribedSet.finite(N, [0, 1]))
+    assert _verdict(fam) == ("undecided", ["pointwise certificate missing at 1"])
+    # a member nonzero at a probe whose pointwise list leaves it out
+    fam = _family(SEQ, [one, SEQ.series({0: 2})], everywhere, DescribedSet.finite(N, [0]))
+    assert _verdict(fam) == (
+        "rejected", ["index 1 contributes at 0 outside the pointwise certificate"])
+    with pytest.raises(SeriesError, match="index 1 contributes at 0"):
+        family_sum(fam)
+    # a member nonzero at a probe outside its own certificate
+    leak = _Escaping(SEQ, lambda gamma: 1, DescribedSet.finite(N, [0]))
+    fam = _family(SEQ, [leak], everywhere, DescribedSet.finite(N, [0, 1]))
+    assert _verdict(fam) == ("rejected", ["member 0 support escapes its certificate"])
+    with pytest.raises(SeriesError, match="member 0 support escapes"):
+        family_sum(fam)
 
 
 def test_a_finite_family_with_a_replaced_certificate_is_judged_by_its_certificates():

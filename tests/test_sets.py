@@ -33,6 +33,7 @@ from sigmavect.sets import (
     FiniteAtom,
     GridAtom,
     IntervalAtom,
+    ProductAtom,
     ProgressionAtom,
     SetError,
     _atom_product,
@@ -40,7 +41,6 @@ from sigmavect.sets import (
     _bound,
     atom_intersection,
     described_intersection,
-    set_from_record,
 )
 from sigmavect.universe import (
     Integers,
@@ -284,18 +284,6 @@ def test_translate():
     assert t == point.minkowski(s) == DescribedSet.progression(Z, 5, 2)
     counted = DescribedSet.progression(Z, 0, -3, 4).union(DescribedSet.grid(Z, 1, [2, 3]))
     assert counted.minkowski(point).format() == "prog(5; -3; count=4) | grid(6; 2, 3)"
-
-
-def test_record_roundtrip():
-    X = MonomialUniverse(["x"])
-    sets = [
-        DescribedSet.finite(Z, [1, 2]),
-        DescribedSet.progression(Z, 0, -3),
-        DescribedSet.grid(X, X.unit, [X.monomial(x=1)]),
-        DescribedSet.interval(Z, lo=0, hi=9),
-    ]
-    for s in sets:
-        assert set_from_record(s.to_record()) == s
 
 
 # -- product sets --------------------------------------------------------
@@ -635,7 +623,7 @@ def test_strict_flag_on_a_missing_endpoint_excludes_nothing():
     strict = IntervalAtom(N, hi=0, lo_strict=True)
     assert strict.lo_strict is False and strict.elements() == [0]
     assert atom_intersection(IntervalAtom(N), strict) == (True, [0])
-    assert set_from_record(DescribedSet(N, [strict]).to_record()).atoms[0] == strict
+    assert strict == IntervalAtom(N, hi=0) and strict.to_record()["lo_strict"] is False
 
 
 def test_natural_interval_without_a_lower_end_starts_at_zero():
@@ -943,6 +931,55 @@ def test_definite_finite_meets_match_box_enumeration(case):
     for e in _box(u):
         if a1.contains(e) and a2.contains(e):
             assert e in listed, (e, a1, a2)
+
+
+def _line_factors():
+    """Sets on N of one or two atoms: finite sets, counted or uncounted
+    progressions, grids of one or two generators and intervals, with points
+    in [0, 12] and steps in [1, 3]."""
+    pt, size = st.integers(0, 12), st.integers(1, 3)
+    atom = st.one_of(
+        st.lists(pt, max_size=3).map(lambda es: FiniteAtom(N, es)),
+        st.builds(lambda s, d, c: ProgressionAtom(N, s, d, c),
+                  pt, size, st.sampled_from([None, None, 0, 4])),
+        st.builds(lambda b, gs: GridAtom(N, b, gs), pt, st.lists(size, min_size=1, max_size=2)),
+        st.builds(lambda lo, hi: IntervalAtom(N, lo, hi),
+                  st.one_of(st.none(), pt), st.one_of(st.none(), pt)),
+    )
+    return st.lists(atom, min_size=1, max_size=2).map(lambda atoms: DescribedSet(N, atoms))
+
+
+def _nat(*atoms):
+    return DescribedSet(N, atoms)
+
+
+NATS_UP, EVENS_UP, ODDS_UP = (_nat(ProgressionAtom(N, s, d)) for s, d in [(0, 1), (0, 2), (1, 2)])
+ONE_TWO = _nat(FiniteAtom(N, [1, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_factors(), _line_factors(), _line_factors(), _line_factors())
+@example(NATS_UP, ONE_TWO, _nat(FiniteAtom(N, [0, 1])), NATS_UP)  # finite x finite
+@example(EVENS_UP, NATS_UP, ODDS_UP, NATS_UP)  # an empty side
+@example(NATS_UP, NATS_UP, NATS_UP, NATS_UP)  # infinite x infinite
+@example(NATS_UP, ONE_TWO, NATS_UP, NATS_UP)  # infinite x finite
+@example(ONE_TWO, NATS_UP, NATS_UP, NATS_UP)  # finite x infinite
+@example(_nat(IntervalAtom(N)), NATS_UP, _nat(GridAtom(N, 7, [2, 3])), NATS_UP)  # undecided today
+def test_product_meets_match_box_enumeration(l1, r1, l2, r2):
+    """A meet of two product atoms on N x N agrees with enumeration of its
+    sides' meets over [0, 60): a finite side meet lies below 22 (the end of
+    a counted progression), and an infinite one repeats with a period of at
+    most 6 after 14, so it has points in [30, 60)."""
+    with time_limit(2):
+        fin, els = atom_intersection(ProductAtom(NN, l1, r1), ProductAtom(NN, l2, r2))
+    left = {x for x in range(60) if l1.contains(x) and l2.contains(x)}
+    right = {y for y in range(60) if r1.contains(y) and r2.contains(y)}
+    infinite = (max(left, default=0) >= 30 and right) or (max(right, default=0) >= 30 and left)
+    if fin is True:
+        assert not infinite
+        assert len(set(els)) == len(els) and set(els) == {(x, y) for x in left for y in right}
+    elif fin is False:
+        assert infinite
 
 
 def test_falling_progression_walks_down_to_a_grid_base():

@@ -90,3 +90,38 @@ def test_series_knows_nothing_of_hahn_frames():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 defined.add(node.attr)
         assert defined & hooks == set(), cls.name
+
+
+def _names(node):
+    """Every name that node reads, imports or reaches as an attribute."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+# the benchmark's tracer wraps it by name; it goes with the next benchmark change
+NAMED_OUTSIDE_THE_PACKAGE = {"gridsolve.nonneg_solutions"}
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class is exported by the package or
+    # named somewhere in it outside its own definition; one that only its
+    # tests call is code nothing needs
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    exported = _names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    named = [(s, _names(s)) for tree in trees.values() for s in tree.body]
+    uncalled = []
+    for module, tree in trees.items():
+        for d in tree.body:
+            if (not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_")
+                    or d.name in exported or "%s.%s" % (module, d.name) in NAMED_OUTSIDE_THE_PACKAGE):
+                continue
+            if not any(d.name in names for s, names in named if s is not d):
+                uncalled.append("%s.%s" % (module, d.name))
+    assert uncalled == []

@@ -12,8 +12,8 @@ import pytest
 
 from sigmavect.bornology import all_subsets, finite_subsets
 from sigmavect.scalars import QQ
-from sigmavect.series import Space, family_sum, finite_family, pairing
-from sigmavect.sets import DescribedSet
+from sigmavect.series import FiniteSeries, Space, family_sum, finite_family, pairing
+from sigmavect.sets import DescribedSet, ProductAtom
 from sigmavect.strmap import (
     MapError,
     check_sigma_preserving,
@@ -180,6 +180,22 @@ def test_pure_tensor_coefficients():
     space = Space(QQ, u, product_bornology(DUAL.bornology, DUAL.bornology, u))
     f = pure_tensor(space, DUAL.series({0: 2, 1: 3}), DUAL.series({0: 5}))
     assert f.coeff((0, 0)) == 10 and f.coeff((1, 0)) == 15 and f.coeff((0, 1)) == 0
+
+
+def test_pure_tensor_of_a_lazy_factor_is_lazy_on_the_product_certificate():
+    from sigmavect.bornology import product_bornology
+
+    u = PairUniverse(N, N)
+    space = Space(QQ, u, product_bornology(DUAL.bornology, DUAL.bornology, u))
+    f1 = DUAL.lazy(lambda n: n + 1, DescribedSet.progression(N, 0, 1))
+    f2 = DUAL.series({0: 2, 3: -1})
+    f = pure_tensor(space, f1, f2)
+    assert not isinstance(f, FiniteSeries)
+    assert f.certificate.atoms == (ProductAtom(u, f1.certificate, f2.certificate),)
+    # oracle: the coefficient at (i, j) is f1(i) * f2(j) [DERIVED]
+    for i in range(6):
+        for j in range(5):
+            assert f.coeff((i, j)) == (i + 1) * {0: 2, 3: -1}.get(j, 0)
 
 
 def test_map_family_and_sigma_preservation():

@@ -1,7 +1,8 @@
-"""Index universes: membership, order, monoid laws, codecs.
+"""Index universes: membership, order, monoid laws, canonical text.
 
 Oracle notes: ordering is checked against Python's native comparison of the
-underlying numbers/tuples [DERIVED]; the codec is checked by round-trip.
+underlying numbers/tuples [DERIVED]; the canonical text is checked to be
+faithful: two elements format alike only when they are equal.
 """
 
 from fractions import Fraction
@@ -21,7 +22,6 @@ from sigmavect.universe import (
     Rationals,
     TupleUniverse,
     UniverseError,
-    universe_from_record,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
@@ -63,7 +63,6 @@ def test_tuple_universe_lex_order():
     b = T.check((2, 0))
     assert T.lt(a, b)  # first coordinate dominates
     assert T.op(a, b) == (Fraction(3), Fraction(5))
-    assert T.parse(T.format(a)) == a
 
 
 def test_monomial_universe_basics():
@@ -83,8 +82,6 @@ def test_monomial_two_generators():
     XY = MonomialUniverse(["x", "y"])
     el = XY.monomial(x=2, y=-3)
     assert XY.format(el) == "x^2*y^-3"
-    assert XY.parse("x^2*y^-3") == el
-    assert XY.parse("1") == XY.unit
     # x dominates y lexicographically
     assert XY.lt(XY.monomial(y=100), XY.monomial(x=1))
 
@@ -97,11 +94,18 @@ def test_natural_exponent_monomials_have_no_inverses():
         M.inv(M.monomial(t=1))
 
 
-@given(st.tuples(rationals, rationals))
-def test_monomial_codec_roundtrip(vec):
+# few values, so that equal pairs are drawn often; Fraction(2, 1) checks to 2
+small_exponents = st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                            st.integers(-2, 2))
+
+
+@given(st.tuples(small_exponents, small_exponents), st.tuples(small_exponents, small_exponents))
+@example((2, Fraction(1, 2)), (Fraction(4, 2), Fraction(1, 2)))
+@example((1, 0), (0, 1))
+def test_monomial_text_is_faithful(u, v):
     XY = MonomialUniverse(["x", "y"])
-    el = XY.check(vec)
-    assert XY.parse(XY.format(el)) == el
+    a, b = XY.check(u), XY.check(v)
+    assert (XY.format(a) == XY.format(b)) == (a == b)
 
 
 def test_pair_universe():
@@ -112,26 +116,11 @@ def test_pair_universe():
     assert P.op(a, b) == (2, 5)
     assert P.vectorize(a) == (Fraction(1), Fraction(2))
     assert P.devectorize(P.vectorize(a)) == a
-    assert P.parse(P.format(a)) == a
 
 
-def test_pair_nested_parse():
+def test_nested_pair_text():
     P = PairUniverse(PairUniverse(Naturals(), Naturals()), Naturals())
-    el = P.check(((1, 2), 3))
-    assert P.parse(P.format(el)) == el
-
-
-def test_record_roundtrip():
-    for u in (
-        Naturals(),
-        Integers(),
-        Rationals(),
-        TupleUniverse(3),
-        MonomialUniverse(["x", "y"], "integer"),
-        PairUniverse(Naturals(), Integers()),
-        FiniteUniverse(["a", "b"]),
-    ):
-        assert universe_from_record(u.to_record()) == u
+    assert P.format(P.check(((1, 2), 3))) == "((1, 2), 3)"
 
 
 def test_vectorize_devectorize_guards():
@@ -213,9 +202,9 @@ def test_integral_exponent_coordinates_are_ints():
             X.check(bad)
     half = X.monomial(y=Fraction(1, 2))
     for el in (X.unit, X.op(half, half), X.monomial(x=Fraction(4, 2)),
-               X.parse("x^2*y^(2/2)"), X.devectorize((Fraction(3), Fraction(-1)))):
+               X.check((2, Fraction(2, 2))), X.devectorize((Fraction(3), Fraction(-1)))):
         assert all(type(c) is int for c in el), el
-    assert [type(c) for c in X.parse("x^(1/3)*y")] == [Fraction, int]
+    assert [type(c) for c in X.check((Fraction(1, 3), 1))] == [Fraction, int]
     Q = Rationals()
     assert [type(c) for c in Q.vectorize(Fraction(3)) + Q.vectorize(Fraction(1, 3))] == [
         int, Fraction]
