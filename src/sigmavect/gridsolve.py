@@ -16,12 +16,12 @@ generator; a 1-D lattice of several generators reads the Apery set w of its
 smallest generator a, t being a point iff t >= w[t mod a] (Ramirez
 Alfonsin, The Diophantine Frobenius Problem, 2005), a table built once
 when a <= APERY_LIMIT; any other lattice stops its search at the first
-representation.  `solutions` lists them all.  The walks `grid_points` and
-`grid_points_upto` work on any coordinates; grid atoms run them on the
-frame's ints.  `grid_points_upto` reads a 1-D grid off the same Apery table:
-its points up to a bound are the runs base + w[r] + k*a, one per residue r,
-merged by one sort, in O(a + points * log a) steps, not O(bound) (one
-generator is a range); other grids are walked on a heap.
+representation.  `solutions` lists them all.  The heap walk `grid_points`
+works on any coordinates; `grid_points_upto` walks a `Lattice`'s frame ints
+and reads a 1-D grid off the same Apery table: its points up to a bound are
+the runs base + w[r] + k*a, one per residue r, merged by one sort, in
+O(a + points * log a) steps, not O(bound) (one generator is a range);
+other grids are walked on a heap.
 """
 
 from __future__ import annotations
@@ -277,26 +277,24 @@ def shares_leading_index(generators):
     return True
 
 
-def grid_points_upto(generators, base, bound, lattice=None):
-    """Elements of the grid that are lex <= bound, as a sorted list, or None
-    when that set is infinite or not decidably finite.  `lattice`, when
-    given, is the `Lattice` of `generators`, on whose frame base and bound
-    lie (an atom's `frame`); a 1-D grid is then read in closed form off its
-    cached Apery table (`_line_points_upto`).  Any other grid, and a 1-D
-    one whose smallest generator lies above APERY_LIMIT, is walked on the
-    heap (`grid_points`)."""
-    gens = [tuple(g) for g in generators if any(c != 0 for c in g)]
-    base = tuple(base)
-    bound = tuple(bound)
+def grid_points_upto(lattice, base, bound):
+    """The points base + t, t in `lattice`, that are lex <= bound, as a
+    sorted list of frame coordinates, or None when that set is infinite or
+    not decidably finite.  base is a tuple on the lattice's frame and bound
+    a tuple compared exactly, on the frame or off it.  A 1-D grid is read in
+    closed form off the lattice's cached Apery table (`_line_points_upto`);
+    any other grid, and a 1-D one whose smallest generator lies above
+    APERY_LIMIT, is walked on the heap (`grid_points`)."""
+    gens = lattice.gens
     if not gens:
         return [base] if base <= bound else []
-    if lattice is not None and len(base) == 1:
+    if len(base) == 1:
         pts = _line_points_upto(lattice, base[0], bound[0])
         if pts is not None:
             return pts
     if not shares_leading_index(gens):
         return None
-    lead = leading_index(gens[0])
+    lead = lattice.lead
     if base[:lead] < bound[:lead]:
         return None  # the whole grid sits below the bound's block
     if base[:lead] > bound[:lead]:

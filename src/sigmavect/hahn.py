@@ -54,16 +54,17 @@ One body gives those terms to two walks, which fill the quotient's memo,
 so each coefficient costs its candidates once and no Python recursion is
 used.  The fill (`_Quotient.fill`) takes the certificate's points up to
 a bound, which `truncate` lists, in increasing order.  Random access
-(`coeff`) walks an explicit stack down from delta, testing each beta for
-membership in a certificate atom (the grid of f^-1 moved to each point
-of a finite set that holds Supp(g)); it serves any grid, also one whose
-points below a bound cannot be listed.  `neumann_sum` keeps the literal
-weighted sum of powers, each read on the frame of its grid.
+(`coeff`) walks an explicit stack down from delta, asking each
+certificate atom (the grid of f^-1 moved to each point of a finite set
+that holds Supp(g)) whether beta is one of its points, on the atom's own
+frame (`contains_at`); it serves any grid, also one whose points below a
+bound cannot be listed.  `neumann_sum` keeps the literal weighted sum of
+powers, each read on the frame of its grid, which the grid tests.
 
 `truncate` has one path for every series.  It lists the certificate's
 points up to the bound on the series' frame, or on a frame of its parts
-for a finite or a caller's series (a grid through
-`gridsolve.grid_points_upto`, in closed form in one variable), has a
+for a finite or a caller's series (a grid lists its own, on its frame,
+through `frame_points_upto`, in closed form in one variable), has a
 quotient fill them, and reads each point through `_Frame.reader`: a
 product, a Neumann sum or any other series reads point by point, in
 increasing order, and a quotient reads its memo.  The nonzero terms are
@@ -78,7 +79,7 @@ from functools import cached_property
 from math import lcm
 from operator import add, sub
 
-from .gridsolve import Lattice, grid_points_upto, scaled, unscaled, weight
+from .gridsolve import Lattice, scaled, unscaled, weight
 from .sets import DescribedSet, FiniteAtom, GridAtom, _ArithmeticAtom, _distinct_atoms, _moved
 from .series import FiniteSeries, LazySeries, SeriesError
 from .universe import UniverseError
@@ -116,7 +117,9 @@ class _Frame:
     elements, grid bases and generators, or a finite factor's own scale).
     So each part point has int coordinates, and nothing a finite factor
     holds is decoded or encoded again: on a framed universe its keys are
-    the keys a finite series has on the frame's scale."""
+    the keys a finite series has on the frame's scale.  A grid atom keeps
+    its own frame (`sets._ArithmeticAtom.frame`), which lists and tests its
+    points; `onto` moves a point of this frame onto it."""
 
     def __init__(self, u, parts):
         self.u = u
@@ -198,41 +201,21 @@ class _Frame:
     def points_upto(self, parts, vec):
         """The points of `parts` (on this frame) that are <= the exponent
         vector vec, as sorted frame coordinates, or None when a grid's walk
-        abstains (`grid_points_upto`).  vec is compared exactly, off the
-        frame too.  A grid walks on its own `frame`, whose `Lattice` (shared
-        by atoms of the same steps, `sets._moved`) caches its Apery table,
-        and its points are scaled onto this frame, which holds them."""
+        abstains.  vec is compared exactly, off the frame too.  A grid lists
+        its points on its own `frame` (`frame_points_upto`), whose `Lattice`
+        (shared by atoms of the same steps, `sets._moved`) caches its Apery
+        table, and they are scaled onto this frame, which holds them."""
         scale = self.scale
         top = tuple([c * scale for c in vec])
         out = {t for t in self.listed(parts) if t <= top}
         for atom in parts:
             if _listed(atom):
                 continue
-            lattice, origin = atom.frame
-            own = lattice.scale
-            pts = grid_points_upto(lattice.gens, origin, tuple([c * own for c in vec]), lattice)
+            own, pts = atom.frame[0].scale, atom.frame_points_upto(vec)
             if pts is None:
                 return None
             out.update(pts if own == scale else (tuple([c * scale // own for c in t]) for t in pts))
         return sorted(out)
-
-    def member(self, grid):
-        """Membership in a grid atom of the frame, as a test on frame
-        coordinates that gives the point t itself when it lies in the grid,
-        and None when not; on the grid's own `frame`, whose `Lattice` is
-        the one `points_upto` lists."""
-        lattice, base = grid.frame
-        own, onto = lattice.scale, self.onto
-        if own == self.scale:
-            return lambda t: t if lattice.contains(tuple(map(sub, t, base))) else None
-
-        def test(t):
-            s = onto(t, own)
-            if s is None or not lattice.contains(tuple(map(sub, s, base))):
-                return None
-            return t
-
-        return test
 
 
 class _Framed(LazySeries):
@@ -495,8 +478,8 @@ def neumann_sum(eps, coeffs=None):
     if cert is None:
         return eps.space.delta(u.unit, coeffs(0))
     grid, = cert.atoms
-    frame = _Frame(u, [grid])
-    lattice = grid.frame[0]  # on the unit, so a point is its own offset
+    frame = _Frame(u, [grid])  # on the grid's own scale, where `contains_at` reads
+    lattice = grid.frame[0]
     wts, m0 = lattice.wts, min(lattice.gw)
     last = eps.space.delta(u.unit)
     readers = [frame.reader(last)]
@@ -509,7 +492,7 @@ def neumann_sum(eps, coeffs=None):
         return readers[n](t)
 
     def oracle(t):
-        if not lattice.contains(t):
+        if not grid.contains_at(t):
             return field.zero
         nmax = weight(wts, t) // m0
         return field.dot([(field.of(coeffs(n)), power(n, t)) for n in range(nmax + 1)])
@@ -588,7 +571,7 @@ class _Quotient(_Framed):
     over the candidates alpha != x^g0 of `_pairs` for d's parts and the
     certificate's atoms, beta = x^g0 * delta / alpha; a point alpha below
     x^g0 carries zero (`leading_term` has checked).  Its readers (`_pairs`,
-    n's table on the frame, the certificate's membership tests) are built
+    n's table on the frame, the certificate atoms' `contains_at`) are built
     on first use, so a quotient that only feeds a product builds none.
 
     Two walks fill the memo by those pairs (see the module docstring):
@@ -629,11 +612,11 @@ class _Quotient(_Framed):
     @cached_property
     def _in_cert(self):
         """Membership in the certificate, a test on frame coordinates that
-        gives the point itself or None (`_Frame.member`)."""
-        tests = [self.frame.member(a) for a in self.certificate.atoms]
-        if len(tests) == 1:
-            return tests[0]
-        return lambda b: b if any(test(b) for test in tests) else None
+        gives the point itself or None: each atom's `contains_at`, on the
+        atom's own frame (`_Frame.onto`)."""
+        onto = self.frame.onto
+        tests = [(a.contains_at, a.frame[0].scale) for a in self.certificate.atoms]
+        return lambda b: b if any(test(onto(b, own)) for test, own in tests) else None
 
     def at(self, t):
         """h at frame coordinates t, memoized by t: zero off the frame (t

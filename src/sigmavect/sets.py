@@ -9,9 +9,10 @@ pairwise intersection finiteness are decided per atom kind, with an honest
 A progression and a grid are one arithmetic atom, origin + N*steps
 (`_ArithmeticAtom`; a progression has one step and may be counted), with
 one integer `frame`: the `gridsolve.Lattice` of its steps, negated for a
-falling progression so that they are lex-positive.  Membership is one
-lattice test there (k < count by `Lattice.multiple` when counted), and
-`gridsolve.grid_points` lists the atom in order.  A walk up to a bound gives
+falling progression so that they are lex-positive.  The atom reads that
+frame for everyone: membership is one lattice test there (`contains_at`;
+k < count by `Lattice.multiple` when counted), `gridsolve.grid_points` lists
+it in order, and `frame_points_upto` walks it up to a bound, which gives
 ``None`` when the bound lies in another lex block of the steps (infinitely
 many terms come before it), and an intersection with such a walk abstains.
 An atom with one step and no count is a line (`_is_line`); two lines meet
@@ -253,8 +254,7 @@ class IntervalAtom(Atom):
     def _side(self, bound, up):
         if self.classify() != (UP if up else DOWN):
             return super()._side(bound, up)
-        lo, hi = (self.line.origin, bound) if up else (bound, self.line.origin)
-        return IntervalAtom(self.universe, lo, hi).elements()
+        return self.line._side(bound, up)
 
     def format(self):
         lo = self.universe.format(self.lo) if self.lo is not None else "-inf"
@@ -326,12 +326,15 @@ class _ArithmeticAtom(Atom):
 
     def contains(self, el):
         u = self.universe
-        if not u.contains(el):
-            return False
-        lattice, origin = self.frame
-        t = lattice.scaled(u.vectorize(el))
+        return u.contains(el) and self.contains_at(self.frame[0].scaled(u.vectorize(el)))
+
+    def contains_at(self, t):
+        """True when t, coordinates on the atom's `frame` (None: off it), is
+        a point: t minus the origin, both negated for a falling atom, lies
+        in the lattice, as k times the step with k < count when counted."""
         if t is None:
             return False
+        lattice, origin = self.frame
         if self.up:
             rest = tuple([a - b for a, b in zip(t, origin)])
         else:
@@ -340,6 +343,15 @@ class _ArithmeticAtom(Atom):
             return lattice.contains(rest)
         k = lattice.multiple(rest)
         return k is not None and k < self.count
+
+    def frame_points_upto(self, vec):
+        """The points of an atom with no count on its walk's side of the
+        exponent vector vec (at or below it; at or above for a falling
+        atom), as sorted coordinates on its `frame`, or None (see the
+        module docstring); vec is compared exactly, off the frame too."""
+        lattice, origin = self.frame
+        scale = lattice.scale if self.up else -lattice.scale
+        return grid_points_upto(lattice, origin, tuple([c * scale for c in vec]))
 
     def is_finite(self):
         return self.count is not None or not self.steps
@@ -373,12 +385,7 @@ class _ArithmeticAtom(Atom):
     def _side(self, bound, up):
         if self.count is not None or self.up != up:
             return super()._side(bound, up)
-        # the terms up to the bound on the walk's side, or None (see the
-        # module docstring); lex order compares a bound off the frame exactly
-        lattice, origin = self.frame
-        scale = lattice.scale if up else -lattice.scale
-        bound = tuple([c * scale for c in self.universe.vectorize(bound)])
-        pts = grid_points_upto(lattice.gens, origin, bound, lattice)
+        pts = self.frame_points_upto(self.universe.vectorize(bound))
         if pts is None:
             return None
         out = list(self._points(pts))
@@ -929,7 +936,7 @@ def atom_intersection(a1, a2):
     if _is_line(l1) and _is_line(l2):
         return _prog_prog_intersection(l1, l2)
 
-    if a1 == a2:
+    if f1 is False and a1 == a2:
         return (False, None)
 
     # walk an UP atom up to the other's upper bound, or a DOWN atom down to

@@ -201,6 +201,34 @@ def test_product_bornology_decides_the_diagonal():
     assert pb.is_bounded(diag) is Verdict.UNBOUNDED
 
 
+def test_the_double_dual_of_a_product_bornology_bounds_what_it_bounds():
+    # a bornology embeds into its double dual, so perp(perp(b)) bounds what
+    # b bounds and abstains on the rest.  Oracle: finite x all bounds
+    # exactly the sets with finitely many first coordinates, read off a box
+    # (every set here has at most two, or at least 30 below 30)
+    pb = product_bornology(finite_subsets(N), all_subsets(N), NN)
+    bb = perp(perp(pb))
+    assert bb.kind == "perp" and bb.inner.kind == "perp"
+    verdicts = []
+    for s, _, _ in _pair_cases():
+        firsts = {a for a in range(30) for b in range(30) if s.contains((a, b))}
+        v = bb.is_bounded(s)
+        assert v is not Verdict.UNBOUNDED, s.format()
+        assert (v is Verdict.BOUNDED) is (pb.is_bounded(s) is Verdict.BOUNDED), s.format()
+        assert v is not Verdict.BOUNDED or len(firsts) <= 2, s.format()
+        verdicts.append(v)
+    # an infinite column is bounded through the product bornology
+    assert Verdict.BOUNDED in verdicts[1:] and Verdict.UNDECIDED in verdicts
+
+
+def test_a_pair_bornology_records_its_factors():
+    f, g = finite_subsets(N), all_subsets(N)
+    for make, kind in ((product_bornology, "product"), (hom_bornology, "hom")):
+        want = {"kind": kind, "universe": NN.to_record(), "left": f.to_record(), "right": g.to_record()}
+        assert make(f, g, NN).to_record() == want
+        assert make(g, f, NN) != make(f, g, NN)
+
+
 def test_hom_bornology_rectangles():
     # rectangle A x B is hom-bounded iff A is perp(f)-bounded and B is g-bounded
     f, g = all_subsets(N), finite_subsets(N)

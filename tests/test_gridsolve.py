@@ -124,23 +124,25 @@ def test_shares_leading_index():
 
 
 def test_grid_points_upto_decidable_case():
-    gens = [(Fraction(1),)]
-    base = (Fraction(0),)
-    got = grid_points_upto(gens, base, (Fraction(3),))
-    assert got == [(Fraction(k),) for k in range(4)]
+    # the lattice of step 1/2 scales by 2: its frame ints are halves
+    lattice = Lattice([(Fraction(1, 2),)], [(Fraction(0),)])
+    got = grid_points_upto(lattice, lattice.scaled((Fraction(0),)), (Fraction(3) * lattice.scale,))
+    assert [lattice.unscaled(t) for t in got] == [(Fraction(k, 2),) for k in range(7)]
 
 
 def test_grid_points_upto_honest_none():
     # generators with distinct leading coordinates: infinitely many points
     # may sit below a bound in a later block, so the answer is None
-    gens = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    base = (Fraction(0), Fraction(0))
-    assert grid_points_upto(gens, base, (Fraction(1), Fraction(0))) is None
+    lattice = Lattice([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))])
+    assert grid_points_upto(lattice, (0, 0), (1, 0)) is None
 
 
 def test_grid_points_upto_empty_when_base_above():
-    gens = [(Fraction(1),)]
-    assert grid_points_upto(gens, (Fraction(5),), (Fraction(3),)) == []
+    lattice = Lattice([(Fraction(1),)], [(Fraction(5),)])
+    assert grid_points_upto(lattice, (5,), (3,)) == []
+    # in two dimensions the heap walk stops at once: the base lies above the bound
+    lattice = Lattice([(1, 2), (1, -1)])
+    assert grid_points_upto(lattice, (5, 0), (3, 7)) == []
 
 
 # Rational coordinates for the lattice kernel.  The ranges keep every
@@ -287,4 +289,4 @@ def test_line_walk_matches_the_heap_walk(case):
     base = lattice.scaled(base)
     bound = tuple(c * lattice.scale for c in bound)
     want = heap_points_upto(lattice.gens, base, bound)
-    assert grid_points_upto(lattice.gens, base, bound, lattice) == want
+    assert grid_points_upto(lattice, base, bound) == want

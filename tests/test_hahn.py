@@ -37,7 +37,7 @@ from sigmavect.scalars import GF, QQ
 from sigmavect.series import FiniteSeries, Space, add, family_sum, finite_family, scale, sub
 from sigmavect.sets import DescribedSet, FiniteAtom, GridAtom, IntervalAtom, ProgressionAtom
 from sigmavect.slalg import module_action
-from sigmavect.universe import MonomialUniverse, Naturals
+from sigmavect.universe import MonomialUniverse, Naturals, PairUniverse, Rationals
 
 X = MonomialUniverse(["x"])
 SP = Space(QQ, X, well_ordered(X))
@@ -95,6 +95,29 @@ def test_random_products_match_oracle(d1, d2):
     want = conv_oracle({Fraction(q): Fraction(c) for q, c in d1.items()},
                        {Fraction(q): Fraction(c) for q, c in d2.items()})
     assert as_exp_dict(p, 40) == want
+
+
+def test_products_on_other_framed_universes_decode_their_terms():
+    # a product of finite series keeps frame keys, which `terms` decodes:
+    # on the rationals, and on pairs of a natural and a monomial, whose
+    # frame holds the monomial's exponent times 6
+    Q = Rationals()
+    sp = Space(QQ, Q, well_ordered(Q))
+    d1 = {Fraction(1, 2): 2, Fraction(1, 3): 1}
+    d2 = {Fraction(1, 6): 3, 1: -1}
+    p = cauchy_product(sp.series(d1), sp.series(d2))
+    assert p.scale == 6 and p.terms == conv_oracle(d1, d2)
+    P = PairUniverse(Naturals(), X)
+    sp = Space(QQ, P, all_subsets(P))
+    d1 = {(1, Fraction(1, 2)): 2}
+    d2 = {(2, Fraction(1, 3)): 5, (0, Fraction(0)): 1}
+    want = {}
+    for (n1, e1), c1 in d1.items():
+        for (n2, e2), c2 in d2.items():
+            want[n1 + n2, e1 + e2] = want.get((n1 + n2, e1 + e2), 0) + c1 * c2
+    p = cauchy_product(sp.series({(n, m(e)): c for (n, e), c in d1.items()}),
+                       sp.series({(n, m(e)): c for (n, e), c in d2.items()}))
+    assert p.scale == 6 and p.terms == {(n, m(e)): c for (n, e), c in want.items()}
 
 
 def test_product_many():
@@ -614,8 +637,10 @@ def test_invert_skips_certificate_points_below_the_leading_term():
 def test_an_inverse_on_a_finer_frame_than_its_grid():
     """f is 1 - x on grid(1; x) and zero at x^(-1/5), a point of its
     certificate below its leading term: its inverse's frame holds fifths and
-    its grid only integers.  Random access tests membership in the grid
-    from frame coordinates, and a sweep lists the grid onto the frame."""
+    its grid only integers.  Random access moves frame coordinates onto
+    the grid atom's own frame, where the atom tests them (`contains_at`),
+    and a sweep has the atom list its points there (`frame_points_upto`),
+    scaled onto the inverse's frame."""
     f = SP.lazy(lambda g: {m(0): 1, m(1): -1}.get(g, 0),
                 DescribedSet(X, [FiniteAtom(X, [m(Fraction(-1, 5))]), GridAtom(X, m(0), [m(1)])]))
     h = invert_unit(f)
@@ -623,6 +648,14 @@ def test_an_inverse_on_a_finer_frame_than_its_grid():
     assert [h.coeff(m(Fraction(k, 5))) for k in range(-5, 16)] == [
         int(k >= 0 and k % 5 == 0) for k in range(-5, 16)]
     assert truncate(invert_unit(f), m(Fraction(16, 5))).terms == {m(k): 1 for k in range(4)}
+    # x times 1/(1 - x^3) is a quotient on grid(x; x^3), whose origin and
+    # step are read on its own frame of integers, not on the fifths
+    g = SP.lazy(lambda e: {m(0): 1, m(3): -1}.get(e, 0),
+                DescribedSet(X, [FiniteAtom(X, [m(Fraction(-1, 5))]), GridAtom(X, m(0), [m(3)])]))
+    q = cauchy_product(SP.series({m(1): 1}), invert_unit(g))
+    assert q.frame.scale == 5 and q.certificate.format() == "grid(x; x^3)"
+    assert [q.coeff(m(Fraction(k, 5))) for k in range(-5, 41)] == [
+        int(k % 5 == 0 and k // 5 % 3 == 1) for k in range(-5, 41)]
 
 
 QUOTIENT_BOUND = Fraction(3)

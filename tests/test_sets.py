@@ -522,6 +522,81 @@ def test_atom_intersection_undecided_is_none():
     assert fin is None and els is None
 
 
+def test_a_complement_met_with_itself_is_not_taken_as_infinite():
+    # diff(prog(0; 1); [3, +inf)) is {0, 1, 2} and diff(prog(0; 1); prog(0; 1))
+    # is empty: two equal atoms meet infinitely only when they are infinite,
+    # and a complement's finiteness is not known here
+    line = DescribedSet.progression(N, 0, 1)
+    for s, want in ((DescribedSet.interval(N, lo=3).complement_within(line), [0, 1, 2]),
+                    (line.complement_within(line), [])):
+        fin, els = described_intersection(s, s)
+        assert fin is None or (fin is True and els == want)
+        assert perp(generate(N, [s])).is_bounded(s) is not Verdict.UNBOUNDED
+
+
+@st.composite
+def _complements(draw, u):
+    """A complement of depth 1 or 2 on u: a ray, line or grid of one or two
+    generators, a counted progression or, on Z, a falling ray or line, from
+    which one or two layers of inner atoms are taken."""
+    falling = ["down ray", "falling"] if u is Z else []
+    shape = draw(st.sampled_from(["ray", "progression", "grid", "grid2", "counted"] + falling))
+    start, step = draw(st.integers(0 if u is N else -12, 12)), draw(st.integers(1, 6))
+    if shape == "counted":
+        atom = ProgressionAtom(u, start, step, 5)
+    elif shape == "down ray":
+        atom = IntervalAtom(u, hi=start)
+    elif shape == "falling":
+        atom = ProgressionAtom(u, start, -step)
+    else:
+        atom = _line_atom(u, shape, start, step, draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(1, 2))):
+        inner = draw(st.lists(inner_atoms, min_size=1, max_size=2))
+        atom = ComplementAtom(DescribedSet(u, [_inner_atom(u, *a) for a in inner]), atom)
+    return atom
+
+
+@st.composite
+def _complement_meets(draw):
+    u = draw(st.sampled_from([N, Z]))
+    a = draw(_complements(u))
+    return u, a, draw(st.one_of(st.just(a), _complements(u)))
+
+
+def _far_meet(points):
+    """True when a point lies at |n| > 100.  Every finite set drawn here lies
+    in [-36, 36] and every atom is periodic past |n| = 36 (the conductor of
+    a two-generator grid of steps up to 6 is at most 20), with a period
+    dividing 60, so a meet is infinite iff it has a point in the box
+    100 < |n| <= 160, and a finite one lies in [-36, 36]."""
+    return any(abs(p) > 100 for p in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complement_meets())
+@example((N, ComplementAtom(DescribedSet.interval(N, lo=3), ProgressionAtom(N, 0, 1)), None))
+@example((N, ComplementAtom(DescribedSet.progression(N, 0, 1), ProgressionAtom(N, 0, 1)), None))
+def test_complement_meets_match_box_enumeration(case):
+    """Complements of depth 1 and 2 on N and Z, met with themselves and with
+    each other: every definite meet, and every definite verdict of the dual
+    of the bornology one generates on the other, agrees with a box."""
+    u, a, b = case
+    b = a if b is None else b
+    box = [n for n in range(-160, 161) if u.contains(n)]
+    meet = [n for n in box if a.contains(n) and b.contains(n)]
+    sa, sb = DescribedSet(u, [a]), DescribedSet(u, [b])
+    with time_limit(5):
+        meets = [atom_intersection(a, b), atom_intersection(b, a), described_intersection(sa, sb)]
+        verdict = perp(generate(u, [sa])).is_bounded(sb)
+    for fin, els in meets:
+        if fin is True:
+            assert sorted(els) == meet, (a, b)
+        elif fin is False:
+            assert _far_meet(meet), (a, b)
+    if verdict is not Verdict.UNDECIDED:
+        assert (verdict is Verdict.BOUNDED) is not _far_meet(meet), (a, b)
+
+
 # -- two-dimensional progressions ---------------------------------------------
 
 T2 = TupleUniverse(2)
@@ -980,6 +1055,41 @@ def test_product_meets_match_box_enumeration(l1, r1, l2, r2):
         assert len(set(els)) == len(els) and set(els) == {(x, y) for x in left for y in right}
     elif fin is False:
         assert infinite
+
+
+@settings(max_examples=200, deadline=None)
+@given(_line_factors(), _line_factors(), _line_factors(), _line_factors())
+@example(EVENS_UP, ONE_TWO, NATS_UP, _nat(FiniteAtom(N, [0, 1, 2])))  # inside
+def test_a_product_inside_a_product_holds_on_a_box(l1, r1, l2, r2):
+    """A product atom lies in another when each side's atoms lie in the
+    other's; a True answer holds at every point of [0, 30)^2."""
+    p1, p2 = ProductAtom(NN, l1, r1), ProductAtom(NN, l2, r2)
+    with time_limit(2):
+        inside = _atom_subset_of(p1, p2)
+    if inside:
+        box = [(x, y) for x in range(30) for y in range(30)]
+        assert all(p2.contains(p) for p in box if p1.contains(p))
+
+
+def test_a_product_lists_rows_of_a_finite_right_side_in_order():
+    p = DescribedSet(NN, [ProductAtom(NN, EVENS_UP, ONE_TWO)])
+    box = sorted((x, y) for x in range(30) for y in range(30) if p.contains((x, y)))
+    assert p.first_n(7) == box[:7]
+
+
+halves = st.integers(-8, 8).map(lambda n: Fraction(n, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), halves), st.one_of(st.none(), halves), st.booleans(), st.booleans(),
+       st.one_of(st.none(), halves), st.one_of(st.none(), halves), st.booleans(), st.booleans())
+def test_interval_inside_interval_matches_a_box(lo1, hi1, ls1, hs1, lo2, hi2, ls2, hs2):
+    """On Q, where an interval is no line, one interval lies in another iff
+    every point of a box of quarters does: the ends are halves in [-4, 4],
+    so two infinite intervals that differ do so at a quarter in [-6, 6]."""
+    a, b = IntervalAtom(Q, lo1, hi1, ls1, hs1), IntervalAtom(Q, lo2, hi2, ls2, hs2)
+    box = [Fraction(n, 4) for n in range(-24, 25)]
+    assert _atom_subset_of(a, b) is all(b.contains(p) for p in box if a.contains(p))
 
 
 def test_falling_progression_walks_down_to_a_grid_base():

@@ -125,3 +125,15 @@ def test_every_public_definition_has_a_caller():
             if not any(d.name in names for s, names in named if s is not d):
                 uncalled.append("%s.%s" % (module, d.name))
     assert uncalled == []
+
+
+def test_an_arithmetic_atom_owns_its_integer_frame():
+    # grid points are listed and tested on an arithmetic atom's own frame
+    # (`sets._ArithmeticAtom.frame_points_upto` and `contains_at`): only
+    # `gridsolve`, which defines the walk, and `sets` import or call
+    # `grid_points_upto`, and `hahn._Frame` has no membership test of its own
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    naming = {name for name, tree in trees.items() if "grid_points_upto" in _names(tree)}
+    assert naming <= {"gridsolve.py", "sets.py"}
+    frame = next(n for n in trees["hahn.py"].body if isinstance(n, ast.ClassDef) and n.name == "_Frame")
+    assert "member" not in {n.name for n in frame.body if isinstance(n, ast.FunctionDef)}

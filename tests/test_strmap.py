@@ -131,6 +131,32 @@ def test_functional_roundtrip():
     assert back.eq_window(g)
 
 
+def test_compose_columns_match_matrix_product():
+    # a column of m2 after m1 is the image of a basis delta: the column of
+    # the matrix product
+    rng = random.Random(6)
+    e1, e2 = rand_entries(rng), rand_entries(rng)
+    c = compose(make_map(e2), make_map(e1))
+    want = matmul(dense(e2), dense(e1))
+    for g in range(SIZE):
+        col = c.col(g)
+        assert [col.coeff(d) for d in range(SIZE)] == [want[d][g] for d in range(SIZE)]
+
+
+def test_a_functional_transposes_to_scaling_its_series():
+    # the transpose of f -> <f, g> sends c at the point to c * g: its columns
+    # are g's coefficients, and its schema gives g's certificate, or the
+    # empty set for a zero argument
+    g = SEQ.series({0: 1, 4: Fraction(-2, 3)})
+    xi = series_to_functional(g)
+    assert [xi.col(n).coeff("*") for n in range(6)] == [1, 0, 0, 0, Fraction(-2, 3), 0]
+    back = xi.dual()
+    image = back.apply(back.source.series({"*": 3}))
+    # oracle: 3 * {0: 1, 4: -2/3} [DERIVED]
+    assert [image.coeff(n) for n in range(6)] == [3, 0, 0, 0, -2, 0]
+    assert back.apply(back.source.zero()).is_zero()
+
+
 def test_functional_to_series_rejects_non_functionals():
     with pytest.raises(MapError):
         functional_to_series(identity_map(SEQ))
@@ -171,6 +197,31 @@ def test_tensor_map_matches_kronecker():
     for i in range(size):
         for j in range(size):
             assert got.coeff((i, j)) == w1[i] * w2[j]
+
+
+def test_tensor_map_lifts_a_product_certificate_and_reads_columns():
+    # a lazy pure tensor is certified by one product atom, which the schema
+    # lifts side by side; a column of the tensor map is the pure tensor of
+    # its factors' columns
+    rng = random.Random(10)
+    size = 3
+    e1 = {d: {g: rng.randint(-2, 2) for g in range(size)} for d in range(size)}
+    e2 = {d: {g: rng.randint(-2, 2) for g in range(size)} for d in range(size)}
+    t = tensor_map(make_map(e1), make_map(e2))
+    v1 = [rng.randint(-2, 2) for _ in range(size)]
+    v2 = [rng.randint(-2, 2) for _ in range(size)]
+    f1 = DUAL.lazy(lambda n: v1[n] if n < size else 0, DescribedSet.finite(N, range(size)))
+    f = pure_tensor(t.source, f1, DUAL.series(dict(enumerate(v2))))
+    assert [type(a) for a in f.certificate.atoms] == [ProductAtom]
+    got = t.apply(f)
+    # oracle: Kronecker product acting on the flattened vector [DERIVED]
+    a, b = dense(e1, size), dense(e2, size)
+    w1, w2 = matvec(a, v1), matvec(b, v2)
+    pts = [(i, j) for i in range(size) for j in range(size)]
+    assert [got.coeff(p) for p in pts] == [w1[i] * w2[j] for i, j in pts]
+    for g1, g2 in pts:
+        col = t.col((g1, g2))
+        assert [col.coeff(p) for p in pts] == [a[i][g1] * b[j][g2] for i, j in pts]
 
 
 def test_pure_tensor_coefficients():
