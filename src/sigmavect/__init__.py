@@ -35,7 +35,6 @@ from .sets import (
 from .bornology import (
     Bornology,
     Verdict,
-    agree_on_battery,
     all_subsets,
     finite_subsets,
     generate,
@@ -59,7 +58,6 @@ from .series import (
     family_sum,
     finite_family,
     linear_combination,
-    monomial_expansion,
     pairing,
     scale,
     sub,
@@ -71,7 +69,6 @@ from .hahn import (
     leading_term,
     monomial_shift,
     neumann_sum,
-    product_many,
     truncate,
 )
 from .strmap import (
@@ -96,10 +93,8 @@ from .closure import (
     PatternGenerator,
     SigmaSpanOracle,
     VectorGenerator,
-    dense_sigma_closed_example,
     dual_basis_construction,
     idempotence_check,
-    kernel_basis,
     rank,
     rref,
     solve_combination,

@@ -340,6 +340,8 @@ def perp(b):
 
 
 def generate(universe, generators):
+    """The bornology generated by these described sets; kept for ROADMAP
+    item 5, generated bornologies and their duals."""
     gens = [g for g in generators if g.atoms]
     if not gens:
         return FiniteSubsets(universe)
@@ -372,11 +374,3 @@ def reverse_well_ordered(u):
 
 def order_type_omega(u):
     return OrderBornology(u, "wo_omega")
-
-
-def agree_on_battery(b1, b2, battery):
-    """Extensional comparison: same verdict on every battery set.
-
-    Returns (True, []) or (False, list of disagreeing sets)."""
-    bad = [s for s in battery if b1.is_bounded(s) is not b2.is_bounded(s)]
-    return (not bad, bad)

@@ -3,13 +3,13 @@
 Everything here is exact linear algebra on finite coordinate prefixes over
 the field of the entries (GF(p) for FpElements, else the rationals), by one
 elimination routine (`rref`), which runs on plain ints and makes field
-elements only of its final rows: kernel bases, dual bases, and
-window-restricted membership in the one-step sigma-span of a generator
-list.  On a window of N coordinates a pattern's full sum is the sum of the
-members that meet the window, so the columns are the generators' members
-there; they are factored once, and each membership test is one product
-accepted only when multiplying back gives the candidate.  Coordinates are
-natural numbers; anything else is a `ClosureError`.
+elements only of its final rows: dual bases and window-restricted
+membership in the one-step sigma-span of a generator list.  On a window of
+N coordinates a pattern's full sum is the sum of the members that meet the
+window, so the columns are the generators' members there; they are
+factored once, and each membership test is one product accepted only when
+multiplying back gives the candidate.  Coordinates are natural numbers;
+anything else is a `ClosureError`.
 """
 
 from __future__ import annotations
@@ -140,15 +140,10 @@ def solve_combination(columns, target):
     return _combination(columns, _factor(columns, len(target)), target)
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the joint kernel of the rows inside k^ncols, each vector
-    scaled to leading coefficient 1 and sorted by leading coordinate."""
-    red, pivots = rref([list(r) + [0] * (ncols - len(r)) for r in rows])
-    return _kernel(red, pivots, ncols, _field(rows))
-
-
 def _kernel(red, pivots, ncols, field):
-    """`kernel_basis` of rows already reduced by `rref` to (red, pivots)."""
+    """Basis of the joint kernel inside k^ncols of rows already reduced by
+    `rref` to (red, pivots), each vector scaled to leading coefficient 1 and
+    sorted by leading coordinate."""
     pivot_set = set(pivots)
     out = []
     for j in range(ncols):
@@ -241,9 +236,11 @@ class PatternGenerator:
 
     def __init__(self, template, step):
         self.template = _naturals(template, "template")
+        if not isinstance(step, int):
+            raise ClosureError("pattern step must be an integer")
         if step < 1:
             raise ClosureError("pattern step must be positive")
-        self.step = int(step)
+        self.step = step
 
     def member(self, k):
         return {n + k * self.step: c for n, c in self.template.items()}
@@ -361,51 +358,4 @@ def idempotence_check(generators, window, battery=None, weaken_first=0):
         "verdict": "PASS",
         "battery": len(battery),
         "accepted_round1": len(accepted),
-    }
-
-
-# -- the dense-but-sum-closed finite shadow ----------------------------------
-
-
-def dense_sigma_closed_example(prefix_dim, window, phi=None, targets=(), families=()):
-    """A labeled finite shadow of the dense sum-closed subspace: vectors
-    f_v = (v, phi(v)) for v in k^prefix_dim, with density solves against the
-    given first-projection targets and sum-closedness spot checks."""
-    n = prefix_dim
-    if phi is None:
-        phi = [[(i + 1) ** (j + 1) for j in range(n)] for i in range(window)]
-    if len(phi) != window or any(len(r) != n for r in phi):
-        raise ClosureError("phi must be a window x prefix_dim matrix")
-    if rank([list(col) for col in zip(*phi)]) < min(n, window):
-        raise ClosureError("phi prefix is not injective")
-
-    def f_of(v):
-        img = [sum(phi[i][j] * v[j] for j in range(n)) for i in range(window)]
-        return list(v) + img
-
-    density = []
-    for target in targets:
-        # target: dict coordinate -> value on the phi-image coordinates
-        cols = [[phi[i][j] for i in sorted(target)] for j in range(n)]
-        goal = [target[i] for i in sorted(target)]
-        sol = solve_combination(cols, goal)
-        density.append(
-            {"target": {str(k): str(x) for k, x in target.items()},
-             "solved": sol is not None,
-             "witness": [str(c) for c in sol] if sol is not None else None}
-        )
-    closed = []
-    for fam in families:
-        # fam: list of (weight, v-vector); the sum of f_v's must be f of the
-        # weighted v-sum (linearity = sum-closedness at finite scale)
-        total_v = [sum(w * v[j] for w, v in fam) for j in range(n)]
-        lhs = [sum(w * x for (w, v), x in zip(fam, cols))
-               for cols in zip(*[f_of(v) for _, v in fam])]
-        closed.append(lhs == f_of(total_v))
-    return {
-        "label": "finite shadow of an uncountable construction",
-        "prefix_dim": n,
-        "window": window,
-        "density": density,
-        "sigma_closed_spot_checks": closed,
     }

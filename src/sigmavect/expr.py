@@ -778,8 +778,8 @@ def render(value, window=32):
     return repr(value)
 
 
-def evaluate(text, env=None, window=None):
+def evaluate(text, env=None):
+    """The library's one-call entry: parse `text`, evaluate it in `env` (a
+    fresh `Env` when None) and render the value on `env.window`."""
     env = env or Env()
-    if window is not None:
-        env.window = window
     return render(Evaluator(env).eval(parse(text)), env.window)

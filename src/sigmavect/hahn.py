@@ -422,15 +422,6 @@ def _finite_product(space, f, g):
     return FiniteSeries._derived(space, scale, ((k, field.dot(p)) for k, p in acc.items()))
 
 
-def product_many(series):
-    out = None
-    for f in series:
-        out = f if out is None else cauchy_product(out, f)
-    if out is None:
-        raise HahnError("empty product needs an explicit space")
-    return out
-
-
 def leading_term(f, window=32):
     """(least support monomial, coefficient), or None when the first `window`
     certificate elements all carry zero (the 'zero-to-window' verdict)."""

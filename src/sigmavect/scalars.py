@@ -114,22 +114,26 @@ class Field:
         self.one = self.of(1)
 
     def of(self, x):
-        """Coerce an int or Fraction into the field."""
+        """Coerce an int, a Fraction or this field's own element into the
+        field; anything else, a float or a text among them, is a TypeError."""
         if self.p is None:
             if type(x) is Fraction:  # exact test: isinstance on an int runs the ABC check
                 return x
+            if isinstance(x, (int, Fraction)):
+                return Fraction(x)
             if isinstance(x, FpElement):
                 raise TypeError("prime-field element in rational context")
-            return Fraction(x)
-        if isinstance(x, FpElement):
+        elif isinstance(x, FpElement):
             if x.p != self.p:
                 raise ValueError("modulus mismatch")
             return x
-        if isinstance(x, Fraction):
+        elif isinstance(x, int):
+            return FpElement(x, self.p)
+        elif isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
-        return FpElement(int(x), self.p)
+        raise TypeError("not an exact scalar: %r" % (x,))
 
     def dot(self, pairs):
         """The sum of c * v over the (c, v) pairs of this field's elements

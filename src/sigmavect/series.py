@@ -389,11 +389,6 @@ class SummableFamily:
         self.pointwise = pointwise
         self.union_cert = union_cert
 
-    def indices_window(self, n=32):
-        if isinstance(self.index, DescribedSet):
-            return self.index.first_n(n)
-        return list(self.index)[:n]
-
     def is_explicit(self):
         return not isinstance(self.index, DescribedSet)
 
@@ -434,7 +429,7 @@ def check_summable(fam, window=32):
         report["verdict"] = "undecided"
         report["failures"].append("union support certificate boundedness undecided")
     probes = fam.union_cert.first_n(window)
-    idx_window = fam.indices_window(window)
+    indices = list(fam.index) if fam.is_explicit() else fam.index.first_n(window)
     for gamma in probes:
         contributing = fam.pointwise(gamma)
         if contributing is None:
@@ -445,7 +440,7 @@ def check_summable(fam, window=32):
             continue
         report["checked"] += 1
         allowed = set(contributing)
-        for i in idx_window:
+        for i in indices:
             f = fam.member(i)
             if not field.is_zero(f.coeff(gamma)) and i not in allowed:
                 report["verdict"] = "rejected"
@@ -461,8 +456,7 @@ def check_summable(fam, window=32):
                 report["failures"].append("member %r support escapes its certificate" % (i,))
                 return report
     # member supports (on the window) must sit inside the union certificate
-    check_indices = fam.index if fam.is_explicit() else idx_window
-    for i in check_indices:
+    for i in indices:
         f = fam.member(i)
         for g in f.support_window(window):
             if not fam.union_cert.contains(g):
@@ -475,7 +469,7 @@ def check_summable(fam, window=32):
     return report
 
 
-def family_sum(fam, weights=None, precheck=True, window=32):
+def family_sum(fam, weights=None, precheck=True):
     """The sum series: coefficient at gamma adds the finitely many
     contributions named by the pointwise certificate.  The sum of a finite
     family of finite series is the finite series `linear_combination` of
@@ -490,7 +484,7 @@ def family_sum(fam, weights=None, precheck=True, window=32):
     finite = members is not None and all(isinstance(f, FiniteSeries) for f in members)
     if precheck:
         if not finite:
-            report = check_summable(fam, window)
+            report = check_summable(fam)
             if report["verdict"] == "rejected":
                 raise SeriesError("family rejected: %s" % "; ".join(report["failures"]))
         elif fam.space.bornology.is_bounded(fam.union_cert) is Verdict.UNBOUNDED:
@@ -512,20 +506,3 @@ def family_sum(fam, weights=None, precheck=True, window=32):
                           for i in idx])
 
     return LazySeries(fam.space, oracle, fam.union_cert)
-
-
-def monomial_expansion(f):
-    """f = sum over its support of f(gamma) * delta_gamma, as a family plus
-    weights keyed by the support element itself."""
-    if isinstance(f, FiniteSeries):
-        index = f.support_window(len(f.terms))
-    else:
-        index = f.certificate
-
-    def pointwise(gamma):
-        if isinstance(index, DescribedSet):
-            return [gamma] if index.contains(gamma) else []
-        return [gamma] if gamma in index else []
-
-    fam = SummableFamily(f.space, index, f.space.delta, pointwise, f.certificate)
-    return fam, f.coeff

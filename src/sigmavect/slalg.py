@@ -148,12 +148,13 @@ class _Euler(Derivation):
                     for k, c in f.table.items()))
 
 
-def extend_derivation(space, action, contributors, cert_transform, battery=(), window=32):
+def extend_derivation(space, action, contributors, cert_transform, battery=()):
     """Build the derivation, verifying the summability schema on the battery
-    of bounded supports: every image family must pass check_summable."""
+    of bounded supports: every image family must pass check_summable.  Kept
+    for the strong Kähler differentials of ROADMAP item 13."""
     d = Derivation(space, action, contributors, cert_transform)
     for support in battery:
-        report = check_summable(d.image_family(support), window)
+        report = check_summable(d.image_family(support))
         _refuse_rejected(report, "image family over %s rejected" % support.format(),
                          "; ".join(report["failures"]))
     return d
@@ -204,6 +205,8 @@ class ModuleAction:
 
 
 def module_action(space, carrier, scalar_battery=(), carrier_battery=()):
+    """The translation module of `carrier` over `space`, checked on the
+    batteries; kept for the Kähler differentials of ROADMAP item 13."""
     act = ModuleAction(space, carrier)
     if scalar_battery and carrier_battery:
         report = act.check_compatible(scalar_battery, carrier_battery)

@@ -62,13 +62,14 @@ class StrongLinearMap:
 
 
 def identity_map(space):
+    """The identity of `space`; kept for ROADMAP item 11."""
     row = space.dual().delta
     same = lambda s: s
     return StrongLinearMap(space, space, row, row, same, same)
 
 
 def compose(m2, m1):
-    """m2 after m1."""
+    """m2 after m1; kept for ROADMAP item 11, the monoidal closed structure."""
     if m1.target.universe != m2.source.universe or m1.target.field != m2.source.field:
         raise MapError("composition space mismatch")
     d1 = m1.dual()
@@ -89,7 +90,8 @@ def compose(m2, m1):
 
 def extend_biperp(m):
     """Reinterpret the same kernel between the double-dual spaces; rows are
-    unchanged because F-perp equals its own triple dual."""
+    unchanged because F-perp equals its own triple dual.  Kept for the
+    duality of ROADMAP items 5 and 11."""
     return StrongLinearMap(m.source.dual().dual(), m.target.dual().dual(),
                            m.row, m.col, m.fwd_schema, m.bwd_schema)
 
@@ -173,7 +175,8 @@ def _touched(u, s, indices):
 
 def tensor_map(m1, m2):
     """The map on the completed tensor product: kernel rows are the pairwise
-    coefficient products, certificates are set products."""
+    coefficient products, certificates are set products.  Kept for the
+    monoidal closed structure of ROADMAP item 11."""
     if m1.source.field != m2.source.field:
         raise MapError("tensor across different fields")
     field = m1.source.field
@@ -235,7 +238,7 @@ def pure_tensor(space, f1, f2):
 
 
 def map_family(m, fam):
-    """Image of an explicit summable family under m, with certificates."""
+    """Image of an explicit family under m, with certificates (ROADMAP item 11)."""
     if not fam.is_explicit():
         raise MapError("only explicit families are mapped eagerly")
     images = {i: m.apply(fam.member(i)) for i in fam.index}
@@ -247,12 +250,13 @@ def map_family(m, fam):
     return SummableFamily(m.target, list(fam.index), lambda i: images[i], pointwise, union)
 
 
-def check_sigma_preserving(m, fam, weights, window=32):
+def check_sigma_preserving(m, fam, weights):
     """Witness check: mapping the sum equals summing the mapped family,
-    coefficientwise on the window."""
+    coefficientwise on the default window of `eq_window`.  Kept for the
+    monoidal closed structure of ROADMAP item 11."""
     from .series import family_sum
 
     lhs = m.apply(family_sum(fam, weights, precheck=False))
     img = map_family(m, fam)
     rhs = family_sum(img, weights, precheck=False)
-    return lhs.eq_window(rhs, window)
+    return lhs.eq_window(rhs)

@@ -58,9 +58,9 @@ def _report(name, seed, window, cases, failures):
     }
 
 
-def _hahn_space(field=QQ):
+def _hahn_space():
     X = MonomialUniverse(["x"])
-    return Space(field, X, bo.well_ordered(X))
+    return Space(QQ, X, bo.well_ordered(X))
 
 
 def _random_poly(rng, sp, max_terms=4, denom=4, lo=-3, hi=6):
@@ -119,13 +119,14 @@ def suite_bornology_galois(seed=0, window=16):
     return _report("bornology-galois", seed, window, cases, failures)
 
 
-def _random_banded_map(rng, space, size, band=3):
+def _random_banded_map(rng, space, size):
+    """A random map whose row d has its entries on d - 3, ..., d + 3."""
     entries = {
         d: {
             g: rng.randint(-4, 4)
-            for g in range(max(0, d - band), d + band + 1)
+            for g in range(max(0, d - 3), d + 4)
         }
-        for d in range(size + band + 1)
+        for d in range(size + 4)
     }
     return matrix_map(
         space,
@@ -134,13 +135,13 @@ def _random_banded_map(rng, space, size, band=3):
     )
 
 
-def suite_duality(seed=0, window=16, count=200):
+def suite_duality(seed=0, window=16):
     rng = random.Random(seed)
     N = Naturals()
     V = Space(QQ, N, bo.all_subsets(N))
     Vd = Space(QQ, N, bo.finite_subsets(N))
     failures = []
-    for case in range(count):
+    for case in range(200):
         m = _random_banded_map(rng, V, window)
         f = V.series({i: rng.randint(-5, 5) for i in range(window)})
         g = Vd.series({i: rng.randint(-5, 5) for i in range(window)})
@@ -151,16 +152,16 @@ def suite_duality(seed=0, window=16, count=200):
         dd = m.dual().dual()
         if not dd.apply(f).eq_window(m.apply(f), window):
             failures.append(("dual-dual", case))
-    return _report("duality", seed, window, count, failures)
+    return _report("duality", seed, window, 200, failures)
 
 
-def suite_functional_roundtrip(seed=0, window=16, count=100):
+def suite_functional_roundtrip(seed=0, window=16):
     rng = random.Random(seed)
     N = Naturals()
     V = Space(QQ, N, bo.all_subsets(N))
     Vd = Space(QQ, N, bo.finite_subsets(N))
     failures = []
-    for case in range(count):
+    for case in range(100):
         g = Vd.series({rng.randint(0, window): rng.randint(-6, 6) for _ in range(4)})
         xi = series_to_functional(g)
         back = functional_to_series(xi)
@@ -169,14 +170,14 @@ def suite_functional_roundtrip(seed=0, window=16, count=100):
         f = V.series({i: rng.randint(-4, 4) for i in range(window)})
         if xi.apply(f).coeff("*") != pairing(f, g, declared_dual=True):
             failures.append(("functional value", case))
-    return _report("functional-roundtrip", seed, window, count, failures)
+    return _report("functional-roundtrip", seed, window, 100, failures)
 
 
-def suite_hahn_ring(seed=0, window=16, count=300):
+def suite_hahn_ring(seed=0, window=16):
     rng = random.Random(seed)
     sp = _hahn_space()
     failures = []
-    for case in range(count):
+    for case in range(300):
         f, g, h = (_random_poly(rng, sp) for _ in range(3))
         if not cauchy_product(cauchy_product(f, g), h).eq_window(
             cauchy_product(f, cauchy_product(g, h)), window
@@ -196,7 +197,7 @@ def suite_hahn_ring(seed=0, window=16, count=300):
         lt = leading_term(cauchy_product(f, g))
         if lt is None or lt[0] != sp.universe.op(gf, gg) or lt[1] != cf * cg:
             failures.append(("valuation additivity", case))
-    return _report("hahn-ring", seed, window, count + 100, failures)
+    return _report("hahn-ring", seed, window, 400, failures)
 
 
 def _random_eps(rng, sp):
@@ -214,12 +215,12 @@ def _random_eps(rng, sp):
     return sp.series(terms)
 
 
-def suite_neumann(seed=0, window=24, count=50):
+def suite_neumann(seed=0, window=24):
     rng = random.Random(seed)
     sp = _hahn_space()
     one = sp.delta(sp.universe.unit)
     failures = []
-    for case in range(count):
+    for case in range(50):
         eps = _random_eps(rng, sp)
         N = rng.randint(0, 8)
         partial = one
@@ -231,7 +232,7 @@ def suite_neumann(seed=0, window=24, count=50):
         rhs = sub(one, cauchy_product(power, eps))
         if not lhs.eq_window(rhs, window):
             failures.append(("partial-sum identity", case, N))
-    for case in range(count):
+    for case in range(50):
         f = _random_unit(rng, sp)
         if not cauchy_product(f, invert_unit(f)).eq_window(one, window):
             failures.append(("inverse round-trip", case))
@@ -241,7 +242,7 @@ def suite_neumann(seed=0, window=24, count=50):
     got = [fib.coeff(sp.universe.check((Fraction(n),))) for n in range(6)]
     if got != [1, 1, 2, 3, 5, 8]:
         failures.append(("fibonacci", got))
-    return _report("neumann", seed, window, 2 * count + 1, failures)
+    return _report("neumann", seed, window, 101, failures)
 
 
 def _random_grid_family(rng, sp, size=4):
@@ -251,11 +252,11 @@ def _random_grid_family(rng, sp, size=4):
     return finite_family(members)
 
 
-def suite_summability(seed=0, window=16, count=100):
+def suite_summability(seed=0, window=16):
     rng = random.Random(seed)
     sp = _hahn_space()
     failures = []
-    for case in range(count):
+    for case in range(100):
         fam = _random_grid_family(rng, sp)
         if check_summable(fam, window)["verdict"] == "rejected":
             failures.append(("family rejected", case))
@@ -302,13 +303,13 @@ def suite_summability(seed=0, window=16, count=100):
         ])
         if not lhs.eq_window(direct2, window):
             failures.append(("regrouping", case))
-    return _report("summability", seed, window, count, failures)
+    return _report("summability", seed, window, 100, failures)
 
 
-def suite_basis(seed=0, window=12, count=20):
+def suite_basis(seed=0, window=12):
     rng = random.Random(seed)
     failures = []
-    for case in range(count):
+    for case in range(20):
         nrows = rng.randint(1, 6)
         rows = []
         for _ in range(nrows):
@@ -331,7 +332,7 @@ def suite_basis(seed=0, window=12, count=20):
                 val = sum(row[k] * v[k] for k in range(min(len(row), len(v))))
                 if val != cmap.get(i, Fraction(0)):
                     failures.append(("recovery", case, m, i))
-    return _report("basis", seed, window, count, failures)
+    return _report("basis", seed, window, 20, failures)
 
 
 def suite_idempotence(seed=0, window=16):
@@ -375,7 +376,7 @@ def _random_pair_set(rng, NN):
     return DescribedSet.product(NN, a, b), False, True
 
 
-def suite_tensor_hom(seed=0, window=12, count=100):
+def suite_tensor_hom(seed=0, window=12):
     rng = random.Random(seed)
     N = Naturals()
     NN = PairUniverse(N, N)
@@ -385,7 +386,7 @@ def suite_tensor_hom(seed=0, window=12, count=100):
     }
     failures = []
     cases = 0
-    for case in range(count):
+    for case in range(100):
         s, left_fin, right_fin = _random_pair_set(rng, NN)
         fk = rng.choice(list(kinds))
         gk = rng.choice(list(kinds))
@@ -438,12 +439,12 @@ def suite_tensor_hom(seed=0, window=12, count=100):
     return _report("tensor-hom", seed, window, cases, failures)
 
 
-def suite_derivation(seed=0, window=16, count=100):
+def suite_derivation(seed=0, window=16):
     rng = random.Random(seed)
     sp = _hahn_space()
     D = euler_derivation(sp)
     failures = []
-    for case in range(count):
+    for case in range(100):
         f = _random_poly(rng, sp, lo=0)
         g = _random_poly(rng, sp, lo=0)
         lhs = D.apply(cauchy_product(f, g))
@@ -459,7 +460,7 @@ def suite_derivation(seed=0, window=16, count=100):
             rhs = add(rhs, scale(w[i], D.apply(fam.member(i))))
         if not lhs.eq_window(rhs, window):
             failures.append(("strong linearity", case))
-    return _report("derivation", seed, window, count + 30, failures)
+    return _report("derivation", seed, window, 130, failures)
 
 
 SUITES = {

@@ -21,10 +21,8 @@ from sigmavect.closure import (
     PatternGenerator,
     SigmaSpanOracle,
     VectorGenerator,
-    dense_sigma_closed_example,
     dual_basis_construction,
     idempotence_check,
-    kernel_basis,
     rank,
     rref,
     solve_combination,
@@ -198,17 +196,6 @@ def test_solve_combination_and_rank_over_gf5_match_enumeration(case):
     assert [c.value for c in got] == list(want[0])
 
 
-def test_kernel_basis_annihilates():
-    rows = [[1, 1, 0, 0], [0, 0, 1, -1]]
-    kb = kernel_basis(rows, 4)
-    assert len(kb) == 2
-    for v in kb:
-        for r in rows:
-            assert sum(Fraction(a) * b for a, b in zip(r, v)) == 0
-        lead = next(i for i, c in enumerate(v) if c != 0)
-        assert v[lead] == 1
-
-
 def test_functional_family_validation():
     with pytest.raises(ClosureError):
         FunctionalFamily([{-1: 1}])
@@ -234,6 +221,14 @@ def test_dual_basis_construction_properties():
         padded = [list(v) + [field.zero] * (width - len(v)) for v in cb.vectors]
         # independence via the independent rank oracle
         assert rank(padded) == depth
+        # the kernel vectors after the pivot vectors: leading coefficient 1,
+        # increasing leading coordinates, and every row annihilates them
+        kernel = cb.vectors[cb.rank:fam.width]
+        leads = [next(i for i, c in enumerate(v) if c != 0) for v in kernel]
+        assert all(v[i] == field.one for v, i in zip(kernel, leads))
+        assert leads == sorted(leads)
+        for v in kernel:
+            assert all(sum(row[i] * v[i] for i in range(len(row))) == field.zero for row in lists)
         for mrow, row in enumerate(lists):
             # annihilation beyond the bound
             for n in range(cb.bounds[mrow], depth):
@@ -254,6 +249,14 @@ def test_pattern_generator():
     assert g.members_touching(4) == [0, 1, 2, 3]
     with pytest.raises(ClosureError):
         PatternGenerator({0: 1}, 0)
+
+
+def test_pattern_step_must_be_an_integer():
+    # a step of 3/2 was read as 1, so the oracle took the members e0, e1,
+    # e2, ... and accepted the all-ones vector
+    for step in (Fraction(3, 2), 1.5, Fraction(2)):
+        with pytest.raises(ClosureError, match="pattern step must be an integer"):
+            PatternGenerator({0: 1}, step)
 
 
 def test_sigma_span_accepts_with_certificate():
@@ -299,23 +302,3 @@ def test_idempotence_fail_aborts_with_witness():
     w = exc.value.witness
     assert w["window"] == 12
     assert w["new_vectors"]
-
-
-def test_dense_example_solves_density_targets():
-    report = dense_sigma_closed_example(
-        2, 6,
-        targets=[{0: Fraction(3), 1: Fraction(5)}],
-        families=[[(Fraction(1), [1, 0]), (Fraction(2), [0, 1])]],
-    )
-    assert report["density"][0]["solved"] is True
-    assert all(report["sigma_closed_spot_checks"])
-    assert "shadow" in report["label"]
-
-
-def test_dense_example_rejects_overdetermined_target():
-    # three constraints on a 2-dimensional prefix are generically unsolvable
-    report = dense_sigma_closed_example(
-        2, 6,
-        targets=[{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}],
-    )
-    assert report["density"][0]["solved"] is False

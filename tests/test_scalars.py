@@ -4,13 +4,17 @@ Oracle notes: GF(p) arithmetic is checked against plain integer arithmetic
 mod p [DERIVED]; rational behaviour against fractions.Fraction [DERIVED].
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmavect.bornology import finite_subsets
 from sigmavect.scalars import GF, QQ, FpElement, field_from_spec
+from sigmavect.series import Space
+from sigmavect.universe import Naturals
 
 
 def test_rational_of_and_parse():
@@ -147,6 +151,23 @@ def test_fraction_coercion_into_gf():
     assert GF(7).of(Fraction(1, 2)) == 4
     with pytest.raises(ZeroDivisionError):
         GF(7).of(Fraction(1, 7))
+
+
+def test_of_takes_exact_scalars_alone():
+    # a float was read through its binary value (QQ.of(0.1) gave
+    # 3602879701896397/36028797018963968, GF(7).of(2.9) gave 2) and a text was
+    # parsed, a second way for text into the package
+    N = Naturals()
+    for field in (QQ, GF(7)):
+        for x in (0.1, 2.9, "1/2", None):
+            with pytest.raises(TypeError, match=re.escape("not an exact scalar: %r" % (x,))):
+                field.of(x)
+        with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+            Space(field, N, finite_subsets(N)).series({1: 0.5})
+    with pytest.raises(TypeError, match="prime-field element in rational context"):
+        QQ.of(FpElement(1, 7))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        GF(7).of(FpElement(1, 5))
 
 
 def test_field_from_spec():

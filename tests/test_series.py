@@ -30,7 +30,6 @@ from sigmavect.series import (
     family_sum,
     finite_family,
     linear_combination,
-    monomial_expansion,
     pairing,
     scale,
     sub,
@@ -239,6 +238,18 @@ def test_check_summable_verdicts():
         family_sum(fam)
 
 
+def test_check_summable_probes_every_member_of_an_explicit_family():
+    # 40 deltas, the last also carrying 5 at 0, where the pointwise
+    # certificate names only member 0: the probes read the first 32 members
+    # alone, accepted, and the sum read 1 at 0 where the true sum is 6
+    members = [SEQ.series({i: 1}) for i in range(39)] + [SEQ.series({0: 5, 39: 1})]
+    fam = _family(SEQ, members, lambda gamma: [gamma], DescribedSet.finite(N, range(40)))
+    assert _verdict(fam) == (
+        "rejected", ["index 39 contributes at 0 outside the pointwise certificate"])
+    with pytest.raises(SeriesError, match="index 39 contributes at 0"):
+        family_sum(fam)
+
+
 def test_a_finite_family_with_a_replaced_certificate_is_judged_by_its_certificates():
     good = SEQ.series({0: 1})
     fam = finite_family([good])
@@ -251,15 +262,6 @@ def test_a_finite_family_with_a_replaced_certificate_is_judged_by_its_certificat
         family_sum(fam)
     s = family_sum(fam, precheck=False)
     assert not isinstance(s, hahn._Framed) and s.coeff(0) == 0
-
-
-def test_monomial_expansion_reconstructs():
-    sp = Space(QQ, N, finite_subsets(N))
-    f = sp.series({1: 4, 6: -2})
-    fam, weights = monomial_expansion(f)
-    s = family_sum(fam, weights=weights, precheck=False)
-    for n in range(8):
-        assert s.coeff(n) == f.coeff(n)
 
 
 # keys drawn raw: a Puiseux exponent may come as an int or as a Fraction

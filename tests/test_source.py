@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,7 +97,7 @@ def _names(node):
     """Every name that node reads, imports or reaches as an attribute."""
     out = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
@@ -108,23 +109,75 @@ def _names(node):
 # the benchmark's tracer wraps it by name; it goes with the next benchmark change
 NAMED_OUTSIDE_THE_PACKAGE = {"gridsolve.nonneg_solutions"}
 
+# exported names that no module of the package names, each with what reaches
+# it from outside `src/`: a benchmark file, the README, an acceptance
+# criterion or an open ROADMAP item.  An entry goes once its name gains a
+# caller in the package or stops being exported
+REACHED_FROM_OUTSIDE = {
+    "BornologicalMonoid": "bench/library_mix.py builds its monoid algebra",
+    "monoid_algebra": "bench/library_mix.py builds its monoid algebra",
+    "neumann_sum": "bench/library_mix.py sums Neumann series",
+    "Rationals": "bench/tracing.py wraps its check",
+    "TupleUniverse": "bench/tracing.py wraps its check",
+    "print_expr": "acceptance criterion 11 round-trips the parser through it",
+    "evaluate": "the README names it as the library's one-call entry",
+    "generate": "ROADMAP item 5, generated bornologies and their duals",
+    "extend_biperp": "ROADMAP items 5 and 11, the double dual of a map",
+    "check_sigma_preserving": "ROADMAP item 11, the monoidal closed structure",
+    "compose": "ROADMAP item 11, the monoidal closed structure",
+    "identity_map": "ROADMAP item 11, the monoidal closed structure",
+    "tensor_map": "ROADMAP item 11, the monoidal closed structure",
+    "extend_derivation": "ROADMAP item 13, strong Kähler differentials",
+    "module_action": "ROADMAP item 13, strong Kähler differentials",
+}
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names}
+
 
 def test_every_public_definition_has_a_caller():
-    # a public top-level function or class is exported by the package or
-    # named somewhere in it outside its own definition; one that only its
-    # tests call is code nothing needs
+    # a public top-level function or class, and every name the package
+    # exports, is named somewhere in the package outside `__init__.py` and
+    # outside its own definition; an exported name nothing there names needs
+    # a reason in REACHED_FROM_OUTSIDE.  Code that only its tests call is code
+    # nothing needs
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    exported = _names(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
-    named = [(s, _names(s)) for tree in trees.values() for s in tree.body]
-    uncalled = []
-    for module, tree in trees.items():
-        for d in tree.body:
-            if (not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_")
-                    or d.name in exported or "%s.%s" % (module, d.name) in NAMED_OUTSIDE_THE_PACKAGE):
-                continue
-            if not any(d.name in names for s, names in named if s is not d):
-                uncalled.append("%s.%s" % (module, d.name))
+    stmts = [(s, _names(s)) for tree in trees.values() for s in tree.body]
+    # a local variable of the same name is not a caller, nor is recursion
+    called = lambda name: any(name in names for s, names in stmts if getattr(s, "name", None) != name)
+    exported = _exported()
+    public = {d.name for module, tree in trees.items() for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
+              and "%s.%s" % (module, d.name) not in NAMED_OUTSIDE_THE_PACKAGE}
+    uncalled = sorted(n for n in (public | exported) - set(REACHED_FROM_OUTSIDE) if not called(n))
     assert uncalled == []
+    # an entry whose name is no longer exported, or has a caller now, goes
+    stale = [name for name in REACHED_FROM_OUTSIDE if name not in exported or called(name)]
+    assert stale == []
+
+
+def test_every_reason_to_keep_an_export_names_what_reaches_it():
+    # a benchmark file or the README that names the export, an acceptance
+    # criterion whose test file names it, or an open ROADMAP item
+    root = PACKAGE.parent.parent
+    text = lambda path: (root / path).read_text(encoding="utf-8")
+    open_items = text("ROADMAP.md").split("\n## Open items\n", 1)[1].split("\n## ", 1)[0]
+    for name, reason in REACHED_FROM_OUTSIDE.items():
+        files = re.findall(r"bench/\w+\.py", reason)
+        if "README" in reason:
+            files.append("README.md")
+        criteria = re.findall(r"criterion (\d+)", reason)
+        if criteria:
+            files.append("tests/test_acceptance.py")
+        items = [n for m in re.findall(r"items? ([\d, and]+)", reason) for n in re.findall(r"\d+", m)]
+        assert files or items, name
+        # a call or a qualified name, not the word in prose
+        assert all(re.search(r"[.`]%s\b|\b%s\(" % (name, name), text(f)) for f in files), name
+        assert all("def test_criterion_%02d_" % int(n) in text("tests/test_acceptance.py")
+                   for n in criteria), name
+        assert all(re.search(r"^%s\. \*\*" % n, open_items, re.M) for n in items), name
 
 
 def test_an_arithmetic_atom_owns_its_integer_frame():
